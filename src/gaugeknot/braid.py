@@ -23,7 +23,8 @@ class BraidWord:
         if self.strands < 1:
             raise BraidError(f"need at least one strand, got {self.strands}")
         for k in self.letters:
-            if not isinstance(k, int) or k == 0 or abs(k) >= self.strands:
+            # type, not isinstance: bool is an int subclass
+            if type(k) is not int or k == 0 or abs(k) >= self.strands:
                 raise BraidError(
                     f"letter {k!r} invalid on {self.strands} strands")
 

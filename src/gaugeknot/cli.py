@@ -31,7 +31,7 @@ def _word_from_args(args, parser):
     parser.error("need --braid or --knot")
 
 
-def _cmd_verify(args):
+def _cmd_verify(args, parser):
     what = getattr(args, "what", None)
     checks = []
     gauged = rmat.build_trig_gauged()
@@ -68,8 +68,7 @@ def _cmd_verify(args):
                        rmat.spectral_limit(
                            gauged, rmat.GaugeCase.standard(4, Fraction(2, 3)))
                        == rmat.quantum_r(4)))
-        for spec in ((1, "ambient"), (2, "ambient"), (4, "ambient"),
-                     (2, "regular"), (3, "regular")):
+        for spec in engine.MODELS:
             checks.append((f"handle case {spec[0]} {spec[1]}",
                            engine.verify_handle(engine.model(*spec))))
     bad = 0
@@ -98,7 +97,7 @@ def _cmd_rmatrix(args, parser):
     return EX_OK
 
 
-def _cmd_eigen(args):
+def _cmd_eigen(args, parser):
     R = rmat.quantum_r(args.case)
     claimed = rmat.claimed_eigenvalues(args.case)
     rep = rmat.eigen_check(R, claimed)
@@ -135,21 +134,22 @@ def _cmd_oracle(args, parser):
     return EX_OK
 
 
-def _cmd_matveev(args):
-    if args.case == 4:
-        mod = engine.model(4, "ambient")
-    elif args.case in (2, 3):
-        mod = engine.model(args.case, "regular")
-    else:
-        mod = engine.model(1, "ambient")
+def _cmd_matveev(args, parser):
+    mod = engine.model(args.case, engine.suite_isotopy(args.case))
     res = engine.matveev_test(mod)
     print(f"case {args.case}: "
           + ("distinguishes the pair" if res else "cannot distinguish (trivial)"))
     return EX_OK
 
 
-def _cmd_suite(args):
-    cases = sorted({int(c) for c in args.cases.split(",")})
+def _cmd_suite(args, parser):
+    try:
+        cases = sorted({int(c) for c in args.cases.split(",")})
+    except ValueError:
+        parser.error(f"--cases {args.cases!r}: not comma-separated integers")
+    unknown = set(cases) - {case for case, _ in engine.MODELS}
+    if unknown:
+        parser.error(f"--cases: no state model for case {min(unknown)}")
     table = harness.load_table(args.table) if args.table else None
     report = harness.run_suite(cases, table=table,
                                max_crossings=args.max_crossings,
@@ -173,6 +173,7 @@ def build_parser():
     ver = sub.add_parser("verify", help="run symbolic R-matrix checks")
     ver.add_argument("--what", choices=["qybe", "tybe", "gauge"])
     ver.add_argument("--case", type=int, choices=[1, 2, 3, 4])
+    ver.set_defaults(func=_cmd_verify)
 
     rm = sub.add_parser("rmatrix", help="print an R-matrix")
     rm_sub = rm.add_subparsers(dest="rcmd", required=True)
@@ -183,9 +184,11 @@ def build_parser():
                       help="quantum case 1..4; 0 with --regime trig "
                            "selects the gauge-free operator")
     show.add_argument("--format", default="text", choices=["text", "json"])
+    show.set_defaults(func=_cmd_rmatrix)
 
     eig = sub.add_parser("eigen", help="eigenvalue check at sample points")
     eig.add_argument("--case", type=int, required=True, choices=[1, 2, 3, 4])
+    eig.set_defaults(func=_cmd_eigen)
 
     inv = sub.add_parser("invariant", help="evaluate a (1,1)-tangle invariant")
     inv.add_argument("--case", type=int, required=True, choices=[1, 2, 3, 4])
@@ -194,14 +197,17 @@ def build_parser():
     inv.add_argument("--braid")
     inv.add_argument("--knot")
     inv.add_argument("--format", default="text", choices=["text", "json"])
+    inv.set_defaults(func=_cmd_invariant)
 
     orc = sub.add_parser("oracle", help="classical oracle polynomials")
     orc.add_argument("oracle", choices=["alexander", "jones"])
     orc.add_argument("--braid")
     orc.add_argument("--knot")
+    orc.set_defaults(func=_cmd_oracle)
 
     mat = sub.add_parser("matveev", help="distinguishing-pair test")
     mat.add_argument("--case", type=int, required=True, choices=[1, 2, 3, 4])
+    mat.set_defaults(func=_cmd_matveev)
 
     st = sub.add_parser("suite", help="run the knot-table suite")
     st.add_argument("--cases", default="2,3,4")
@@ -209,6 +215,7 @@ def build_parser():
     st.add_argument("--out")
     st.add_argument("--jobs", type=int, default=1)
     st.add_argument("--table")
+    st.set_defaults(func=_cmd_suite)
     return p
 
 
@@ -216,27 +223,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.cmd == "verify":
-            return _cmd_verify(args)
-        if args.cmd == "rmatrix":
-            return _cmd_rmatrix(args, parser)
-        if args.cmd == "eigen":
-            return _cmd_eigen(args)
-        if args.cmd == "invariant":
-            return _cmd_invariant(args, parser)
-        if args.cmd == "oracle":
-            return _cmd_oracle(args, parser)
-        if args.cmd == "matveev":
-            return _cmd_matveev(args)
-        if args.cmd == "suite":
-            return _cmd_suite(args)
+        return args.func(args, parser)
     except (braid.BraidError, harness.TableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     except (RingError, oracles.OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_FAIL
-    return EX_USAGE
 
 
 if __name__ == "__main__":

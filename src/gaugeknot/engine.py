@@ -67,67 +67,82 @@ def _scaled(R, kappa):
     return R.scale(kappa), invert(R).scale(kinv)
 
 
+@dataclass(frozen=True)
+class ModelRow:
+    """The data of one state model, built from the quantum R-matrix of its
+    case.  ``images`` specializes p, Q and Y into the ring of ``kappa``
+    (None keeps the quantum ring).  Regular rows state the one-loop
+    contraction ``handle``; ambient rows may state the ``scalar`` every
+    knot must give."""
+    images: dict
+    kappa: LaurentPoly
+    C: tuple
+    handle: tuple = None
+    scalar: LaurentPoly = None
+
+
+_m = QUANTUM.mono
+_q = QONLY.mono
+
+#: Every supported state model, keyed by (case, isotopy).
+MODELS = {
+    # The single-loop identity forces C = 1/p**2 * A for this kappa.
+    (1, "ambient"): ModelRow(
+        None, _m(1, p=-2, Q=2),
+        (_m(1, p=-2, Q=2), _m(-1, p=-2, Q=2),
+         _m(-1, p=-2, Q=-2), _m(1, p=-2, Q=-2))),
+    # p = +1 branch; Y specializes to i(Q - 1/Q).
+    (2, "ambient"): ModelRow(
+        {"p": QONLY.one, "Q": QONLY.var("Q"),
+         "Y": QONLY.gauss(0, 1) * (_q(1, Q=1) - _q(1, Q=-1))},
+        _q(1, Q=1),
+        (_q(1, Q=1), _q(-1, Q=1), _q(-1, Q=-1), _q(1, Q=-1))),
+    # p = Q = +1 branch; everything is integer and every knot gives 1.
+    (4, "ambient"): ModelRow(
+        {"p": CONST.one, "Q": CONST.one, "Y": CONST.zero},
+        CONST.one, (CONST.one, -CONST.one, -CONST.one, CONST.one),
+        scalar=CONST.one),
+    (2, "regular"): ModelRow(
+        None, _m(1, p=-2, Q=1),
+        (_m(1, p=-1, Q=1), _m(-1, p=-1, Q=1),
+         _m(-1, p=-1, Q=-1), _m(1, p=-1, Q=-1)),
+        handle=(_m(1, p=-1), _m(1, p=-1), _m(1, p=1), _m(1, p=1))),
+    (3, "regular"): ModelRow(
+        None, _m(1, p=-2),
+        (QUANTUM.one, _m(1, Q=2), _m(1, Q=-2), QUANTUM.one),
+        handle=(_m(1, p=-2), _m(-1, Q=-4), _m(-1, Q=-4), _m(1, p=2))),
+}
+
+
+def suite_isotopy(case):
+    """The isotopy a case runs in the suite and the Matveev test: regular
+    when the case has a regular row, else ambient."""
+    for isotopy in ("regular", "ambient"):
+        if (case, isotopy) in MODELS:
+            return isotopy
+    raise EngineError(f"unknown case {case}")
+
+
 @lru_cache(maxsize=None)
 def model(case, isotopy):
-    """The supported state models.
-
-    Ambient exists for cases 1, 2 (at p = 1) and 4 (at p = Q = 1);
-    regular for cases 2 and 3.
-    """
-    if isotopy == "ambient":
-        if case == 1:
-            m = QUANTUM.mono
-            # The single-loop identity forces C = 1/p**2 * A for this kappa.
-            kappa = m(1, p=-2, Q=2)
-            sig, sig_inv = _scaled(quantum_r(1), kappa)
-            C = (m(1, p=-2, Q=2), m(-1, p=-2, Q=2),
-                 m(-1, p=-2, Q=-2), m(1, p=-2, Q=-2))
-            return StateModel(1, "ambient", sig, sig_inv, C, kappa)
-        if case == 2:
-            # p = +1 branch; Y specializes to i(Q - 1/Q).
-            m = QONLY.mono
-            i = QONLY.gauss(0, 1)
-            images = {"p": QONLY.one, "Q": QONLY.var("Q"),
-                      "Y": i * (m(1, Q=1) - m(1, Q=-1))}
-            R = quantum_r(2).map_entries(lambda v: map_poly(v, QONLY, images))
-            kappa = m(1, Q=1)
-            sig, sig_inv = _scaled(R, kappa)
-            C = (m(1, Q=1), m(-1, Q=1), m(-1, Q=-1), m(1, Q=-1))
-            return StateModel(2, "ambient", sig, sig_inv, C, kappa)
-        if case == 4:
-            # p = Q = +1 branch; everything is integer.
-            images = {"p": CONST.one, "Q": CONST.one, "Y": CONST.zero}
-            R = quantum_r(4).map_entries(lambda v: map_poly(v, CONST, images))
-            kappa = CONST.one
-            sig, sig_inv = _scaled(R, kappa)
-            C = (CONST.one, -CONST.one, -CONST.one, CONST.one)
-            return StateModel(4, "ambient", sig, sig_inv, C, kappa)
-        raise EngineError(f"no ambient model for case {case}")
-    if isotopy == "regular":
-        m = QUANTUM.mono
-        if case == 2:
-            kappa = m(1, p=-2, Q=1)
-            sig, sig_inv = _scaled(quantum_r(2), kappa)
-            C = (m(1, p=-1, Q=1), m(-1, p=-1, Q=1),
-                 m(-1, p=-1, Q=-1), m(1, p=-1, Q=-1))
-            return StateModel(2, "regular", sig, sig_inv, C, kappa)
-        if case == 3:
-            kappa = m(1, p=-2)
-            sig, sig_inv = _scaled(quantum_r(3), kappa)
-            C = (QUANTUM.one, m(1, Q=2), m(1, Q=-2), QUANTUM.one)
-            return StateModel(3, "regular", sig, sig_inv, C, kappa)
-        raise EngineError(f"no regular model for case {case}")
-    raise EngineError(f"unknown isotopy {isotopy!r}")
+    """The state model of a MODELS row, built on first use."""
+    row = MODELS.get((case, isotopy))
+    if row is None:
+        raise EngineError(f"no {isotopy} model for case {case}")
+    R = quantum_r(case)
+    if row.images is not None:
+        ring = row.kappa.ring
+        R = R.map_entries(lambda v: map_poly(v, ring, row.images))
+    sig, sig_inv = _scaled(R, row.kappa)
+    return StateModel(case, isotopy, sig, sig_inv, row.C, row.kappa)
 
 
 def handle_diagonal(mod):
     """The expected one-loop contraction diag for a regular model."""
-    m = QUANTUM.mono
-    if (mod.case, mod.isotopy) == (2, "regular"):
-        return (m(1, p=-1), m(1, p=-1), m(1, p=1), m(1, p=1))
-    if (mod.case, mod.isotopy) == (3, "regular"):
-        return (m(1, p=-2), m(-1, Q=-4), m(-1, Q=-4), m(1, p=2))
-    raise EngineError(f"no handle diagonal for {mod.case} {mod.isotopy}")
+    row = MODELS.get((mod.case, mod.isotopy))
+    if row is None or row.handle is None:
+        raise EngineError(f"no handle diagonal for {mod.case} {mod.isotopy}")
+    return row.handle
 
 
 def _contract_handle(mod, op):
@@ -145,12 +160,9 @@ def verify_handle(mod):
     both crossing signs; regular models to the stated diagonal and its
     inverse."""
     ring = mod.ring
-    if mod.isotopy == "ambient":
-        exp_plus = (ring.one,) * 4
-        exp_minus = exp_plus
-    else:
-        exp_plus = handle_diagonal(mod)
-        exp_minus = tuple(d.invert_monomial() for d in exp_plus)
+    exp_plus = ((ring.one,) * 4 if mod.isotopy == "ambient"
+                else handle_diagonal(mod))
+    exp_minus = tuple(d.invert_monomial() for d in exp_plus)
     for op, expected in ((mod.sigma, exp_plus), (mod.sigma_inv, exp_minus)):
         T = _contract_handle(mod, op)
         for a in range(4):

@@ -346,9 +346,7 @@ def canonical_str(poly):
         parts.append(" * ".join(factors))
     s = parts[0]
     for t in parts[1:]:
-        if t.startswith("-") and " * " not in t.split(" ", 1)[0] and not t.startswith("(-"):
-            s += " - " + t[1:]
-        elif t.startswith("-"):
+        if t.startswith("-"):
             s += " - " + t[1:]
         else:
             s += " + " + t
@@ -555,46 +553,8 @@ def evaluate(poly, assignment):
     return out
 
 
-def substitute(poly, target, replacement_exps, coeff=(1, 0)):
-    """Replace a variable by a single monomial of the same ring.
-
-    ``replacement_exps`` maps variable names to int or Fraction exponents of
-    the replacement monomial; fractional exponents must cancel to integers in
-    every resulting term.  The replaced variable keeps its slot (exponent 0).
-    """
-    ring = poly.ring
-    if target not in ring.index:
-        raise RingError(f"variable {target!r} not in ring")
-    tk = ring.index[target]
-    if not isinstance(coeff, tuple):
-        coeff = (coeff, 0)
-    rep = [Fraction(replacement_exps.get(name, 0)) for name in ring.names]
-    out = {}
-    for e, (a, b) in poly.terms.items():
-        k = e[tk]
-        new = []
-        for j in range(len(e)):
-            x = Fraction(e[j] if j != tk else 0) + k * rep[j]
-            if x.denominator != 1:
-                raise RingError(f"substitution produces non-integer exponent {x}")
-            new.append(int(x))
-        if coeff != (1, 0) and k != 0:
-            if coeff == (-1, 0):
-                sgn = -1 if k % 2 else 1
-                a, b = sgn * a, sgn * b
-            else:
-                raise RingError("only unit +-1 monomial coefficients supported")
-        key = tuple(new)
-        c = out.get(key)
-        if c is None:
-            out[key] = (a, b)
-        else:
-            s = (c[0] + a, c[1] + b)
-            if s == (0, 0):
-                del out[key]
-            else:
-                out[key] = s
-    return _reduce_y(LaurentPoly(ring, out))
+#: The Gaussian units, as i**0 .. i**3.
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 def map_poly(poly, target_ring, images):
@@ -602,7 +562,9 @@ def map_poly(poly, target_ring, images):
 
     ``images`` maps every source variable name to a LaurentPoly of
     ``target_ring`` (or an int).  A Y variable's image is checked for
-    consistency with the rewrite relation.
+    consistency with the rewrite relation.  When every image is a single
+    term with a unit coefficient, exponents are mapped directly instead of
+    multiplying images out.
     """
     ring = poly.ring
     imgs = {}
@@ -617,6 +579,10 @@ def map_poly(poly, target_ring, images):
         rel = map_poly(ring.y_square, target_ring, images)
         if imgs["Y"] * imgs["Y"] != rel:
             raise RingError("Y image inconsistent with the rewrite relation")
+    if all(len(img.terms) == 1 and next(iter(img.terms.values())) in _I_POWERS
+           for img in imgs.values()):
+        return _map_exponents(poly, target_ring,
+                              [imgs[name] for name in ring.names])
     out = target_ring.zero
     inv_cache = {}
     for e, c in poly.terms.items():
@@ -631,6 +597,32 @@ def map_poly(poly, target_ring, images):
                 t = t * inv_cache[name] ** (-x)
         out = out + t
     return out
+
+
+def _map_exponents(poly, target_ring, imgs):
+    """map_poly for images i**m_k * x**v_k (in source variable order): the
+    term c * x**e goes to c * i**(sum e_k m_k) * x**(sum e_k v_k)."""
+    parts = []
+    for img in imgs:
+        (v, c), = img.terms.items()
+        parts.append(([(j, y) for j, y in enumerate(v) if y],
+                      _I_POWERS.index(c)))
+    width = len(target_ring.names)
+    out = {}
+    for e, (re, im) in poly.terms.items():
+        vec = [0] * width
+        turns = 0
+        for x, (shift, m) in zip(e, parts):
+            if x:
+                for j, y in shift:
+                    vec[j] += x * y
+                turns += x * m
+        a, b = _I_POWERS[turns % 4]
+        key = tuple(vec)
+        cur = out.get(key, (0, 0))
+        out[key] = (cur[0] + re * a - im * b, cur[1] + re * b + im * a)
+    out = {k: c for k, c in out.items() if c != (0, 0)}
+    return _reduce_y(LaurentPoly(target_ring, out))
 
 
 def divexact(num, den):

@@ -10,6 +10,7 @@ block-diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -107,12 +108,6 @@ def _is_zero(v):
 def identity_op(ring):
     one = ring.one
     return SparseROp(ring, {(a, b, a, b): one
-                            for a in range(1, 5) for b in range(1, 5)})
-
-
-def identity_rop(ring):
-    """Identity with RationalLaurent entries."""
-    return SparseROp(ring, {(a, b, a, b): RationalLaurent(ring.one)
                             for a in range(1, 5) for b in range(1, 5)})
 
 
@@ -297,9 +292,8 @@ def apply_gauge(R, A):
 def spectral_limit(R, case):
     """The formal X -> infinity limit of the gauged operator under a case's
     (Ru, Su) substitution, expressed over the quantum ring {p, Q, Y}."""
-    L = 1
-    for fr in (case.ru_exp, case.su_exp):
-        L = L * Fraction(fr).denominator // _gcd(L, Fraction(fr).denominator)
+    L = math.lcm(Fraction(case.ru_exp).denominator,
+                 Fraction(case.su_exp).denominator)
     out = {}
     for key, v in R.entries.items():
         num = _subst_case(v.num, case, L)
@@ -319,19 +313,16 @@ def spectral_limit(R, case):
     return SparseROp(QUANTUM, out)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _subst_case(poly, case, scale):
-    """
-    Refine the X grid by ``scale`` and fold Ru, Su into X powers."""
-    from .ring import substitute
-    p = substitute(poly, "X", {"X": scale})
-    p = substitute(p, "Ru", {"X": case.ru_exp * scale})
-    return substitute(p, "Su", {"X": case.su_exp * scale})
+    """Refine the X grid by ``scale`` and fold Ru, Su into X powers."""
+    ring = poly.ring
+    images = {name: ring.var(name) for name in ring.names}
+    for name, exp in (("X", 1), ("Ru", case.ru_exp), ("Su", case.su_exp)):
+        x = Fraction(exp) * scale
+        if x.denominator != 1:
+            raise RingError(f"{name} -> X^{x} leaves the integer grid")
+        images[name] = ring.var("X", int(x))
+    return map_poly(poly, ring, images)
 
 
 def _to_quantum(poly):
@@ -491,8 +482,7 @@ def invert(R):
     if not rational_in:
         out_entries = {k: divexact(v.num, v.den) for k, v in out_entries.items()}
     inv = SparseROp(ring, out_entries)
-    ident = identity_rop(ring) if rational_in else identity_op(ring)
-    if R.compose(inv) != ident:
+    if R.compose(inv) != identity_op(ring):
         raise RingError("inverse verification failed")
     return inv
 

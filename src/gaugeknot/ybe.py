@@ -113,11 +113,23 @@ def _cleared(R):
     return SparseROp(R.ring, out)
 
 
+def _v_images(ring):
+    """u -> v: X, Ru, Su to Xv, Rv, Sv; every other variable fixed."""
+    images = {n: ring.var(n) for n in ring.names}
+    images.update(X=ring.var("Xv"), Ru=ring.var("Rv"), Su=ring.var("Sv"))
+    return images
+
+
+def _uv_images(ring):
+    """u -> u + v: X, Ru, Su to X Xv, Ru Rv, Su Sv."""
+    images = _v_images(ring)
+    for n in ("X", "Ru", "Su"):
+        images[n] = ring.var(n) * images[n]
+    return images
+
+
 def _shift(op, images):
-    ring = op.ring
-    base = {n: ring.var(n) for n in ring.names}
-    base.update(images)
-    return op.map_entries(lambda p: map_poly(p, ring, base))
+    return op.map_entries(lambda p: map_poly(p, op.ring, images))
 
 
 def verify_tybe_additive(R):
@@ -128,11 +140,8 @@ def verify_tybe_additive(R):
     """
     ring = R.ring
     P = _cleared(R)
-    Pv = _shift(P, {"X": ring.var("Xv"), "Ru": ring.var("Rv"),
-                    "Su": ring.var("Sv")})
-    Puv = _shift(P, {"X": ring.mono(1, X=1, Xv=1),
-                     "Ru": ring.mono(1, Ru=1, Rv=1),
-                     "Su": ring.mono(1, Su=1, Sv=1)})
+    Pv = _shift(P, _v_images(ring))
+    Puv = _shift(P, _uv_images(ring))
     A_u = embed(P, 12)
     A_v = embed(Pv, 12)
     A_uv = embed(Puv, 12)
@@ -153,19 +162,14 @@ def verify_gauge_properties(A, R):
     * the two-site diagonal A_1(v) A_2(v) commutes with R.
     """
     ring = A.diag[0].ring
+    v_images = _v_images(ring)
+    uv_images = _uv_images(ring)
 
     def to_v(p):
-        images = {n: ring.var(n) for n in ring.names}
-        images.update({"X": ring.var("Xv"), "Ru": ring.var("Rv"),
-                       "Su": ring.var("Sv")})
-        return map_poly(p, ring, images)
+        return map_poly(p, ring, v_images)
 
     def to_uv(p):
-        images = {n: ring.var(n) for n in ring.names}
-        images.update({"X": ring.mono(1, X=1, Xv=1),
-                       "Ru": ring.mono(1, Ru=1, Rv=1),
-                       "Su": ring.mono(1, Su=1, Sv=1)})
-        return map_poly(p, ring, images)
+        return map_poly(p, ring, uv_images)
 
     def at_zero(p):
         images = {n: ring.var(n) for n in ring.names}

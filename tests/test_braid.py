@@ -34,6 +34,8 @@ def test_word_validation():
         braid.BraidWord(2, (2,))
     with pytest.raises(braid.BraidError):
         braid.BraidWord(0, ())
+    with pytest.raises(braid.BraidError):
+        braid.BraidWord(2, (True,))
 
 
 def test_inverse_and_mirror():

@@ -91,6 +91,13 @@ def test_suite_writes_reports(capsys, tmp_path):
                       "entry33,entry44,status,unit")
 
 
+@pytest.mark.parametrize("cases", ["x", "5"])
+def test_bad_suite_cases_are_usage_errors(capsys, cases):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "suite", "--cases", cases)
+    assert exc.value.code == 2
+
+
 def test_bad_braid_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "invariant", "--case", "2", "--braid", "2 : 9")

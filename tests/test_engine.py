@@ -44,6 +44,14 @@ def test_unsupported_models():
         engine.model(2, "framed")
 
 
+def test_suite_isotopy():
+    assert [engine.suite_isotopy(c) for c in (1, 2, 3, 4)] == \
+        ["ambient", "regular", "regular", "ambient"]
+    for case in (0, 5):
+        with pytest.raises(engine.EngineError):
+            engine.suite_isotopy(case)
+
+
 def test_sigma_inverse_pairs():
     for case, isotopy in ALL_MODELS:
         mod = engine.model(case, isotopy)

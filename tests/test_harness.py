@@ -84,6 +84,13 @@ def test_suite_small():
             assert row["isotopy"] == "ambient"
 
 
+def test_case1_rows_are_unchecked():
+    table = [r for r in harness.load_table() if r.name == "3_1"]
+    report = harness.run_suite({1}, table=table)
+    assert [r["status"] for r in report.rows] == ["unchecked"]
+    assert report.failed == 0 and report.ok
+
+
 def test_suite_records_failures():
     bad = harness.KnotRecord("9_99", braid.parse("2 : 1 1 1 1 1"))
     report = harness.run_suite({4}, table=[bad], max_crossings=10)

@@ -8,8 +8,7 @@ import pytest
 
 from conftest import rand_poly
 from gaugeknot.ring import (CONST, QONLY, QUANTUM, TRIG, CRat, RationalLaurent,
-                            RingError, divexact, evaluate, map_poly, qbracket,
-                            substitute)
+                            RingError, divexact, evaluate, map_poly, qbracket)
 
 
 def test_add_examples():
@@ -139,17 +138,67 @@ def test_evaluate_is_homomorphism(rng):
         assert evaluate(a + b, pt) == evaluate(a, pt) + evaluate(b, pt)
 
 
+def _trig_images(**changes):
+    images = {n: TRIG.var(n) for n in TRIG.names}
+    images.update(changes)
+    return images
+
+
 def test_substitute_examples():
     Ru = TRIG.var("Ru")
-    assert substitute(Ru, "Ru", {"X": 1}) == TRIG.var("X")
-    assert substitute(Ru, "Ru", {}) == TRIG.one
+    assert map_poly(Ru, TRIG, _trig_images(Ru=TRIG.var("X"))) == TRIG.var("X")
+    assert map_poly(Ru, TRIG, _trig_images(Ru=TRIG.one)) == TRIG.one
     Q = TRIG.var("Q")
-    assert substitute(Q, "Q", {"Q": 1}) == Q
-    # fractional exponents must cancel: Ru**2 -> X is fine, Ru -> X^(1/2) not
-    assert substitute(TRIG.var("Ru", 2), "Ru",
-                      {"X": Fraction(1, 2)}) == TRIG.var("X")
+    assert map_poly(Q, TRIG, _trig_images()) == Q
+    # the replaced variable keeps its slot; others pass through
+    poly = TRIG.mono(3, Ru=-2, X=1) - TRIG.mono(1, Q=2)
+    assert map_poly(poly, TRIG, _trig_images(Ru=TRIG.var("X", 2))) == \
+        TRIG.mono(3, X=-3) - TRIG.mono(1, Q=2)
+    # a negative power needs a unit coefficient
     with pytest.raises(RingError):
-        substitute(Ru, "Ru", {"X": Fraction(1, 2)})
+        map_poly(TRIG.var("Ru", -1), TRIG, _trig_images(Ru=TRIG.mono(2, X=1)))
+
+
+def _by_products(poly, target, images):
+    """Sum over terms of c * prod image**e, multiplied out."""
+    out = target.zero
+    for e, c in poly.terms.items():
+        t = target.gauss(*c)
+        for name, x in zip(poly.ring.names, e):
+            img = images[name]
+            t = t * (img ** x if x >= 0 else img.invert_monomial() ** -x)
+        out = out + t
+    return out
+
+
+def test_map_poly_single_term_images(rng):
+    units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+    def image(target):      # Y-free: Y is not invertible
+        exps = {n: rng.randint(-2, 2) for n in target.names if n != "Y"}
+        return target.mono(rng.choice(units), **exps)
+
+    # Y-free sources and arbitrary unit monomial images, both directions
+    for source, target in ((QUANTUM, TRIG), (TRIG, QUANTUM)):
+        for _ in range(100):
+            poly = rand_poly(rng, source).coeff_of("Y", 0)
+            images = {n: image(target) for n in source.names}
+            images["Y"] = target.one
+            assert map_poly(poly, target, images) == \
+                _by_products(poly, target, images)
+    # sources with Y, under images that respect Y**2 = p^2 + p^-2 - Q^2 - Q^-2
+    m = QUANTUM.mono
+    for _ in range(100):
+        poly = rand_poly(rng)
+        sp, sq = rng.choice((1, -1)), rng.choice((1, -1))
+        p_img = m(rng.choice((1, -1)), p=sp)
+        q_img = m(rng.choice((1, -1)), Q=sq)
+        images = {"p": p_img, "Q": q_img, "Y": m(rng.choice((1, -1)), Y=1)}
+        if rng.random() < 0.5:      # swapping p and Q negates Y**2
+            images = {"p": m(1, Q=sp), "Q": m(1, p=sq),
+                      "Y": m(rng.choice(((0, 1), (0, -1))), Y=1)}
+        assert map_poly(poly, QUANTUM, images) == \
+            _by_products(poly, QUANTUM, images)
 
 
 def test_ring_axioms(rng):

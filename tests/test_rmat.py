@@ -112,6 +112,13 @@ def test_spectral_limit_single_entry():
     assert lim.get(1, 1, 1, 1) == QUANTUM.mono(-1, p=2, Q=-2)
 
 
+def test_subst_case_needs_integer_grid():
+    half = rmat.GaugeCase.standard(4)        # Ru -> X^(1/2)
+    assert rmat._subst_case(TRIG.var("Ru"), half, 2) == TRIG.var("X")
+    with pytest.raises(RingError):
+        rmat._subst_case(TRIG.var("Ru"), half, 1)
+
+
 def test_spectral_limits_match_tables():
     gauged = rmat.build_trig_gauged()
     for i in (1, 2, 3, 4):
