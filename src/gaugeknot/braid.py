@@ -78,10 +78,8 @@ def closure_components(word):
     return cycles
 
 
-def matveev_pair(n=3):
+def matveev_pair():
     """The distinguishing pair s1 s2^-1 s1 and s2 s1^-1 s2: an invariant
     whose state model represents both words identically cannot tell any
     knot from the unknot."""
-    if n != 3:
-        raise BraidError("the distinguishing pair lives on 3 strands")
     return parse("3 : 1 -2 1"), parse("3 : 2 -1 2")

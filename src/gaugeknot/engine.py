@@ -1,9 +1,11 @@
 """State-model evaluator for (1,1)-tangle invariants.
 
 A model is a braid generator sigma = kappa * Rhat together with a diagonal
-left handle C.  A word on n strands is represented on (C^4)^{x n} with the
-generator's first tensor slot on the higher strand, so that closing every
-strand but the first with C turns the single-loop identity
+left handle C.  Letter k of a word on n strands is sigma (k > 0) or its
+inverse on strands |k| and |k| + 1 of (C^4)^{x n}; rmat's one operator
+product multiplies the letters with the first tensor slot on the higher
+strand, so that closing every strand but the first with C turns the
+single-loop identity (that closure of one letter on two strands)
 
     sum_c C[c] * sigma^{c a}_{c b} = delta^a_b
 
@@ -14,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
-from .braid import BraidWord, closure_components
+from .braid import closure_components, matveev_pair
 from .ring import CONST, LaurentPoly, QONLY, QUANTUM, RingError, map_poly
-from .rmat import SparseROp, invert, quantum_r
+from .rmat import SparseROp, _columns, invert, quantum_r
 
 
 class EngineError(RingError):
@@ -145,14 +146,26 @@ def handle_diagonal(mod):
     return row.handle
 
 
-def _contract_handle(mod, op):
-    """T[a][b] = sum_c C[c] * op^{c a}_{c b}."""
+def _letters(word, sigma, sigma_inv):
+    """The (pos, op) letters of a braid word for the operator product."""
+    return [(abs(k), sigma if k > 0 else sigma_inv) for k in word.letters]
+
+
+def _close(mod, columns):
+    """Close every strand but the first with C: M[a][b] sums C[s[1]] ...
+    C[s[n-1]] * image(s)[(a,) + s[1:]] over input columns s with s[0] = b."""
     zero = mod.ring.zero
-    T = [[zero] * 4 for _ in range(4)]
-    for (c1, a, c2, b), v in op.entries.items():
-        if c1 == c2:
-            T[a - 1][b - 1] = T[a - 1][b - 1] + mod.C[c1 - 1] * v
-    return T
+    M = [[zero] * 4 for _ in range(4)]
+    for s, images in columns:
+        weight = mod.ring.one
+        for c in s[1:]:
+            weight = weight * mod.C[c - 1]
+        b = s[0]
+        for a in range(1, 5):
+            v = images.get((a,) + s[1:])
+            if v is not None:
+                M[a - 1][b - 1] = M[a - 1][b - 1] + weight * v
+    return M
 
 
 def verify_handle(mod):
@@ -164,53 +177,27 @@ def verify_handle(mod):
                 else handle_diagonal(mod))
     exp_minus = tuple(d.invert_monomial() for d in exp_plus)
     for op, expected in ((mod.sigma, exp_plus), (mod.sigma_inv, exp_minus)):
-        T = _contract_handle(mod, op)
-        for a in range(4):
-            for b in range(4):
-                want = expected[a] if a == b else ring.zero
-                if T[a][b] != want:
-                    return False
+        T = _close(mod, _columns(ring, 2, [(1, op)]))
+        if T != [[expected[a] if a == b else ring.zero for b in range(4)]
+                 for a in range(4)]:
+            return False
     return True
-
-
-def _letter_map(op):
-    """Transition map keyed by the (lower, upper) strand values."""
-    m = {}
-    for (a, b, c, d), v in op.entries.items():
-        # first slot on the upper strand: input (d, c) -> output (b, a)
-        m.setdefault((d, c), []).append(((b, a), v))
-    return m
 
 
 def represent(word, mod, term_budget=DEFAULT_TERM_BUDGET):
     """Sparse representation of a braid word: a map from each input basis
     multi-index to its sparse image {output multi-index: coefficient}."""
-    n = word.strands
-    maps = {1: _letter_map(mod.sigma), -1: _letter_map(mod.sigma_inv)}
     out = {}
     stored = 0
-    for s in product((1, 2, 3, 4), repeat=n):
-        vec = {s: mod.ring.one}
-        for k in word.letters:
-            mp = maps[1 if k > 0 else -1]
-            pos = abs(k)
-            new = {}
-            for state, coeff in vec.items():
-                for pair, v in mp.get((state[pos - 1], state[pos]), ()):
-                    t = state[:pos - 1] + pair + state[pos + 1:]
-                    cur = new.get(t)
-                    prod = coeff * v
-                    acc = prod if cur is None else cur + prod
-                    if acc.is_zero():
-                        new.pop(t, None)
-                    else:
-                        new[t] = acc
-            vec = new
+    letters = _letters(word, mod.sigma, mod.sigma_inv)
+    for s, vec in _columns(mod.ring, word.strands, letters):
         stored += sum(len(c.terms) for c in vec.values())
         if stored > term_budget:
-            raise EngineError("term budget exceeded; braid beyond desk scale")
-        if vec:
-            out[s] = vec
+            raise EngineError(
+                f"term budget exceeded: {stored} stored terms > budget "
+                f"{term_budget} after input column {s} of braid '{word}', "
+                f"case {mod.case} {mod.isotopy}")
+        out[s] = vec
     return out
 
 
@@ -219,18 +206,7 @@ def tangle_invariant(word, mod, term_budget=DEFAULT_TERM_BUDGET):
     if closure_components(word) != 1:
         raise EngineError(f"closure of {word} is not a knot")
     rep = represent(word, mod, term_budget)
-    zero = mod.ring.zero
-    M = [[zero] * 4 for _ in range(4)]
-    for s, images in rep.items():
-        weight = mod.ring.one
-        for c in s[1:]:
-            weight = weight * mod.C[c - 1]
-        b = s[0]
-        for a in range(1, 5):
-            v = images.get((a,) + s[1:])
-            if v is not None:
-                M[a - 1][b - 1] = M[a - 1][b - 1] + weight * v
-    return TangleInvariant(M)
+    return TangleInvariant(_close(mod, rep.items()))
 
 
 def ambient_invariant(word, case, term_budget=DEFAULT_TERM_BUDGET):
@@ -245,18 +221,14 @@ def matveev_test(mod):
     For case 4 the comparison is additionally run on the bare quantum
     operator with p, Q fully symbolic.
     """
-    from .braid import matveev_pair
-
-    def equal_reps(m):
-        w1, w2 = matveev_pair()
-        return represent(w1, m) == represent(w2, m)
-
-    distinguishes = not equal_reps(mod)
+    w1, w2 = matveev_pair()
+    distinguishes = represent(w1, mod) != represent(w2, mod)
     if mod.case == 4:
         R = quantum_r(4)
-        sym = StateModel(4, "symbolic", R, invert(R),
-                         (QUANTUM.one,) * 4, QUANTUM.one)
-        if not equal_reps(sym):
+        R_inv = invert(R)
+        sym1, sym2 = (dict(_columns(QUANTUM, 3, _letters(w, R, R_inv)))
+                      for w in (w1, w2))
+        if sym1 != sym2:
             raise EngineError("case 4 symbolic representations differ")
         if distinguishes:
             raise EngineError("case 4 specialization distinguishes the pair")

@@ -384,15 +384,20 @@ class RationalLaurent:
             num = LaurentPoly(num.ring, {fix(e): c for e, c in num.terms.items()})
             den = LaurentPoly(den.ring, {fix(e): c for e, c in den.terms.items()})
         if len(den.terms) == 1:
-            # monomial denominators are units: fold them into the numerator
-            (de, dc), = den.terms.items()
-            dcr = CRat(*dc)
+            # fold a monomial denominator into the numerator when its
+            # coefficient divides every numerator coefficient in Z[i]
+            (de, (c, d)), = den.terms.items()
+            norm = c * c + d * d
             folded = {}
-            for ne, nc in num.terms.items():
-                q = CRat(*nc) / dcr
-                folded[tuple(a - b for a, b in zip(ne, de))] = (q.re, q.im)
-            num = LaurentPoly(num.ring, folded)
-            den = num.ring.one
+            for ne, (x, y) in num.terms.items():
+                re, im = x * c + y * d, y * c - x * d
+                if re % norm or im % norm:
+                    break
+                folded[tuple(a - b for a, b in zip(ne, de))] = (re // norm,
+                                                                im // norm)
+            else:
+                num = LaurentPoly(num.ring, folded)
+                den = num.ring.one
         _, (a, b) = den.leading()
         if a < 0 or (a == 0 and b < 0):
             num, den = -num, -den

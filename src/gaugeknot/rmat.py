@@ -11,8 +11,9 @@ block-diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .ring import (CRat, LaurentPoly, QUANTUM, RationalLaurent, RingError,
                    TRIG, divexact, evaluate, map_poly, qbracket)
@@ -50,7 +51,7 @@ class SparseROp:
 
     def __init__(self, ring, entries):
         self.ring = ring
-        self.entries = {k: v for k, v in entries.items() if not _is_zero(v)}
+        self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
 
     def __len__(self):
         return len(self.entries)
@@ -58,9 +59,7 @@ class SparseROp:
     def __eq__(self, other):
         if not isinstance(other, SparseROp):
             return NotImplemented
-        if set(self.entries) != set(other.entries):
-            return False
-        return all(self.entries[k] == other.entries[k] for k in self.entries)
+        return self.entries == other.entries
 
     def get(self, a, b, c, d):
         v = self.entries.get((a, b, c, d))
@@ -80,20 +79,6 @@ class SparseROp:
         return all(WEIGHT[a] + WEIGHT[b] == WEIGHT[c] + WEIGHT[d]
                    for (a, b, c, d) in self.entries)
 
-    def compose(self, other):
-        """Operator product self . other (apply other first)."""
-        bycol = {}
-        for (a, b, c, d), v in self.entries.items():
-            bycol.setdefault((c, d), []).append(((a, b), v))
-        out = {}
-        for (m1, m2, c, d), v in other.entries.items():
-            for (row, w) in bycol.get((m1, m2), ()):
-                k = (row[0], row[1], c, d)
-                cur = out.get(k)
-                prod = w * v
-                out[k] = prod if cur is None else cur + prod
-        return SparseROp(self.ring, out)
-
     def sorted_items(self):
         return sorted(self.entries.items())
 
@@ -101,8 +86,40 @@ class SparseROp:
         return f"SparseROp({len(self.entries)} entries over {self.ring})"
 
 
-def _is_zero(v):
-    return v.is_zero()
+def _columns(ring, strands, letters):
+    """The one operator product: push every basis column of
+    (C^4)^{x strands} through ``letters``, ``(pos, op)`` pairs applied first
+    to last, ``op`` (polynomial entries of ``ring``) acting on strands
+    ``pos`` and ``pos + 1`` with its first tensor slot on the higher strand.
+    Yields ``(input, {output: coeff})`` for each nonzero column in
+    lexicographic order."""
+    maps = {}
+    for _, op in letters:
+        if id(op) not in maps:
+            # input (d, c) on strands (pos, pos + 1) -> output (b, a)
+            m = maps[id(op)] = {}
+            for (a, b, c, d), v in op.entries.items():
+                m.setdefault((d, c), []).append(((b, a), v))
+    steps = [(pos - 1, maps[id(op)]) for pos, op in letters]
+    one = ring.one
+    for s in product((1, 2, 3, 4), repeat=strands):
+        vec = {s: one}
+        for lo, mp in steps:
+            hi = lo + 2
+            new = {}
+            for state, coeff in vec.items():
+                for pair, v in mp.get(state[lo:hi], ()):
+                    t = state[:lo] + pair + state[hi:]
+                    cur = new.get(t)
+                    prod = coeff * v
+                    acc = prod if cur is None else cur + prod
+                    if acc.is_zero():
+                        new.pop(t, None)
+                    else:
+                        new[t] = acc
+            vec = new
+        if vec:
+            yield s, vec
 
 
 def identity_op(ring):
@@ -436,12 +453,10 @@ def _rl_div(x, y):
 
 
 def invert(R):
-    """Exact inverse of a two-site operator; entries of the result are
-    polynomials whenever the exact divisions succeed, else rationals."""
+    """Exact inverse of a two-site operator with polynomial entries.  The
+    inverse's entries must be polynomials too (RingError otherwise); the
+    result is checked to be a right inverse."""
     ring = R.ring
-    rational_in = R.entries and isinstance(next(iter(R.entries.values())),
-                                           RationalLaurent)
-    as_rl = (lambda v: v) if rational_in else (lambda v: RationalLaurent(v))
     zero = RationalLaurent(ring.zero)
     one = RationalLaurent(ring.one)
     out_entries = {}
@@ -451,7 +466,7 @@ def invert(R):
         M = [[zero] * n for _ in range(n)]
         for (a, b, c, d), v in R.entries.items():
             if (a, b) in idx and (c, d) in idx:
-                M[idx[(a, b)]][idx[(c, d)]] = as_rl(v)
+                M[idx[(a, b)]][idx[(c, d)]] = RationalLaurent(v)
         A = [[one if i == j else zero for j in range(n)] for i in range(n)]
         # Gauss-Jordan over the fraction field.
         for col in range(n):
@@ -479,10 +494,10 @@ def invert(R):
                 v = A[i][j]
                 if not v.is_zero():
                     out_entries[ab + cd] = v
-    if not rational_in:
-        out_entries = {k: divexact(v.num, v.den) for k, v in out_entries.items()}
-    inv = SparseROp(ring, out_entries)
-    if R.compose(inv) != identity_op(ring):
+    inv = SparseROp(ring, {k: divexact(v.num, v.den)
+                           for k, v in out_entries.items()})
+    identity = dict(_columns(ring, 2, ()))
+    if dict(_columns(ring, 2, [(1, inv), (1, R)])) != identity:
         raise RingError("inverse verification failed")
     return inv
 
@@ -491,15 +506,11 @@ def invert(R):
 # Eigen-data checks at exact rational sample points.
 
 def _eval_matrix(R, assignment):
-    """16x16 CRat matrix of the operator at an exact point."""
+    """16x16 CRat matrix of a polynomial operator at an exact point."""
     idx = lambda a, b: 4 * (a - 1) + (b - 1)
     M = [[CRat(0)] * 16 for _ in range(16)]
     for (a, b, c, d), v in R.entries.items():
-        if isinstance(v, RationalLaurent):
-            val = evaluate(v.num, assignment) / evaluate(v.den, assignment)
-        else:
-            val = evaluate(v, assignment)
-        M[idx(a, b)][idx(c, d)] = M[idx(a, b)][idx(c, d)] + val
+        M[idx(a, b)][idx(c, d)] = evaluate(v, assignment)
     return M
 
 

@@ -1,10 +1,11 @@
 """Symbolic verification of the braid-form Yang-Baxter equations and the
 gauge-transformation properties.
 
-Three-site operators live on (C^4)^{x3}; keys are (row_triple, col_triple).
-The additive (trigonometric) equation is verified after clearing every
-denominator: multiplying all entries of R(u) by one common polynomial D(u)
-rescales both sides of
+Each side is a word on three strands for rmat's one operator product, which
+puts the first tensor slot on the higher strand: R12 is the letter at
+position 2, R23 the letter at position 1.  The additive (trigonometric)
+equation is verified after clearing every denominator: multiplying all
+entries of R(u) by one common polynomial D(u) rescales both sides of
 
     R12(u) R23(u+v) R12(v) = R23(v) R12(u+v) R23(u)
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ring import RingError, divexact, map_poly
-from .rmat import SparseROp
+from .rmat import SparseROp, _columns
 
 
 @dataclass
@@ -37,63 +38,28 @@ class YBEReport:
                 f"lhs = {self.lhs}, rhs = {self.rhs}")
 
 
-def embed(R, slot):
-    """Embed a two-site operator into three sites, returned as
-    {(rows, cols): value}.  slot is 12, 23 or 13 (13 is the 12-embedding
-    conjugated by the flip of sites 2 and 3)."""
-    if slot not in (12, 23, 13):
-        raise RingError(f"slot must be 12, 23 or 13, not {slot}")
-    out = {}
-    for x in (1, 2, 3, 4):
-        for (a, b, c, d), v in R.entries.items():
-            if slot == 12:
-                key = ((a, b, x), (c, d, x))
-            elif slot == 23:
-                key = ((x, a, b), (x, c, d))
-            else:
-                key = ((a, x, b), (c, x, d))
-            out[key] = v
-    return out
-
-
-def _three_mul(A, B):
-    bycol = {}
-    for (r, c), v in A.items():
-        bycol.setdefault(c, []).append((r, v))
-    out = {}
-    for (m, c), v in B.items():
-        for (r, w) in bycol.get(m, ()):
-            k = (r, c)
-            prod = w * v
-            cur = out.get(k)
-            if cur is None:
-                out[k] = prod
-            else:
-                s = cur + prod
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-    return out
-
-
-def _compare(L, R):
-    keys = set(L) | set(R)
-    for k in sorted(keys):
-        lv = L.get(k)
-        rv = R.get(k)
-        if lv is None or rv is None or lv != rv:
-            return YBEReport(False, k, lv, rv)
+def _compare(ring, lhs, rhs):
+    """Compare two words on three strands column by column; a failure
+    witness is (input column, output)."""
+    L, R = (dict(_columns(ring, 3, word)) for word in (lhs, rhs))
+    for s in sorted(L.keys() | R.keys()):
+        left, right = L.get(s, {}), R.get(s, {})
+        for t in sorted(left.keys() | right.keys()):
+            lv, rv = left.get(t), right.get(t)
+            if lv is None or rv is None or lv != rv:
+                return YBEReport(False, (s, t), lv, rv)
     return YBEReport(True)
 
 
+def _qybe_sides(R):
+    """Both sides as words, first letter applied first."""
+    return [(2, R), (1, R), (2, R)], [(1, R), (2, R), (1, R)]
+
+
 def verify_qybe(R):
-    """Constant braid-form equation R12 R23 R12 = R23 R12 R23."""
-    R12 = embed(R, 12)
-    R23 = embed(R, 23)
-    lhs = _three_mul(_three_mul(R12, R23), R12)
-    rhs = _three_mul(_three_mul(R23, R12), R23)
-    return _compare(lhs, rhs)
+    """Constant braid-form equation R12 R23 R12 = R23 R12 R23 (R with
+    polynomial entries)."""
+    return _compare(R.ring, *_qybe_sides(R))
 
 
 def _cleared(R):
@@ -138,19 +104,15 @@ def verify_tybe_additive(R):
 
     R(v) is the substitution X -> Xv (etc.); R(u+v) multiplies the grids.
     """
-    ring = R.ring
+    return _compare(R.ring, *_tybe_sides(R))
+
+
+def _tybe_sides(R):
+    """Both sides of the cleared equation as words, first letter first."""
     P = _cleared(R)
-    Pv = _shift(P, _v_images(ring))
-    Puv = _shift(P, _uv_images(ring))
-    A_u = embed(P, 12)
-    A_v = embed(Pv, 12)
-    A_uv = embed(Puv, 12)
-    B_u = embed(P, 23)
-    B_v = embed(Pv, 23)
-    B_uv = embed(Puv, 23)
-    lhs = _three_mul(_three_mul(A_u, B_uv), A_v)
-    rhs = _three_mul(_three_mul(B_v, A_uv), B_u)
-    return _compare(lhs, rhs)
+    Pv = _shift(P, _v_images(P.ring))
+    Puv = _shift(P, _uv_images(P.ring))
+    return [(2, Pv), (1, Puv), (2, P)], [(1, P), (2, Puv), (1, Pv)]
 
 
 def verify_gauge_properties(A, R):

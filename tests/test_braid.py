@@ -59,5 +59,3 @@ def test_matveev_pair():
     assert str(b) == "3 : 2 -1 2"
     assert a.writhe == 1 and b.writhe == 1
     assert a.letters != b.letters
-    with pytest.raises(braid.BraidError):
-        braid.matveev_pair(4)

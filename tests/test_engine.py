@@ -55,9 +55,10 @@ def test_suite_isotopy():
 def test_sigma_inverse_pairs():
     for case, isotopy in ALL_MODELS:
         mod = engine.model(case, isotopy)
-        ident = rmat.identity_op(mod.ring)
-        assert mod.sigma.compose(mod.sigma_inv) == ident
-        assert mod.sigma_inv.compose(mod.sigma) == ident
+        ident = dict(rmat._columns(mod.ring, 2, ()))
+        for pair in ((mod.sigma, mod.sigma_inv), (mod.sigma_inv, mod.sigma)):
+            word = [(1, op) for op in pair]
+            assert dict(rmat._columns(mod.ring, 2, word)) == ident
 
 
 def test_verify_handle():
@@ -106,8 +107,12 @@ def test_represent_empty_word():
 
 def test_term_budget():
     mod = engine.model(2, "regular")
-    with pytest.raises(engine.EngineError):
+    with pytest.raises(engine.EngineError) as err:
         engine.represent(TREFOIL, mod, term_budget=3)
+    for field in (r"\b8 stored terms", r"> budget 3 ",
+                  r"input column \(1, 2\) ", r"braid '2 : 1 1 1'",
+                  r"case 2 regular$"):
+        err.match(field)
 
 
 def test_unknot_invariant_is_identity():

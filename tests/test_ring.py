@@ -234,6 +234,25 @@ def test_rational_laurent_canonical():
         RationalLaurent(num, TRIG.zero)
 
 
+def test_rational_laurent_stays_gaussian_integer():
+    m = QUANTUM.mono
+    # 2 does not divide 3 in Z[i]: the denominator is kept
+    kept = RationalLaurent(m(3, p=1), QUANTUM.gauss(2))
+    assert kept.num == m(3, p=1) and kept.den == QUANTUM.gauss(2)
+    assert not kept.is_poly()
+    assert kept == RationalLaurent(m(6, p=1), QUANTUM.gauss(4))
+    # 1 + i divides 4 and 2 + 2i: the monomial denominator folds
+    folded = RationalLaurent(m(4, p=1) + m((2, 2), Q=-1), m((1, 1), Q=1))
+    assert folded.is_poly()
+    assert folded.num == m((2, -2), p=1, Q=-1) + m(2, Q=-2)
+    # unit monomial denominators always fold
+    assert RationalLaurent(m(3, p=1), m(-1, Q=2)).num == m(-3, p=1, Q=-2)
+    for r in (kept, folded):
+        for part in (r.num, r.den):
+            assert all(type(x) is int
+                       for c in part.terms.values() for x in c)
+
+
 def test_canonical_string_is_stable(rng):
     m = QUANTUM.mono
     s1 = str(m(1, Q=4) - m(1) + m(1, p=-2))
