@@ -1,12 +1,13 @@
 """Exact multivariate Laurent-polynomial arithmetic over Gaussian integers.
 
-Polynomials live in a ring with a declared variable tuple and, optionally, an
-adjoined square-root symbol ``Y`` subject to a quadratic rewrite ``Y**2 = r``
-with ``r`` a Y-free polynomial of the same ring.  Coefficients are Gaussian
-integers ``a + b*i`` stored as ``(a, b)`` pairs of Python ints, so every
-operation is exact.  Exponent vectors are tuples of ints; the half-integer
-powers of ``q`` are absorbed by working in the half-step variable
-``Q`` (``q = Q**2``) and in ``p`` (``p = q**(alpha + 1/2)``).
+A polynomial's ``terms`` map exponent tuples, in the ring's variable order
+(which follows ``MASTER_ORDER`` and is the display order), to Gaussian-integer
+coefficients ``(a, b)`` = a + b*i of Python ints.  A ring may adjoin the
+square-root symbol ``Y`` with ``Y**2 = r`` for a Y-free ``r``; every
+polynomial has Y-degree 0 or 1, because products fold Y**2 into ``r``.  Y is
+not a unit; the other variables are Laurent variables.  Quotients are
+``RationalLaurent``s and evaluation values ``CRat``s.  Half-integer powers of
+``q`` live in ``Q`` (``q = Q**2``) and ``p`` (``p = q**(alpha + 1/2)``).
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from fractions import Fraction
 
 # Display / sort order of every variable that can occur in any ring.
 MASTER_ORDER = ("p", "Q", "Y", "Aa", "X", "Xv", "Ru", "Rv", "Su", "Sv")
+
+#: The Gaussian units, as i**0 .. i**3.
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 class RingError(ValueError):
@@ -99,45 +103,53 @@ def _crat(x):
 
 
 class Ring:
-    """A Laurent-polynomial ring with a fixed variable tuple.
+    """A Laurent-polynomial ring whose variable tuple, and so every stored
+    exponent tuple, follows MASTER_ORDER.
 
-    If ``"Y"`` is among the names, ``set_y_square`` must be called with the
-    Y-free polynomial that Y**2 rewrites to before any multiplication
-    touching Y is performed.
+    If ``"Y"`` is among the names, its polynomials have Y-degree 0 or 1, and
+    ``set_y_square`` must be called with the Y-free polynomial that Y**2
+    folds into before any multiplication touching Y is performed.
     """
 
     def __init__(self, names):
-        unknown = [n for n in names if n not in MASTER_ORDER]
-        if unknown:
-            raise RingError(f"unknown variable names {unknown}")
         self.names = tuple(names)
+        if self.names != tuple(n for n in MASTER_ORDER if n in self.names):
+            raise RingError(f"variables {self.names} are not distinct names "
+                            f"in the order {MASTER_ORDER}")
         self.index = {n: k for k, n in enumerate(self.names)}
         self.y_index = self.index.get("Y")
         self.y_square = None
         self.zero = LaurentPoly(self, {})
         self.one = LaurentPoly(self, {(0,) * len(self.names): (1, 0)})
-        # Column order used for canonical term sorting.
-        self._sort_cols = sorted(range(len(self.names)),
-                                 key=lambda k: MASTER_ORDER.index(self.names[k]))
 
     def set_y_square(self, poly):
-        if self.y_index is None:
+        yk = self.y_index
+        if yk is None:
             raise RingError("ring has no Y symbol")
-        if any(e[self.y_index] for e in poly.terms):
+        if any(e[yk] for e in poly.terms):
             raise RingError("Y**2 rewrite must be Y-free")
         self.y_square = poly
+        # Y**-2 * r: a product's Y**2 terms times this land at Y-degree 0
+        self._y_fold = {e[:yk] + (-2,) + e[yk + 1:]: c
+                        for e, c in poly.terms.items()}
 
     def poly(self, terms):
-        """Build a polynomial from {exponent tuple: (re, im) or int} items."""
+        """Build a polynomial from {exponent tuple: (re, im) or int} items;
+        the parts must be ints and a Y exponent 0 or 1."""
         clean = {}
+        yk = self.y_index
         for exps, c in terms.items():
             if not isinstance(c, tuple):
                 c = (c, 0)
+            if [type(x) for x in c] != [int, int]:
+                raise RingError(f"coefficient {c!r} is not a Gaussian integer")
             if len(exps) != len(self.names):
                 raise RingError("exponent tuple has wrong length")
+            if yk is not None and exps[yk] not in (0, 1):
+                raise RingError(f"Y exponent {exps[yk]} is not 0 or 1")
             if c != (0, 0):
                 clean[tuple(exps)] = c
-        return _reduce_y(LaurentPoly(self, clean))
+        return LaurentPoly(self, clean)
 
     def mono(self, coeff=1, **exps):
         """Single-term polynomial, e.g. ring.mono(-1, Q=2, p=-2)."""
@@ -158,6 +170,28 @@ class Ring:
         return f"Ring{self.names}"
 
 
+def _mul_into(terms, a, b):
+    """Add the product of the term dicts ``a`` and ``b`` into ``terms``."""
+    if len(a) > len(b):
+        a, b = b, a
+    for e1, (x1, y1) in a.items():
+        for e2, (x2, y2) in b.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            re = x1 * x2 - y1 * y2
+            im = x1 * y2 + y1 * x2
+            c = terms.get(e)
+            if c is None:
+                if re or im:
+                    terms[e] = (re, im)
+            else:
+                s = (c[0] + re, c[1] + im)
+                if s == (0, 0):
+                    del terms[e]
+                else:
+                    terms[e] = s
+    return terms
+
+
 class LaurentPoly:
     """Immutable sparse Laurent polynomial; do not mutate ``terms``."""
 
@@ -174,7 +208,10 @@ class LaurentPoly:
         return self.terms == self.ring.one.terms
 
     def _check(self, other):
-        if isinstance(other, int):
+        """``other`` in this ring; NotImplemented for a non-ring operand."""
+        if not isinstance(other, LaurentPoly):
+            if type(other) is not int:
+                return NotImplemented
             other = self.ring.gauss(other)
         if other.ring is not self.ring:
             raise RingError(f"variable-set mismatch: {self.ring} vs {other.ring}")
@@ -182,6 +219,8 @@ class LaurentPoly:
 
     def __add__(self, other):
         other = self._check(other)
+        if other is NotImplemented:
+            return other
         terms = dict(self.terms)
         for e, (a, b) in other.terms.items():
             c = terms.get(e)
@@ -201,33 +240,26 @@ class LaurentPoly:
         return LaurentPoly(self.ring, {e: (-a, -b) for e, (a, b) in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        other = self._check(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return self._check(other) + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        terms = {}
-        for e1, (x1, y1) in a.items():
-            for e2, (x2, y2) in b.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
-                re = x1 * x2 - y1 * y2
-                im = x1 * y2 + y1 * x2
-                c = terms.get(e)
-                if c is None:
-                    if re or im:
-                        terms[e] = (re, im)
-                else:
-                    s = (c[0] + re, c[1] + im)
-                    if s == (0, 0):
-                        del terms[e]
-                    else:
-                        terms[e] = s
-        return _reduce_y(LaurentPoly(self.ring, terms))
+        if other is NotImplemented:
+            return other
+        ring = self.ring
+        terms = _mul_into({}, self.terms, other.terms)
+        yk = ring.y_index
+        if yk is not None:
+            high = {e: terms.pop(e) for e in [e for e in terms if e[yk] == 2]}
+            if high:
+                if ring.y_square is None:
+                    raise RingError("Y**2 rewrite relation not set for this ring")
+                _mul_into(terms, high, ring._y_fold)
+        return LaurentPoly(ring, terms)
 
     __rmul__ = __mul__
 
@@ -245,7 +277,7 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = self.ring.gauss(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -262,22 +294,22 @@ class LaurentPoly:
         """(exponents, coeff) of the canonically-largest term."""
         if not self.terms:
             raise RingError("zero polynomial has no leading term")
-        cols = self.ring._sort_cols
-        e = max(self.terms, key=lambda t: tuple(t[k] for k in cols))
+        e = max(self.terms)
         return e, self.terms[e]
 
     def is_monomial(self):
         return len(self.terms) == 1
 
     def invert_monomial(self):
-        """Exact inverse, defined for single terms with unit coefficient."""
+        """Exact inverse of a Y-free single term with unit coefficient."""
         if len(self.terms) != 1:
             raise RingError("not a monomial")
-        (e, (a, b)), = self.terms.items()
-        inv = {(1, 0): (1, 0), (-1, 0): (-1, 0), (0, 1): (0, -1), (0, -1): (0, 1)}.get((a, b))
-        if inv is None:
-            raise RingError(f"monomial coefficient {a}+{b}i is not a unit")
-        return LaurentPoly(self.ring, {tuple(-x for x in e): inv})
+        (e, c), = self.terms.items()
+        yk = self.ring.y_index
+        if c not in _I_POWERS or (yk is not None and e[yk]):
+            raise RingError(f"monomial {self} is not a unit")
+        return LaurentPoly(self.ring, {tuple(-x for x in e):
+                                       _I_POWERS[-_I_POWERS.index(c)]})
 
     def coeff_of(self, name, power):
         """Polynomial coefficient of name**power (the variable is projected out)."""
@@ -301,26 +333,6 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-def _reduce_y(poly):
-    """Rewrite every Y-exponent >= 2 using the ring's Y**2 relation."""
-    ring = poly.ring
-    yk = ring.y_index
-    if yk is None or all(e[yk] < 2 for e in poly.terms):
-        return poly
-    if ring.y_square is None:
-        raise RingError("Y**2 rewrite relation not set for this ring")
-    out = ring.zero
-    plain = {}
-    for e, c in poly.terms.items():
-        k = e[yk]
-        if k < 2:
-            plain[e] = c
-        else:
-            base = e[:yk] + (k % 2,) + e[yk + 1:]
-            out = out + LaurentPoly(ring, {base: c}) * ring.y_square ** (k // 2)
-    return out + LaurentPoly(ring, plain)
-
-
 def _coeff_str(c):
     a, b = c
     if b == 0:
@@ -330,27 +342,17 @@ def _coeff_str(c):
 
 
 def canonical_str(poly):
-    """Deterministic text form: terms sorted by the master variable order."""
+    """Deterministic text form: terms in descending exponent order."""
     if not poly.terms:
         return "0"
-    ring = poly.ring
-    cols = ring._sort_cols
-    items = sorted(poly.terms.items(),
-                   key=lambda t: tuple(t[0][k] for k in cols), reverse=True)
     parts = []
-    for e, c in items:
+    for e, c in sorted(poly.terms.items(), reverse=True):
         factors = [_coeff_str(c)]
-        for k in cols:
-            if e[k]:
-                factors.append(f"{ring.names[k]}^{e[k]}")
+        for name, x in zip(poly.ring.names, e):
+            if x:
+                factors.append(f"{name}^{x}")
         parts.append(" * ".join(factors))
-    s = parts[0]
-    for t in parts[1:]:
-        if t.startswith("-"):
-            s += " - " + t[1:]
-        else:
-            s += " + " + t
-    return s
+    return " + ".join(parts).replace(" + -", " - ")
 
 
 class RationalLaurent:
@@ -376,28 +378,17 @@ class RationalLaurent:
         if num.is_zero():
             self.num, self.den = num.ring.zero, num.ring.one
             return
-        n = len(num.ring.names)
-        shift = [min(min(e[k] for e in num.terms), min(e[k] for e in den.terms))
-                 for k in range(n)]
+        shift = [min(col) for col in zip(*num.terms, *den.terms)]
         if any(shift):
             fix = lambda e: tuple(x - s for x, s in zip(e, shift))
             num = LaurentPoly(num.ring, {fix(e): c for e, c in num.terms.items()})
             den = LaurentPoly(den.ring, {fix(e): c for e, c in den.terms.items()})
         if len(den.terms) == 1:
-            # fold a monomial denominator into the numerator when its
-            # coefficient divides every numerator coefficient in Z[i]
-            (de, (c, d)), = den.terms.items()
-            norm = c * c + d * d
-            folded = {}
-            for ne, (x, y) in num.terms.items():
-                re, im = x * c + y * d, y * c - x * d
-                if re % norm or im % norm:
-                    break
-                folded[tuple(a - b for a, b in zip(ne, de))] = (re // norm,
-                                                                im // norm)
-            else:
-                num = LaurentPoly(num.ring, folded)
-                den = num.ring.one
+            # fold a monomial denominator that divides the numerator exactly
+            try:
+                num, den = divexact(num, den), num.ring.one
+            except RingError:
+                pass
         _, (a, b) = den.leading()
         if a < 0 or (a == 0 and b < 0):
             num, den = -num, -den
@@ -419,14 +410,19 @@ class RationalLaurent:
         return self.num
 
     def _coerce(self, other):
+        """``other`` as a quotient; NotImplemented for a non-ring operand."""
         if isinstance(other, RationalLaurent):
             return other
-        if isinstance(other, int):
+        if type(other) is int:
             other = self.ring.gauss(other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         return RationalLaurent(other)
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         if self.den is other.den or self.den == other.den:
             return RationalLaurent(self.num + other.num, self.den)
         return RationalLaurent(self.num * other.den + other.num * self.den,
@@ -438,25 +434,32 @@ class RationalLaurent:
         return RationalLaurent(-self.num, self.den, normalize=False)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         return RationalLaurent(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational")
         return RationalLaurent(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         if self.den == other.den:
             return self.num == other.num
         return self.num * other.den == other.num * self.den
@@ -484,7 +487,7 @@ QUANTUM.set_y_square(
 #: Trigonometric regime: Aa = q**alpha, X = q**u, Xv = q**v, Ru = r**u, etc.
 #: Y here squares to (q**alpha - q**-alpha)(q**(1+alpha) - q**-(1+alpha)),
 #: i.e. the bracket product [alpha][1+alpha] times (q - 1/q)**2.
-TRIG = Ring(("Q", "Aa", "X", "Xv", "Ru", "Rv", "Su", "Sv", "Y"))
+TRIG = Ring(("Q", "Y", "Aa", "X", "Xv", "Ru", "Rv", "Su", "Sv"))
 TRIG.set_y_square(
     TRIG.mono(1, Aa=2, Q=2) + TRIG.mono(1, Aa=-2, Q=-2)
     - TRIG.mono(1, Q=2) - TRIG.mono(1, Q=-2))
@@ -558,62 +561,38 @@ def evaluate(poly, assignment):
     return out
 
 
-#: The Gaussian units, as i**0 .. i**3.
-_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
 def map_poly(poly, target_ring, images):
     """Ring morphism: send each source variable to a target polynomial.
 
     ``images`` maps every source variable name to a LaurentPoly of
-    ``target_ring`` (or an int).  A Y variable's image is checked for
-    consistency with the rewrite relation.  When every image is a single
-    term with a unit coefficient, exponents are mapped directly instead of
-    multiplying images out.
+    ``target_ring`` (or an int).  A Laurent variable's image must be a unit
+    monomial, one Y-free term with coefficient 1, -1, i or -i, so exponents
+    are mapped directly.  Y's image may be any polynomial whose square is the
+    image of the rewrite relation: P0 + P1*Y goes to
+    map(P0) + map(P1) * image(Y).
     """
     ring = poly.ring
-    imgs = {}
-    for name in ring.names:
+    yk, tk = ring.y_index, target_ring.y_index
+    parts = []         # per source variable: [(target slot, exponent)], i-turns
+    for k, name in enumerate(ring.names):
         if name not in images:
             raise RingError(f"missing image for {name}")
         img = images[name]
         if isinstance(img, int):
             img = target_ring.gauss(img)
-        imgs[name] = img
-    if ring.y_index is not None and any(e[ring.y_index] for e in poly.terms):
-        rel = map_poly(ring.y_square, target_ring, images)
-        if imgs["Y"] * imgs["Y"] != rel:
-            raise RingError("Y image inconsistent with the rewrite relation")
-    if all(len(img.terms) == 1 and next(iter(img.terms.values())) in _I_POWERS
-           for img in imgs.values()):
-        return _map_exponents(poly, target_ring,
-                              [imgs[name] for name in ring.names])
-    out = target_ring.zero
-    inv_cache = {}
-    for e, c in poly.terms.items():
-        t = target_ring.gauss(*c)
-        for k, name in enumerate(ring.names):
-            x = e[k]
-            if x > 0:
-                t = t * imgs[name] ** x
-            elif x < 0:
-                if name not in inv_cache:
-                    inv_cache[name] = imgs[name].invert_monomial()
-                t = t * inv_cache[name] ** (-x)
-        out = out + t
-    return out
-
-
-def _map_exponents(poly, target_ring, imgs):
-    """map_poly for images i**m_k * x**v_k (in source variable order): the
-    term c * x**e goes to c * i**(sum e_k m_k) * x**(sum e_k v_k)."""
-    parts = []
-    for img in imgs:
-        (v, c), = img.terms.items()
+        if k == yk:
+            y_img = img
+            parts.append(([], 0))
+            continue
+        v, c = next(iter(img.terms.items()), ((), None))
+        if (len(img.terms) != 1 or c not in _I_POWERS
+                or img.ring is not target_ring or (tk is not None and v[tk])):
+            raise RingError(f"image of {name} is not a unit monomial of "
+                            f"{target_ring}: {img}")
         parts.append(([(j, y) for j, y in enumerate(v) if y],
                       _I_POWERS.index(c)))
     width = len(target_ring.names)
-    out = {}
+    outs = ({}, {})    # images of the terms without and with Y, Y dropped
     for e, (re, im) in poly.terms.items():
         vec = [0] * width
         turns = 0
@@ -623,18 +602,26 @@ def _map_exponents(poly, target_ring, imgs):
                     vec[j] += x * y
                 turns += x * m
         a, b = _I_POWERS[turns % 4]
+        out = outs[0 if yk is None else e[yk]]
         key = tuple(vec)
         cur = out.get(key, (0, 0))
         out[key] = (cur[0] + re * a - im * b, cur[1] + re * b + im * a)
-    out = {k: c for k, c in out.items() if c != (0, 0)}
-    return _reduce_y(LaurentPoly(target_ring, out))
+    even, odd = (LaurentPoly(target_ring,
+                             {k: c for k, c in out.items() if c != (0, 0)})
+                 for out in outs)
+    if not outs[1]:
+        return even
+    if y_img * y_img != map_poly(ring.y_square, target_ring, images):
+        raise RingError("Y image inconsistent with the rewrite relation")
+    return even + odd * y_img
 
 
 def divexact(num, den):
-    """Exact division in a Y-free Laurent ring (raises if it does not divide).
+    """Exact division by a Y-free divisor (RingError if it does not divide).
 
-    A numerator with Y-degree <= 1 is allowed when the divisor is Y-free;
-    the two Y-components are divided separately.
+    The numerator's two Y-components are divided separately.  This is the
+    ring's one exact division; ``RationalLaurent`` folds monomial
+    denominators with it.
     """
     ring = num.ring
     yk = ring.y_index
@@ -648,20 +635,17 @@ def divexact(num, den):
         return ring.zero
     # Shift both operands into the ordinary-polynomial cone so the greedy
     # division below terminates (lex order on N^k is a well-order).
-    nvars = len(ring.names)
-    nshift = [min(e[k] for e in num.terms) for k in range(nvars)]
-    dshift = [min(e[k] for e in den.terms) for k in range(nvars)]
+    nshift = [min(col) for col in zip(*num.terms)]
+    dshift = [min(col) for col in zip(*den.terms)]
     mv = lambda t, s: tuple(x - y for x, y in zip(t, s))
     num = LaurentPoly(ring, {mv(e, nshift): c for e, c in num.terms.items()})
     den = LaurentPoly(ring, {mv(e, dshift): c for e, c in den.terms.items()})
     back = tuple(a - d for a, d in zip(nshift, dshift))
-    cols = ring._sort_cols
-    key = lambda e: tuple(e[k] for k in cols)
     de, (da, db) = den.leading()
     quo = {}
     rem = dict(num.terms)
     while rem:
-        e = max(rem, key=key)
+        e = max(rem)
         a, b = rem[e]
         if any(x < y for x, y in zip(e, de)):
             raise RingError("exact division failed (remainder)")

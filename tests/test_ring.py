@@ -8,7 +8,8 @@ import pytest
 
 from conftest import rand_poly
 from gaugeknot.ring import (CONST, QONLY, QUANTUM, TRIG, CRat, RationalLaurent,
-                            RingError, divexact, evaluate, map_poly, qbracket)
+                            Ring, RingError, divexact, evaluate, map_poly,
+                            qbracket)
 
 
 def test_add_examples():
@@ -18,7 +19,7 @@ def test_add_examples():
     assert (Q - Qb) + Qb == Q
     p2 = QUANTUM.mono(1, p=2)
     pb2 = QUANTUM.mono(1, p=-2)
-    assert p2 + pb2 == QUANTUM.poly({(2, 0, 0): CRat(1), (-2, 0, 0): CRat(1)})
+    assert p2 + pb2 == QUANTUM.poly({(2, 0, 0): 1, (-2, 0, 0): 1})
 
 
 def test_mul_examples():
@@ -37,6 +38,48 @@ def test_y_square_rewrite():
     assert QUANTUM.y_square == expect
     # odd powers keep a single Y factor
     assert Y * Y * Y == expect * Y
+
+
+def test_y_degree_at_most_one():
+    for bad in (2, -1):
+        with pytest.raises(RingError):
+            QUANTUM.mono(1, Y=bad)
+    # Y**2 = p^2 + p^-2 - Q^2 - Q^-2 is no unit, so neither is Y
+    with pytest.raises(RingError):
+        QUANTUM.var("Y").invert_monomial()
+    kept = RationalLaurent(QUANTUM.one, QUANTUM.var("Y"))
+    assert kept.num == QUANTUM.one and kept.den == QUANTUM.var("Y")
+    unset = Ring(("p", "Y"))
+    with pytest.raises(RingError):
+        unset.var("Y") * unset.var("Y")
+
+
+def test_variables_follow_master_order():
+    assert TRIG.names == ("Q", "Y", "Aa", "X", "Xv", "Ru", "Rv", "Su", "Sv")
+    for names in (("Q", "p"), ("Q", "Q"), ("Q", "Z")):
+        with pytest.raises(RingError):
+            Ring(names)
+
+
+def test_coefficients_are_gaussian_integers():
+    for bad in (1.5, Fraction(1, 2), CRat(1), True, (1, 0.5), (1, 2, 3)):
+        with pytest.raises(RingError):
+            QUANTUM.mono(bad, p=1)
+    with pytest.raises(RingError):
+        QUANTUM.gauss(1, Fraction(1))
+    assert QUANTUM.mono((2, -1), p=1).terms == {(1, 0, 0): (2, -1)}
+
+
+def test_operands_outside_the_ring():
+    X = TRIG.var("X")
+    assert TRIG.one * RationalLaurent(X) == RationalLaurent(X)
+    assert X - RationalLaurent(X) == 0
+    for poly in (QUANTUM.var("Q"), RationalLaurent(QUANTUM.var("Q"))):
+        for op in (lambda a: a + 1.0, lambda a: 1.0 - a, lambda a: a * 0.5,
+                   lambda a: a * True):
+            with pytest.raises(TypeError):
+                op(poly)
+        assert poly != True and poly == poly * 1
 
 
 def test_y_rewrite_confluence(rng):
@@ -159,6 +202,15 @@ def test_substitute_examples():
         map_poly(TRIG.var("Ru", -1), TRIG, _trig_images(Ru=TRIG.mono(2, X=1)))
 
 
+def test_map_poly_rejects_non_unit_images():
+    """A Laurent variable's image is one Y-free unit term of the target."""
+    for bad in (TRIG.var("Q") + 1, TRIG.mono(2, Q=1), TRIG.var("Y"), 0,
+                QUANTUM.var("Q")):
+        for power in (1, -1):
+            with pytest.raises(RingError):
+                map_poly(TRIG.var("Q", power), TRIG, _trig_images(Q=bad))
+
+
 def _by_products(poly, target, images):
     """Sum over terms of c * prod image**e, multiplied out."""
     out = target.zero
@@ -199,6 +251,16 @@ def test_map_poly_single_term_images(rng):
                       "Y": m(rng.choice(((0, 1), (0, -1))), Y=1)}
         assert map_poly(poly, QUANTUM, images) == \
             _by_products(poly, QUANTUM, images)
+    # a two-term Y image: p = +-1, Q -> +-Q^+-1, Y -> +-i(Q - 1/Q)
+    q = QONLY.mono
+    for _ in range(100):
+        poly = rand_poly(rng)
+        images = {"p": QONLY.gauss(rng.choice((1, -1))),
+                  "Q": q(rng.choice((1, -1)), Q=rng.choice((1, -1))),
+                  "Y": QONLY.gauss(0, rng.choice((1, -1)))
+                  * (q(1, Q=1) - q(1, Q=-1))}
+        assert map_poly(poly, QONLY, images) == \
+            _by_products(poly, QONLY, images)
 
 
 def test_ring_axioms(rng):
