@@ -10,6 +10,14 @@ single-loop identity (that closure of one letter on two strands)
     sum_c C[c] * sigma^{c a}_{c b} = delta^a_b
 
 into invariance of the closure under Markov stabilization.
+
+The closure reads, for input column s, only the outputs that agree with s on
+strands 2..n.  ``tangle_invariant`` and ``verify_handle`` therefore run the
+product closure-only: a state is dropped as soon as no later letter touches a
+strand 2..n on which it differs from s, before any of its products is formed.
+The closure still builds all 16 entries, so ``scalar`` and ``is_diagonal``
+check what the full product would give.  ``represent`` gives the full product
+unless asked for ``closure_only``.
 """
 
 from __future__ import annotations
@@ -177,20 +185,26 @@ def verify_handle(mod):
                 else handle_diagonal(mod))
     exp_minus = tuple(d.invert_monomial() for d in exp_plus)
     for op, expected in ((mod.sigma, exp_plus), (mod.sigma_inv, exp_minus)):
-        T = _close(mod, _columns(ring, 2, [(1, op)]))
+        T = _close(mod, _columns(ring, 2, [(1, op)], closure_only=True))
         if T != [[expected[a] if a == b else ring.zero for b in range(4)]
                  for a in range(4)]:
             return False
     return True
 
 
-def represent(word, mod, term_budget=DEFAULT_TERM_BUDGET):
+def represent(word, mod, term_budget=DEFAULT_TERM_BUDGET, closure_only=False):
     """Sparse representation of a braid word: a map from each input basis
-    multi-index to its sparse image {output multi-index: coefficient}."""
+    multi-index to its sparse image {output multi-index: coefficient}.
+
+    With ``closure_only`` each image keeps only the outputs the
+    (1,1)-closure reads, those equal to the input on strands 2..n, and
+    columns with none are left out; the rest of the product is never
+    computed.  The term budget counts the terms of the images stored here,
+    so in that mode only of the closure-read ones."""
     out = {}
     stored = 0
     letters = _letters(word, mod.sigma, mod.sigma_inv)
-    for s, vec in _columns(mod.ring, word.strands, letters):
+    for s, vec in _columns(mod.ring, word.strands, letters, closure_only):
         stored += sum(len(c.terms) for c in vec.values())
         if stored > term_budget:
             raise EngineError(
@@ -202,10 +216,11 @@ def represent(word, mod, term_budget=DEFAULT_TERM_BUDGET):
 
 
 def tangle_invariant(word, mod, term_budget=DEFAULT_TERM_BUDGET):
-    """Close all strands but the first with C and return the 4x4 matrix."""
+    """Close all strands but the first with C and return the 4x4 matrix,
+    from the closure-only images of the word."""
     if closure_components(word) != 1:
         raise EngineError(f"closure of {word} is not a knot")
-    rep = represent(word, mod, term_budget)
+    rep = represent(word, mod, term_budget, closure_only=True)
     return TangleInvariant(_close(mod, rep.items()))
 
 

@@ -12,6 +12,7 @@ not a unit; the other variables are Laurent variables.  Quotients are
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 
@@ -135,16 +136,19 @@ class Ring:
 
     def poly(self, terms):
         """Build a polynomial from {exponent tuple: (re, im) or int} items;
-        the parts must be ints and a Y exponent 0 or 1."""
+        the parts and exponents must be ints (not bools) and a Y exponent 0
+        or 1."""
         clean = {}
         yk = self.y_index
         for exps, c in terms.items():
             if not isinstance(c, tuple):
                 c = (c, 0)
-            if [type(x) for x in c] != [int, int]:
+            if len(c) != 2 or type(c[0]) is not int or type(c[1]) is not int:
                 raise RingError(f"coefficient {c!r} is not a Gaussian integer")
             if len(exps) != len(self.names):
                 raise RingError("exponent tuple has wrong length")
+            if not {int}.issuperset(map(type, exps)):
+                raise RingError(f"exponents {exps!r} are not all ints")
             if yk is not None and exps[yk] not in (0, 1):
                 raise RingError(f"Y exponent {exps[yk]} is not 0 or 1")
             if c != (0, 0):
@@ -634,38 +638,46 @@ def divexact(num, den):
     if num.is_zero():
         return ring.zero
     # Shift both operands into the ordinary-polynomial cone so the greedy
-    # division below terminates (lex order on N^k is a well-order).
+    # division below terminates (lex order on N^k is a well-order).  Terms
+    # are keyed by their negated shifted exponents, so a min-heap of the
+    # remainder's keys yields its terms largest first.  Each step only
+    # creates terms below its leading term, so the heap stays in order; a
+    # key popped after its term cancelled is skipped.
     nshift = [min(col) for col in zip(*num.terms)]
     dshift = [min(col) for col in zip(*den.terms)]
-    mv = lambda t, s: tuple(x - y for x, y in zip(t, s))
-    num = LaurentPoly(ring, {mv(e, nshift): c for e, c in num.terms.items()})
-    den = LaurentPoly(ring, {mv(e, dshift): c for e, c in den.terms.items()})
+    neg = lambda e, s: tuple(y - x for x, y in zip(e, s))
+    rem = {neg(e, nshift): c for e, c in num.terms.items()}
+    dterms = {neg(e, dshift): c for e, c in den.terms.items()}
     back = tuple(a - d for a, d in zip(nshift, dshift))
-    de, (da, db) = den.leading()
+    dk, (da, db) = min(dterms.items())
+    n = da * da + db * db
     quo = {}
-    rem = dict(num.terms)
-    while rem:
-        e = max(rem)
-        a, b = rem[e]
-        if any(x < y for x, y in zip(e, de)):
+    heap = list(rem)
+    heapq.heapify(heap)
+    while heap:
+        k = heapq.heappop(heap)
+        if k not in rem:
+            continue
+        a, b = rem[k]
+        if any(x > y for x, y in zip(k, dk)):
             raise RingError("exact division failed (remainder)")
         # coefficient division (a+bi)/(da+dbi) over Gaussian integers
-        n = da * da + db * db
         qa, qb = (a * da + b * db), (b * da - a * db)
         if qa % n or qb % n:
             raise RingError("exact division failed (leading coefficient)")
         qa, qb = qa // n, qb // n
-        qe = tuple(x - y for x, y in zip(e, de))
-        quo[qe] = (qa, qb)
-        for ee, (ca, cb) in den.terms.items():
-            t = tuple(x + y for x, y in zip(qe, ee))
+        qk = tuple(x - y for x, y in zip(k, dk))
+        quo[qk] = (qa, qb)
+        for kk, (ca, cb) in dterms.items():
+            t = tuple(x + y for x, y in zip(qk, kk))
             re = qa * ca - qb * cb
             im = qa * cb + qb * ca
-            c = rem.get(t, (0, 0))
-            s = (c[0] - re, c[1] - im)
-            if s == (0, 0):
-                rem.pop(t, None)
+            c = rem.get(t)
+            if c is None:
+                rem[t] = (-re, -im)
+                heapq.heappush(heap, t)
+            elif c == (re, im):
+                del rem[t]
             else:
-                rem[t] = s
-    return LaurentPoly(ring, {tuple(x + y for x, y in zip(e, back)): c
-                              for e, c in quo.items()})
+                rem[t] = (c[0] - re, c[1] - im)
+    return LaurentPoly(ring, {neg(k, back): c for k, c in quo.items()})

@@ -86,26 +86,44 @@ class SparseROp:
         return f"SparseROp({len(self.entries)} entries over {self.ring})"
 
 
-def _columns(ring, strands, letters):
+def _columns(ring, strands, letters, closure_only=False):
     """The one operator product: push every basis column of
     (C^4)^{x strands} through ``letters``, ``(pos, op)`` pairs applied first
     to last, ``op`` (polynomial entries of ``ring``) acting on strands
     ``pos`` and ``pos + 1`` with its first tensor slot on the higher strand.
     Yields ``(input, {output: coeff})`` for each nonzero column in
-    lexicographic order."""
-    maps = {}
-    for _, op in letters:
-        if id(op) not in maps:
-            # input (d, c) on strands (pos, pos + 1) -> output (b, a)
-            m = maps[id(op)] = {}
-            for (a, b, c, d), v in op.entries.items():
-                m.setdefault((d, c), []).append(((b, a), v))
-    steps = [(pos - 1, maps[id(op)]) for pos, op in letters]
+    lexicographic order.
+
+    With ``closure_only`` it yields only what the (1,1)-closure reads: the
+    images whose output agrees with the input on strands 2..strands.  Once
+    no later letter touches such a strand, a state that differs there from
+    the input is dropped before its product is formed, so its successors are
+    never computed.  The images kept are exactly those of the full product.
+    """
+    # Per letter, the run of strands 2..strands it sets for good (it touches
+    # them, no later letter does; empty without closure_only), and a table of
+    # its transitions kept for each value the input has on that run.
+    steps = []
+    tables = {}
+    later = set()
+    for pos, op in reversed(letters):
+        lo = pos - 1
+        fixed = [j for j in (lo, lo + 1)
+                 if closure_only and j > 0 and j not in later]
+        later.update((lo, lo + 1))
+        run = slice(fixed[0], fixed[-1] + 1) if fixed else slice(lo, lo)
+        table = tables.setdefault((id(op), run.start - lo, run.stop - lo), {})
+        steps.append((lo, op, run, table))
+    steps.reverse()
     one = ring.one
     for s in product((1, 2, 3, 4), repeat=strands):
         vec = {s: one}
-        for lo, mp in steps:
+        for lo, op, run, table in steps:
             hi = lo + 2
+            want = s[run]
+            mp = table.get(want)
+            if mp is None:
+                mp = table[want] = _transitions(op, run.start - lo, want)
             new = {}
             for state, coeff in vec.items():
                 for pair, v in mp.get(state[lo:hi], ()):
@@ -120,6 +138,18 @@ def _columns(ring, strands, letters):
             vec = new
         if vec:
             yield s, vec
+
+
+def _transitions(op, start, want):
+    """The map input (d, c) -> [((b, a), value)] of ``op`` on strands
+    (pos, pos + 1), keeping only outputs whose slots from ``start`` on
+    read ``want``."""
+    m = {}
+    for (a, b, c, d), v in op.entries.items():
+        pair = (b, a)
+        if pair[start:start + len(want)] == want:
+            m.setdefault((d, c), []).append((pair, v))
+    return m
 
 
 def identity_op(ring):

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import rand_knot_word
 from gaugeknot import braid, engine, rmat
+from gaugeknot.harness import load_table
 from gaugeknot.ring import CONST, QONLY, QUANTUM, map_poly
 
 TREFOIL = braid.parse("2 : 1 1 1")
@@ -113,6 +114,39 @@ def test_term_budget():
                   r"input column \(1, 2\) ", r"braid '2 : 1 1 1'",
                   r"case 2 regular$"):
         err.match(field)
+
+
+def test_term_budget_through_tangle_invariant():
+    # the closure-only images of column (1, 2) hold 5 terms; all 8 of the
+    # full column are never stored
+    mod = engine.model(2, "regular")
+    with pytest.raises(engine.EngineError) as err:
+        engine.tangle_invariant(TREFOIL, mod, term_budget=3)
+    for field in (r"\b5 stored terms", r"> budget 3 ",
+                  r"input column \(1, 2\) ", r"braid '2 : 1 1 1'",
+                  r"case 2 regular$"):
+        err.match(field)
+
+
+def test_closure_only_is_the_closure_read_part(rng):
+    """The closure-only product keeps exactly the full images whose output
+    agrees with the input on strands 2..n, so the closure of both is the
+    same 4x4 matrix, off-diagonal entries included."""
+    words = [rand_knot_word(rng, strands, length)
+             for strands, length in ((2, 3), (3, 5), (4, 6), (4, 7))]
+    cases = [(word, model) for model in ALL_MODELS for word in words]
+    knot = next(r for r in load_table() if r.name == "8_12")
+    assert knot.word.strands == 5
+    cases.append((knot.word, (3, "regular")))
+    for word, (case, isotopy) in cases:
+        mod = engine.model(case, isotopy)
+        full = engine.represent(word, mod)
+        fast = engine.represent(word, mod, closure_only=True)
+        read = {s: {t: v for t, v in image.items() if t[1:] == s[1:]}
+                for s, image in full.items()}
+        assert fast == {s: image for s, image in read.items() if image}
+        assert engine._close(mod, fast.items()) == \
+            engine._close(mod, full.items())
 
 
 def test_unknot_invariant_is_identity():

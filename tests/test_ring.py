@@ -70,6 +70,19 @@ def test_coefficients_are_gaussian_integers():
     assert QUANTUM.mono((2, -1), p=1).terms == {(1, 0, 0): (2, -1)}
 
 
+def test_exponents_are_ints():
+    for bad in (0.5, 1.0, Fraction(1), True, False):
+        with pytest.raises(RingError):
+            QUANTUM.mono(1, p=bad)
+        with pytest.raises(RingError):
+            QUANTUM.poly({(0, bad, 0): 1})
+    with pytest.raises(RingError):
+        QUANTUM.mono(1, Y=True)
+    with pytest.raises(RingError):
+        QUANTUM.var("Q", 2.0)
+    assert QUANTUM.mono(1, p=-2).terms == {(-2, 0, 0): (1, 0)}
+
+
 def test_operands_outside_the_ring():
     X = TRIG.var("X")
     assert TRIG.one * RationalLaurent(X) == RationalLaurent(X)
@@ -284,6 +297,32 @@ def test_divexact(rng):
         assert divexact(a * b, b) == a
     with pytest.raises(RingError):
         divexact(QUANTUM.var("Q") + QUANTUM.one, QUANTUM.var("p") + QUANTUM.one)
+
+
+def test_divexact_many_terms_by_a_monomial():
+    rng = random.Random(1009)
+    num = {}
+    while len(num) < 2500:
+        e = (rng.randint(-40, 40), rng.randint(-40, 40), rng.randint(0, 1))
+        num[e] = (2 * rng.randint(1, 9), 2 * rng.randint(-3, 3))
+    den = QUANTUM.mono(2, p=3)
+    expect = QUANTUM.poly({(a - 3, b, y): (re // 2, im // 2)
+                           for (a, b, y), (re, im) in num.items()})
+    assert divexact(QUANTUM.poly(num), den) == expect
+
+
+def test_divexact_non_dividing_cases_raise():
+    m = QUANTUM.mono
+    Q, p, one = QUANTUM.var("Q"), QUANTUM.var("p"), QUANTUM.one
+    for num, den in (
+            (Q + one, p + one),                        # remainder
+            (Q * Q + one, Q + one),                    # remainder
+            (m(3, Q=1), m(2)),                         # leading coefficient
+            (m(1, Q=1), QUANTUM.gauss(1, 1)),          # leading coefficient
+            (Q + m(1, p=1), QUANTUM.var("Y")),         # divisor has Y
+            (QONLY.var("Q") + QONLY.one, QONLY.var("Q") - QONLY.one)):
+        with pytest.raises(RingError):
+            divexact(num, den)
 
 
 def test_rational_laurent_canonical():
