@@ -34,8 +34,12 @@ class EngineError(RingError):
     pass
 
 
-#: Term budget for represent(): ~8 GiB at ~120 bytes per stored term.
-DEFAULT_TERM_BUDGET = (8 * 2**30) // 120
+#: Term budget for represent(): 8 GiB at 256 bytes per stored term.  Peak
+#: tracemalloc bytes of represent() over its stored terms were 199-252 at
+#: 3,000-37,000 stored terms (full products of case 1 ambient on 3- and
+#: 4-strand words, case 2 ambient and regular on 7_4 and 8_12); below 500
+#: stored terms fixed costs raised it to at most 2.9 KB per term.
+DEFAULT_TERM_BUDGET = (8 * 2**30) // 256
 
 
 @dataclass(frozen=True)

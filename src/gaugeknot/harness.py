@@ -13,7 +13,8 @@ from pathlib import Path
 
 from .braid import BraidError, BraidWord, closure_components
 from .engine import MODELS, ambient_invariant, suite_isotopy
-from .oracles import compare_case2, compare_case3
+from .oracles import OracleError, compare_case2, compare_case3
+from .ring import RingError
 
 BUNDLED_TABLE = Path(__file__).parent / "data" / "knots.txt"
 
@@ -121,6 +122,8 @@ def _run_one(args):
     row = {"knot": name, "case": case, "writhe": "",
            "unit": "", "status": "match"}
     try:
+        if not isinstance(word, BraidWord):
+            raise BraidError(f"{name}: {word!r} is not a braid word")
         row["writhe"] = word.writhe
         row["isotopy"] = isotopy = suite_isotopy(case)
         if isotopy == "regular":
@@ -146,7 +149,9 @@ def _run_one(args):
                 row["status"] = "fail"
         for i, v in enumerate(diag, start=1):
             row[f"entry{i}{i}"] = str(v)
-    except Exception as exc:  # recorded, not fatal
+    except (RingError, OracleError, BraidError) as exc:
+        # The package's own errors (EngineError is a RingError) become a
+        # fail row; anything else is a fault and propagates.
         row["status"] = "fail"
         row["unit"] = f"{type(exc).__name__}: {exc}"
         for i in range(1, 5):

@@ -341,10 +341,11 @@ def spectral_limit(R, case):
     (Ru, Su) substitution, expressed over the quantum ring {p, Q, Y}."""
     L = math.lcm(Fraction(case.ru_exp).denominator,
                  Fraction(case.su_exp).denominator)
+    images = _case_images(R.ring, case, L)
     out = {}
     for key, v in R.entries.items():
-        num = _subst_case(v.num, case, L)
-        den = _subst_case(v.den, case, L)
+        num = map_poly(v.num, R.ring, images)
+        den = map_poly(v.den, R.ring, images)
         dn = num.degree_in("X")
         dd = den.degree_in("X")
         if dn is None:
@@ -360,16 +361,16 @@ def spectral_limit(R, case):
     return SparseROp(QUANTUM, out)
 
 
-def _subst_case(poly, case, scale):
-    """Refine the X grid by ``scale`` and fold Ru, Su into X powers."""
-    ring = poly.ring
+def _case_images(ring, case, scale):
+    """``map_poly`` images that refine the X grid by ``scale`` and fold Ru,
+    Su into X powers."""
     images = {name: ring.var(name) for name in ring.names}
     for name, exp in (("X", 1), ("Ru", case.ru_exp), ("Su", case.su_exp)):
         x = Fraction(exp) * scale
         if x.denominator != 1:
             raise RingError(f"{name} -> X^{x} leaves the integer grid")
         images[name] = ring.var("X", int(x))
-    return map_poly(poly, ring, images)
+    return images
 
 
 def _to_quantum(poly):

@@ -107,6 +107,31 @@ def test_suite_records_failures():
     assert report.failed == 1 and not report.ok
 
 
+def test_package_errors_become_fail_rows(monkeypatch):
+    table = [r for r in harness.load_table() if r.name == "3_1"]
+
+    def refuse(word):
+        raise oracles.OracleError("bracket refused")
+
+    monkeypatch.setattr(harness, "compare_case3", refuse)
+    report = harness.run_suite({3}, table=table)
+    (row,) = report.rows
+    assert row["status"] == "fail"
+    assert row["unit"] == "OracleError: bracket refused"
+    assert row["isotopy"] == "regular" and row["entry11"] == ""
+
+
+def test_other_errors_propagate(monkeypatch):
+    table = [r for r in harness.load_table() if r.name == "3_1"]
+
+    def broken(word):
+        return {}["missing"]
+
+    monkeypatch.setattr(harness, "compare_case3", broken)
+    with pytest.raises(KeyError, match="missing"):
+        harness.run_suite({3}, table=table)
+
+
 def test_report_determinism(tmp_path):
     table = [r for r in harness.load_table() if r.crossings <= 4]
     paths = []

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import rand_knot_word
-from gaugeknot import braid, oracles
+from gaugeknot import braid, harness, oracles
 
 TREFOIL = braid.parse("2 : 1 1 1")
 FIG8 = braid.parse("3 : 1 -2 1 -2")
@@ -47,10 +47,87 @@ def test_jones_mirror(rng):
         assert oracles.jones(word.mirror()) == oracles.jones(word).bar()
 
 
-def test_jones_length_guard():
-    long_word = braid.BraidWord(2, (1,) * 25)
-    with pytest.raises(oracles.OracleError):
-        oracles.jones(long_word)
+def state_sum_bracket(word):
+    """Reference bracket: the sum over all 2^L Kauffman states of
+    A^(#A - #A^-1) * delta^(loops - 1), the loops found by union-find over
+    the (level, strand) nodes of the closed diagram."""
+    n, L = word.strands, len(word.letters)
+    levels = max(L, 1)
+    delta = oracles.OnePoly({4: -1, -4: -1})
+    total = oracles.OnePoly()
+    for state in range(1 << L):
+        parent = list(range(n * levels))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        def join(a, b):
+            parent[find(a)] = find(b)
+
+        node = lambda lev, j: (lev % levels) * n + j
+        exp = 0
+        for lev, k in enumerate(word.letters):
+            i = abs(k) - 1
+            a_smoothing = bool(state >> lev & 1)
+            exp += 1 if a_smoothing else -1
+            for j in range(n):
+                if j not in (i, i + 1):
+                    join(node(lev, j), node(lev + 1, j))
+            if a_smoothing == (k > 0):      # the identity smoothing
+                join(node(lev, i), node(lev + 1, i))
+                join(node(lev, i + 1), node(lev + 1, i + 1))
+            else:
+                join(node(lev, i), node(lev, i + 1))
+                join(node(lev + 1, i), node(lev + 1, i + 1))
+        term = oracles.OnePoly({2 * exp: 1})
+        for _ in range(len({find(x) for x in range(n * levels)}) - 1):
+            term = term * delta
+        total = total + term
+    return total
+
+
+def test_bracket_equals_state_sum_on_the_table():
+    for rec in harness.load_table():
+        assert oracles._bracket(rec.word) == state_sum_bracket(rec.word), \
+            rec.name
+
+
+def test_bracket_equals_state_sum_on_seeded_words(rng):
+    components = []
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        gens = [k for g in range(1, n) for k in (g, -g)]
+        length = rng.randint(0, 10) if gens else 0
+        word = braid.BraidWord(n, tuple(rng.choice(gens)
+                                        for _ in range(length)))
+        assert oracles._bracket(word) == state_sum_bracket(word), str(word)
+        components.append(braid.closure_components(word))
+    assert components.count(1) >= 50
+    assert sum(c > 1 for c in components) >= 50
+
+
+def test_jones_torus_knots():
+    """T(2, q) for odd q against t^((q-1)/2) (1 - t^3 - t^(q+1) + t^(q+2))
+    / (1 - t^2), well past the length the 2^L state sum could reach."""
+    for q in (3, 25, 27):
+        num = onepoly({0: 1, 3: -1, q + 1: -1, q + 2: 1}).shift(q - 1)
+        want = num.divexact(onepoly({0: 1, 2: -1}))
+        assert oracles.jones(braid.BraidWord(2, (1,) * q)) == want
+    assert want.span() == (2 * 13, 2 * 40)
+
+
+def test_jones_strand_limit(monkeypatch):
+    """More than MAX_BRACKET_STRANDS strands are refused before any
+    matching is built; the limit itself is accepted."""
+    top = oracles.MAX_BRACKET_STRANDS
+    unknot = lambda n: braid.BraidWord(n, tuple(range(1, n)))
+    assert oracles.jones(unknot(top)) == onepoly({0: 1})
+    monkeypatch.setattr(oracles, "_bracket",
+                        lambda word: pytest.fail("bracket was built"))
+    with pytest.raises(oracles.OracleError, match="Catalan"):
+        oracles.jones(unknot(top + 1))
 
 
 def test_markov_moves(rng):
