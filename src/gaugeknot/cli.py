@@ -112,12 +112,15 @@ def _cmd_eigen(args, parser):
 
 def _cmd_invariant(args, parser):
     word = _word_from_args(args, parser)
-    mod = engine.model(args.case, args.isotopy)
+    isotopy = args.isotopy or engine.suite_isotopy(args.case)
+    if (args.case, isotopy) not in engine.MODELS:
+        parser.error(f"--isotopy: no {isotopy} model for case {args.case}")
+    mod = engine.model(args.case, isotopy)
     inv = engine.tangle_invariant(word, mod)
     matrix = [[str(v) for v in row] for row in inv.matrix]
     if args.format == "json":
         print(json.dumps({"knot": args.knot or str(word), "case": args.case,
-                          "isotopy": args.isotopy, "writhe": word.writhe,
+                          "isotopy": isotopy, "writhe": word.writhe,
                           "matrix": matrix}, indent=2, sort_keys=True))
     else:
         for a in range(4):
@@ -192,8 +195,9 @@ def build_parser():
 
     inv = sub.add_parser("invariant", help="evaluate a (1,1)-tangle invariant")
     inv.add_argument("--case", type=int, required=True, choices=[1, 2, 3, 4])
-    inv.add_argument("--isotopy", default="regular",
-                     choices=["ambient", "regular"])
+    inv.add_argument("--isotopy", choices=["ambient", "regular"],
+                     help="default: regular when the case has a regular "
+                          "model, else ambient")
     inv.add_argument("--braid")
     inv.add_argument("--knot")
     inv.add_argument("--format", default="text", choices=["text", "json"])

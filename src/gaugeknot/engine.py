@@ -235,20 +235,6 @@ def ambient_invariant(word, case, term_budget=DEFAULT_TERM_BUDGET):
 
 def matveev_test(mod):
     """Whether the model's representation separates the two 3-braids
-    s1 s2^-1 s1 and s2 s1^-1 s2; a model failing this separates nothing.
-
-    For case 4 the comparison is additionally run on the bare quantum
-    operator with p, Q fully symbolic.
-    """
+    s1 s2^-1 s1 and s2 s1^-1 s2; a model failing this separates nothing."""
     w1, w2 = matveev_pair()
-    distinguishes = represent(w1, mod) != represent(w2, mod)
-    if mod.case == 4:
-        R = quantum_r(4)
-        R_inv = invert(R)
-        sym1, sym2 = (dict(_columns(QUANTUM, 3, _letters(w, R, R_inv)))
-                      for w in (w1, w2))
-        if sym1 != sym2:
-            raise EngineError("case 4 symbolic representations differ")
-        if distinguishes:
-            raise EngineError("case 4 specialization distinguishes the pair")
-    return distinguishes
+    return represent(w1, mod) != represent(w2, mod)

@@ -7,8 +7,10 @@ Markov trace (Kauffman, Topology 26, 1987; Jones, Ann. Math. 126, 1987): a
 word of L letters on n strands costs at most L * Catalan(n) matching
 updates, with no limit on L.
 
-These share no code with the state-model engine; they exist to check the
-engine's Case 2 / Case 3 outputs entry for entry.
+The oracle polynomials share no code with the state-model engine: OnePoly
+is their own arithmetic.  ``compare_case2`` and ``compare_case3`` then call
+the engine and check its Case 2 / Case 3 outputs against them entry for
+entry.
 """
 
 from __future__ import annotations
@@ -183,22 +185,6 @@ def _det(M):
             out = out + (term if sign > 0 else -term)
         sign = -sign
     return out
-
-
-def _burau_ok():
-    """Generator/inverse pairs really are inverse (checked once)."""
-    for n in (3, 4):
-        for i in range(1, n):
-            P = _mat_mul(_burau_generator(i, n), _burau_generator(i, n, True))
-            for r in range(n - 1):
-                for c in range(n - 1):
-                    want = OnePoly.const(1 if r == c else 0)
-                    if P[r][c] != want:
-                        return False
-    return True
-
-
-assert _burau_ok()
 
 
 def alexander(word):

@@ -290,10 +290,6 @@ class LaurentPoly:
     def __hash__(self):
         return hash((id(self.ring), frozenset(self.terms.items())))
 
-    def key(self):
-        """Hashable canonical key (used to pool shared denominators)."""
-        return tuple(sorted(self.terms.items()))
-
     def leading(self):
         """(exponents, coeff) of the canonically-largest term."""
         if not self.terms:
@@ -503,38 +499,36 @@ QONLY = Ring(("Q",))
 CONST = Ring(())
 
 
-def qbracket(ring, const=0, alpha=0, u=0, v=0):
-    """The q-number [x] = (q**x - q**-x)/(q - 1/q) for x = const + alpha + u + v.
+def qbracket(ring, const=0, alpha=0, u=0):
+    """The q-number [x] = (q**x - q**-x)/(q - 1/q) for x = const + alpha + u.
 
     Integer x >= 0 expands to the polynomial q**(x-1) + q**(x-3) + ...;
-    anything involving alpha/u/v is returned as an unreduced ratio.
+    anything involving alpha/u is returned as an unreduced ratio.
     Coefficients of the exponent descriptor must be integers.
     """
-    for c in (const, alpha, u, v):
+    for c in (const, alpha, u):
         if not isinstance(c, int):
             raise RingError("q-bracket exponents must be integer combinations")
-    if alpha == 0 and u == 0 and v == 0:
+    if alpha == 0 and u == 0:
         if const < 0:
             return -qbracket(ring, -const)
         num = ring.zero
         for j in range(const):
             num = num + ring.mono(1, Q=2 * (const - 1 - 2 * j))
         return RationalLaurent(num)
-    top = _q_power(ring, const, alpha, u, v)
+    top = _q_power(ring, const, alpha, u)
     num = top - top.invert_monomial()
     den = ring.mono(1, Q=2) - ring.mono(1, Q=-2)
     return RationalLaurent(num, den)
 
 
-def _q_power(ring, const=0, alpha=0, u=0, v=0):
-    """q**(const + alpha*a + u*u + v*v) as a monomial of the trig ring."""
+def _q_power(ring, const=0, alpha=0, u=0):
+    """q**(const + alpha*a + u*u) as a monomial of the trig ring."""
     exps = {"Q": 2 * const}
     if alpha:
         exps["Aa"] = alpha
     if u:
         exps["X"] = u
-    if v:
-        exps["Xv"] = v
     return ring.mono(1, **exps)
 
 

@@ -4,8 +4,9 @@ limits, and the four constant quantum R-matrices.
 Operators act on a two-site space (C^4 tensor C^4).  An entry stored under the
 key ``(a, b, c, d)`` is the coefficient of the matrix unit ``e^{ab}_{cd}``
 sending ``|c,d>`` to ``|a,b>``.  All entries conserve the grading
-weight w(1)=0, w(2)=w(3)=1, w(4)=2, which keeps every linear-algebra step
-block-diagonal.
+weight w(1)=0, w(2)=w(3)=1, w(4)=2, so each operator is block-diagonal in
+the weight sectors; ``invert`` works one sector at a time, while the eigen
+checks evaluate the full 16x16 matrix.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .ring import (CRat, LaurentPoly, QUANTUM, RationalLaurent, RingError,
-                   TRIG, divexact, evaluate, map_poly, qbracket)
+from .ring import (CRat, QUANTUM, RationalLaurent, RingError, TRIG, divexact,
+                   evaluate, map_poly, qbracket)
 
 WEIGHT = {1: 0, 2: 1, 3: 1, 4: 2}
 
@@ -455,78 +456,54 @@ def claimed_eigenvalues(index):
 # Exact linear algebra on two-site operators.
 
 def _blocks(op):
-    """Group the 16 pair-indices into grading sectors (falls back to one
-    block when the operator mixes sectors)."""
-    pairs = [(a, b) for a in range(1, 5) for b in range(1, 5)]
-    if op.conserves_weight():
-        sectors = {}
-        for ab in pairs:
-            sectors.setdefault(WEIGHT[ab[0]] + WEIGHT[ab[1]], []).append(ab)
-        return list(sectors.values())
-    return [pairs]
+    """The 16 pair-indices grouped into weight sectors (sizes 1, 4, 6, 4, 1);
+    RingError when the operator mixes sectors."""
+    if not op.conserves_weight():
+        raise RingError("operator mixes weight sectors")
+    sectors = {}
+    for a in range(1, 5):
+        for b in range(1, 5):
+            sectors.setdefault(WEIGHT[a] + WEIGHT[b], []).append((a, b))
+    return list(sectors.values())
 
 
-def _conj_y(poly):
-    """Negate the Y-odd part."""
-    if poly.ring.y_index is None:
-        return poly
-    yk = poly.ring.y_index
-    return LaurentPoly(poly.ring,
-                       {e: ((a, b) if e[yk] % 2 == 0 else (-a, -b))
-                        for e, (a, b) in poly.terms.items()})
-
-
-def _rl_div(x, y):
-    """x / y for RationalLaurent with the denominator kept Y-free."""
-    n, d = y.num, y.den
-    nc = _conj_y(n)
-    return RationalLaurent(x.num * d * nc, x.den * (n * nc))
+def _det(M, ring):
+    """Determinant of a square matrix of polynomials by cofactor expansion
+    along the first row, skipping zero entries."""
+    if not M:
+        return ring.one
+    out = ring.zero
+    for j, x in enumerate(M[0]):
+        if not x.is_zero():
+            term = x * _det([row[:j] + row[j + 1:] for row in M[1:]], ring)
+            out = out + term if j % 2 == 0 else out - term
+    return out
 
 
 def invert(R):
-    """Exact inverse of a two-site operator with polynomial entries.  The
-    inverse's entries must be polynomials too (RingError otherwise); the
-    result is checked to be a right inverse."""
+    """Exact inverse of a weight-conserving two-site operator with polynomial
+    entries, sector by sector as adj(B) / det(B).  Each sector determinant
+    must be a unit monomial (RingError otherwise), so the inverse's entries
+    are polynomials; the result is checked to be a right inverse."""
     ring = R.ring
-    zero = RationalLaurent(ring.zero)
-    one = RationalLaurent(ring.one)
-    out_entries = {}
+    entries = {}
     for block in _blocks(R):
-        idx = {ab: i for i, ab in enumerate(block)}
+        B = [[R.get(*ab, *cd) for cd in block] for ab in block]
+        det = _det(B, ring)
+        try:
+            dinv = det.invert_monomial()
+        except RingError:
+            raise RingError(f"sector {block} has determinant {det}, "
+                            f"not a unit") from None
         n = len(block)
-        M = [[zero] * n for _ in range(n)]
-        for (a, b, c, d), v in R.entries.items():
-            if (a, b) in idx and (c, d) in idx:
-                M[idx[(a, b)]][idx[(c, d)]] = RationalLaurent(v)
-        A = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        # Gauss-Jordan over the fraction field.
-        for col in range(n):
-            piv = None
-            best = None
-            for r in range(col, n):
-                if not M[r][col].is_zero():
-                    size = len(M[r][col].num.terms) + len(M[r][col].den.terms)
-                    if best is None or size < best:
-                        best, piv = size, r
-            if piv is None:
-                raise RingError("singular operator")
-            M[col], M[piv] = M[piv], M[col]
-            A[col], A[piv] = A[piv], A[col]
-            pv = M[col][col]
-            M[col] = [_rl_div(x, pv) for x in M[col]]
-            A[col] = [_rl_div(x, pv) for x in A[col]]
-            for r in range(n):
-                if r != col and not M[r][col].is_zero():
-                    f = M[r][col]
-                    M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-                    A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-        for i, ab in enumerate(block):
-            for j, cd in enumerate(block):
-                v = A[i][j]
-                if not v.is_zero():
-                    out_entries[ab + cd] = v
-    inv = SparseROp(ring, {k: divexact(v.num, v.den)
-                           for k, v in out_entries.items()})
+        for i in range(n):
+            for j in range(n):
+                # (B^-1)[i][j] = (-1)^(i+j) det(B without row j, column i) / det
+                minor = [row[:i] + row[i + 1:] for r, row in enumerate(B)
+                         if r != j]
+                cof = _det(minor, ring) * dinv
+                entries[block[i] + block[j]] = -cof if (i + j) % 2 else cof
+    inv = SparseROp(ring, entries)
     identity = dict(_columns(ring, 2, ()))
     if dict(_columns(ring, 2, [(1, inv), (1, R)])) != identity:
         raise RingError("inverse verification failed")

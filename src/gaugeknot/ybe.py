@@ -65,10 +65,8 @@ def verify_qybe(R):
 def _cleared(R):
     """Multiply every entry by one common multiple of the denominators,
     giving a purely polynomial operator proportional to R."""
-    dens = {}
-    for v in R.entries.values():
-        dens[v.den.key()] = v.den
-    ordered = sorted(dens.values(), key=lambda d: len(d.terms), reverse=True)
+    dens = dict.fromkeys(v.den for v in R.entries.values())
+    ordered = sorted(dens, key=lambda d: len(d.terms), reverse=True)
     D = ordered[0]
     for d in ordered[1:]:
         try:

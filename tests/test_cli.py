@@ -58,6 +58,20 @@ def test_invariant_json(capsys):
     assert data["matrix"][0][0] == "1 * p^-6"
 
 
+def test_invariant_default_isotopy_is_the_suite_one(capsys):
+    code, out, _ = run(capsys, "invariant", "--case", "1", "--knot", "3_1",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["isotopy"] == "ambient"
+
+
+def test_invariant_without_a_model_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "invariant", "--case", "3", "--isotopy", "ambient",
+            "--knot", "3_1")
+    assert exc.value.code == 2
+
+
 def test_invariant_braid_text(capsys):
     code, out, _ = run(capsys, "invariant", "--case", "4",
                        "--isotopy", "ambient", "--braid", "2 : 1 1 1")

@@ -265,6 +265,19 @@ def test_matveev():
     assert engine.matveev_test(engine.model(4, "ambient")) is False
 
 
+def test_case4_matveev_pair_equal_symbolically():
+    """With p and Q symbolic, quantum_r(4) and its inverse give equal full
+    products on the Matveev pair, so no specialization of case 4 can
+    separate it; the (4, ambient) model does not."""
+    R = rmat.quantum_r(4)
+    R_inv = rmat.invert(R)
+    w1, w2 = braid.matveev_pair()
+    sym1, sym2 = (dict(rmat._columns(QUANTUM, 3, engine._letters(w, R, R_inv)))
+                  for w in (w1, w2))
+    assert sym1 == sym2
+    assert engine.matveev_test(engine.model(4, "ambient")) is False
+
+
 def test_invariants_are_y_free():
     for word in (TREFOIL, FIG8):
         for case, isotopy in ((2, "regular"), (3, "regular")):

@@ -34,6 +34,19 @@ def test_alexander_rejects_links():
         oracles.alexander(braid.parse("2 : 1 1"))
 
 
+def test_burau_generator_inverse_pairs():
+    """Each reduced Burau generator and its inverse multiply to the
+    identity in both orders."""
+    for n in (2, 3, 4, 5):
+        ident = [[oracles.OnePoly.const(int(r == c)) for c in range(n - 1)]
+                 for r in range(n - 1)]
+        for i in range(1, n):
+            g = oracles._burau_generator(i, n)
+            g_inv = oracles._burau_generator(i, n, inverse=True)
+            assert oracles._mat_mul(g, g_inv) == ident
+            assert oracles._mat_mul(g_inv, g) == ident
+
+
 def test_jones_examples():
     assert oracles.jones(UNKNOT) == onepoly({0: 1})
     assert oracles.jones(TREFOIL) == onepoly({4: -1, 3: 1, 1: 1})

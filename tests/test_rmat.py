@@ -152,6 +152,26 @@ def test_invert():
     assert rmat.invert(rmat.quantum_r(4)).get(1, 1, 1, 1).is_one()
 
 
+def test_invert_refuses_a_singular_sector():
+    ident = rmat.identity_op(QUANTUM)
+    entries = {k: v for k, v in ident.entries.items() if k != (2, 3, 2, 3)}
+    with pytest.raises(RingError, match="determinant 0"):
+        rmat.invert(rmat.SparseROp(QUANTUM, entries))
+
+
+def test_invert_refuses_a_non_unit_determinant():
+    with pytest.raises(RingError, match="determinant 2"):
+        rmat.invert(rmat.identity_op(QUANTUM).scale(2))
+
+
+def test_invert_refuses_a_weight_mixing_operator():
+    ident = rmat.identity_op(QUANTUM)
+    entries = dict(ident.entries)
+    entries[(2, 1, 1, 1)] = QUANTUM.one      # weight 1 <- weight 0
+    with pytest.raises(RingError, match="mixes weight sectors"):
+        rmat.invert(rmat.SparseROp(QUANTUM, entries))
+
+
 def test_eigen_check_counts():
     for i, distinct in ((1, 3), (2, 7), (3, 9), (4, 10)):
         claimed = rmat.claimed_eigenvalues(i)
