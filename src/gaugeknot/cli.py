@@ -176,7 +176,7 @@ def build_parser():
     ver = sub.add_parser("verify", help="run symbolic R-matrix checks")
     ver.add_argument("--what", choices=["qybe", "tybe", "gauge"])
     ver.add_argument("--case", type=int, choices=[1, 2, 3, 4])
-    ver.set_defaults(func=_cmd_verify)
+    ver.set_defaults(func=_cmd_verify, parser=ver)
 
     rm = sub.add_parser("rmatrix", help="print an R-matrix")
     rm_sub = rm.add_subparsers(dest="rcmd", required=True)
@@ -187,11 +187,11 @@ def build_parser():
                       help="quantum case 1..4; 0 with --regime trig "
                            "selects the gauge-free operator")
     show.add_argument("--format", default="text", choices=["text", "json"])
-    show.set_defaults(func=_cmd_rmatrix)
+    show.set_defaults(func=_cmd_rmatrix, parser=show)
 
     eig = sub.add_parser("eigen", help="eigenvalue check at sample points")
     eig.add_argument("--case", type=int, required=True, choices=[1, 2, 3, 4])
-    eig.set_defaults(func=_cmd_eigen)
+    eig.set_defaults(func=_cmd_eigen, parser=eig)
 
     inv = sub.add_parser("invariant", help="evaluate a (1,1)-tangle invariant")
     inv.add_argument("--case", type=int, required=True, choices=[1, 2, 3, 4])
@@ -201,17 +201,17 @@ def build_parser():
     inv.add_argument("--braid")
     inv.add_argument("--knot")
     inv.add_argument("--format", default="text", choices=["text", "json"])
-    inv.set_defaults(func=_cmd_invariant)
+    inv.set_defaults(func=_cmd_invariant, parser=inv)
 
     orc = sub.add_parser("oracle", help="classical oracle polynomials")
     orc.add_argument("oracle", choices=["alexander", "jones"])
     orc.add_argument("--braid")
     orc.add_argument("--knot")
-    orc.set_defaults(func=_cmd_oracle)
+    orc.set_defaults(func=_cmd_oracle, parser=orc)
 
     mat = sub.add_parser("matveev", help="distinguishing-pair test")
     mat.add_argument("--case", type=int, required=True, choices=[1, 2, 3, 4])
-    mat.set_defaults(func=_cmd_matveev)
+    mat.set_defaults(func=_cmd_matveev, parser=mat)
 
     st = sub.add_parser("suite", help="run the knot-table suite")
     st.add_argument("--cases", default="2,3,4")
@@ -219,15 +219,16 @@ def build_parser():
     st.add_argument("--out")
     st.add_argument("--jobs", type=int, default=1)
     st.add_argument("--table")
-    st.set_defaults(func=_cmd_suite)
+    st.set_defaults(func=_cmd_suite, parser=st)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        # each handler reports usage errors through its own subcommand's
+        # parser, so the usage line names that subcommand's options
+        return args.func(args, args.parser)
     except (braid.BraidError, harness.TableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -35,10 +35,13 @@ class EngineError(RingError):
 
 
 #: Term budget for represent(): 8 GiB at 256 bytes per stored term.  Peak
-#: tracemalloc bytes of represent() over its stored terms were 199-252 at
-#: 3,000-37,000 stored terms (full products of case 1 ambient on 3- and
-#: 4-strand words, case 2 ambient and regular on 7_4 and 8_12); below 500
-#: stored terms fixed costs raised it to at most 2.9 KB per term.
+#: tracemalloc bytes of represent() over its stored terms were 156-209 at
+#: 1,200-22,600 stored terms (full products of case 1 ambient on 3- and
+#: 4-strand words, case 2 regular on 7_4, case 2 ambient on 8_12), and
+#: 195-220 at 11,800-26,600 terms of 5-strand case 2 words.  Smaller
+#: products read more, as one column's passing states weigh more against
+#: few stored terms: up to 328 bytes at 6,000-8,600 terms of 5-strand case
+#: 2 words, and 418 at 244 terms.
 DEFAULT_TERM_BUDGET = (8 * 2**30) // 256
 
 
@@ -209,7 +212,7 @@ def represent(word, mod, term_budget=DEFAULT_TERM_BUDGET, closure_only=False):
     stored = 0
     letters = _letters(word, mod.sigma, mod.sigma_inv)
     for s, vec in _columns(mod.ring, word.strands, letters, closure_only):
-        stored += sum(len(c.terms) for c in vec.values())
+        stored += sum(map(len, vec.values()))
         if stored > term_budget:
             raise EngineError(
                 f"term budget exceeded: {stored} stored terms > budget "

@@ -1,23 +1,47 @@
 """Exact multivariate Laurent-polynomial arithmetic over Gaussian integers.
 
-A polynomial's ``terms`` map exponent tuples, in the ring's variable order
-(which follows ``MASTER_ORDER`` and is the display order), to Gaussian-integer
-coefficients ``(a, b)`` = a + b*i of Python ints.  A ring may adjoin the
-square-root symbol ``Y`` with ``Y**2 = r`` for a Y-free ``r``; every
-polynomial has Y-degree 0 or 1, because products fold Y**2 into ``r``.  Y is
-not a unit; the other variables are Laurent variables.  Quotients are
-``RationalLaurent``s and evaluation values ``CRat``s.  Half-integer powers of
-``q`` live in ``Q`` (``q = Q**2``) and ``p`` (``p = q**(alpha + 1/2)``).
+A polynomial maps monomials to Gaussian-integer coefficients ``(a, b)`` =
+a + b*i of Python ints.  Each monomial is stored as one packed int key: the
+ring gives every variable a bit field, in its variable order (which follows
+``MASTER_ORDER`` and is the display order) with the first variable in the
+highest bits, so integer order is the order of exponent tuples.  A Laurent
+exponent lies in [-2**16, 2**16) and is stored biased by 2**16 in a 32-bit
+field whose top 15 bits are guard bits: a sum that leaves the range sets
+them, and is refused with ``RingError`` instead of carrying into the next
+field.  ``LaurentPoly.terms`` is a read-only view keyed by exponent tuples,
+built on first read.
+
+A ring may adjoin the square-root symbol ``Y`` with ``Y**2 = r`` for a
+Y-free ``r``; every polynomial has Y-degree 0 or 1, because products fold
+Y**2 into ``r``.  Y has a 2-bit field of its own.  Y is not a unit; the other
+variables are Laurent variables.  Quotients are ``RationalLaurent``s and
+evaluation values ``CRat``s.  Half-integer powers of ``q`` live in ``Q``
+(``q = Q**2``) and ``p`` (``p = q**(alpha + 1/2)``).
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import reduce
+from operator import and_, or_
+from types import MappingProxyType
 
 
 # Display / sort order of every variable that can occur in any ring.
 MASTER_ORDER = ("p", "Q", "Y", "Aa", "X", "Xv", "Ru", "Rv", "Su", "Sv")
+
+#: Laurent exponents lie in [-EXP_BIAS, EXP_BIAS).
+EXP_BIAS = 1 << 16
+_FIELD_BITS = 32
+_VALUE_MASK = 2 * EXP_BIAS - 1
+_GUARD_BITS = ((1 << _FIELD_BITS) - 1) ^ _VALUE_MASK
+
+#: ``map_poly`` image exponents lie in [-_IMAGE_LIMIT, _IMAGE_LIMIT).  A
+#: target exponent then sums at most 9 source exponents times image
+#: exponents, at most 9 * 2**28 in size, so one out of range sets its
+#: field's guard bits and never wraps past them.
+_IMAGE_LIMIT = 1 << 12
 
 #: The Gaussian units, as i**0 .. i**3.
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
@@ -104,8 +128,8 @@ def _crat(x):
 
 
 class Ring:
-    """A Laurent-polynomial ring whose variable tuple, and so every stored
-    exponent tuple, follows MASTER_ORDER.
+    """A Laurent-polynomial ring whose variable tuple, and so every packed
+    key's field order, follows MASTER_ORDER.
 
     If ``"Y"`` is among the names, its polynomials have Y-degree 0 or 1, and
     ``set_y_square`` must be called with the Y-free polynomial that Y**2
@@ -119,25 +143,79 @@ class Ring:
                             f"in the order {MASTER_ORDER}")
         self.index = {n: k for k, n in enumerate(self.names)}
         self.y_index = self.index.get("Y")
+        # (shift, value mask, bias) per variable, the first one highest
+        layout = []
+        shift = 0
+        for name in reversed(self.names):
+            if name == "Y":
+                layout.append((shift, 3, 0))
+                shift += 2
+            else:
+                layout.append((shift, _VALUE_MASK, EXP_BIAS))
+                shift += _FIELD_BITS
+        self._layout = tuple(reversed(layout))
+        self._bias = sum(b << s for s, _, b in self._layout)
+        self._guard = sum(_GUARD_BITS << s for s, _, b in self._layout if b)
+        # an image offset plus _image_bias sets _image_guard iff one of its
+        # exponents lies outside [-_IMAGE_LIMIT, _IMAGE_LIMIT)
+        self._image_bias = sum(_IMAGE_LIMIT << s for s, _, b in self._layout if b)
+        self._image_guard = sum(((1 << _FIELD_BITS) - 2 * _IMAGE_LIMIT) << s
+                                for s, _, b in self._layout if b)
+        self._ys = None if self.y_index is None else self._layout[self.y_index][0]
         self.y_square = None
         self.zero = LaurentPoly(self, {})
-        self.one = LaurentPoly(self, {(0,) * len(self.names): (1, 0)})
+        self.one = LaurentPoly(self, {self._bias: (1, 0)})
 
     def set_y_square(self, poly):
-        yk = self.y_index
-        if yk is None:
+        ys = self._ys
+        if ys is None:
             raise RingError("ring has no Y symbol")
-        if any(e[yk] for e in poly.terms):
+        if any((k >> ys) & 3 for k in poly._t):
             raise RingError("Y**2 rewrite must be Y-free")
         self.y_square = poly
-        # Y**-2 * r: a product's Y**2 terms times this land at Y-degree 0
-        self._y_fold = {e[:yk] + (-2,) + e[yk + 1:]: c
-                        for e, c in poly.terms.items()}
+        # Y**-2 * r as key offsets: a product's Y**2 terms times this land
+        # at Y-degree 0
+        self._y_fold = {k - self._bias - (2 << ys): c
+                        for k, c in poly._t.items()}
+
+    def _pack(self, exps):
+        if exps and not -EXP_BIAS <= min(exps) <= max(exps) < EXP_BIAS:
+            raise RingError(f"exponents {exps} leave "
+                            f"[{-EXP_BIAS}, {EXP_BIAS - 1}]")
+        key = self._bias
+        for x, (s, _, _) in zip(exps, self._layout):
+            if x:
+                key += x << s
+        return key
+
+    def _unpack(self, key):
+        return tuple(((key >> s) & m) - b for s, m, b in self._layout)
+
+    def _check_keys(self, keys):
+        """The OR of the keys; RingError if one's exponent left its range."""
+        acc = reduce(or_, keys, 0)
+        if acc & self._guard:
+            raise RingError(f"exponent outside [{-EXP_BIAS}, {EXP_BIAS - 1}] "
+                            f"in {self}")
+        return acc
+
+    def _floor(self, keys):
+        """The key whose every field is the least of that field in ``keys``
+        (a list or dict of them); only fields on which they differ are
+        scanned."""
+        low = reduce(and_, keys)
+        differ = reduce(or_, keys) ^ low
+        floor = low
+        for s, m, _ in self._layout:
+            if (differ >> s) & m:
+                floor += (min([(k >> s) & m for k in keys])
+                          - ((low >> s) & m)) << s
+        return floor
 
     def poly(self, terms):
         """Build a polynomial from {exponent tuple: (re, im) or int} items;
-        the parts and exponents must be ints (not bools) and a Y exponent 0
-        or 1."""
+        the parts and exponents must be ints (not bools), a Y exponent 0 or
+        1 and a Laurent exponent in [-EXP_BIAS, EXP_BIAS)."""
         clean = {}
         yk = self.y_index
         for exps, c in terms.items():
@@ -152,7 +230,7 @@ class Ring:
             if yk is not None and exps[yk] not in (0, 1):
                 raise RingError(f"Y exponent {exps[yk]} is not 0 or 1")
             if c != (0, 0):
-                clean[tuple(exps)] = c
+                clean[self._pack(exps)] = c
         return LaurentPoly(self, clean)
 
     def mono(self, coeff=1, **exps):
@@ -174,13 +252,16 @@ class Ring:
         return f"Ring{self.names}"
 
 
-def _mul_into(terms, a, b):
-    """Add the product of the term dicts ``a`` and ``b`` into ``terms``."""
+def _mul_into(terms, a, b, bias):
+    """Add the product of the packed term dicts ``a`` and ``b`` into
+    ``terms``; ``bias`` is taken once off each key of the smaller one, so
+    a product key is one int add."""
     if len(a) > len(b):
         a, b = b, a
     for e1, (x1, y1) in a.items():
+        e1 -= bias
         for e2, (x2, y2) in b.items():
-            e = tuple(i + j for i, j in zip(e1, e2))
+            e = e1 + e2
             re = x1 * x2 - y1 * y2
             im = x1 * y2 + y1 * x2
             c = terms.get(e)
@@ -197,19 +278,33 @@ def _mul_into(terms, a, b):
 
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial; do not mutate ``terms``."""
+    """Immutable sparse Laurent polynomial over packed keys."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_t", "_view")
 
     def __init__(self, ring, terms):
         self.ring = ring
-        self.terms = terms
+        self._t = terms
+        self._view = None
+
+    @property
+    def terms(self):
+        """Read-only {exponent tuple: coefficient} view, built on first
+        read."""
+        if self._view is None:
+            unpack = self.ring._unpack
+            self._view = MappingProxyType(
+                {unpack(k): c for k, c in self._t.items()})
+        return self._view
+
+    def __len__(self):
+        return len(self._t)
 
     def is_zero(self):
-        return not self.terms
+        return not self._t
 
     def is_one(self):
-        return self.terms == self.ring.one.terms
+        return self._t == self.ring.one._t
 
     def _check(self, other):
         """``other`` in this ring; NotImplemented for a non-ring operand."""
@@ -225,8 +320,8 @@ class LaurentPoly:
         other = self._check(other)
         if other is NotImplemented:
             return other
-        terms = dict(self.terms)
-        for e, (a, b) in other.terms.items():
+        terms = dict(self._t)
+        for e, (a, b) in other._t.items():
             c = terms.get(e)
             if c is None:
                 terms[e] = (a, b)
@@ -241,7 +336,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.ring, {e: (-a, -b) for e, (a, b) in self.terms.items()})
+        return LaurentPoly(self.ring, {e: (-a, -b) for e, (a, b) in self._t.items()})
 
     def __sub__(self, other):
         other = self._check(other)
@@ -255,14 +350,18 @@ class LaurentPoly:
         if other is NotImplemented:
             return other
         ring = self.ring
-        terms = _mul_into({}, self.terms, other.terms)
-        yk = ring.y_index
-        if yk is not None:
-            high = {e: terms.pop(e) for e in [e for e in terms if e[yk] == 2]}
-            if high:
-                if ring.y_square is None:
-                    raise RingError("Y**2 rewrite relation not set for this ring")
-                _mul_into(terms, high, ring._y_fold)
+        terms = _mul_into({}, self._t, other._t, ring._bias)
+        # one OR over the keys checks the guard bits and tells whether any
+        # Y**2 term (Y field 2) needs folding
+        acc = ring._check_keys(terms)
+        ys = ring._ys
+        if ys is not None and (acc >> ys) & 2:
+            high = {k: terms.pop(k) for k in [k for k in terms
+                                               if (k >> ys) & 3 == 2]}
+            if ring.y_square is None:
+                raise RingError("Y**2 rewrite relation not set for this ring")
+            _mul_into(terms, high, ring._y_fold, 0)
+            ring._check_keys(terms)
         return LaurentPoly(ring, terms)
 
     __rmul__ = __mul__
@@ -285,47 +384,48 @@ class LaurentPoly:
             other = self.ring.gauss(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.ring is other.ring and self.terms == other.terms
+        return self.ring is other.ring and self._t == other._t
 
     def __hash__(self):
-        return hash((id(self.ring), frozenset(self.terms.items())))
+        return hash((id(self.ring), frozenset(self._t.items())))
 
     def leading(self):
         """(exponents, coeff) of the canonically-largest term."""
-        if not self.terms:
+        if not self._t:
             raise RingError("zero polynomial has no leading term")
-        e = max(self.terms)
-        return e, self.terms[e]
+        k = max(self._t)
+        return self.ring._unpack(k), self._t[k]
 
     def is_monomial(self):
-        return len(self.terms) == 1
+        return len(self._t) == 1
 
     def invert_monomial(self):
         """Exact inverse of a Y-free single term with unit coefficient."""
-        if len(self.terms) != 1:
+        if len(self._t) != 1:
             raise RingError("not a monomial")
-        (e, c), = self.terms.items()
-        yk = self.ring.y_index
-        if c not in _I_POWERS or (yk is not None and e[yk]):
+        (k, c), = self._t.items()
+        ring = self.ring
+        if c not in _I_POWERS or (ring._ys is not None and (k >> ring._ys) & 3):
             raise RingError(f"monomial {self} is not a unit")
-        return LaurentPoly(self.ring, {tuple(-x for x in e):
-                                       _I_POWERS[-_I_POWERS.index(c)]})
+        # each biased field v becomes 2*bias - v: no field borrows
+        inv = {2 * ring._bias - k: _I_POWERS[-_I_POWERS.index(c)]}
+        ring._check_keys(inv)
+        return LaurentPoly(ring, inv)
 
     def coeff_of(self, name, power):
         """Polynomial coefficient of name**power (the variable is projected out)."""
-        k = self.ring.index[name]
-        terms = {}
-        for e, c in self.terms.items():
-            if e[k] == power:
-                terms[e[:k] + (0,) + e[k + 1:]] = c
-        return LaurentPoly(self.ring, terms)
+        s, m, b = self.ring._layout[self.ring.index[name]]
+        want = power + b
+        drop = power << s
+        return LaurentPoly(self.ring, {k - drop: c for k, c in self._t.items()
+                                       if (k >> s) & m == want})
 
     def degree_in(self, name):
         """Max exponent of a variable, or None for the zero polynomial."""
-        if not self.terms:
+        if not self._t:
             return None
-        k = self.ring.index[name]
-        return max(e[k] for e in self.terms)
+        s, m, b = self.ring._layout[self.ring.index[name]]
+        return max([(k >> s) & m for k in self._t]) - b
 
     def __str__(self):
         return canonical_str(self)
@@ -343,12 +443,13 @@ def _coeff_str(c):
 
 def canonical_str(poly):
     """Deterministic text form: terms in descending exponent order."""
-    if not poly.terms:
+    if not poly._t:
         return "0"
+    ring = poly.ring
     parts = []
-    for e, c in sorted(poly.terms.items(), reverse=True):
-        factors = [_coeff_str(c)]
-        for name, x in zip(poly.ring.names, e):
+    for k in sorted(poly._t, reverse=True):
+        factors = [_coeff_str(poly._t[k])]
+        for name, x in zip(ring.names, ring._unpack(k)):
             if x:
                 factors.append(f"{name}^{x}")
         parts.append(" * ".join(factors))
@@ -375,21 +476,25 @@ class RationalLaurent:
 
     def _normalize(self):
         num, den = self.num, self.den
+        ring = num.ring
         if num.is_zero():
-            self.num, self.den = num.ring.zero, num.ring.one
+            self.num, self.den = ring.zero, ring.one
             return
-        shift = [min(col) for col in zip(*num.terms, *den.terms)]
-        if any(shift):
-            fix = lambda e: tuple(x - s for x, s in zip(e, shift))
-            num = LaurentPoly(num.ring, {fix(e): c for e, c in num.terms.items()})
-            den = LaurentPoly(den.ring, {fix(e): c for e, c in den.terms.items()})
-        if len(den.terms) == 1:
+        # divide out the largest monomial (Y included) dividing every term
+        shift = ring._floor([*num._t, *den._t]) - ring._bias
+        if shift:
+            nt = {k - shift: c for k, c in num._t.items()}
+            dt = {k - shift: c for k, c in den._t.items()}
+            ring._check_keys(nt)
+            ring._check_keys(dt)
+            num, den = LaurentPoly(ring, nt), LaurentPoly(ring, dt)
+        if len(den._t) == 1:
             # fold a monomial denominator that divides the numerator exactly
             try:
-                num, den = divexact(num, den), num.ring.one
+                num, den = divexact(num, den), ring.one
             except RingError:
                 pass
-        _, (a, b) = den.leading()
+        a, b = den._t[max(den._t)]
         if a < 0 or (a == 0 and b < 0):
             num, den = -num, -den
         self.num, self.den = num, den
@@ -544,17 +649,18 @@ def evaluate(poly, assignment):
         if name not in assignment:
             raise RingError(f"missing assignment for {name}")
         vals[name] = _crat(assignment[name])
-    if ring.y_index is not None and any(e[ring.y_index] for e in poly.terms):
+    ys = ring._ys
+    if ys is not None and any((k >> ys) & 3 for k in poly._t):
         y = vals["Y"]
         rel = evaluate(ring.y_square, dict(assignment, Y=0))
         if y * y != rel:
             raise RingError(f"inconsistent Y assignment: Y**2 = {y * y} != {rel}")
     out = CRat(0)
-    for e, (a, b) in poly.terms.items():
+    for k, (a, b) in poly._t.items():
         t = CRat(a, b)
-        for k, name in enumerate(ring.names):
-            if e[k]:
-                t = t * vals[name] ** e[k]
+        for name, x in zip(ring.names, ring._unpack(k)):
+            if x:
+                t = t * vals[name] ** x
         out = out + t
     return out
 
@@ -565,13 +671,17 @@ def map_poly(poly, target_ring, images):
     ``images`` maps every source variable name to a LaurentPoly of
     ``target_ring`` (or an int).  A Laurent variable's image must be a unit
     monomial, one Y-free term with coefficient 1, -1, i or -i, so exponents
-    are mapped directly.  Y's image may be any polynomial whose square is the
-    image of the rewrite relation: P0 + P1*Y goes to
-    map(P0) + map(P1) * image(Y).
+    are mapped directly, as signed key offsets.  Y's image may be any
+    polynomial whose square is the image of the rewrite relation: P0 + P1*Y
+    goes to map(P0) + map(P1) * image(Y).  RingError if an image has an
+    exponent outside [-4096, 4095] or a mapped exponent leaves
+    [-EXP_BIAS, EXP_BIAS).
     """
     ring = poly.ring
-    yk, tk = ring.y_index, target_ring.y_index
-    parts = []         # per source variable: [(target slot, exponent)], i-turns
+    yk, tys = ring.y_index, target_ring._ys
+    base = target_ring._bias    # a term's key before its moved variables
+    keep = 0           # fields of the variables a same-ring map fixes
+    parts = []         # per other source variable: (shift, key offset, i-turns)
     for k, name in enumerate(ring.names):
         if name not in images:
             raise RingError(f"missing image for {name}")
@@ -580,30 +690,40 @@ def map_poly(poly, target_ring, images):
             img = target_ring.gauss(img)
         if k == yk:
             y_img = img
-            parts.append(([], 0))
             continue
-        v, c = next(iter(img.terms.items()), ((), None))
-        if (len(img.terms) != 1 or c not in _I_POWERS
-                or img.ring is not target_ring or (tk is not None and v[tk])):
+        v, c = next(iter(img._t.items()), (0, None))
+        if (len(img._t) != 1 or c not in _I_POWERS
+                or img.ring is not target_ring
+                or (tys is not None and (v >> tys) & 3)):
             raise RingError(f"image of {name} is not a unit monomial of "
                             f"{target_ring}: {img}")
-        parts.append(([(j, y) for j, y in enumerate(v) if y],
-                      _I_POWERS.index(c)))
-    width = len(target_ring.names)
+        s = ring._layout[k][0]
+        v -= target_ring._bias
+        if (v + target_ring._image_bias) & target_ring._image_guard:
+            raise RingError(f"image of {name} has an exponent outside "
+                            f"[{-_IMAGE_LIMIT}, {_IMAGE_LIMIT - 1}]: {img}")
+        if target_ring is ring and v == 1 << s and c == (1, 0):
+            keep |= _VALUE_MASK << s
+            base -= EXP_BIAS << s
+        elif v or c != (1, 0):
+            parts.append((s, v, _I_POWERS.index(c)))
+    ys = ring._ys
+    mask, bias = _VALUE_MASK, EXP_BIAS
     outs = ({}, {})    # images of the terms without and with Y, Y dropped
-    for e, (re, im) in poly.terms.items():
-        vec = [0] * width
+    for k, (re, im) in poly._t.items():
+        key = (k & keep) + base
         turns = 0
-        for x, (shift, m) in zip(e, parts):
+        for s, delta, m in parts:
+            x = ((k >> s) & mask) - bias
             if x:
-                for j, y in shift:
-                    vec[j] += x * y
+                key += x * delta
                 turns += x * m
         a, b = _I_POWERS[turns % 4]
-        out = outs[0 if yk is None else e[yk]]
-        key = tuple(vec)
+        out = outs[0 if ys is None else (k >> ys) & 1]
         cur = out.get(key, (0, 0))
         out[key] = (cur[0] + re * a - im * b, cur[1] + re * b + im * a)
+    for out in outs:
+        target_ring._check_keys(out)
     even, odd = (LaurentPoly(target_ring,
                              {k: c for k, c in out.items() if c != (0, 0)})
                  for out in outs)
@@ -622,56 +742,62 @@ def divexact(num, den):
     denominators with it.
     """
     ring = num.ring
-    yk = ring.y_index
-    if yk is not None and any(e[yk] for e in den.terms):
+    ys = ring._ys
+    if ys is not None and any((k >> ys) & 3 for k in den._t):
         raise RingError("divisor must be Y-free")
-    if yk is not None and any(e[yk] for e in num.terms):
+    if ys is not None and any((k >> ys) & 3 for k in num._t):
         part0 = num.coeff_of("Y", 0)
         part1 = num.coeff_of("Y", 1)
         return divexact(part0, den) + divexact(part1, den) * ring.var("Y")
     if num.is_zero():
         return ring.zero
-    # Shift both operands into the ordinary-polynomial cone so the greedy
-    # division below terminates (lex order on N^k is a well-order).  Terms
-    # are keyed by their negated shifted exponents, so a min-heap of the
-    # remainder's keys yields its terms largest first.  Each step only
-    # creates terms below its leading term, so the heap stays in order; a
-    # key popped after its term cancelled is skipped.
-    nshift = [min(col) for col in zip(*num.terms)]
-    dshift = [min(col) for col in zip(*den.terms)]
-    neg = lambda e, s: tuple(y - x for x, y in zip(e, s))
-    rem = {neg(e, nshift): c for e, c in num.terms.items()}
-    dterms = {neg(e, dshift): c for e, c in den.terms.items()}
-    back = tuple(a - d for a, d in zip(nshift, dshift))
-    dk, (da, db) = min(dterms.items())
+    # Shift both operands into the ordinary-polynomial cone, unbiased, so
+    # the greedy division below terminates (lex order on N^k is a
+    # well-order).  A min-heap of the remainder's negated keys yields its
+    # terms largest first.  Each step only creates terms below its leading
+    # term, so the heap stays in order; a key popped after its term
+    # cancelled is skipped.  An exact quotient's cone exponents lie in
+    # [0, 2*EXP_BIAS), the range the guard bits check, so a leading term
+    # that does not divide, or a quotient exponent out of that range, fails.
+    nfloor = ring._floor(num._t)
+    dfloor = ring._floor(den._t)
+    rem = {k - nfloor: c for k, c in num._t.items()}
+    dterms = {k - dfloor: c for k, c in den._t.items()}
+    dk = max(dterms)
+    da, db = dterms[dk]
     n = da * da + db * db
+    guard = ring._guard
     quo = {}
-    heap = list(rem)
+    heap = [-k for k in rem]
     heapq.heapify(heap)
     while heap:
-        k = heapq.heappop(heap)
-        if k not in rem:
+        k = -heapq.heappop(heap)
+        c = rem.get(k)
+        if c is None:
             continue
-        a, b = rem[k]
-        if any(x > y for x, y in zip(k, dk)):
+        a, b = c
+        qk = k - dk
+        if qk & guard:
             raise RingError("exact division failed (remainder)")
         # coefficient division (a+bi)/(da+dbi) over Gaussian integers
         qa, qb = (a * da + b * db), (b * da - a * db)
         if qa % n or qb % n:
             raise RingError("exact division failed (leading coefficient)")
         qa, qb = qa // n, qb // n
-        qk = tuple(x - y for x, y in zip(k, dk))
         quo[qk] = (qa, qb)
         for kk, (ca, cb) in dterms.items():
-            t = tuple(x + y for x, y in zip(qk, kk))
+            t = qk + kk
             re = qa * ca - qb * cb
             im = qa * cb + qb * ca
             c = rem.get(t)
             if c is None:
                 rem[t] = (-re, -im)
-                heapq.heappush(heap, t)
+                heapq.heappush(heap, -t)
             elif c == (re, im):
                 del rem[t]
             else:
                 rem[t] = (c[0] - re, c[1] - im)
-    return LaurentPoly(ring, {neg(k, back): c for k, c in quo.items()})
+    back = nfloor - dfloor + ring._bias
+    out = {k + back: c for k, c in quo.items()}
+    ring._check_keys(out)
+    return LaurentPoly(ring, out)

@@ -374,15 +374,17 @@ def _case_images(ring, case, scale):
     return images
 
 
+#: ``map_poly`` images of the trigonometric variables in {p, Q, Y}: Aa = p/Q.
+_QUANTUM_IMAGES = {
+    "Q": QUANTUM.var("Q"), "Aa": QUANTUM.mono(1, p=1, Q=-1),
+    "Y": QUANTUM.var("Y"), "X": QUANTUM.one, "Xv": QUANTUM.one,
+    "Ru": QUANTUM.one, "Rv": QUANTUM.one, "Su": QUANTUM.one, "Sv": QUANTUM.one,
+}
+
+
 def _to_quantum(poly):
     """Map an X-free trigonometric polynomial into {p, Q, Y} via Aa = p/Q."""
-    Qr = QUANTUM
-    images = {
-        "Q": Qr.var("Q"), "Aa": Qr.mono(1, p=1, Q=-1), "Y": Qr.var("Y"),
-        "X": Qr.one, "Xv": Qr.one, "Ru": Qr.one, "Rv": Qr.one,
-        "Su": Qr.one, "Sv": Qr.one,
-    }
-    return map_poly(poly, Qr, images)
+    return map_poly(poly, QUANTUM, _QUANTUM_IMAGES)
 
 
 def quantum_r(index):

@@ -66,7 +66,7 @@ def _cleared(R):
     """Multiply every entry by one common multiple of the denominators,
     giving a purely polynomial operator proportional to R."""
     dens = dict.fromkeys(v.den for v in R.entries.values())
-    ordered = sorted(dens, key=lambda d: len(d.terms), reverse=True)
+    ordered = sorted(dens, key=len, reverse=True)
     D = ordered[0]
     for d in ordered[1:]:
         try:

@@ -72,6 +72,19 @@ def test_invariant_without_a_model_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (("invariant", "--case", "3", "--isotopy", "ambient", "--knot", "3_1"),
+     "usage: gaugeknot invariant "),
+    (("rmatrix", "show", "--regime", "quantum"),
+     "usage: gaugeknot rmatrix show "),
+])
+def test_usage_errors_name_the_subcommand(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(usage)
+
+
 def test_invariant_braid_text(capsys):
     code, out, _ = run(capsys, "invariant", "--case", "4",
                        "--isotopy", "ambient", "--braid", "2 : 1 1 1")

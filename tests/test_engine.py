@@ -290,3 +290,25 @@ def test_case2_ambient_is_real():
     for word in (TREFOIL, FIG8):
         inv = engine.ambient_invariant(word, 2)
         assert all(c[1] == 0 for c in inv.terms.values())
+
+
+def test_case1_symmetries():
+    """Engine self-consistency, not an independent check: on the table
+    knots through 6 crossings the case-1 invariant is unchanged by p -> 1/p,
+    and the mirror word gives Q -> 1/Q (Y -> Y in both); the trefoil and its
+    mirror differ."""
+    m = QUANTUM.mono
+    Y = QUANTUM.var("Y")
+    p_inv = {"p": m(1, p=-1), "Q": m(1, Q=1), "Y": Y}
+    q_inv = {"p": m(1, p=1), "Q": m(1, Q=-1), "Y": Y}
+    knots = {r.name: r.word for r in load_table()
+             if int(r.name.split("_")[0]) <= 6}
+    assert len(knots) == 7
+    for name, word in knots.items():
+        inv = engine.ambient_invariant(word, 1)
+        assert map_poly(inv, QUANTUM, p_inv) == inv, name
+        assert engine.ambient_invariant(word.mirror(), 1) == \
+            map_poly(inv, QUANTUM, q_inv), name
+    trefoil = knots["3_1"]
+    assert engine.ambient_invariant(trefoil, 1) != \
+        engine.ambient_invariant(trefoil.mirror(), 1)

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_poly
-from gaugeknot.ring import (CONST, QONLY, QUANTUM, TRIG, CRat, RationalLaurent,
-                            Ring, RingError, divexact, evaluate, map_poly,
-                            qbracket)
+from gaugeknot.ring import (CONST, EXP_BIAS, QONLY, QUANTUM, TRIG, CRat,
+                            RationalLaurent, Ring, RingError, canonical_str,
+                            divexact, evaluate, map_poly, qbracket)
 
 
 def test_add_examples():
@@ -368,3 +368,125 @@ def test_canonical_string_is_stable(rng):
 def test_const_ring():
     assert CONST.one + CONST.one == CONST.mono(2)
     assert (CONST.mono(2) * CONST.mono(3)) == CONST.mono(6)
+
+
+# ---------------------------------------------------------------------------
+# Packed keys: one int per monomial, a biased field per variable.
+
+LO, HI = -EXP_BIAS, EXP_BIAS - 1
+
+
+def _laurent_names(ring):
+    return [n for n in ring.names if n != "Y"]
+
+
+def test_exponent_range_is_checked_at_ring_poly():
+    for ring in (QUANTUM, TRIG, QONLY):
+        for name in _laurent_names(ring):
+            for x in (LO, HI):
+                assert ring.var(name, x).degree_in(name) == x
+            for bad in (LO - 1, HI + 1):
+                with pytest.raises(RingError):
+                    ring.var(name, bad)
+                exps = [0] * len(ring.names)
+                exps[ring.index[name]] = bad
+                with pytest.raises(RingError):
+                    ring.poly({tuple(exps): 1})
+    # -LO is one past the top
+    with pytest.raises(RingError):
+        QUANTUM.var("p", LO).invert_monomial()
+    assert QUANTUM.var("p", -HI).invert_monomial() == QUANTUM.var("p", HI)
+
+
+def test_exponent_range_is_checked_at_map_poly():
+    m = QUANTUM.mono
+    Y = QUANTUM.var("Y")
+    double = {"p": m(1, p=2), "Q": m(1, Q=1), "Y": Y}
+    assert map_poly(m(1, p=HI // 2), QUANTUM, double) == m(1, p=HI - 1)
+    assert map_poly(m(1, p=LO // 2), QUANTUM, double) == m(1, p=LO)
+    for x in (HI // 2 + 1, LO // 2 - 1):
+        with pytest.raises(RingError):
+            map_poly(m(1, p=x), QUANTUM, double)
+    # p -> 1/p on the lowest exponent
+    with pytest.raises(RingError):
+        map_poly(m(1, p=LO), QUANTUM, {"p": m(1, p=-1), "Q": m(1, Q=1),
+                                       "Y": Y})
+    # Q -> p adds into p's field, which p -> p keeps
+    swap = {"p": m(1, p=1), "Q": m(1, p=1), "Y": Y}
+    assert map_poly(m(1, p=HI - 1, Q=1), QUANTUM, swap) == m(1, p=HI)
+    with pytest.raises(RingError):
+        map_poly(m(1, p=HI, Q=1), QUANTUM, swap)
+    # into another ring, and on a poly whose other terms are in range
+    to_q = {"p": QONLY.var("Q", 2), "Q": QONLY.var("Q"), "Y": QONLY.one}
+    with pytest.raises(RingError):
+        map_poly(m(1, Q=2) + m(1, p=HI // 2, Q=2), QONLY, to_q)
+    assert map_poly(m(1, p=HI // 2, Q=1), QONLY, to_q) == QONLY.var("Q", HI)
+    # image exponents lie in [-4096, 4095]
+    for x, ok in ((4095, True), (-4096, True), (4096, False), (-4097, False)):
+        images = {"p": m(1, p=x), "Q": m(1, Q=1), "Y": Y}
+        if ok:
+            assert map_poly(m(1, p=1), QUANTUM, images) == m(1, p=x)
+        else:
+            with pytest.raises(RingError):
+                map_poly(m(1, p=1), QUANTUM, images)
+
+
+def test_product_overflow_raises_instead_of_carrying():
+    for ring in (QUANTUM, TRIG, QONLY):
+        for name in _laurent_names(ring):
+            up = ring.var(name, EXP_BIAS // 4)
+            up = up * up
+            assert up.degree_in(name) == EXP_BIAS // 2
+            for bad in (lambda: up * up, lambda: up ** 2,
+                        lambda: (up + ring.one) * (up - ring.one)):
+                with pytest.raises(RingError):
+                    bad()
+            down = ring.var(name, -EXP_BIAS // 2)
+            assert down * down == ring.var(name, LO)
+            with pytest.raises(RingError):
+                down * down * down
+
+
+def test_y_fold_with_y_between_fields():
+    """In TRIG, Y's field sits between Q's and Aa's; the Y**2 fold leaves
+    every other field as it should."""
+    Y = TRIG.var("Y")
+    a = TRIG.mono(3, Q=-5, Aa=7, X=-2, Sv=4)
+    b = TRIG.mono(-2, Q=1, Aa=-9, Ru=3)
+    # a*b = -6 Q^-4 Aa^-2 X^-2 Ru^3 Sv^4 times Aa^2 Q^2 + Aa^-2 Q^-2 - Q^2 - Q^-2
+    expect = TRIG.poly({(-2, 0, 0, -2, 0, 3, 0, 0, 4): -6,
+                        (-6, 0, -4, -2, 0, 3, 0, 0, 4): -6,
+                        (-2, 0, -2, -2, 0, 3, 0, 0, 4): 6,
+                        (-6, 0, -2, -2, 0, 3, 0, 0, 4): 6})
+    assert (a * Y) * (b * Y) == expect
+    assert (Y * a) * Y * b * Y == expect * Y
+    # the fold's own sums are range-checked
+    with pytest.raises(RingError):
+        TRIG.mono(1, Q=HI - 1, Y=1) * Y
+
+
+def _tuple_str(poly):
+    """The text form from the tuple view, terms sorted as exponent tuples."""
+    if not poly.terms:
+        return "0"
+    parts = []
+    for e, (a, b) in sorted(poly.terms.items(), reverse=True):
+        factors = [str(a) if b == 0 else f"({a}{'+' if b >= 0 else '-'}{abs(b)}i)"]
+        factors += [f"{n}^{x}" for n, x in zip(poly.ring.names, e) if x]
+        parts.append(" * ".join(factors))
+    return " + ".join(parts).replace(" + -", " - ")
+
+
+@pytest.mark.parametrize("ring", [QUANTUM, TRIG, QONLY, CONST],
+                         ids=["QUANTUM", "TRIG", "QONLY", "CONST"])
+def test_packed_keys_follow_tuple_order_and_round_trip(rng, ring):
+    for _ in range(100):
+        x = rand_poly(rng, ring, max_terms=6, span=40)
+        for poly in (x, x * rand_poly(rng, ring)):
+            assert canonical_str(poly) == _tuple_str(poly)
+            assert ring.poly(dict(poly.terms)) == poly
+            assert len(poly) == len(poly.terms)
+            if poly.terms:
+                assert poly.leading() == max(poly.terms.items())
+            with pytest.raises(TypeError):
+                poly.terms[(0,) * len(ring.names)] = (1, 0)
