@@ -20,10 +20,10 @@ class BraidWord:
     letters: tuple
 
     def __post_init__(self):
-        if self.strands < 1:
-            raise BraidError(f"need at least one strand, got {self.strands}")
+        # type, not isinstance: bool is an int subclass
+        if type(self.strands) is not int or self.strands < 1:
+            raise BraidError(f"need at least one strand, got {self.strands!r}")
         for k in self.letters:
-            # type, not isinstance: bool is an int subclass
             if type(k) is not int or k == 0 or abs(k) >= self.strands:
                 raise BraidError(
                     f"letter {k!r} invalid on {self.strands} strands")

@@ -125,8 +125,6 @@ def _cmd_invariant(args, parser):
     else:
         for a in range(4):
             print(f"[{a + 1}][{a + 1}]  {matrix[a][a]}")
-        if not inv.is_diagonal():
-            print("warning: off-diagonal entries present")
     return EX_OK
 
 

@@ -11,13 +11,15 @@ single-loop identity (that closure of one letter on two strands)
 
 into invariance of the closure under Markov stabilization.
 
-The closure reads, for input column s, only the outputs that agree with s on
-strands 2..n.  ``tangle_invariant`` and ``verify_handle`` therefore run the
-product closure-only: a state is dropped as soon as no later letter touches a
-strand 2..n on which it differs from s, before any of its products is formed.
-The closure still builds all 16 entries, so ``scalar`` and ``is_diagonal``
-check what the full product would give.  ``represent`` gives the full product
-unless asked for ``closure_only``.
+The closure reads, for input column s, the outputs that agree with s on
+strands 2..n.  ``StateModel`` refuses a sigma or sigma^-1 that does not
+conserve rmat's ``CHARGE``, the one check the closure rests on: the four
+indices have four different charges, so such an output agrees with s on
+strand 1 too, and the closed 4x4 matrix is diagonal by construction.
+``tangle_invariant`` and ``verify_handle`` run the product closure-only: a
+state is dropped as soon as no later letter touches a strand on which it
+differs from s, before any of its products is formed.  ``represent`` gives
+the full product unless asked for ``closure_only``.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ class StateModel:
     C: tuple          # 4 diagonal handle entries (LaurentPoly)
     kappa: LaurentPoly
 
+    def __post_init__(self):
+        for name in ("sigma", "sigma_inv"):
+            if not getattr(self, name).conserves_charge():
+                raise EngineError(f"case {self.case} {self.isotopy}: {name} "
+                                  f"does not conserve the charge")
+
     @property
     def ring(self):
         return self.sigma.ring
@@ -61,19 +69,15 @@ class StateModel:
 
 @dataclass
 class TangleInvariant:
-    matrix: list      # 4x4 of LaurentPoly
+    matrix: list      # 4x4 of LaurentPoly, zero off the diagonal
 
     def diagonal(self):
         return [self.matrix[a][a] for a in range(4)]
 
-    def is_diagonal(self):
-        return all(self.matrix[a][b].is_zero()
-                   for a in range(4) for b in range(4) if a != b)
-
     def scalar(self):
         """The scalar when the matrix is that multiple of the identity."""
         d = self.matrix[0][0]
-        if not self.is_diagonal() or any(x != d for x in self.diagonal()):
+        if any(x != d for x in self.diagonal()):
             raise EngineError("tangle invariant is not scalar")
         return d
 
@@ -167,19 +171,20 @@ def _letters(word, sigma, sigma_inv):
 
 
 def _close(mod, columns):
-    """Close every strand but the first with C: M[a][b] sums C[s[1]] ...
-    C[s[n-1]] * image(s)[(a,) + s[1:]] over input columns s with s[0] = b."""
+    """Close every strand but the first with C: M[b][b] sums C[s[1]] ...
+    C[s[n-1]] * image(s)[s] over input columns s with s[0] = b.  The
+    entries off the diagonal are zero, as the model conserves the charge."""
     zero = mod.ring.zero
     M = [[zero] * 4 for _ in range(4)]
     for s, images in columns:
+        v = images.get(s)
+        if v is None:
+            continue
         weight = mod.ring.one
         for c in s[1:]:
             weight = weight * mod.C[c - 1]
-        b = s[0]
-        for a in range(1, 5):
-            v = images.get((a,) + s[1:])
-            if v is not None:
-                M[a - 1][b - 1] = M[a - 1][b - 1] + weight * v
+        b = s[0] - 1
+        M[b][b] = M[b][b] + weight * v
     return M
 
 
@@ -193,8 +198,7 @@ def verify_handle(mod):
     exp_minus = tuple(d.invert_monomial() for d in exp_plus)
     for op, expected in ((mod.sigma, exp_plus), (mod.sigma_inv, exp_minus)):
         T = _close(mod, _columns(ring, 2, [(1, op)], closure_only=True))
-        if T != [[expected[a] if a == b else ring.zero for b in range(4)]
-                 for a in range(4)]:
+        if [T[a][a] for a in range(4)] != list(expected):
             return False
     return True
 
@@ -203,11 +207,11 @@ def represent(word, mod, term_budget=DEFAULT_TERM_BUDGET, closure_only=False):
     """Sparse representation of a braid word: a map from each input basis
     multi-index to its sparse image {output multi-index: coefficient}.
 
-    With ``closure_only`` each image keeps only the outputs the
-    (1,1)-closure reads, those equal to the input on strands 2..n, and
-    columns with none are left out; the rest of the product is never
-    computed.  The term budget counts the terms of the images stored here,
-    so in that mode only of the closure-read ones."""
+    With ``closure_only`` each image keeps only its output at the input
+    column itself, the one output the (1,1)-closure reads, and columns
+    without it are left out; the rest of the product is never computed.
+    The term budget counts the terms of the images stored here, so in that
+    mode only of the closure-read ones."""
     out = {}
     stored = 0
     letters = _letters(word, mod.sigma, mod.sigma_inv)

@@ -737,18 +737,15 @@ def map_poly(poly, target_ring, images):
 def divexact(num, den):
     """Exact division by a Y-free divisor (RingError if it does not divide).
 
-    The numerator's two Y-components are divided separately.  This is the
-    ring's one exact division; ``RationalLaurent`` folds monomial
+    Y is divided as an ordinary field of the key: multiplying by a Y-free
+    divisor never changes a key's Y field, so no Y**2 fold can occur.  This
+    is the ring's one exact division; ``RationalLaurent`` folds monomial
     denominators with it.
     """
     ring = num.ring
     ys = ring._ys
     if ys is not None and any((k >> ys) & 3 for k in den._t):
         raise RingError("divisor must be Y-free")
-    if ys is not None and any((k >> ys) & 3 for k in num._t):
-        part0 = num.coeff_of("Y", 0)
-        part1 = num.coeff_of("Y", 1)
-        return divexact(part0, den) + divexact(part1, den) * ring.var("Y")
     if num.is_zero():
         return ring.zero
     # Shift both operands into the ordinary-polynomial cone, unbiased, so

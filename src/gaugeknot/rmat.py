@@ -3,10 +3,12 @@ limits, and the four constant quantum R-matrices.
 
 Operators act on a two-site space (C^4 tensor C^4).  An entry stored under the
 key ``(a, b, c, d)`` is the coefficient of the matrix unit ``e^{ab}_{cd}``
-sending ``|c,d>`` to ``|a,b>``.  All entries conserve the grading
-weight w(1)=0, w(2)=w(3)=1, w(4)=2, so each operator is block-diagonal in
-the weight sectors; ``invert`` works one sector at a time, while the eigen
-checks evaluate the full 16x16 matrix.
+sending ``|c,d>`` to ``|a,b>``.  All entries conserve ``CHARGE``, the pair
+(grading weight, n(2) - n(3)) summed over both sites, so each operator is
+block-diagonal in the 9 charge sectors; ``invert`` works one sector at a
+time, while the eigen checks evaluate the full 16x16 matrix.  The four
+indices have four different charges, so in a product of such operators a
+state that agrees with its input on all strands but one agrees on all.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from itertools import product
 from .ring import (CRat, QUANTUM, RationalLaurent, RingError, TRIG, divexact,
                    evaluate, map_poly, qbracket)
 
-WEIGHT = {1: 0, 2: 1, 3: 1, 4: 2}
+#: (weight, n(2) - n(3)) of each index: the charge every operator conserves.
+CHARGE = {1: (0, 0), 2: (1, 1), 3: (1, -1), 4: (2, 0)}
 
 #: Exact rational sample points (p, Q, y, sign) with
 #: p**2 + p**-2 - Q**2 - Q**-2 equal to +y**2 (sign +1, Y = y) or
@@ -45,6 +48,11 @@ def sample_assignment(point):
     p, q, y, sign = point
     yv = CRat(y) if sign > 0 else CRat(0, y)
     return {"p": CRat(p), "Q": CRat(q), "Y": yv}
+
+
+def _charge(a, b):
+    """The charge of the two-site basis state |a,b>."""
+    return tuple(x + y for x, y in zip(CHARGE[a], CHARGE[b]))
 
 
 class SparseROp:
@@ -76,8 +84,8 @@ class SparseROp:
     def scale(self, s):
         return self.map_entries(lambda v: v * s)
 
-    def conserves_weight(self):
-        return all(WEIGHT[a] + WEIGHT[b] == WEIGHT[c] + WEIGHT[d]
+    def conserves_charge(self):
+        return all(_charge(a, b) == _charge(c, d)
                    for (a, b, c, d) in self.entries)
 
     def sorted_items(self):
@@ -96,21 +104,22 @@ def _columns(ring, strands, letters, closure_only=False):
     lexicographic order.
 
     With ``closure_only`` it yields only what the (1,1)-closure reads: the
-    images whose output agrees with the input on strands 2..strands.  Once
-    no later letter touches such a strand, a state that differs there from
-    the input is dropped before its product is formed, so its successors are
-    never computed.  The images kept are exactly those of the full product.
+    image of each input column at that same column.  Once no later letter
+    touches a strand, a state that differs there from the input is dropped
+    before its product is formed, so its successors are never computed.  The
+    image kept is exactly that of the full product.  For charge-conserving
+    operators it is all the closure could read: an output that agrees with
+    the input on strands 2..strands agrees on strand 1 too.
     """
-    # Per letter, the run of strands 2..strands it sets for good (it touches
-    # them, no later letter does; empty without closure_only), and a table of
-    # its transitions kept for each value the input has on that run.
+    # Per letter, the run of strands it sets for good (it touches them, no
+    # later letter does; empty without closure_only), and a table of its
+    # transitions kept for each value the input has on that run.
     steps = []
     tables = {}
     later = set()
     for pos, op in reversed(letters):
         lo = pos - 1
-        fixed = [j for j in (lo, lo + 1)
-                 if closure_only and j > 0 and j not in later]
+        fixed = [j for j in (lo, lo + 1) if closure_only and j not in later]
         later.update((lo, lo + 1))
         run = slice(fixed[0], fixed[-1] + 1) if fixed else slice(lo, lo)
         table = tables.setdefault((id(op), run.start - lo, run.stop - lo), {})
@@ -458,14 +467,15 @@ def claimed_eigenvalues(index):
 # Exact linear algebra on two-site operators.
 
 def _blocks(op):
-    """The 16 pair-indices grouped into weight sectors (sizes 1, 4, 6, 4, 1);
-    RingError when the operator mixes sectors."""
-    if not op.conserves_weight():
-        raise RingError("operator mixes weight sectors")
+    """The 16 pair-indices grouped into the 9 charge sectors (sizes 1, 2 and
+    4); RingError when the operator does not conserve the charge."""
+    if not op.conserves_charge():
+        raise RingError("operator does not conserve the charge "
+                        "(weight, n(2) - n(3))")
     sectors = {}
     for a in range(1, 5):
         for b in range(1, 5):
-            sectors.setdefault(WEIGHT[a] + WEIGHT[b], []).append((a, b))
+            sectors.setdefault(_charge(a, b), []).append((a, b))
     return list(sectors.values())
 
 
@@ -483,7 +493,7 @@ def _det(M, ring):
 
 
 def invert(R):
-    """Exact inverse of a weight-conserving two-site operator with polynomial
+    """Exact inverse of a charge-conserving two-site operator with polynomial
     entries, sector by sector as adj(B) / det(B).  Each sector determinant
     must be a unit monomial (RingError otherwise), so the inverse's entries
     are polynomials; the result is checked to be a right inverse."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import RingError, divexact, map_poly
+from .ring import RingError, TRIG, divexact, map_poly
 from .rmat import SparseROp, _columns
 
 
@@ -77,19 +77,15 @@ def _cleared(R):
     return SparseROp(R.ring, out)
 
 
-def _v_images(ring):
-    """u -> v: X, Ru, Su to Xv, Rv, Sv; every other variable fixed."""
-    images = {n: ring.var(n) for n in ring.names}
-    images.update(X=ring.var("Xv"), Ru=ring.var("Rv"), Su=ring.var("Sv"))
-    return images
-
-
-def _uv_images(ring):
-    """u -> u + v: X, Ru, Su to X Xv, Ru Rv, Su Sv."""
-    images = _v_images(ring)
-    for n in ("X", "Ru", "Su"):
-        images[n] = ring.var(n) * images[n]
-    return images
+#: ``map_poly`` images over TRIG: u -> v sends X, Ru, Su to Xv, Rv, Sv,
+#: u -> u + v sends them to X Xv, Ru Rv, Su Sv, and u = v = 0 sends all six
+#: to 1; every other variable is fixed.
+_V_IMAGES = {n: TRIG.var(n) for n in TRIG.names}
+_V_IMAGES.update(X=TRIG.var("Xv"), Ru=TRIG.var("Rv"), Su=TRIG.var("Sv"))
+_UV_IMAGES = {**_V_IMAGES, **{n: TRIG.var(n) * _V_IMAGES[n]
+                              for n in ("X", "Ru", "Su")}}
+_ZERO_IMAGES = {n: TRIG.one if n in ("X", "Ru", "Su", "Xv", "Rv", "Sv")
+                else TRIG.var(n) for n in TRIG.names}
 
 
 def _shift(op, images):
@@ -108,8 +104,8 @@ def verify_tybe_additive(R):
 def _tybe_sides(R):
     """Both sides of the cleared equation as words, first letter first."""
     P = _cleared(R)
-    Pv = _shift(P, _v_images(P.ring))
-    Puv = _shift(P, _uv_images(P.ring))
+    Pv = _shift(P, _V_IMAGES)
+    Puv = _shift(P, _UV_IMAGES)
     return [(2, Pv), (1, Puv), (2, P)], [(1, P), (2, Puv), (1, Pv)]
 
 
@@ -121,23 +117,16 @@ def verify_gauge_properties(A, R):
     * A(0) = I and A(u) A(-u) = I,
     * the two-site diagonal A_1(v) A_2(v) commutes with R.
     """
-    ring = A.diag[0].ring
-    v_images = _v_images(ring)
-    uv_images = _uv_images(ring)
-
     def to_v(p):
-        return map_poly(p, ring, v_images)
+        return map_poly(p, TRIG, _V_IMAGES)
 
     def to_uv(p):
-        return map_poly(p, ring, uv_images)
+        return map_poly(p, TRIG, _UV_IMAGES)
 
     def at_zero(p):
-        images = {n: ring.var(n) for n in ring.names}
-        images.update({n: ring.one for n in ("X", "Ru", "Su",
-                                             "Xv", "Rv", "Sv")})
-        return map_poly(p, ring, images)
+        return map_poly(p, TRIG, _ZERO_IMAGES)
 
-    one = ring.one
+    one = TRIG.one
     if A.diag[0] != one:
         return YBEReport(False, ("diag", 1), A.diag[0], one)
     want4 = A.diag[1] * A.diag[2]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gaugeknot import braid
+from gaugeknot import braid, rmat
 from gaugeknot.ring import QUANTUM
 
 
@@ -29,6 +29,15 @@ def rand_knot_word(rng, strands=4, length=8):
         word = braid.BraidWord(strands, letters)
         if braid.closure_components(word) == 1:
             return word
+
+
+def charge_mixing_op(ring=QUANTUM):
+    """The identity plus two entries that conserve the weight but not
+    n(2) - n(3): index 3 turns into 2 on the lower strand (key (1, 2, 1, 3))
+    and on the higher one (key (2, 1, 3, 1))."""
+    entries = dict(rmat.identity_op(ring).entries)
+    entries[(1, 2, 1, 3)] = entries[(2, 1, 3, 1)] = ring.one
+    return rmat.SparseROp(ring, entries)
 
 
 @pytest.fixture

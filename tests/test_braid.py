@@ -36,6 +36,9 @@ def test_word_validation():
         braid.BraidWord(0, ())
     with pytest.raises(braid.BraidError):
         braid.BraidWord(2, (True,))
+    for strands, letters in ((2.0, (1,)), ("3", ()), (True, ()), (None, ())):
+        with pytest.raises(braid.BraidError):
+            braid.BraidWord(strands, letters)
 
 
 def test_inverse_and_mirror():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import rand_knot_word
+from conftest import charge_mixing_op, rand_knot_word
 from gaugeknot import braid, engine, rmat
 from gaugeknot.harness import load_table
 from gaugeknot.ring import CONST, QONLY, QUANTUM, map_poly
@@ -149,11 +149,21 @@ def test_closure_only_is_the_closure_read_part(rng):
             engine._close(mod, full.items())
 
 
+def test_state_model_refuses_a_charge_mixing_operator():
+    mod = engine.model(3, "regular")
+    bad = charge_mixing_op()
+    for sigma, sigma_inv, name in ((bad, mod.sigma_inv, "sigma"),
+                                   (mod.sigma, bad, "sigma_inv")):
+        with pytest.raises(engine.EngineError,
+                           match=f"{name} does not conserve the charge"):
+            engine.StateModel(3, "regular", sigma, sigma_inv, mod.C,
+                              mod.kappa)
+
+
 def test_unknot_invariant_is_identity():
     for case, isotopy in ALL_MODELS:
         mod = engine.model(case, isotopy)
         inv = engine.tangle_invariant(UNKNOT, mod)
-        assert inv.is_diagonal()
         assert inv.scalar().is_one()
 
 
@@ -166,7 +176,6 @@ def test_link_closure_rejected():
 def test_trefoil_case2_regular():
     m = QUANTUM.mono
     inv = engine.tangle_invariant(TREFOIL, engine.model(2, "regular"))
-    assert inv.is_diagonal()
     minus = m(1, p=-5, Q=2) - m(1, p=-3) + m(1, p=-1, Q=-2)
     plus = m(1, p=5, Q=2) - m(1, p=3) + m(1, p=1, Q=-2)
     assert inv.diagonal() == [minus, minus, plus, plus]

@@ -295,8 +295,21 @@ def test_divexact(rng):
         if b.is_zero():
             continue
         assert divexact(a * b, b) == a
+    # Y-carrying numerators, Y last (QUANTUM) and between Q and Aa (TRIG)
+    for ring in (QUANTUM, TRIG):
+        y = ring.var("Y")
+        for _ in range(30):
+            a = rand_poly(rng, ring, max_terms=3)
+            b = rand_poly(rng, ring, max_terms=3).coeff_of("Y", 0)
+            if b.is_zero():
+                continue
+            assert divexact(a * b, b) == a
+            assert divexact(a * b * y, b) == a * y
     with pytest.raises(RingError):
         divexact(QUANTUM.var("Q") + QUANTUM.one, QUANTUM.var("p") + QUANTUM.one)
+    Q, Y, Aa = (TRIG.var(n) for n in ("Q", "Y", "Aa"))
+    with pytest.raises(RingError):
+        divexact(Y * Q + Aa, Q + Aa)
 
 
 def test_divexact_many_terms_by_a_monomial():

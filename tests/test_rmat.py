@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import charge_mixing_op
 from gaugeknot import rmat
 from gaugeknot.ring import (QUANTUM, TRIG, RationalLaurent, RingError,
                             map_poly, qbracket)
@@ -65,7 +66,7 @@ def test_quantum_diagonal_components():
 def test_weight_conservation():
     for op in (rmat.build_trig_gauged(), rmat.build_trig_gauge_free(),
                *(rmat.quantum_r(i) for i in (1, 2, 3, 4))):
-        assert op.conserves_weight()
+        assert op.conserves_charge()
 
 
 def test_gauge_matrix():
@@ -168,8 +169,27 @@ def test_invert_refuses_a_weight_mixing_operator():
     ident = rmat.identity_op(QUANTUM)
     entries = dict(ident.entries)
     entries[(2, 1, 1, 1)] = QUANTUM.one      # weight 1 <- weight 0
-    with pytest.raises(RingError, match="mixes weight sectors"):
+    with pytest.raises(RingError, match="does not conserve the charge"):
         rmat.invert(rmat.SparseROp(QUANTUM, entries))
+
+
+def test_invert_refuses_a_charge_mixing_operator():
+    """Conserving the weight alone is not enough: invert works in the 9
+    charge sectors."""
+    op = charge_mixing_op()
+    assert not op.conserves_charge()
+    with pytest.raises(RingError, match=r"charge \(weight, n\(2\) - n\(3\)\)"):
+        rmat.invert(op)
+
+
+def test_closure_only_prunes_strand_one():
+    """The closure-only product keeps each column's image at the input
+    column only, also where the operator changes strand 1 alone."""
+    op = charge_mixing_op()
+    full = dict(rmat._columns(QUANTUM, 2, [(1, op)]))
+    assert set(full[(3, 1)]) == {(3, 1), (2, 1)}
+    fast = dict(rmat._columns(QUANTUM, 2, [(1, op)], closure_only=True))
+    assert fast == {s: {s: full[s][s]} for s in full}
 
 
 def test_eigen_check_counts():
