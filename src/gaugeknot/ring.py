@@ -52,16 +52,20 @@ class RingError(ValueError):
 
 
 class CRat:
-    """Exact complex rational a + b*i with Fraction components."""
+    """Exact complex rational a + b*i with Fraction components.  Each part
+    must be an int (not a bool) or a Fraction; anything else, a float or a
+    string among them, raises RingError."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = _part(re)
+        self.im = _part(im)
 
     def __add__(self, other):
         other = _crat(other)
+        if other is NotImplemented:
+            return other
         return CRat(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -70,13 +74,21 @@ class CRat:
         return CRat(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-_crat(other))
+        other = _crat(other)
+        if other is NotImplemented:
+            return other
+        return CRat(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return _crat(other) + (-self)
+        other = _crat(other)
+        if other is NotImplemented:
+            return other
+        return CRat(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
         other = _crat(other)
+        if other is NotImplemented:
+            return other
         return CRat(self.re * other.re - self.im * other.im,
                     self.re * other.im + self.im * other.re)
 
@@ -84,6 +96,8 @@ class CRat:
 
     def __truediv__(self, other):
         other = _crat(other)
+        if other is NotImplemented:
+            return other
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero CRat")
@@ -91,7 +105,10 @@ class CRat:
                     (self.im * other.re - self.re * other.im) / n)
 
     def __rtruediv__(self, other):
-        return _crat(other) / self
+        other = _crat(other)
+        if other is NotImplemented:
+            return other
+        return other / self
 
     def __pow__(self, k):
         if k < 0:
@@ -107,6 +124,8 @@ class CRat:
 
     def __eq__(self, other):
         other = _crat(other)
+        if other is NotImplemented:
+            return other
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -121,10 +140,23 @@ class CRat:
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
 
 
+def _part(x):
+    """A CRat part as a Fraction; RingError unless an int or a Fraction."""
+    if isinstance(x, Fraction):
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    raise RingError(f"CRat parts are ints or Fractions, not {x!r}")
+
+
 def _crat(x):
+    """An arithmetic operand as a CRat, or NotImplemented unless it is a
+    CRat, an int (not a bool) or a Fraction."""
     if isinstance(x, CRat):
         return x
-    return CRat(x)
+    if type(x) is int or isinstance(x, Fraction):
+        return CRat(x)
+    return NotImplemented
 
 
 class Ring:
@@ -638,7 +670,8 @@ def _q_power(ring, const=0, alpha=0, u=0):
 
 
 def evaluate(poly, assignment):
-    """Exact evaluation of a polynomial at {name: CRat/Fraction/int} points.
+    """Exact evaluation of a polynomial at {name: CRat/Fraction/int} points;
+    RingError for any other value, a float among them.
 
     A Y-ring requires a "Y" value whose square equals the evaluated rewrite
     relation.
@@ -648,7 +681,8 @@ def evaluate(poly, assignment):
     for name in ring.names:
         if name not in assignment:
             raise RingError(f"missing assignment for {name}")
-        vals[name] = _crat(assignment[name])
+        x = assignment[name]
+        vals[name] = x if isinstance(x, CRat) else CRat(x)
     ys = ring._ys
     if ys is not None and any((k >> ys) & 3 for k in poly._t):
         y = vals["Y"]

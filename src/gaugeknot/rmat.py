@@ -6,9 +6,14 @@ key ``(a, b, c, d)`` is the coefficient of the matrix unit ``e^{ab}_{cd}``
 sending ``|c,d>`` to ``|a,b>``.  All entries conserve ``CHARGE``, the pair
 (grading weight, n(2) - n(3)) summed over both sites, so each operator is
 block-diagonal in the 9 charge sectors; ``invert`` works one sector at a
-time, while the eigen checks evaluate the full 16x16 matrix.  The four
-indices have four different charges, so in a product of such operators a
-state that agrees with its input on all strands but one agrees on all.
+time, while the eigen checks evaluate the full 16x16 matrix M at exact
+sample points.  They clear M's denominators once, with the least common
+denominator D, and run on D*M over the Gaussian integers, stored as
+``(re, im)`` int pairs: the characteristic polynomial by the
+Faddeev-LeVerrier recursion, and kernel dimensions by fraction-free
+elimination.  The four indices have four different charges, so in a
+product of such operators a state that agrees with its input on all
+strands but one agrees on all.
 """
 
 from __future__ import annotations
@@ -523,47 +528,83 @@ def invert(R):
 
 
 # ---------------------------------------------------------------------------
-# Eigen-data checks at exact rational sample points.
+# Eigen-data checks at exact sample points, over the Gaussian integers.
 
 def _eval_matrix(R, assignment):
-    """16x16 CRat matrix of a polynomial operator at an exact point."""
+    """The 16x16 matrix M of a polynomial operator at an exact point, as
+    ``(A, D)``: ``D`` is the least positive int that clears every
+    denominator of M's real and imaginary parts, and ``A = D * M`` is a
+    list of rows of Gaussian integers ``(re, im)``."""
     idx = lambda a, b: 4 * (a - 1) + (b - 1)
-    M = [[CRat(0)] * 16 for _ in range(16)]
-    for (a, b, c, d), v in R.entries.items():
-        M[idx(a, b)][idx(c, d)] = evaluate(v, assignment)
-    return M
+    vals = {(idx(a, b), idx(c, d)): evaluate(v, assignment)
+            for (a, b, c, d), v in R.entries.items()}
+    D = math.lcm(*(x.denominator for v in vals.values() for x in (v.re, v.im)))
+    A = [[(0, 0)] * 16 for _ in range(16)]
+    for (i, j), v in vals.items():
+        A[i][j] = (v.re.numerator * (D // v.re.denominator),
+                   v.im.numerator * (D // v.im.denominator))
+    return A, D
 
 
-def charpoly(M):
-    """Monic characteristic polynomial coefficients [c0..cn] (c0 = x^n term)
-    by the Faddeev-LeVerrier recursion over exact rationals."""
-    n = len(M)
-    coeffs = [CRat(1)]
-    Mk = [[CRat(1) if i == j else CRat(0) for j in range(n)] for i in range(n)]
+def _sparse_rows(A):
+    """The nonzero entries of each row of a Gaussian-integer matrix, as
+    ``(column, re, im)``."""
+    return [[(j, re, im) for j, (re, im) in enumerate(row) if re or im]
+            for row in A]
+
+
+def _gauss_mul(rows, B):
+    """The product of a Gaussian-integer matrix, given by ``_sparse_rows``,
+    and a square Gaussian-integer matrix ``B``."""
+    n = len(B)
+    out = []
+    for row in rows:
+        res = [0] * n
+        ims = [0] * n
+        for k, a, b in row:
+            for j, (c, d) in enumerate(B[k]):
+                res[j] += a * c - b * d
+                ims[j] += a * d + b * c
+        out.append(list(zip(res, ims)))
+    return out
+
+
+def charpoly(A):
+    """Coefficients [a0..an] (a0 = 1, the x^n term) of det(xI - A) for a
+    square matrix of Gaussian integers ``(re, im)``, by the Faddeev-LeVerrier
+    recursion in integers: N1 = I, a_k = -tr(A N_k) / k and
+    N_{k+1} = A N_k + a_k I.  Each division by k must be exact; RingError if
+    one leaves a remainder or an entry is not a pair of ints.  For
+    ``A = D * M`` the coefficients of M's polynomial are a_k / D**k."""
+    n = len(A)
+    for row in A:
+        if len(row) != n or not all(
+                isinstance(e, tuple) and len(e) == 2
+                and type(e[0]) is int and type(e[1]) is int for e in row):
+            raise RingError("charpoly needs a square matrix of Gaussian "
+                            "integers (re, im)")
+    rows = _sparse_rows(A)
+    coeffs = [(1, 0)]
+    N = [[(1, 0) if i == j else (0, 0) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        Mk = _mat_mul(M, Mk)
-        tr = sum((Mk[i][i] for i in range(n)), CRat(0))
-        c = tr / CRat(-k)
-        coeffs.append(c)
-        for i in range(n):
-            Mk[i][i] = Mk[i][i] + c
+        N = _gauss_mul(rows, N)
+        tr_re = sum(N[i][i][0] for i in range(n))
+        tr_im = sum(N[i][i][1] for i in range(n))
+        c_re, r_re = divmod(-tr_re, k)
+        c_im, r_im = divmod(-tr_im, k)
+        if r_re or r_im:
+            raise RingError(f"trace {tr_re} + {tr_im}i of step {k} "
+                            f"is not divisible by {k}")
+        coeffs.append((c_re, c_im))
+        _add_to_diagonal(N, c_re, c_im)
     return coeffs
 
 
-def _mat_mul(A, B):
-    n = len(A)
-    out = [[CRat(0)] * n for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for k in range(n):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                row = out[i]
-                for j in range(n):
-                    if Bk[j]:
-                        row[j] = row[j] + a * Bk[j]
-    return out
+def _add_to_diagonal(N, c_re, c_im):
+    """N + c I, in place, for a Gaussian-integer matrix N."""
+    for i in range(len(N)):
+        re, im = N[i][i]
+        N[i][i] = (re + c_re, im + c_im)
 
 
 def _root_multiplicity(coeffs, lam):
@@ -594,7 +635,9 @@ class EigenReport:
 def eigen_check(R, claimed, points=None, min_points=5):
     """Confirm at exact sample points that the 16x16 spectrum equals the
     claimed list of polynomials (with multiplicities found from the
-    characteristic polynomial)."""
+    characteristic polynomial).  At each point the polynomial is that of
+    ``A = D * M`` over the Gaussian integers, whose roots are D times the
+    eigenvalues of M."""
     if points is None:
         points = [sample_assignment(pt) for pt in SAMPLE_POINTS]
     used = 0
@@ -603,11 +646,11 @@ def eigen_check(R, claimed, points=None, min_points=5):
         vals = [evaluate(c, assignment) for c in claimed]
         if len(set(vals)) != len(vals):
             continue  # eigenvalue collision at this point; skip it
-        M = _eval_matrix(R, assignment)
-        coeffs = charpoly(M)
+        A, D = _eval_matrix(R, assignment)
+        coeffs = [CRat(*c) for c in charpoly(A)]
         got = {}
         for c, v in zip(claimed, vals):
-            m, coeffs = _root_multiplicity(coeffs, v)
+            m, coeffs = _root_multiplicity(coeffs, D * v)
             if m == 0:
                 return EigenReport(False, len(claimed), {}, used,
                                    f"claimed eigenvalue {c} absent at {assignment}")
@@ -630,24 +673,32 @@ def eigen_check(R, claimed, points=None, min_points=5):
 
 
 def _kernel_dim(M):
-    """dim ker of a square CRat matrix by Gaussian elimination."""
+    """dim ker of a square matrix of Gaussian integers ``(re, im)`` by
+    fraction-free elimination: below each pivot p, a row x with x[col] = f
+    becomes p * x - f * (pivot row), divided by the gcd of its integer
+    parts."""
     n = len(M)
-    M = [row[:] for row in M]
+    M = [list(row) for row in M]
     rank = 0
-    row = 0
     for col in range(n):
-        piv = next((r for r in range(row, n) if M[r][col]), None)
+        piv = next((r for r in range(rank, n) if M[r][col] != (0, 0)), None)
         if piv is None:
             continue
-        M[row], M[piv] = M[piv], M[row]
-        pv = M[row][col]
-        M[row] = [x / pv for x in M[row]]
-        for r in range(n):
-            if r != row and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[row])]
+        M[rank], M[piv] = M[piv], M[rank]
+        prow = M[rank]
+        p_re, p_im = prow[col]
+        for r in range(rank + 1, n):
+            f_re, f_im = M[r][col]
+            if not (f_re or f_im):
+                continue
+            new = [(p_re * a - p_im * b - f_re * c + f_im * d,
+                    p_re * b + p_im * a - f_re * d - f_im * c)
+                   for (a, b), (c, d) in zip(M[r], prow)]
+            g = math.gcd(*(x for e in new for x in e))
+            if g > 1:
+                new = [(a // g, b // g) for a, b in new]
+            M[r] = new
         rank += 1
-        row += 1
     return n - rank
 
 
@@ -686,21 +737,27 @@ def _squarefree_part(coeffs):
 
 
 def eigenvector_deficiency(R, points=None):
-    """Total eigenvector count of the 16x16 operator at an exact sample
-    point: the sum over distinct eigenvalues of dim ker(R - lambda I),
-    computed as dim ker g(R) for the squarefree part g of the
-    characteristic polynomial (16 means diagonalizable)."""
+    """Total eigenvector count of the 16x16 operator: the sum over distinct
+    eigenvalues of dim ker(R - lambda I), computed as dim ker g(A) for the
+    squarefree part g of the characteristic polynomial of ``A = D * M``,
+    scaled to Gaussian-integer coefficients (16 means diagonalizable).  It
+    is evaluated at each of the first three sample points and the maximum
+    is returned; RingError if there is none."""
     if points is None:
         points = [sample_assignment(pt) for pt in SAMPLE_POINTS]
+    if not points:
+        raise RingError("no sample points")
     totals = set()
     for assignment in points[:3]:
-        M = _eval_matrix(R, assignment)
-        g = _squarefree_part(charpoly(M))
-        acc = [[g[0] if i == j else CRat(0) for j in range(16)]
+        A, _ = _eval_matrix(R, assignment)
+        g = _squarefree_part([CRat(*c) for c in charpoly(A)])
+        L = math.lcm(*(x.denominator for c in g for x in (c.re, c.im)))
+        G = [((c.re * L).numerator, (c.im * L).numerator) for c in g]
+        rows = _sparse_rows(A)
+        acc = [[G[0] if i == j else (0, 0) for j in range(16)]
                for i in range(16)]
-        for c in g[1:]:
-            acc = _mat_mul(acc, M)
-            for i in range(16):
-                acc[i][i] = acc[i][i] + c
+        for c in G[1:]:     # Horner: acc = A acc + c I
+            acc = _gauss_mul(rows, acc)
+            _add_to_diagonal(acc, *c)
         totals.add(_kernel_dim(acc))
     return max(totals)

@@ -173,6 +173,36 @@ def test_evaluate_examples():
     assert evaluate(QUANTUM.y_square, pt) == CRat(Fraction(175, 36))
 
 
+def test_crat_parts_are_exact():
+    """A CRat part is an int or a Fraction: a float, a string or a bool is
+    refused, as re and as im, and is no arithmetic operand."""
+    for bad in (0.1, "1/3", True, False, None, 1j):
+        with pytest.raises(RingError):
+            CRat(bad)
+        with pytest.raises(RingError):
+            CRat(1, bad)
+    assert CRat(Fraction(1, 3), 2) == CRat(Fraction(1, 3), Fraction(2))
+    assert CRat(3) == 3 and CRat(Fraction(1, 2)) == Fraction(1, 2)
+    half = CRat(Fraction(1, 2))
+    for op in (lambda x: half + x, lambda x: x + half, lambda x: half - x,
+               lambda x: x - half, lambda x: half * x, lambda x: x * half,
+               lambda x: half / x, lambda x: x / half):
+        for bad in (0.5, "1/2"):
+            with pytest.raises(TypeError):
+                op(bad)
+    assert half != 0.5 and CRat(1) != True and CRat(1) != 1.0
+
+
+def test_evaluate_refuses_a_float():
+    p = QUANTUM.var("p")
+    with pytest.raises(RingError):
+        evaluate(p, {"p": 0.5, "Q": 1, "Y": 0})
+    with pytest.raises(RingError):
+        evaluate(p, {"p": 1, "Q": 1, "Y": 0.0})
+    assert evaluate(p, {"p": Fraction(1, 2), "Q": 1, "Y": 0}) == \
+        CRat(Fraction(1, 2))
+
+
 def test_evaluate_y_consistency():
     # p = Q makes Y**2 = 0, so Y must evaluate to 0
     Y = QUANTUM.var("Y")

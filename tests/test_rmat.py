@@ -1,14 +1,19 @@
 """R-matrix construction: component counts, golden entries, gauge
 conjugation, spectral limits, inversion and eigen-data."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import charge_mixing_op
 from gaugeknot import rmat
-from gaugeknot.ring import (QUANTUM, TRIG, RationalLaurent, RingError,
-                            map_poly, qbracket)
+from gaugeknot.ring import (CRat, QUANTUM, TRIG, RationalLaurent, RingError,
+                            evaluate, map_poly, qbracket)
+
+#: The sample points that give Y an imaginary value (sign -1).
+IMAGINARY_Y = [rmat.sample_assignment(pt) for pt in rmat.SAMPLE_POINTS
+               if pt[3] < 0]
 
 
 def test_component_counts():
@@ -227,3 +232,130 @@ def test_eigenvector_deficiency():
     assert rmat.eigenvector_deficiency(rmat.identity_op(QUANTUM)) == 16
     for i in (1, 2, 3, 4):
         assert rmat.eigenvector_deficiency(rmat.quantum_r(i)) == 16
+
+
+def test_eigen_check_at_the_imaginary_y_points():
+    assert len(IMAGINARY_Y) == 3
+    for i in (1, 2, 3, 4):
+        rep = rmat.eigen_check(rmat.quantum_r(i), rmat.claimed_eigenvalues(i),
+                               points=IMAGINARY_Y, min_points=3)
+        assert rep.ok, rep.message
+        assert rep.points_used == 3
+        assert rmat.eigenvector_deficiency(rmat.quantum_r(i),
+                                           points=IMAGINARY_Y) == 16
+
+
+def jordan_op(value):
+    """The identity with ``value`` at key (2, 3, 3, 2): a 2x2 Jordan block
+    for the eigenvalue 1 on |2,3>, |3,2>, so one eigenvector is missing."""
+    entries = dict(rmat.identity_op(QUANTUM).entries)
+    entries[(2, 3, 3, 2)] = value
+    return rmat.SparseROp(QUANTUM, entries)
+
+
+@pytest.mark.parametrize("value", [QUANTUM.one, QUANTUM.var("p")])
+def test_eigenvector_deficiency_of_a_jordan_block(value):
+    op = jordan_op(value)
+    assert rmat.eigenvector_deficiency(op) == 15
+    assert rmat.eigenvector_deficiency(op, points=IMAGINARY_Y) == 15
+    rep = rmat.eigen_check(op, [QUANTUM.one])
+    assert rep.ok and rep.multiplicities == {str(QUANTUM.one): 16}
+
+
+def test_eigenvector_deficiency_needs_a_point():
+    with pytest.raises(RingError, match="no sample points"):
+        rmat.eigenvector_deficiency(rmat.quantum_r(1), points=[])
+
+
+def _g(*rows):
+    """A Gaussian-integer matrix from rows of Python complex numbers with
+    integer parts."""
+    return [[(int(z.real), int(z.imag)) for z in row] for row in rows]
+
+
+def test_kernel_dim_over_the_gaussian_integers():
+    i = 1j
+    assert rmat._kernel_dim(_g([1, i], [i, -1])) == 1
+    assert rmat._kernel_dim(_g([2, 1 + i], [1 - i, 1])) == 1
+    assert rmat._kernel_dim(_g([1, i], [i, 1])) == 0
+    assert rmat._kernel_dim(_g([0, 1], [1, 0])) == 0
+    assert rmat._kernel_dim(_g([0, 0], [0, 0])) == 2
+    # third row = (1 + i) * first row - i * second row: rank 2
+    assert rmat._kernel_dim(_g([1, i, 2], [0, 3, 1 - i],
+                               [1 + i, -1 - 2 * i, 1 + i])) == 1
+    assert rmat._kernel_dim(_g([0, 0, 5], [0, 2 * i, 1], [3, 1, 1])) == 0
+
+
+def reference_charpoly(M):
+    """The Faddeev-LeVerrier recursion over CRat, kept as the reference the
+    Gaussian-integer ``rmat.charpoly`` is checked against."""
+    n = len(M)
+    coeffs = [CRat(1)]
+    Mk = [[CRat(1) if i == j else CRat(0) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        Mk = _crat_mat_mul(M, Mk)
+        tr = sum((Mk[i][i] for i in range(n)), CRat(0))
+        c = tr / CRat(-k)
+        coeffs.append(c)
+        for i in range(n):
+            Mk[i][i] = Mk[i][i] + c
+    return coeffs
+
+
+def _crat_mat_mul(A, B):
+    n = len(A)
+    out = [[CRat(0)] * n for _ in range(n)]
+    for i in range(n):
+        Ai = A[i]
+        for k in range(n):
+            a = Ai[k]
+            if a:
+                Bk = B[k]
+                row = out[i]
+                for j in range(n):
+                    if Bk[j]:
+                        row[j] = row[j] + a * Bk[j]
+    return out
+
+
+def _crat_matrix(R, assignment):
+    """The 16x16 CRat matrix of an operator at a point, entry by entry."""
+    idx = lambda a, b: 4 * (a - 1) + (b - 1)
+    M = [[CRat(0)] * 16 for _ in range(16)]
+    for (a, b, c, d), v in R.entries.items():
+        M[idx(a, b)][idx(c, d)] = evaluate(v, assignment)
+    return M
+
+
+def test_charpoly_matches_the_crat_reference():
+    ops = [rmat.quantum_r(i) for i in (1, 2, 3, 4)]
+    ops += [rmat.identity_op(QUANTUM), jordan_op(QUANTUM.one)]
+    complex_entries = 0
+    for op in ops:
+        for pt in rmat.SAMPLE_POINTS:
+            assignment = rmat.sample_assignment(pt)
+            M = _crat_matrix(op, assignment)
+            A, D = rmat._eval_matrix(op, assignment)
+            parts = [x for row in M for v in row for x in (v.re, v.im)]
+            assert D == math.lcm(*(x.denominator for x in parts))
+            assert all(CRat(*A[i][j]) == D * M[i][j]
+                       for i in range(16) for j in range(16))
+            got = rmat.charpoly(A)
+            want = reference_charpoly(M)
+            assert len(got) == len(want) == 17
+            for k, (a, c) in enumerate(zip(got, want)):
+                assert CRat(*a) == c * D ** k, (op, pt, k)
+            complex_entries += sum(1 for row in A for e in row if e[1])
+    assert complex_entries > 0   # the imaginary-Y points reach the im parts
+
+
+def test_charpoly_refuses_inexact_entries():
+    A, _ = rmat._eval_matrix(rmat.quantum_r(1), IMAGINARY_Y[0])
+    for bad in ((Fraction(1), 0), (0, Fraction(1, 2)), (True, 0), (1, False),
+                Fraction(1), 1, (1, 0, 0), [1, 0], CRat(1)):
+        B = [row[:] for row in A]
+        B[0][0] = bad
+        with pytest.raises(RingError):
+            rmat.charpoly(B)
+    with pytest.raises(RingError):
+        rmat.charpoly([row[:15] for row in A])
