@@ -82,18 +82,20 @@ def _cmd_rmatrix(args, parser):
     if args.regime == "trig":
         op = rmat.build_trig_gauge_free() if args.case == 0 \
             else rmat.build_trig_gauged()
+        fmt = lambda v: f"({v}) / ({rmat.TRIG_DENOMINATOR})"
     else:
-        if args.case not in (1, 2, 3, 4):
+        if args.case == 0:
             parser.error("--regime quantum requires --case 1..4")
         op = rmat.quantum_r(args.case)
+        fmt = str
     if args.format == "json":
-        rows = [{"indices": list(k), "entry": str(v)}
+        rows = [{"indices": list(k), "entry": fmt(v)}
                 for k, v in op.sorted_items()]
         print(json.dumps(rows, indent=2))
     else:
         print(f"# {len(op)} nonzero components")
         for (a, b, c, d), v in op.sorted_items():
-            print(f"({a}{b})<-({c}{d})  {v}")
+            print(f"({a}{b})<-({c}{d})  {fmt(v)}")
     return EX_OK
 
 
@@ -151,10 +153,15 @@ def _cmd_suite(args, parser):
     unknown = set(cases) - {case for case, _ in engine.MODELS}
     if unknown:
         parser.error(f"--cases: no state model for case {min(unknown)}")
+    if args.jobs < 1:
+        parser.error(f"--jobs {args.jobs}: need at least 1")
     table = harness.load_table(args.table) if args.table else None
     report = harness.run_suite(cases, table=table,
                                max_crossings=args.max_crossings,
                                jobs=args.jobs)
+    if not report.rows:
+        parser.error(f"no knot with at most {args.max_crossings} crossings "
+                     f"in the table: nothing to check")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -181,9 +188,10 @@ def build_parser():
     show = rm_sub.add_parser("show")
     show.add_argument("--regime", default="trig",
                       choices=["trig", "quantum"])
-    show.add_argument("--case", type=int, default=0,
-                      help="quantum case 1..4; 0 with --regime trig "
-                           "selects the gauge-free operator")
+    show.add_argument("--case", type=int, default=0, choices=range(5),
+                      help="quantum case 1..4; with --regime trig, 0 "
+                           "selects the gauge-free operator and 1..4 the "
+                           "gauged one")
     show.add_argument("--format", default="text", choices=["text", "json"])
     show.set_defaults(func=_cmd_rmatrix, parser=show)
 

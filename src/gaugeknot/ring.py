@@ -14,17 +14,18 @@ built on first read.
 A ring may adjoin the square-root symbol ``Y`` with ``Y**2 = r`` for a
 Y-free ``r``; every polynomial has Y-degree 0 or 1, because products fold
 Y**2 into ``r``.  Y has a 2-bit field of its own.  Y is not a unit; the other
-variables are Laurent variables.  Quotients are ``RationalLaurent``s and
-evaluation values ``CRat``s.  Half-integer powers of ``q`` live in ``Q``
-(``q = Q**2``) and ``p`` (``p = q**(alpha + 1/2)``).
+variables are Laurent variables.  The ring has no quotients: a
+trigonometric R-matrix entry is kept as a numerator over one denominator
+(``rmat.TRIG_DENOMINATOR``).  Evaluation values are ``CRat``s.
+Half-integer powers of ``q`` live in ``Q`` (``q = Q**2``) and ``p``
+(``p = q**(alpha + 1/2)``).
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from functools import reduce
-from operator import and_, or_
+from operator import or_
 from types import MappingProxyType
 
 
@@ -111,6 +112,9 @@ class CRat:
         return other / self
 
     def __pow__(self, k):
+        if not self.im:
+            # a real value: one Fraction power, exact for negative k too
+            return CRat(self.re ** k)
         if k < 0:
             return CRat(1) / self ** (-k)
         out = CRat(1)
@@ -230,19 +234,6 @@ class Ring:
             raise RingError(f"exponent outside [{-EXP_BIAS}, {EXP_BIAS - 1}] "
                             f"in {self}")
         return acc
-
-    def _floor(self, keys):
-        """The key whose every field is the least of that field in ``keys``
-        (a list or dict of them); only fields on which they differ are
-        scanned."""
-        low = reduce(and_, keys)
-        differ = reduce(or_, keys) ^ low
-        floor = low
-        for s, m, _ in self._layout:
-            if (differ >> s) & m:
-                floor += (min([(k >> s) & m for k in keys])
-                          - ((low >> s) & m)) << s
-        return floor
 
     def poly(self, terms):
         """Build a polynomial from {exponent tuple: (re, im) or int} items;
@@ -488,130 +479,6 @@ def canonical_str(poly):
     return " + ".join(parts).replace(" + -", " - ")
 
 
-class RationalLaurent:
-    """Quotient num/den of Laurent polynomials, normalized only by clearing
-    common monomial factors (no polynomial GCD)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None, normalize=True):
-        if den is None:
-            den = num.ring.one
-        if den.is_zero():
-            raise RingError("zero denominator")
-        if num.ring is not den.ring:
-            raise RingError("num/den ring mismatch")
-        self.num = num
-        self.den = den
-        if normalize:
-            self._normalize()
-
-    def _normalize(self):
-        num, den = self.num, self.den
-        ring = num.ring
-        if num.is_zero():
-            self.num, self.den = ring.zero, ring.one
-            return
-        # divide out the largest monomial (Y included) dividing every term
-        shift = ring._floor([*num._t, *den._t]) - ring._bias
-        if shift:
-            nt = {k - shift: c for k, c in num._t.items()}
-            dt = {k - shift: c for k, c in den._t.items()}
-            ring._check_keys(nt)
-            ring._check_keys(dt)
-            num, den = LaurentPoly(ring, nt), LaurentPoly(ring, dt)
-        if len(den._t) == 1:
-            # fold a monomial denominator that divides the numerator exactly
-            try:
-                num, den = divexact(num, den), ring.one
-            except RingError:
-                pass
-        a, b = den._t[max(den._t)]
-        if a < 0 or (a == 0 and b < 0):
-            num, den = -num, -den
-        self.num, self.den = num, den
-
-    @property
-    def ring(self):
-        return self.num.ring
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def is_poly(self):
-        return self.den.is_one()
-
-    def as_poly(self):
-        if not self.den.is_one():
-            raise RingError(f"not a polynomial: den = {self.den}")
-        return self.num
-
-    def _coerce(self, other):
-        """``other`` as a quotient; NotImplemented for a non-ring operand."""
-        if isinstance(other, RationalLaurent):
-            return other
-        if type(other) is int:
-            other = self.ring.gauss(other)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return RationalLaurent(other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        if self.den is other.den or self.den == other.den:
-            return RationalLaurent(self.num + other.num, self.den)
-        return RationalLaurent(self.num * other.den + other.num * self.den,
-                               self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalLaurent(-self.num, self.den, normalize=False)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return other if other is NotImplemented else self + (-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return RationalLaurent(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational")
-        return RationalLaurent(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        if self.den == other.den:
-            return self.num == other.num
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        raise TypeError("RationalLaurent is unhashable (no canonical form)")
-
-    def __str__(self):
-        if self.den.is_one():
-            return canonical_str(self.num)
-        return f"({canonical_str(self.num)}) / ({canonical_str(self.den)})"
-
-    __repr__ = __str__
-
-
 # ---------------------------------------------------------------------------
 # The two standard rings.
 
@@ -636,39 +503,6 @@ QONLY = Ring(("Q",))
 CONST = Ring(())
 
 
-def qbracket(ring, const=0, alpha=0, u=0):
-    """The q-number [x] = (q**x - q**-x)/(q - 1/q) for x = const + alpha + u.
-
-    Integer x >= 0 expands to the polynomial q**(x-1) + q**(x-3) + ...;
-    anything involving alpha/u is returned as an unreduced ratio.
-    Coefficients of the exponent descriptor must be integers.
-    """
-    for c in (const, alpha, u):
-        if not isinstance(c, int):
-            raise RingError("q-bracket exponents must be integer combinations")
-    if alpha == 0 and u == 0:
-        if const < 0:
-            return -qbracket(ring, -const)
-        num = ring.zero
-        for j in range(const):
-            num = num + ring.mono(1, Q=2 * (const - 1 - 2 * j))
-        return RationalLaurent(num)
-    top = _q_power(ring, const, alpha, u)
-    num = top - top.invert_monomial()
-    den = ring.mono(1, Q=2) - ring.mono(1, Q=-2)
-    return RationalLaurent(num, den)
-
-
-def _q_power(ring, const=0, alpha=0, u=0):
-    """q**(const + alpha*a + u*u) as a monomial of the trig ring."""
-    exps = {"Q": 2 * const}
-    if alpha:
-        exps["Aa"] = alpha
-    if u:
-        exps["X"] = u
-    return ring.mono(1, **exps)
-
-
 def evaluate(poly, assignment):
     """Exact evaluation of a polynomial at {name: CRat/Fraction/int} points;
     RingError for any other value, a float among them.
@@ -689,12 +523,17 @@ def evaluate(poly, assignment):
         rel = evaluate(ring.y_square, dict(assignment, Y=0))
         if y * y != rel:
             raise RingError(f"inconsistent Y assignment: Y**2 = {y * y} != {rel}")
+    # each variable's powers, computed once per call
+    powers = [(vals[name], {}) for name in ring.names]
     out = CRat(0)
     for k, (a, b) in poly._t.items():
         t = CRat(a, b)
-        for name, x in zip(ring.names, ring._unpack(k)):
+        for (v, seen), x in zip(powers, ring._unpack(k)):
             if x:
-                t = t * vals[name] ** x
+                pw = seen.get(x)
+                if pw is None:
+                    pw = seen[x] = v ** x
+                t = t * pw
         out = out + t
     return out
 
@@ -766,69 +605,3 @@ def map_poly(poly, target_ring, images):
     if y_img * y_img != map_poly(ring.y_square, target_ring, images):
         raise RingError("Y image inconsistent with the rewrite relation")
     return even + odd * y_img
-
-
-def divexact(num, den):
-    """Exact division by a Y-free divisor (RingError if it does not divide).
-
-    Y is divided as an ordinary field of the key: multiplying by a Y-free
-    divisor never changes a key's Y field, so no Y**2 fold can occur.  This
-    is the ring's one exact division; ``RationalLaurent`` folds monomial
-    denominators with it.
-    """
-    ring = num.ring
-    ys = ring._ys
-    if ys is not None and any((k >> ys) & 3 for k in den._t):
-        raise RingError("divisor must be Y-free")
-    if num.is_zero():
-        return ring.zero
-    # Shift both operands into the ordinary-polynomial cone, unbiased, so
-    # the greedy division below terminates (lex order on N^k is a
-    # well-order).  A min-heap of the remainder's negated keys yields its
-    # terms largest first.  Each step only creates terms below its leading
-    # term, so the heap stays in order; a key popped after its term
-    # cancelled is skipped.  An exact quotient's cone exponents lie in
-    # [0, 2*EXP_BIAS), the range the guard bits check, so a leading term
-    # that does not divide, or a quotient exponent out of that range, fails.
-    nfloor = ring._floor(num._t)
-    dfloor = ring._floor(den._t)
-    rem = {k - nfloor: c for k, c in num._t.items()}
-    dterms = {k - dfloor: c for k, c in den._t.items()}
-    dk = max(dterms)
-    da, db = dterms[dk]
-    n = da * da + db * db
-    guard = ring._guard
-    quo = {}
-    heap = [-k for k in rem]
-    heapq.heapify(heap)
-    while heap:
-        k = -heapq.heappop(heap)
-        c = rem.get(k)
-        if c is None:
-            continue
-        a, b = c
-        qk = k - dk
-        if qk & guard:
-            raise RingError("exact division failed (remainder)")
-        # coefficient division (a+bi)/(da+dbi) over Gaussian integers
-        qa, qb = (a * da + b * db), (b * da - a * db)
-        if qa % n or qb % n:
-            raise RingError("exact division failed (leading coefficient)")
-        qa, qb = qa // n, qb // n
-        quo[qk] = (qa, qb)
-        for kk, (ca, cb) in dterms.items():
-            t = qk + kk
-            re = qa * ca - qb * cb
-            im = qa * cb + qb * ca
-            c = rem.get(t)
-            if c is None:
-                rem[t] = (-re, -im)
-                heapq.heappush(heap, -t)
-            elif c == (re, im):
-                del rem[t]
-            else:
-                rem[t] = (c[0] - re, c[1] - im)
-    back = nfloor - dfloor + ring._bias
-    out = {k + back: c for k, c in quo.items()}
-    ring._check_keys(out)
-    return LaurentPoly(ring, out)

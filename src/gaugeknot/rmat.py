@@ -3,7 +3,9 @@ limits, and the four constant quantum R-matrices.
 
 Operators act on a two-site space (C^4 tensor C^4).  An entry stored under the
 key ``(a, b, c, d)`` is the coefficient of the matrix unit ``e^{ab}_{cd}``
-sending ``|c,d>`` to ``|a,b>``.  All entries conserve ``CHARGE``, the pair
+sending ``|c,d>`` to ``|a,b>``.  Every entry is a polynomial: a trigonometric
+operator stores numerators over one denominator, ``TRIG_DENOMINATOR``, which
+depends on u alone.  All entries conserve ``CHARGE``, the pair
 (grading weight, n(2) - n(3)) summed over both sites, so each operator is
 block-diagonal in the 9 charge sectors; ``invert`` works one sector at a
 time, while the eigen checks evaluate the full 16x16 matrix M at exact
@@ -23,8 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .ring import (CRat, QUANTUM, RationalLaurent, RingError, TRIG, divexact,
-                   evaluate, map_poly, qbracket)
+from .ring import CRat, QUANTUM, RingError, TRIG, evaluate, map_poly
 
 #: (weight, n(2) - n(3)) of each index: the charge every operator conserves.
 CHARGE = {1: (0, 0), 2: (1, 1), 3: (1, -1), 4: (2, 0)}
@@ -176,86 +177,80 @@ def identity_op(ring):
 # ---------------------------------------------------------------------------
 # Trigonometric operators.
 
-def _trig_pieces():
-    R = TRIG
-    br = lambda **kw: qbracket(R, **kw)
-    m = R.mono
-    pieces = {
-        "bA": br(alpha=1),                 # [alpha]
-        "b1A": br(const=1, alpha=1),       # [1 + alpha]
-        "bAp": br(alpha=1, u=1),           # [alpha + u]
-        "b1Ap": br(const=1, alpha=1, u=1),  # [1 + alpha + u]
-        "bAm": br(alpha=1, u=-1),          # [alpha - u]
-        "b1Am": br(const=1, alpha=1, u=-1),  # [1 + alpha - u]
-        "bu": br(u=1),                     # [u]
-        "b1mu": br(const=1, u=-1),         # [1 - u]
-    }
-    delta = m(1, Q=2) - m(1, Q=-2)         # q - 1/q
-    fq = (-2 * m(1, Q=2) + m(1, X=2) * delta
-          + m(1, Q=2, Aa=2) + m(1, Q=-2, Aa=-2))
-    fqb = (-2 * m(1, Q=-2) - m(1, X=-2) * delta
-           + m(1, Q=2, Aa=2) + m(1, Q=-2, Aa=-2))
-    pieces["delta"] = RationalLaurent(delta)
-    pieces["fq"] = RationalLaurent(fq)
-    pieces["fqb"] = RationalLaurent(fqb)
-    # [alpha]^(1/2) [1+alpha]^(1/2) as the adjoined symbol over q - 1/q.
-    pieces["yhalf"] = RationalLaurent(R.var("Y"), delta)
-    return pieces
+def _n(const, alpha, u):
+    """n(x) = q**x - q**-x for x = const + alpha*a + u*u, in TRIG (q = Q**2,
+    Aa = q**a, X = q**u)."""
+    top = TRIG.mono(1, Q=2 * const, Aa=alpha, X=u)
+    return top - top.invert_monomial()
+
+
+#: N(u) = n(alpha - u) n(1 + alpha - u): every trigonometric entry is a
+#: numerator over this one denominator, which depends on u alone.
+TRIG_DENOMINATOR = _n(0, 1, -1) * _n(1, 1, -1)
 
 
 def _trig_table(gauged):
-    """The 36-component table; gauge monomials dropped when gauged=False."""
+    """The 36 numerators over TRIG_DENOMINATOR; gauge monomials dropped when
+    gauged=False.  With [x] = n(x)/n(1), each is the paper's entry times N,
+    so the brackets' factors 1/n(1) cancel."""
     R = TRIG
     m = R.mono
     g = lambda **kw: m(1, **kw) if gauged else R.one
-    P = _trig_pieces()
-    D1 = P["bAm"]
-    D2 = P["bAm"] * P["b1Am"]
-    one = RationalLaurent(R.one)
+    nA, n1A = _n(0, 1, 0), _n(1, 1, 0)         # n(alpha), n(1 + alpha)
+    nAp, n1Ap = _n(0, 1, 1), _n(1, 1, 1)       # n(alpha + u), n(1 + alpha + u)
+    n1Am = _n(1, 1, -1)                        # n(1 + alpha - u)
+    nu, n1mu = _n(0, 0, 1), _n(1, 0, -1)       # n(u), n(1 - u)
+    delta = _n(1, 0, 0)                        # q - 1/q
 
     ent = {}
-    ent[(1, 1, 1, 1)] = one
-    ent[(2, 2, 2, 2)] = P["bAp"] / D1
-    ent[(3, 3, 3, 3)] = P["bAp"] / D1
-    ent[(4, 4, 4, 4)] = (P["bAp"] * P["b1Ap"]) / D2
+    ent[(1, 1, 1, 1)] = TRIG_DENOMINATOR
+    ent[(2, 2, 2, 2)] = nAp * n1Am             # [alpha+u] / [alpha-u]
+    ent[(3, 3, 3, 3)] = nAp * n1Am
+    ent[(4, 4, 4, 4)] = nAp * n1Ap
 
-    gA = P["bA"] / D1
+    gA = nA * n1Am                             # [alpha] / [alpha-u]
     ent[(1, 2, 1, 2)] = gA * (g(Ru=1) * m(1, X=-1))
     ent[(1, 3, 1, 3)] = gA * (g(Su=1) * m(1, X=-1))
     ent[(2, 1, 2, 1)] = gA * (g(Ru=-1) * m(1, X=1))
     ent[(3, 1, 3, 1)] = gA * (g(Su=-1) * m(1, X=1))
 
-    gAA = (P["bA"] * P["b1A"]) / D2
+    gAA = nA * n1A
     ent[(1, 4, 1, 4)] = gAA * (g(Ru=1) * g(Su=1) * m(1, X=-2))
     ent[(4, 1, 4, 1)] = gAA * (g(Ru=-1) * g(Su=-1) * m(1, X=2))
 
-    gF = one / (P["delta"] * P["delta"] * D2)
-    ent[(2, 3, 2, 3)] = gF * P["fqb"] * (g(Ru=-1) * g(Su=1))
-    ent[(3, 2, 3, 2)] = gF * P["fq"] * (g(Ru=1) * g(Su=-1))
+    # f(q) / N and f(1/q) / N, with f(q) = q**(1+2a) + q**-(1+2a) - 2q
+    # + q**(2u) (q - 1/q)
+    fq = (-2 * m(1, Q=2) + m(1, X=2) * delta
+          + m(1, Q=2, Aa=2) + m(1, Q=-2, Aa=-2))
+    fqb = (-2 * m(1, Q=-2) - m(1, X=-2) * delta
+           + m(1, Q=2, Aa=2) + m(1, Q=-2, Aa=-2))
+    ent[(2, 3, 2, 3)] = fqb * (g(Ru=-1) * g(Su=1))
+    ent[(3, 2, 3, 2)] = fq * (g(Ru=1) * g(Su=-1))
 
-    g1A = (P["b1A"] * P["bAp"]) / D2
+    g1A = n1A * nAp
     ent[(2, 4, 2, 4)] = g1A * (g(Su=1) * m(1, X=-1))
     ent[(3, 4, 3, 4)] = g1A * (g(Ru=1) * m(1, X=-1))
     ent[(4, 2, 4, 2)] = g1A * (g(Su=-1) * m(1, X=1))
     ent[(4, 3, 4, 3)] = g1A * (g(Ru=-1) * m(1, X=1))
 
-    swap1 = -(P["bu"] / D1)
+    swap1 = -(nu * n1Am)                       # -[u] / [alpha-u]
     for k in ((1, 2, 2, 1), (1, 3, 3, 1), (2, 1, 1, 2), (3, 1, 1, 3)):
         ent[k] = swap1
 
-    far = -(P["b1mu"] * P["bu"]) / D2
+    far = -(n1mu * nu)
     ent[(1, 4, 4, 1)] = far
     ent[(4, 1, 1, 4)] = far
 
-    mid = -(P["bu"] * P["bu"]) / D2
+    mid = -(nu * nu)
     ent[(2, 3, 3, 2)] = mid
     ent[(3, 2, 2, 3)] = mid
 
-    swap2 = (P["bu"] * P["bAp"]) / D2
+    swap2 = nu * nAp
     for k in ((2, 4, 4, 2), (3, 4, 4, 3), (4, 2, 2, 4), (4, 3, 3, 4)):
         ent[k] = swap2
 
-    gy = (P["yhalf"] * P["bu"]) / D2
+    # [alpha]^(1/2) [1+alpha]^(1/2) = Y / n(1)
+    gy = R.var("Y") * nu
     t1 = gy * (g(Ru=1) * m(1, X=-1, Q=1))
     t2 = -(gy * (g(Ru=-1) * m(1, X=1, Q=-1)))
     t3 = gy * (g(Su=-1) * m(1, X=1, Q=1))
@@ -273,12 +268,13 @@ def _trig_table(gauged):
 
 def build_trig_gauged():
     """The 36-component trigonometric braid operator with gauge monomials
-    Ru = r**u and Su = s**u."""
+    Ru = r**u and Su = s**u, as numerators over TRIG_DENOMINATOR."""
     return SparseROp(TRIG, _trig_table(gauged=True))
 
 
 def build_trig_gauge_free():
-    """The r = s = 1 trigonometric braid operator."""
+    """The r = s = 1 trigonometric braid operator, as numerators over
+    TRIG_DENOMINATOR."""
     return SparseROp(TRIG, _trig_table(gauged=False))
 
 
@@ -323,6 +319,12 @@ class GaugeCase:
 
     @staticmethod
     def standard(index, gamma=Fraction(1, 2)):
+        """Case ``index`` (an int, not a bool); case 4 takes ``gamma``, an
+        int or a Fraction, with 0 < gamma < 1.  RingError otherwise."""
+        if type(index) is not int:
+            raise RingError(f"gauge case index {index!r} is not an int")
+        if type(gamma) is not int and not isinstance(gamma, Fraction):
+            raise RingError(f"gamma {gamma!r} is not an int or a Fraction")
         table = {
             1: (Fraction(0), Fraction(0)),
             2: (Fraction(0), Fraction(1)),
@@ -331,8 +333,8 @@ class GaugeCase:
         }
         if index not in table:
             raise RingError(f"no gauge case {index}")
-        if index == 4 and not (0 < Fraction(gamma) < 1):
-            raise RingError("case 4 requires 0 < gamma < 1")
+        if index == 4 and not (0 < gamma < 1):
+            raise RingError(f"case 4 requires 0 < gamma < 1, not {gamma}")
         return GaugeCase(index, *table[index])
 
 
@@ -352,27 +354,30 @@ def apply_gauge(R, A):
 # Spectral limit and the hand-transcribed quantum operators.
 
 def spectral_limit(R, case):
-    """The formal X -> infinity limit of the gauged operator under a case's
-    (Ru, Su) substitution, expressed over the quantum ring {p, Q, Y}."""
+    """The formal X -> infinity limit of a trigonometric operator whose
+    entries are numerators over TRIG_DENOMINATOR, under a case's (Ru, Su)
+    substitution, expressed over the quantum ring {p, Q, Y}.
+
+    An entry's limit is its numerator's X-leading coefficient over N's.
+    N's maps to a unit monomial, so the limit is a product with its
+    inverse; an entry of lower X-degree than N tends to 0, and one of
+    higher X-degree raises RingError."""
     L = math.lcm(Fraction(case.ru_exp).denominator,
                  Fraction(case.su_exp).denominator)
     images = _case_images(R.ring, case, L)
+    den = map_poly(TRIG_DENOMINATOR, R.ring, images)
+    dd = den.degree_in("X")
+    inv = _to_quantum(den.coeff_of("X", dd)).invert_monomial()
     out = {}
     for key, v in R.entries.items():
-        num = map_poly(v.num, R.ring, images)
-        den = map_poly(v.den, R.ring, images)
+        num = map_poly(v, R.ring, images)
         dn = num.degree_in("X")
-        dd = den.degree_in("X")
-        if dn is None:
+        if dn is None or dn < dd:
             continue
         if dn > dd:
             raise RingError(f"divergent spectral limit at {key} "
                             f"(X-degree {dn} > {dd})")
-        if dn < dd:
-            continue
-        lead_n = _to_quantum(num.coeff_of("X", dn))
-        lead_d = _to_quantum(den.coeff_of("X", dd))
-        out[key] = divexact(lead_n, lead_d)
+        out[key] = _to_quantum(num.coeff_of("X", dn)) * inv
     return SparseROp(QUANTUM, out)
 
 

@@ -3,13 +3,14 @@ gauge-transformation properties.
 
 Each side is a word on three strands for rmat's one operator product, which
 puts the first tensor slot on the higher strand: R12 is the letter at
-position 2, R23 the letter at position 1.  The additive (trigonometric)
-equation is verified after clearing every denominator: multiplying all
-entries of R(u) by one common polynomial D(u) rescales both sides of
+position 2, R23 the letter at position 1.  A trigonometric operator's
+entries are numerators over one polynomial N(u) that depends on u alone
+(``rmat.TRIG_DENOMINATOR``), and the additive equation is verified on the
+numerators: clearing N rescales both sides of
 
     R12(u) R23(u+v) R12(v) = R23(v) R12(u+v) R23(u)
 
-by the same factor D(u) D(u+v) D(v), so the cleared identity is equivalent
+by the same factor N(u) N(u+v) N(v), so the cleared identity is equivalent
 and purely polynomial.
 """
 
@@ -17,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import RingError, TRIG, divexact, map_poly
-from .rmat import SparseROp, _columns
+from .ring import TRIG, map_poly
+from .rmat import _columns
 
 
 @dataclass
@@ -62,21 +63,6 @@ def verify_qybe(R):
     return _compare(R.ring, *_qybe_sides(R))
 
 
-def _cleared(R):
-    """Multiply every entry by one common multiple of the denominators,
-    giving a purely polynomial operator proportional to R."""
-    dens = dict.fromkeys(v.den for v in R.entries.values())
-    ordered = sorted(dens, key=len, reverse=True)
-    D = ordered[0]
-    for d in ordered[1:]:
-        try:
-            divexact(D, d)
-        except RingError:
-            D = D * d
-    out = {k: divexact(v.num * D, v.den) for k, v in R.entries.items()}
-    return SparseROp(R.ring, out)
-
-
 #: ``map_poly`` images over TRIG: u -> v sends X, Ru, Su to Xv, Rv, Sv,
 #: u -> u + v sends them to X Xv, Ru Rv, Su Sv, and u = v = 0 sends all six
 #: to 1; every other variable is fixed.
@@ -94,7 +80,8 @@ def _shift(op, images):
 
 def verify_tybe_additive(R):
     """Additive braid-form equation for a trigonometric operator in the
-    u-variables X = q**u, Ru = r**u, Su = s**u.
+    u-variables X = q**u, Ru = r**u, Su = s**u, checked on its entries:
+    numerators over a denominator that depends on u alone.
 
     R(v) is the substitution X -> Xv (etc.); R(u+v) multiplies the grids.
     """
@@ -103,10 +90,9 @@ def verify_tybe_additive(R):
 
 def _tybe_sides(R):
     """Both sides of the cleared equation as words, first letter first."""
-    P = _cleared(R)
-    Pv = _shift(P, _V_IMAGES)
-    Puv = _shift(P, _UV_IMAGES)
-    return [(2, Pv), (1, Puv), (2, P)], [(1, P), (2, Puv), (1, Pv)]
+    Rv = _shift(R, _V_IMAGES)
+    Ruv = _shift(R, _UV_IMAGES)
+    return [(2, Rv), (1, Ruv), (2, R)], [(1, R), (2, Ruv), (1, Rv)]
 
 
 def verify_gauge_properties(A, R):

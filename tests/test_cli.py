@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gaugeknot import cli
+from gaugeknot import cli, rmat
 
 
 def run(capsys, *argv):
@@ -36,9 +36,17 @@ def test_rmatrix_show_json(capsys):
 
 
 def test_rmatrix_show_trig(capsys):
+    """Each trigonometric entry prints as its numerator over the one
+    denominator N."""
     code, out, _ = run(capsys, "rmatrix", "show", "--regime", "trig")
     assert code == 0
-    assert "# 36 nonzero components" in out
+    lines = out.splitlines()
+    assert lines[0] == "# 36 nonzero components"
+    over = f" / ({rmat.TRIG_DENOMINATOR})"
+    assert len(lines) == 37 and all(line.endswith(over) for line in lines[1:])
+    code, out, _ = run(capsys, "rmatrix", "show", "--regime", "trig",
+                       "--format", "json")
+    assert all(row["entry"].endswith(over) for row in json.loads(out))
 
 
 def test_eigen(capsys):
@@ -77,6 +85,12 @@ def test_invariant_without_a_model_is_usage_error(capsys):
      "usage: gaugeknot invariant "),
     (("rmatrix", "show", "--regime", "quantum"),
      "usage: gaugeknot rmatrix show "),
+    (("rmatrix", "show", "--regime", "trig", "--case", "9"),
+     "usage: gaugeknot rmatrix show "),
+    # a suite that would check nothing is refused, not reported as passing
+    (("suite", "--max-crossings", "2"), "usage: gaugeknot suite "),
+    (("suite", "--jobs", "0"), "usage: gaugeknot suite "),
+    (("suite", "--jobs", "-3"), "usage: gaugeknot suite "),
 ])
 def test_usage_errors_name_the_subcommand(capsys, argv, usage):
     with pytest.raises(SystemExit) as exc:

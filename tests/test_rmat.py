@@ -1,5 +1,6 @@
-"""R-matrix construction: component counts, golden entries, gauge
-conjugation, spectral limits, inversion and eigen-data."""
+"""R-matrix construction: component counts, the trigonometric entries
+against their bracket formulas, golden quantum entries, gauge conjugation,
+spectral limits, inversion and eigen-data."""
 
 import math
 from fractions import Fraction
@@ -8,8 +9,7 @@ import pytest
 
 from conftest import charge_mixing_op
 from gaugeknot import rmat
-from gaugeknot.ring import (CRat, QUANTUM, TRIG, RationalLaurent, RingError,
-                            evaluate, map_poly, qbracket)
+from gaugeknot.ring import CRat, QUANTUM, TRIG, RingError, evaluate, map_poly
 
 #: The sample points that give Y an imaginary value (sign -1).
 IMAGINARY_Y = [rmat.sample_assignment(pt) for pt in rmat.SAMPLE_POINTS
@@ -24,25 +24,83 @@ def test_component_counts():
 
 
 def test_trig_first_component_is_one():
+    """The (1,1)<-(1,1) entry is 1: its numerator is the denominator."""
     for op in (rmat.build_trig_gauged(), rmat.build_trig_gauge_free()):
-        v = op.get(1, 1, 1, 1)
-        assert v.is_poly() and v.as_poly().is_one()
+        assert op.get(1, 1, 1, 1) == rmat.TRIG_DENOMINATOR
 
 
-def test_trig_golden_entries():
-    free = rmat.build_trig_gauge_free()
-    # (2,3)<-(3,2): -[u]^2 / ([alpha-u][1+alpha-u])
-    got = free.get(2, 3, 3, 2)
-    u = qbracket(TRIG, u=1)
-    want = -(u * u) / (qbracket(TRIG, alpha=1, u=-1)
-                       * qbracket(TRIG, const=1, alpha=1, u=-1))
-    assert got == want
-    # gauged (1,2)<-(1,2): ([alpha]/[alpha-u]) * r^u * qbar^u
-    gauged = rmat.build_trig_gauged()
-    got = gauged.get(1, 2, 1, 2)
-    want = (qbracket(TRIG, alpha=1) / qbracket(TRIG, alpha=1, u=-1)) \
-        * RationalLaurent(TRIG.mono(1, Ru=1, X=-1))
-    assert got == want
+def bracket_formulas(v, gauged):
+    """The 36 entries of R(u) at a point ``v`` of TRIG, in CRat, written as
+    the paper's bracket formulas with [x] = (q**x - q**-x)/(q - q**-1),
+    q = Q**2, q**alpha = Aa, q**u = X and [alpha]^(1/2) [1+alpha]^(1/2) =
+    Y/(q - q**-1); r**u = Ru and s**u = Su when gauged, else 1."""
+    Q, a, x = v["Q"], v["Aa"], v["X"]
+    q = Q * Q
+    delta = q - 1 / q
+    br = lambda qx: (qx - 1 / qx) / delta
+    r, s = (v["Ru"], v["Su"]) if gauged else (CRat(1), CRat(1))
+    bA, b1A = br(a), br(q * a)                   # [alpha], [1+alpha]
+    bAp, b1Ap = br(a * x), br(q * a * x)         # [alpha+u], [1+alpha+u]
+    bAm, b1Am = br(a / x), br(q * a / x)         # [alpha-u], [1+alpha-u]
+    bu, b1mu = br(x), br(q / x)                  # [u], [1-u]
+    D2 = bAm * b1Am
+    # q**(1+2alpha) + q**-(1+2alpha) - 2 q**(+-1) +- q**(+-2u) (q - 1/q)
+    f = q * a * a + 1 / (q * a * a) - 2 * q + x * x * delta
+    fbar = q * a * a + 1 / (q * a * a) - 2 / q - delta / (x * x)
+    gy = v["Y"] / delta * bu / D2
+    ent = {(1, 1, 1, 1): CRat(1),
+           (2, 2, 2, 2): bAp / bAm, (3, 3, 3, 3): bAp / bAm,
+           (4, 4, 4, 4): bAp * b1Ap / D2,
+           (1, 2, 1, 2): bA / bAm * r / x, (1, 3, 1, 3): bA / bAm * s / x,
+           (2, 1, 2, 1): bA / bAm * x / r, (3, 1, 3, 1): bA / bAm * x / s,
+           (1, 4, 1, 4): bA * b1A / D2 * r * s / (x * x),
+           (4, 1, 4, 1): bA * b1A / D2 * x * x / (r * s),
+           (2, 3, 2, 3): fbar / (delta * delta * D2) * s / r,
+           (3, 2, 3, 2): f / (delta * delta * D2) * r / s,
+           (2, 4, 2, 4): b1A * bAp / D2 * s / x,
+           (3, 4, 3, 4): b1A * bAp / D2 * r / x,
+           (4, 2, 4, 2): b1A * bAp / D2 * x / s,
+           (4, 3, 4, 3): b1A * bAp / D2 * x / r,
+           (1, 4, 4, 1): -b1mu * bu / D2, (4, 1, 1, 4): -b1mu * bu / D2,
+           (2, 3, 3, 2): -bu * bu / D2, (3, 2, 2, 3): -bu * bu / D2,
+           (1, 4, 3, 2): gy * r / x * Q, (3, 2, 1, 4): gy * r / x * Q,
+           (4, 1, 2, 3): -gy * x / (r * Q), (2, 3, 4, 1): -gy * x / (r * Q),
+           (3, 2, 4, 1): gy * x / s * Q, (4, 1, 3, 2): gy * x / s * Q,
+           (2, 3, 1, 4): -gy * s / (x * Q), (1, 4, 2, 3): -gy * s / (x * Q)}
+    for k in ((1, 2, 2, 1), (1, 3, 3, 1), (2, 1, 1, 2), (3, 1, 1, 3)):
+        ent[k] = -bu / bAm
+    for k in ((2, 4, 4, 2), (3, 4, 4, 3), (4, 2, 2, 4), (4, 3, 3, 4)):
+        ent[k] = bu * bAp / D2
+    return ent
+
+
+def trig_point(row, x, ru, su):
+    """A TRIG assignment from a SAMPLE_POINTS row: Aa = p/Q makes TRIG's
+    Y**2 equal QUANTUM's, so the row's Y value serves."""
+    point = rmat.sample_assignment(row)
+    one = CRat(1)
+    return {"Q": point["Q"], "Y": point["Y"], "Aa": point["p"] / point["Q"],
+            "X": CRat(x), "Ru": CRat(ru), "Su": CRat(su),
+            "Xv": one, "Rv": one, "Sv": one}
+
+
+def test_trig_entries_match_the_bracket_formulas():
+    """Every entry, evaluated as numerator / TRIG_DENOMINATOR at exact
+    points (one with an imaginary Y), equals its bracket formula."""
+    points = [trig_point(rmat.SAMPLE_POINTS[0], Fraction(5, 7),
+                         Fraction(2, 3), Fraction(7, 4)),
+              trig_point(rmat.SAMPLE_POINTS[1], Fraction(-3, 2),
+                         Fraction(9, 5), Fraction(-1, 6)),
+              trig_point(rmat.SAMPLE_POINTS[8], Fraction(4, 11),
+                         Fraction(-5, 3), Fraction(3, 8))]
+    for gauged, op in ((True, rmat.build_trig_gauged()),
+                       (False, rmat.build_trig_gauge_free())):
+        for v in points:
+            den = evaluate(rmat.TRIG_DENOMINATOR, v)
+            want = bracket_formulas(v, gauged)
+            assert len(want) == 36 and set(op.entries) == set(want)
+            for key, num in op.entries.items():
+                assert evaluate(num, v) / den == want[key], (gauged, key)
 
 
 def test_quantum_golden_entries():
@@ -108,14 +166,41 @@ def test_gauge_case_table():
         rmat.GaugeCase.standard(4, Fraction(3, 2))
     case4 = rmat.GaugeCase.standard(4, Fraction(1, 3))
     assert case4.ru_exp + case4.su_exp == 2
+    assert rmat.GaugeCase.standard(3, 1) == rmat.GaugeCase.standard(3)
+
+
+@pytest.mark.parametrize("args, named", [
+    ((4, 0.3), "0.3"), ((4, "1/3"), "'1/3'"), ((4, True), "True"),
+    ((True,), "True"), ((1.0,), "1.0"), (("4",), "'4'")],
+    ids=["float-gamma", "str-gamma", "bool-gamma", "bool-index",
+         "float-index", "str-index"])
+def test_gauge_case_refuses_inexact_input(args, named):
+    """The index is an int (not a bool) and gamma an int or a Fraction;
+    anything else is refused by name, before a float's binary expansion or
+    a parsed string can reach the spectral limit."""
+    with pytest.raises(RingError, match=named):
+        rmat.GaugeCase.standard(*args)
 
 
 def test_spectral_limit_single_entry():
-    """[alpha+u]/[alpha-u] -> -q^(2 alpha) = -p^2 Qbar^2."""
-    entry = qbracket(TRIG, alpha=1, u=1) / qbracket(TRIG, alpha=1, u=-1)
+    """[alpha+u]/[alpha-u] -> -q^(2 alpha) = -p^2 Qbar^2; over N its
+    numerator is n(alpha+u) n(1+alpha-u)."""
+    entry = rmat._n(0, 1, 1) * rmat._n(1, 1, -1)
     op = rmat.SparseROp(TRIG, {(1, 1, 1, 1): entry})
     lim = rmat.spectral_limit(op, rmat.GaugeCase.standard(1))
     assert lim.get(1, 1, 1, 1) == QUANTUM.mono(-1, p=2, Q=-2)
+
+
+def test_spectral_limit_refuses_a_divergent_entry():
+    """N has X-degree 2: an X**1 numerator tends to 0, an X**3 one has no
+    limit."""
+    case = rmat.GaugeCase.standard(1)
+    low = rmat.SparseROp(TRIG, {(1, 1, 1, 1): TRIG.var("X")})
+    assert len(rmat.spectral_limit(low, case)) == 0
+    high = rmat.SparseROp(TRIG, {(1, 1, 1, 1): TRIG.var("X", 3)})
+    with pytest.raises(RingError, match=r"divergent spectral limit at "
+                                        r"\(1, 1, 1, 1\) \(X-degree 3 > 2\)"):
+        rmat.spectral_limit(high, case)
 
 
 def test_subst_case_needs_integer_grid():
@@ -142,7 +227,7 @@ def test_gauge_free_off_diagonals_vanish_at_u_zero():
     images["X"] = TRIG.one
     for (a, b, c, d), v in rmat.build_trig_gauge_free().entries.items():
         if (a, b) != (c, d):
-            assert map_poly(v.num, TRIG, images).is_zero()
+            assert map_poly(v, TRIG, images).is_zero()
 
 
 def test_invert():
