@@ -156,12 +156,12 @@ def _cmd_suite(args, parser):
     if args.jobs < 1:
         parser.error(f"--jobs {args.jobs}: need at least 1")
     table = harness.load_table(args.table) if args.table else None
-    report = harness.run_suite(cases, table=table,
-                               max_crossings=args.max_crossings,
-                               jobs=args.jobs)
-    if not report.rows:
-        parser.error(f"no knot with at most {args.max_crossings} crossings "
-                     f"in the table: nothing to check")
+    try:
+        report = harness.run_suite(cases, table=table,
+                                   max_crossings=args.max_crossings,
+                                   jobs=args.jobs)
+    except harness.TableError as exc:
+        parser.error(str(exc))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .braid import closure_components, matveev_pair
-from .ring import CONST, LaurentPoly, QONLY, QUANTUM, RingError, map_poly
+from .ring import (CONST, LaurentPoly, QONLY, QUANTUM, RingError, map_poly,
+                   sum_of_products)
 from .rmat import SparseROp, _columns, invert, quantum_r
 
 
@@ -36,14 +37,18 @@ class EngineError(RingError):
     pass
 
 
-#: Term budget for represent(): 8 GiB at 256 bytes per stored term.  Peak
-#: tracemalloc bytes of represent() over its stored terms were 156-209 at
-#: 1,200-22,600 stored terms (full products of case 1 ambient on 3- and
-#: 4-strand words, case 2 regular on 7_4, case 2 ambient on 8_12), and
-#: 195-220 at 11,800-26,600 terms of 5-strand case 2 words.  Smaller
+#: Term budget for represent(): 8 GiB at 256 bytes per stored term, a term
+#: being one monomial of an image (``len``).  Peak tracemalloc bytes of a
+#: full represent() over its stored terms, with int coefficients (one key
+#: per real or imaginary monomial, two for a monomial with both parts):
+#: 94-139 at 4,300-22,600 terms for case 1 ambient on a 3- and a 4-strand
+#: word, case 2 regular on 7_4 and on a 12-letter 5-strand word, and case 2
+#: ambient on 8_12, whose imaginary monomials are one key each.  Smaller
 #: products read more, as one column's passing states weigh more against
-#: few stored terms: up to 328 bytes at 6,000-8,600 terms of 5-strand case
-#: 2 words, and 418 at 244 terms.
+#: few stored terms: 181-274 at 2,300-11,200 terms (a 4-strand case 1 word,
+#: 5-strand case 2 words of 6-10 letters), 255 at 338 and 587 at 22.  The
+#: same inputs read 130-333 with (re, im) tuple coefficients.  At 139
+#: bytes a term the budget is reached at about 4.7 GB, before 8 GiB.
 DEFAULT_TERM_BUDGET = (8 * 2**30) // 256
 
 
@@ -175,7 +180,7 @@ def _close(mod, columns):
     C[s[n-1]] * image(s)[s] over input columns s with s[0] = b.  The
     entries off the diagonal are zero, as the model conserves the charge."""
     zero = mod.ring.zero
-    M = [[zero] * 4 for _ in range(4)]
+    pairs = [[] for _ in range(4)]
     for s, images in columns:
         v = images.get(s)
         if v is None:
@@ -183,8 +188,11 @@ def _close(mod, columns):
         weight = mod.ring.one
         for c in s[1:]:
             weight = weight * mod.C[c - 1]
-        b = s[0] - 1
-        M[b][b] = M[b][b] + weight * v
+        pairs[s[0] - 1].append((weight, v))
+    M = [[zero] * 4 for _ in range(4)]
+    for b in range(4):
+        if pairs[b]:
+            M[b][b] = sum_of_products(pairs[b])
     return M
 
 

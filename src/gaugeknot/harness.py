@@ -162,12 +162,20 @@ def _run_one(args):
 
 
 def run_suite(cases, table=None, max_crossings=8, jobs=1):
-    """Run the per-case checks over the table, filtered by crossing count."""
+    """Run the per-case checks over the table, filtered by crossing count,
+    in ``jobs`` processes.  ValueError unless ``jobs`` is an int of at
+    least 1; TableError when the selection has no row, since an empty run
+    checks nothing."""
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs {jobs!r}: need an int of at least 1")
     if table is None:
         table = load_table()
     work = [(rec.name, rec.word, case)
             for case in sorted(cases)
             for rec in table if rec.crossings <= max_crossings]
+    if not work:
+        raise TableError(f"no knot with at most {max_crossings} crossings "
+                         f"in the table: nothing to check")
     report = RunReport()
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -1,19 +1,22 @@
 """Exact multivariate Laurent-polynomial arithmetic over Gaussian integers.
 
-A polynomial maps monomials to Gaussian-integer coefficients ``(a, b)`` =
-a + b*i of Python ints.  Each monomial is stored as one packed int key: the
-ring gives every variable a bit field, in its variable order (which follows
-``MASTER_ORDER`` and is the display order) with the first variable in the
-highest bits, so integer order is the order of exponent tuples.  A Laurent
-exponent lies in [-2**16, 2**16) and is stored biased by 2**16 in a 32-bit
-field whose top 15 bits are guard bits: a sum that leaves the range sets
-them, and is refused with ``RingError`` instead of carrying into the next
-field.  ``LaurentPoly.terms`` is a read-only view keyed by exponent tuples,
-built on first read.
+A polynomial maps monomials to Gaussian-integer coefficients a + b*i.  Each
+term is stored under one packed int key with one int coefficient: the key's
+lowest 2 bits are the field of i, so a + b*i is two terms, a under i**0 and
+b under i**1, and a real polynomial stores one key per monomial.  Above it
+the ring gives every variable a bit field, in its variable order (which
+follows ``MASTER_ORDER`` and is the display order) with the first variable
+in the highest bits, so integer order is the order of exponent tuples.  A
+Laurent exponent lies in [-2**16, 2**16) and is stored biased by 2**16 in a
+32-bit field whose top 15 bits are guard bits: a sum that leaves the range
+sets them, and is refused with ``RingError`` instead of carrying into the
+next field.  ``LaurentPoly.terms`` is a read-only view keyed by exponent
+tuples, with ``(re, im)`` coefficients, built on first read.
 
 A ring may adjoin the square-root symbol ``Y`` with ``Y**2 = r`` for a
 Y-free ``r``; every polynomial has Y-degree 0 or 1, because products fold
-Y**2 into ``r``.  Y has a 2-bit field of its own.  Y is not a unit; the other
+Y**2 into ``r``.  Y has a 2-bit field of its own.  Products fold i**2 into
+-1 the same way, so the i field holds 0 or 1.  Y is not a unit; the other
 variables are Laurent variables.  The ring has no quotients: a
 trigonometric R-matrix entry is kept as a numerator over one denominator
 (``rmat.TRIG_DENOMINATOR``).  Evaluation values are ``CRat``s.
@@ -44,8 +47,8 @@ _GUARD_BITS = ((1 << _FIELD_BITS) - 1) ^ _VALUE_MASK
 #: field's guard bits and never wraps past them.
 _IMAGE_LIMIT = 1 << 12
 
-#: The Gaussian units, as i**0 .. i**3.
-_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+#: Bits of the i field, the lowest of every key.
+_I_BITS = 2
 
 
 class RingError(ValueError):
@@ -179,9 +182,10 @@ class Ring:
                             f"in the order {MASTER_ORDER}")
         self.index = {n: k for k, n in enumerate(self.names)}
         self.y_index = self.index.get("Y")
-        # (shift, value mask, bias) per variable, the first one highest
+        # (shift, value mask, bias) per variable, the first one highest,
+        # above the i field
         layout = []
-        shift = 0
+        shift = _I_BITS
         for name in reversed(self.names):
             if name == "Y":
                 layout.append((shift, 3, 0))
@@ -198,9 +202,12 @@ class Ring:
         self._image_guard = sum(((1 << _FIELD_BITS) - 2 * _IMAGE_LIMIT) << s
                                 for s, _, b in self._layout if b)
         self._ys = None if self.y_index is None else self._layout[self.y_index][0]
+        # the key bits of an out-of-range exponent, i**2 or Y**2
+        self._fold_bits = self._guard | 2 | (0 if self._ys is None
+                                             else 2 << self._ys)
         self.y_square = None
         self.zero = LaurentPoly(self, {})
-        self.one = LaurentPoly(self, {self._bias: (1, 0)})
+        self.one = LaurentPoly(self, {self._bias: 1})
 
     def set_y_square(self, poly):
         ys = self._ys
@@ -231,9 +238,12 @@ class Ring:
         """The OR of the keys; RingError if one's exponent left its range."""
         acc = reduce(or_, keys, 0)
         if acc & self._guard:
-            raise RingError(f"exponent outside [{-EXP_BIAS}, {EXP_BIAS - 1}] "
-                            f"in {self}")
+            raise self._range_error()
         return acc
+
+    def _range_error(self):
+        return RingError(f"exponent outside [{-EXP_BIAS}, {EXP_BIAS - 1}] "
+                         f"in {self}")
 
     def poly(self, terms):
         """Build a polynomial from {exponent tuple: (re, im) or int} items;
@@ -252,8 +262,10 @@ class Ring:
                 raise RingError(f"exponents {exps!r} are not all ints")
             if yk is not None and exps[yk] not in (0, 1):
                 raise RingError(f"Y exponent {exps[yk]} is not 0 or 1")
-            if c != (0, 0):
-                clean[self._pack(exps)] = c
+            key = self._pack(exps)
+            for part, x in enumerate(c):       # i field 0, then 1
+                if x:
+                    clean[key + part] = x
         return LaurentPoly(self, clean)
 
     def mono(self, coeff=1, **exps):
@@ -277,27 +289,83 @@ class Ring:
 
 def _mul_into(terms, a, b, bias):
     """Add the product of the packed term dicts ``a`` and ``b`` into
-    ``terms``; ``bias`` is taken once off each key of the smaller one, so
-    a product key is one int add."""
+    ``terms``, zero coefficients kept; ``bias`` is taken once off each key
+    of the smaller one, so a product key is one int add."""
     if len(a) > len(b):
         a, b = b, a
-    for e1, (x1, y1) in a.items():
+    get = terms.get
+    for e1, c1 in a.items():
         e1 -= bias
-        for e2, (x2, y2) in b.items():
+        for e2, c2 in b.items():
             e = e1 + e2
-            re = x1 * x2 - y1 * y2
-            im = x1 * y2 + y1 * x2
-            c = terms.get(e)
-            if c is None:
-                if re or im:
-                    terms[e] = (re, im)
-            else:
-                s = (c[0] + re, c[1] + im)
-                if s == (0, 0):
-                    del terms[e]
-                else:
-                    terms[e] = s
+            terms[e] = get(e, 0) + c1 * c2
+
+
+def _fold_i(terms):
+    """Fold i**2 = -1: every term with i field 2 moves to i field 0,
+    negated."""
+    get = terms.get
+    for k in [k for k in terms if k & 3 == 2]:
+        c = terms.pop(k)
+        terms[k - 2] = get(k - 2, 0) - c
+
+
+def _nonzero(terms):
+    """``terms`` without its zero coefficients."""
+    if 0 in terms.values():
+        return {k: c for k, c in terms.items() if c}
     return terms
+
+
+def _folded(ring, terms, acc):
+    """The polynomial of a sum of products whose keys, with no zero
+    coefficient among them, have the OR ``acc``: RingError if an exponent
+    left its range, else i**2 and Y**2 folded.  i**2 is folded before the
+    Y**2 fold, whose offsets may carry i, and again after it, so that no
+    field ever holds 4."""
+    if acc & ring._guard:
+        raise ring._range_error()
+    if acc & 2:
+        _fold_i(terms)
+    ys = ring._ys
+    if ys is not None and (acc >> ys) & 2:
+        if ring.y_square is None:
+            raise RingError("Y**2 rewrite relation not set for this ring")
+        high = {k: terms.pop(k) for k in [k for k in terms
+                                           if (k >> ys) & 3 == 2]}
+        _mul_into(terms, high, ring._y_fold, 0)
+        terms = _nonzero(terms)
+        if ring._check_keys(terms) & 2:
+            _fold_i(terms)
+    return LaurentPoly(ring, _nonzero(terms))
+
+
+def sum_of_products(pairs):
+    """The sum of ``a * b`` over the ``(a, b)`` pairs of polynomials of one
+    ring, accumulated into one term dict, then folded and range-checked
+    once.  RingError when an operand is of another ring, an exponent of the
+    sum leaves [-EXP_BIAS, EXP_BIAS) or there is no pair."""
+    terms = {}
+    ring = None
+    for a, b in pairs:
+        if a.ring is not ring or b.ring is not ring:
+            if ring is not None or a.ring is not b.ring:
+                first = a.ring if ring is None else ring
+                raise RingError(f"variable-set mismatch: {first} vs "
+                                f"{b.ring if a.ring is first else a.ring}")
+            ring = a.ring
+            bias = ring._bias
+        _mul_into(terms, a._t, b._t, bias)
+    if ring is None:
+        raise RingError("sum of no products")
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
+    # one OR over the keys tells whether any guard bit is set or any i**2
+    # or Y**2 term needs folding
+    acc = reduce(or_, terms, 0)
+    if acc & ring._fold_bits:
+        return _folded(ring, terms, acc)
+    return LaurentPoly(ring, terms)
 
 
 class LaurentPoly:
@@ -312,16 +380,22 @@ class LaurentPoly:
 
     @property
     def terms(self):
-        """Read-only {exponent tuple: coefficient} view, built on first
+        """Read-only {exponent tuple: (re, im)} view, built on first
         read."""
         if self._view is None:
             unpack = self.ring._unpack
-            self._view = MappingProxyType(
-                {unpack(k): c for k, c in self._t.items()})
+            view = {}
+            for k, c in self._t.items():
+                e = unpack(k)
+                re, im = view.get(e, (0, 0))
+                view[e] = (re, im + c) if k & 1 else (re + c, im)
+            self._view = MappingProxyType(view)
         return self._view
 
     def __len__(self):
-        return len(self._t)
+        """The number of monomials; a complex one is two keys."""
+        t = self._t
+        return len(t) - len([k for k in t if k & 1 and k ^ 1 in t])
 
     def is_zero(self):
         return not self._t
@@ -344,22 +418,15 @@ class LaurentPoly:
         if other is NotImplemented:
             return other
         terms = dict(self._t)
-        for e, (a, b) in other._t.items():
-            c = terms.get(e)
-            if c is None:
-                terms[e] = (a, b)
-            else:
-                s = (c[0] + a, c[1] + b)
-                if s == (0, 0):
-                    del terms[e]
-                else:
-                    terms[e] = s
-        return LaurentPoly(self.ring, terms)
+        get = terms.get
+        for e, c in other._t.items():
+            terms[e] = get(e, 0) + c
+        return LaurentPoly(self.ring, _nonzero(terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.ring, {e: (-a, -b) for e, (a, b) in self._t.items()})
+        return LaurentPoly(self.ring, {e: -c for e, c in self._t.items()})
 
     def __sub__(self, other):
         other = self._check(other)
@@ -372,20 +439,7 @@ class LaurentPoly:
         other = self._check(other)
         if other is NotImplemented:
             return other
-        ring = self.ring
-        terms = _mul_into({}, self._t, other._t, ring._bias)
-        # one OR over the keys checks the guard bits and tells whether any
-        # Y**2 term (Y field 2) needs folding
-        acc = ring._check_keys(terms)
-        ys = ring._ys
-        if ys is not None and (acc >> ys) & 2:
-            high = {k: terms.pop(k) for k in [k for k in terms
-                                               if (k >> ys) & 3 == 2]}
-            if ring.y_square is None:
-                raise RingError("Y**2 rewrite relation not set for this ring")
-            _mul_into(terms, high, ring._y_fold, 0)
-            ring._check_keys(terms)
-        return LaurentPoly(ring, terms)
+        return sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -413,25 +467,30 @@ class LaurentPoly:
         return hash((id(self.ring), frozenset(self._t.items())))
 
     def leading(self):
-        """(exponents, coeff) of the canonically-largest term."""
+        """(exponents, (re, im)) of the canonically-largest term."""
         if not self._t:
             raise RingError("zero polynomial has no leading term")
-        k = max(self._t)
-        return self.ring._unpack(k), self._t[k]
+        t = self._t
+        k = max(t)      # the i**1 key of a monomial sorts above its i**0 key
+        c = (t.get(k ^ 1, 0), t[k]) if k & 1 else (t[k], 0)
+        return self.ring._unpack(k), c
 
     def is_monomial(self):
-        return len(self._t) == 1
+        return len(self) == 1
 
     def invert_monomial(self):
-        """Exact inverse of a Y-free single term with unit coefficient."""
+        """Exact inverse of a Y-free single term with unit coefficient:
+        1, -1, i or -i."""
         if len(self._t) != 1:
             raise RingError("not a monomial")
         (k, c), = self._t.items()
         ring = self.ring
-        if c not in _I_POWERS or (ring._ys is not None and (k >> ring._ys) & 3):
+        if c not in (1, -1) or (ring._ys is not None and (k >> ring._ys) & 3):
             raise RingError(f"monomial {self} is not a unit")
-        # each biased field v becomes 2*bias - v: no field borrows
-        inv = {2 * ring._bias - k: _I_POWERS[-_I_POWERS.index(c)]}
+        # each biased field v becomes 2*bias - v: no field borrows; the
+        # i field stays, and 1/i = -i
+        f = k & 3
+        inv = {2 * ring._bias - k + 2 * f: -c if f else c}
         ring._check_keys(inv)
         return LaurentPoly(ring, inv)
 
@@ -456,8 +515,7 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-def _coeff_str(c):
-    a, b = c
+def _coeff_str(a, b):
     if b == 0:
         return str(a)
     sign = "+" if b >= 0 else "-"
@@ -465,13 +523,20 @@ def _coeff_str(c):
 
 
 def canonical_str(poly):
-    """Deterministic text form: terms in descending exponent order."""
-    if not poly._t:
+    """Deterministic text form: terms in descending exponent order, each
+    monomial's i**0 and i**1 keys merged into one coefficient."""
+    t = poly._t
+    if not t:
         return "0"
     ring = poly.ring
     parts = []
-    for k in sorted(poly._t, reverse=True):
-        factors = [_coeff_str(poly._t[k])]
+    for k in sorted(t, reverse=True):
+        if k & 1:
+            factors = [_coeff_str(t.get(k ^ 1, 0), t[k])]
+        elif k | 1 in t:
+            continue        # merged into its i**1 key, met just before
+        else:
+            factors = [_coeff_str(t[k], 0)]
         for name, x in zip(ring.names, ring._unpack(k)):
             if x:
                 factors.append(f"{name}^{x}")
@@ -526,8 +591,8 @@ def evaluate(poly, assignment):
     # each variable's powers, computed once per call
     powers = [(vals[name], {}) for name in ring.names]
     out = CRat(0)
-    for k, (a, b) in poly._t.items():
-        t = CRat(a, b)
+    for k, c in poly._t.items():
+        t = CRat(0, c) if k & 1 else CRat(c)
         for (v, seen), x in zip(powers, ring._unpack(k)):
             if x:
                 pw = seen.get(x)
@@ -544,9 +609,10 @@ def map_poly(poly, target_ring, images):
     ``images`` maps every source variable name to a LaurentPoly of
     ``target_ring`` (or an int).  A Laurent variable's image must be a unit
     monomial, one Y-free term with coefficient 1, -1, i or -i, so exponents
-    are mapped directly, as signed key offsets.  Y's image may be any
-    polynomial whose square is the image of the rewrite relation: P0 + P1*Y
-    goes to map(P0) + map(P1) * image(Y).  RingError if an image has an
+    are mapped directly, as signed key offsets, and the unit as a count of
+    quarter turns.  Y's image may be any polynomial whose square is the
+    image of the rewrite relation: P0 + P1*Y goes to map(P0) + map(P1) *
+    image(Y).  RingError if an image has an
     exponent outside [-4096, 4095] or a mapped exponent leaves
     [-EXP_BIAS, EXP_BIAS).
     """
@@ -565,41 +631,40 @@ def map_poly(poly, target_ring, images):
             y_img = img
             continue
         v, c = next(iter(img._t.items()), (0, None))
-        if (len(img._t) != 1 or c not in _I_POWERS
+        if (len(img._t) != 1 or c not in (1, -1)
                 or img.ring is not target_ring
                 or (tys is not None and (v >> tys) & 3)):
             raise RingError(f"image of {name} is not a unit monomial of "
                             f"{target_ring}: {img}")
         s = ring._layout[k][0]
-        v -= target_ring._bias
+        turns = (v & 3) + 1 - c     # the image's unit is i**turns
+        v -= (v & 3) + target_ring._bias
         if (v + target_ring._image_bias) & target_ring._image_guard:
             raise RingError(f"image of {name} has an exponent outside "
                             f"[{-_IMAGE_LIMIT}, {_IMAGE_LIMIT - 1}]: {img}")
-        if target_ring is ring and v == 1 << s and c == (1, 0):
+        if target_ring is ring and v == 1 << s and not turns:
             keep |= _VALUE_MASK << s
             base -= EXP_BIAS << s
-        elif v or c != (1, 0):
-            parts.append((s, v, _I_POWERS.index(c)))
+        elif v or turns:
+            parts.append((s, v, turns))
     ys = ring._ys
     mask, bias = _VALUE_MASK, EXP_BIAS
     outs = ({}, {})    # images of the terms without and with Y, Y dropped
-    for k, (re, im) in poly._t.items():
+    for k, c in poly._t.items():
         key = (k & keep) + base
-        turns = 0
+        turns = k & 3
         for s, delta, m in parts:
             x = ((k >> s) & mask) - bias
             if x:
                 key += x * delta
                 turns += x * m
-        a, b = _I_POWERS[turns % 4]
+        # i**turns: the i field takes turns mod 2, the sign turns mod 4 // 2
+        key += turns & 1
         out = outs[0 if ys is None else (k >> ys) & 1]
-        cur = out.get(key, (0, 0))
-        out[key] = (cur[0] + re * a - im * b, cur[1] + re * b + im * a)
+        out[key] = out.get(key, 0) + (-c if turns & 2 else c)
     for out in outs:
         target_ring._check_keys(out)
-    even, odd = (LaurentPoly(target_ring,
-                             {k: c for k, c in out.items() if c != (0, 0)})
-                 for out in outs)
+    even, odd = (LaurentPoly(target_ring, _nonzero(out)) for out in outs)
     if not outs[1]:
         return even
     if y_img * y_img != map_poly(ring.y_square, target_ring, images):

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .ring import CRat, QUANTUM, RingError, TRIG, evaluate, map_poly
+from .ring import (CRat, QUANTUM, RingError, TRIG, evaluate, map_poly,
+                   sum_of_products)
 
 #: (weight, n(2) - n(3)) of each index: the charge every operator conserves.
 CHARGE = {1: (0, 0), 2: (1, 1), 3: (1, -1), 4: (2, 0)}
@@ -109,6 +110,13 @@ def _columns(ring, strands, letters, closure_only=False):
     Yields ``(input, {output: coeff})`` for each nonzero column in
     lexicographic order.
 
+    Inside, a state is one int with 2 bits per strand, index - 1, strand 1
+    in the highest bits: so column s is its own index in the lexicographic
+    list of columns, which turns it back into a tuple.  A letter's
+    transition is an XOR of the bits of its two strands.  Each output state
+    is formed once per letter, as one ``sum_of_products`` of the (coeff,
+    entry) pairs that reach it.
+
     With ``closure_only`` it yields only what the (1,1)-closure reads: the
     image of each input column at that same column.  Once no later letter
     touches a strand, a state that differs there from the input is dropped
@@ -117,54 +125,62 @@ def _columns(ring, strands, letters, closure_only=False):
     operators it is all the closure could read: an output that agrees with
     the input on strands 2..strands agrees on strand 1 too.
     """
-    # Per letter, the run of strands it sets for good (it touches them, no
-    # later letter does; empty without closure_only), and a table of its
-    # transitions kept for each value the input has on that run.
+    # Per letter, the shift of its strands' bits, the mask of the bits it
+    # sets for good (it touches those strands, no later letter does; 0
+    # without closure_only), and a table of its transitions kept for each
+    # value the input has under that mask.
     steps = []
     tables = {}
     later = set()
     for pos, op in reversed(letters):
         lo = pos - 1
-        fixed = [j for j in (lo, lo + 1) if closure_only and j not in later]
+        shift = 2 * (strands - 2 - lo)
+        fixed = 0
+        for j, bits in ((lo, 12), (lo + 1, 3)):     # strand lo is higher
+            if closure_only and j not in later:
+                fixed |= bits << shift
         later.update((lo, lo + 1))
-        run = slice(fixed[0], fixed[-1] + 1) if fixed else slice(lo, lo)
-        table = tables.setdefault((id(op), run.start - lo, run.stop - lo), {})
-        steps.append((lo, op, run, table))
+        table = tables.setdefault((id(op), lo, fixed), {})
+        steps.append((shift, fixed, op, table))
     steps.reverse()
+    cols = list(product((1, 2, 3, 4), repeat=strands))
     one = ring.one
-    for s in product((1, 2, 3, 4), repeat=strands):
+    for s in range(len(cols)):
         vec = {s: one}
-        for lo, op, run, table in steps:
-            hi = lo + 2
-            want = s[run]
+        for shift, fixed, op, table in steps:
+            want = s & fixed
             mp = table.get(want)
             if mp is None:
-                mp = table[want] = _transitions(op, run.start - lo, want)
-            new = {}
+                mp = table[want] = _transitions(op, shift, fixed, want)
+            reach = {}
             for state, coeff in vec.items():
-                for pair, v in mp.get(state[lo:hi], ()):
-                    t = state[:lo] + pair + state[hi:]
-                    cur = new.get(t)
-                    prod = coeff * v
-                    acc = prod if cur is None else cur + prod
-                    if acc.is_zero():
-                        new.pop(t, None)
+                for flip, v in mp.get((state >> shift) & 15, ()):
+                    t = state ^ flip
+                    pairs = reach.get(t)
+                    if pairs is None:
+                        reach[t] = [(coeff, v)]
                     else:
-                        new[t] = acc
-            vec = new
+                        pairs.append((coeff, v))
+            vec = {}
+            for t, pairs in reach.items():
+                acc = sum_of_products(pairs)
+                if not acc.is_zero():
+                    vec[t] = acc
         if vec:
-            yield s, vec
+            yield cols[s], {cols[t]: v for t, v in vec.items()}
 
 
-def _transitions(op, start, want):
-    """The map input (d, c) -> [((b, a), value)] of ``op`` on strands
-    (pos, pos + 1), keeping only outputs whose slots from ``start`` on
-    read ``want``."""
+def _transitions(op, shift, fixed, want):
+    """The map of ``op`` on the two strands whose bits start at ``shift``:
+    input bits (d, c) -> [(XOR to the output bits (b, a), value)], keeping
+    only outputs whose bits under the mask ``fixed`` read ``want``."""
     m = {}
     for (a, b, c, d), v in op.entries.items():
-        pair = (b, a)
-        if pair[start:start + len(want)] == want:
-            m.setdefault((d, c), []).append((pair, v))
+        bits_in = (d - 1) << 2 | (c - 1)
+        bits_out = (b - 1) << 2 | (a - 1)
+        if (bits_out << shift) & fixed == want:
+            m.setdefault(bits_in, []).append(((bits_in ^ bits_out) << shift,
+                                              v))
     return m
 
 

@@ -1,5 +1,7 @@
 """Knot-table loading, suite runs and report determinism."""
 
+import re
+
 import pytest
 
 from gaugeknot import braid, harness, oracles
@@ -64,9 +66,22 @@ def test_table_env_override(tmp_path, monkeypatch):
     assert [r.name for r in table] == ["3_1"]
 
 
-def test_empty_suite():
-    report = harness.run_suite({2, 3}, table=[])
-    assert report.total == 0 and report.failed == 0 and report.ok
+def test_empty_selection_is_refused():
+    """A run with no row checks nothing, so it is no pass."""
+    for kwargs in ({"table": []}, {"max_crossings": 2}):
+        with pytest.raises(harness.TableError, match="nothing to check"):
+            harness.run_suite({2, 3}, **kwargs)
+    with pytest.raises(harness.TableError, match="at most 2 crossings"):
+        harness.run_suite([4], max_crossings=2)
+    with pytest.raises(harness.TableError):
+        harness.run_suite(set(), max_crossings=10)
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 1.0, "2", None, True])
+def test_bad_jobs_are_refused(jobs):
+    table = [r for r in harness.load_table() if r.name == "3_1"]
+    with pytest.raises(ValueError, match=re.escape(f"jobs {jobs!r}")):
+        harness.run_suite({3}, table=table, jobs=jobs)
 
 
 def test_suite_small():

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import rand_poly
 from gaugeknot.ring import (CONST, EXP_BIAS, QONLY, QUANTUM, TRIG, CRat, Ring,
-                            RingError, canonical_str, evaluate, map_poly)
+                            RingError, canonical_str, evaluate, map_poly,
+                            sum_of_products)
 
 
 def test_add_examples():
@@ -323,6 +324,8 @@ def test_const_ring():
 # Packed keys: one int per monomial, a biased field per variable.
 
 LO, HI = -EXP_BIAS, EXP_BIAS - 1
+RINGS = pytest.mark.parametrize("ring", [QUANTUM, TRIG, QONLY, CONST],
+                                ids=["QUANTUM", "TRIG", "QONLY", "CONST"])
 
 
 def _laurent_names(ring):
@@ -426,8 +429,7 @@ def _tuple_str(poly):
     return " + ".join(parts).replace(" + -", " - ")
 
 
-@pytest.mark.parametrize("ring", [QUANTUM, TRIG, QONLY, CONST],
-                         ids=["QUANTUM", "TRIG", "QONLY", "CONST"])
+@RINGS
 def test_packed_keys_follow_tuple_order_and_round_trip(rng, ring):
     for _ in range(100):
         x = rand_poly(rng, ring, max_terms=6, span=40)
@@ -439,3 +441,153 @@ def test_packed_keys_follow_tuple_order_and_round_trip(rng, ring):
                 assert poly.leading() == max(poly.terms.items())
             with pytest.raises(TypeError):
                 poly.terms[(0,) * len(ring.names)] = (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# Int coefficients: i is a 2-bit key field, folded like Y.
+
+def _schoolbook(a, b):
+    """a * b term by term over the (re, im) view, Y**2 rewritten by the
+    ring's relation, also read through the view."""
+    ring = a.ring
+    yk = ring.y_index
+    out = {}
+
+    def add(e, re, im):
+        x, y = out.get(e, (0, 0))
+        out[e] = (x + re, y + im)
+
+    for e1, (x1, y1) in a.terms.items():
+        for e2, (x2, y2) in b.terms.items():
+            e = tuple(u + v for u, v in zip(e1, e2))
+            re, im = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
+            if yk is None or e[yk] < 2:
+                add(e, re, im)
+                continue
+            for f, (x3, y3) in ring.y_square.terms.items():
+                g = tuple(u + v for u, v in zip(e, f))
+                add(g[:yk] + (0,) + g[yk + 1:],
+                    re * x3 - im * y3, re * y3 + im * x3)
+    return {e: c for e, c in out.items() if c != (0, 0)}
+
+
+def _i_y_poly(rng, ring):
+    """A random polynomial with imaginary coefficients, and with Y in a
+    Y-ring, so that a product of two folds both i**2 and Y**2."""
+    exps = {n: rng.randint(-2, 2) for n in ring.names}
+    if "Y" in exps:
+        exps["Y"] = 1
+    return ring.mono((0, rng.choice((1, -1))), **exps) + rand_poly(
+        rng, ring, max_terms=3)
+
+
+@RINGS
+def test_products_match_the_schoolbook_reference(rng, ring):
+    for _ in range(150):
+        a = rand_poly(rng, ring, max_terms=6)
+        b = rand_poly(rng, ring, max_terms=6)
+        for x, y in ((a, b), (_i_y_poly(rng, ring), _i_y_poly(rng, ring)),
+                     (ring.gauss(0, 1) * a, _i_y_poly(rng, ring))):
+            assert dict((x * y).terms) == _schoolbook(x, y)
+    i = ring.gauss(0, 1)
+    assert i * i == -ring.one and (i * i * i).terms == {
+        (0,) * len(ring.names): (0, -1)}
+
+
+def test_i_and_y_fold_in_one_product():
+    iy = QUANTUM.mono((0, 1), Y=1)
+    # (iY)**2 = -Y**2 = -(p^2 + p^-2 - Q^2 - Q^-2)
+    assert iy * iy == -QUANTUM.y_square
+    assert (iy * iy * iy).terms == {
+        e[:2] + (1,): (0, -x) for e, (x, _) in QUANTUM.y_square.terms.items()}
+    it = TRIG.mono((0, -1), Y=1, Aa=3)
+    assert dict((it * it).terms) == _schoolbook(it, it)
+    # with a complex Y**2 the fold itself forms i**2 terms: here
+    # iY * Y = i * Y**2 = i * ip = -p
+    ring = Ring(("p", "Y"))
+    ring.set_y_square(ring.mono((0, 1), p=1))
+    iy, y = ring.mono((0, 1), Y=1), ring.var("Y")
+    assert iy * y == -ring.var("p")
+    assert iy * iy == ring.mono((0, -1), p=1)
+    assert sum_of_products([(iy, y), (y, y)]) == ring.mono((-1, 1), p=1)
+
+
+@RINGS
+def test_sum_of_products_is_the_sum_of_the_products(rng, ring):
+    for _ in range(60):
+        pairs = [(rand_poly(rng, ring, max_terms=4),
+                  rand_poly(rng, ring, max_terms=4))
+                 for _ in range(rng.randint(1, 5))]
+        want = ring.zero
+        for a, b in pairs:
+            want = want + a * b
+        assert sum_of_products(pairs) == want
+        assert sum_of_products(iter(pairs)) == want
+    # products that cancel leave no zero term behind
+    a = rand_poly(rng, ring)
+    assert sum_of_products([(a, a), (-a, a)]).is_zero()
+
+
+def test_sum_of_products_refuses_bad_operands():
+    q = QUANTUM.var("Q")
+    for pairs in ([(q, QONLY.var("Q"))], [(QONLY.var("Q"), q)],
+                  [(q, q), (q, TRIG.var("Q"))], [(q, q), (TRIG.var("Q"), q)]):
+        with pytest.raises(RingError):
+            sum_of_products(pairs)
+    with pytest.raises(RingError):
+        sum_of_products([])
+    up = QUANTUM.var("p", EXP_BIAS // 2)
+    with pytest.raises(RingError):
+        sum_of_products([(q, q), (up, up)])
+    # an out-of-range term that cancels within the sum is no error
+    assert sum_of_products([(up, up), (-up, up), (q, q)]) == \
+        QUANTUM.var("Q", 2)
+
+
+def test_invert_monomial_of_the_imaginary_units():
+    for ring in (QUANTUM, TRIG, QONLY, CONST):
+        i = ring.gauss(0, 1)
+        assert i.invert_monomial() == ring.gauss(0, -1)
+        assert (-i).invert_monomial() == i
+        assert (-ring.one).invert_monomial() == -ring.one
+    m = QUANTUM.mono((0, -1), p=3, Q=-2)
+    assert m.invert_monomial() == QUANTUM.mono((0, 1), p=-3, Q=2)
+    assert m * m.invert_monomial() == QUANTUM.one
+    for bad in (QUANTUM.gauss(1, 1), QUANTUM.gauss(0, 2),
+                QUANTUM.mono((0, 1), Y=1)):
+        with pytest.raises(RingError):
+            bad.invert_monomial()
+
+
+def test_map_poly_with_an_imaginary_y_image():
+    """Case 2 ambient: p = 1 and Y -> i(Q - 1/Q), which squares to the
+    image of Y**2."""
+    q = QONLY.mono
+    images = {"p": QONLY.one, "Q": QONLY.var("Q"),
+              "Y": QONLY.gauss(0, 1) * (q(1, Q=1) - q(1, Q=-1))}
+    assert images["Y"].terms == {(1,): (0, 1), (-1,): (0, -1)}
+    m = QUANTUM.mono
+    assert map_poly(QUANTUM.var("Y"), QONLY, images) == images["Y"]
+    assert map_poly(m((2, 3), p=5, Q=-1, Y=1), QONLY, images).terms == {
+        (0,): (-3, 2), (-2,): (3, -2)}
+    assert map_poly(QUANTUM.y_square, QONLY, images) == \
+        images["Y"] * images["Y"]
+    # a Laurent variable sent to i times a monomial: Q -> iQ turns Q**3
+    # into -i Q**3
+    turn = dict(images, Q=q((0, 1), Q=1))
+    assert map_poly(m(1, Q=3), QONLY, turn) == q((0, -1), Q=3)
+    assert map_poly(m((0, 1), Q=-2), QONLY, turn) == q((0, -1), Q=-2)
+
+
+def test_len_terms_and_leading_with_an_imaginary_leading_term():
+    m = QUANTUM.mono
+    poly = m((0, 3), p=2) + m((5, -1), p=1) + m(2) + m((0, -4), Q=-1)
+    assert len(poly) == 4 == len(poly.terms)
+    assert poly.terms == {(2, 0, 0): (0, 3), (1, 0, 0): (5, -1),
+                          (0, 0, 0): (2, 0), (0, -1, 0): (0, -4)}
+    assert poly.leading() == ((2, 0, 0), (0, 3))
+    assert (poly - m((0, 3), p=2)).leading() == ((1, 0, 0), (5, -1))
+    assert str(poly) == "(0+3i) * p^2 + (5-1i) * p^1 + 2 + (0-4i) * Q^-1"
+    assert poly.is_monomial() is False and m((1, 1), p=1).is_monomial()
+    assert evaluate(poly, {"p": CRat(2), "Q": CRat(1), "Y": CRat(0)}) == \
+        CRat(12, 6)

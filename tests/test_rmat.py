@@ -2,13 +2,15 @@
 against their bracket formulas, golden quantum entries, gauge conjugation,
 spectral limits, inversion and eigen-data."""
 
+import hashlib
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from conftest import charge_mixing_op
-from gaugeknot import rmat
+from gaugeknot import braid, engine, rmat
 from gaugeknot.ring import CRat, QUANTUM, TRIG, RingError, evaluate, map_poly
 
 #: The sample points that give Y an imaginary value (sign -1).
@@ -280,6 +282,70 @@ def test_closure_only_prunes_strand_one():
     assert set(full[(3, 1)]) == {(3, 1), (2, 1)}
     fast = dict(rmat._columns(QUANTUM, 2, [(1, op)], closure_only=True))
     assert fast == {s: {s: full[s][s]} for s in full}
+
+
+def _tuple_product(ring, letters, s):
+    """One column's image, with tuple states and one ``+`` per product."""
+    vec = {s: ring.one}
+    for pos, op in letters:
+        lo = pos - 1
+        new = {}
+        for state, coeff in vec.items():
+            for (a, b, c, d), v in op.entries.items():
+                if state[lo:lo + 2] == (d, c):
+                    t = state[:lo] + (b, a) + state[lo + 2:]
+                    new[t] = new.get(t, ring.zero) + coeff * v
+        vec = {t: v for t, v in new.items() if not v.is_zero()}
+    return vec
+
+
+@pytest.mark.parametrize("strands", [1, 2, 3, 4, 5])
+def test_columns_yield_tuples_in_lexicographic_order(rng, strands):
+    """Packed states come out as tuple keys, inputs in lexicographic order,
+    each image equal to the product formed with tuple states."""
+    columns = list(product((1, 2, 3, 4), repeat=strands))
+    assert list(rmat._columns(QUANTUM, strands, ())) == \
+        [(s, {s: QUANTUM.one}) for s in columns]
+    if strands == 1:
+        return
+    mod = engine.model(1, "ambient")
+    for _ in range(1 if strands == 5 else 4):
+        letters = [(rng.randint(1, strands - 1),
+                    rng.choice((mod.sigma, mod.sigma_inv)))
+                   for _ in range(strands + 1)]
+        ref = {s: _tuple_product(QUANTUM, letters, s) for s in columns}
+        closed = {s: {s: v[s]} for s, v in ref.items() if s in v}
+        for closure_only, want in ((False, ref), (True, closed)):
+            got = list(rmat._columns(QUANTUM, strands, letters,
+                                     closure_only))
+            assert [s for s, _ in got] == [s for s in columns if want.get(s)]
+            for s, image in got:
+                assert image == want[s]
+                assert all(type(t) is tuple and len(t) == strands
+                           for t in image)
+
+
+#: sha256 of the full represent() of a 5-strand word, one line
+#: "input output coefficient" per image term in sorted order, with the
+#: column and image counts, as computed with tuple states and one
+#: polynomial sum per product.
+REPRESENT_GOLDEN = {
+    (2, "5 : 1 -2 3 -4 2 1"): (1024, 3232, "744ec63977dda8f2a9eed052fd655ae9"
+                               "39edcb6c334d0234d22d7610da51ca29"),
+    (1, "5 : 1 -2 3 -4"): (1024, 8414, "cd34ab7128048232aa69bce60d9e3d44"
+                           "cbcf6ab456931fff0fa7e5b49f870db9"),
+}
+
+
+@pytest.mark.parametrize("case, word", list(REPRESENT_GOLDEN))
+def test_represent_on_five_strands_matches_the_golden(case, word):
+    """Case 2 ambient's images carry imaginary coefficients, case 1's Y."""
+    rep = engine.represent(braid.parse(word), engine.model(case, "ambient"))
+    text = "\n".join(f"{s} {t} {v}" for s in sorted(rep)
+                     for t, v in sorted(rep[s].items()))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (len(rep), sum(map(len, rep.values())), digest) == \
+        REPRESENT_GOLDEN[(case, word)]
 
 
 def test_eigen_check_counts():
