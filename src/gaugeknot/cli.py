@@ -79,10 +79,18 @@ def _cmd_verify(args, parser):
 
 
 def _cmd_rmatrix(args, parser):
+    header = None
     if args.regime == "trig":
-        op = rmat.build_trig_gauge_free() if args.case == 0 \
-            else rmat.build_trig_gauged()
-        fmt = lambda v: f"({v}) / ({rmat.TRIG_DENOMINATOR})"
+        if args.case == 0:
+            op, den = rmat.build_trig_gauge_free(), rmat.TRIG_DENOMINATOR
+        else:
+            case = rmat.GaugeCase.standard(args.case)
+            op, den, scale = rmat.substitute_case(rmat.build_trig_gauged(),
+                                                  case)
+            header = (f"# case {args.case} substitution: X -> X^{scale}, "
+                      f"Ru -> X^{case.ru_exp * scale}, "
+                      f"Su -> X^{case.su_exp * scale}")
+        fmt = lambda v: f"({v}) / ({den})"
     else:
         if args.case == 0:
             parser.error("--regime quantum requires --case 1..4")
@@ -93,6 +101,8 @@ def _cmd_rmatrix(args, parser):
                 for k, v in op.sorted_items()]
         print(json.dumps(rows, indent=2))
     else:
+        if header:
+            print(header)
         print(f"# {len(op)} nonzero components")
         for (a, b, c, d), v in op.sorted_items():
             print(f"({a}{b})<-({c}{d})  {fmt(v)}")
@@ -191,7 +201,8 @@ def build_parser():
     show.add_argument("--case", type=int, default=0, choices=range(5),
                       help="quantum case 1..4; with --regime trig, 0 "
                            "selects the gauge-free operator and 1..4 the "
-                           "gauged one")
+                           "gauged one under that case's (Ru, Su) -> "
+                           "X-power substitution, N included")
     show.add_argument("--format", default="text", choices=["text", "json"])
     show.set_defaults(func=_cmd_rmatrix, parser=show)
 

@@ -39,16 +39,16 @@ class EngineError(RingError):
 
 #: Term budget for represent(): 8 GiB at 256 bytes per stored term, a term
 #: being one monomial of an image (``len``).  Peak tracemalloc bytes of a
-#: full represent() over its stored terms, with int coefficients (one key
-#: per real or imaginary monomial, two for a monomial with both parts):
-#: 94-139 at 4,300-22,600 terms for case 1 ambient on a 3- and a 4-strand
-#: word, case 2 regular on 7_4 and on a 12-letter 5-strand word, and case 2
-#: ambient on 8_12, whose imaginary monomials are one key each.  Smaller
-#: products read more, as one column's passing states weigh more against
-#: few stored terms: 181-274 at 2,300-11,200 terms (a 4-strand case 1 word,
-#: 5-strand case 2 words of 6-10 letters), 255 at 338 and 587 at 22.  The
-#: same inputs read 130-333 with (re, im) tuple coefficients.  At 139
-#: bytes a term the budget is reached at about 4.7 GB, before 8 GiB.
+#: full represent() over its stored terms, each column's intermediate
+#: terms held in one flat dict: 95-136 at 5,300-26,000 terms for case 1
+#: ambient on a 14-letter 3-strand word, case 2 regular on 7_4 and on a
+#: 12-letter 5-strand word, and case 2 ambient on 8_12, whose imaginary
+#: monomials are one key each.  Smaller products read more, as one
+#: column's passing states weigh more against few stored terms: 188-309 at
+#: 1,500-10,300 terms (4-strand case 1 words of 5-9 letters, 5-strand
+#: case 2 words of 6-10 letters), 336 at 244 and 544 at 26.  With one
+#: polynomial per passing state the same inputs read 92-138 and 197-312.
+#: At 136 bytes a term the budget is reached at about 4.6 GB, before 8 GiB.
 DEFAULT_TERM_BUDGET = (8 * 2**30) // 256
 
 

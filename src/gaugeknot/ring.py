@@ -194,6 +194,9 @@ class Ring:
                 layout.append((shift, _VALUE_MASK, EXP_BIAS))
                 shift += _FIELD_BITS
         self._layout = tuple(reversed(layout))
+        #: the key width: every key is below 1 << _width, so bits above it
+        #: are free for ``rmat._columns`` to carry a braid state
+        self._width = shift
         self._bias = sum(b << s for s, _, b in self._layout)
         self._guard = sum(_GUARD_BITS << s for s, _, b in self._layout if b)
         # an image offset plus _image_bias sets _image_guard iff one of its
@@ -317,12 +320,19 @@ def _nonzero(terms):
     return terms
 
 
-def _folded(ring, terms, acc):
-    """The polynomial of a sum of products whose keys, with no zero
-    coefficient among them, have the OR ``acc``: RingError if an exponent
-    left its range, else i**2 and Y**2 folded.  i**2 is folded before the
-    Y**2 fold, whose offsets may carry i, and again after it, so that no
-    field ever holds 4."""
+def _folded(ring, terms):
+    """A sum of products' term dict settled: zero coefficients dropped,
+    RingError if an exponent left its range, else i**2 and Y**2 folded.
+    One OR over the keys finds guard bits, i**2 and Y**2 terms at once; it
+    reads only the ring's ``_width`` low bits of a key, so keys may carry
+    other data above them.  i**2 is folded before the Y**2 fold, whose
+    offsets may carry i, and again after it, so that no field ever holds
+    4."""
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
+    acc = reduce(or_, terms, 0)
+    if not acc & ring._fold_bits:
+        return terms
     if acc & ring._guard:
         raise ring._range_error()
     if acc & 2:
@@ -337,7 +347,7 @@ def _folded(ring, terms, acc):
         terms = _nonzero(terms)
         if ring._check_keys(terms) & 2:
             _fold_i(terms)
-    return LaurentPoly(ring, _nonzero(terms))
+    return _nonzero(terms)
 
 
 def sum_of_products(pairs):
@@ -358,14 +368,7 @@ def sum_of_products(pairs):
         _mul_into(terms, a._t, b._t, bias)
     if ring is None:
         raise RingError("sum of no products")
-    if 0 in terms.values():
-        terms = {k: c for k, c in terms.items() if c}
-    # one OR over the keys tells whether any guard bit is set or any i**2
-    # or Y**2 term needs folding
-    acc = reduce(or_, terms, 0)
-    if acc & ring._fold_bits:
-        return _folded(ring, terms, acc)
-    return LaurentPoly(ring, terms)
+    return LaurentPoly(ring, _folded(ring, terms))
 
 
 class LaurentPoly:

@@ -16,6 +16,14 @@ Faddeev-LeVerrier recursion, and kernel dimensions by fraction-free
 elimination.  The four indices have four different charges, so in a
 product of such operators a state that agrees with its input on all
 strands but one agrees on all.
+
+Products of operators on many strands run through one kernel,
+``_columns``.  It keeps a column's vector as one flat term dict whose keys
+carry the braid state above the ring's monomial key (``state << S |
+monomial``, S = ``Ring._width``), so that each term of an operator entry
+acts as one additive key delta that sets two strands and multiplies the
+monomials at once, and i**2, Y**2 and the exponent range are folded and
+checked once per letter per column.
 """
 
 from __future__ import annotations
@@ -25,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .ring import (CRat, QUANTUM, RingError, TRIG, evaluate, map_poly,
-                   sum_of_products)
+from .ring import (CRat, LaurentPoly, QUANTUM, RingError, TRIG, _folded,
+                   evaluate, map_poly)
 
 #: (weight, n(2) - n(3)) of each index: the charge every operator conserves.
 CHARGE = {1: (0, 0), 2: (1, 1), 3: (1, -1), 4: (2, 0)}
@@ -62,12 +70,19 @@ def _charge(a, b):
     return tuple(x + y for x, y in zip(CHARGE[a], CHARGE[b]))
 
 
+#: The transitions of an operator none of whose outputs is kept.
+_NO_TRANSITIONS = ((),) * 16
+
+
 class SparseROp:
-    """Sparse two-site operator over a Laurent ring."""
+    """Sparse two-site operator over a Laurent ring.  Its entries are not
+    mutated once it is built: ``_columns`` caches transition tables on it,
+    and every operation returns a new operator."""
 
     def __init__(self, ring, entries):
         self.ring = ring
         self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
+        self._tables = {}
 
     def __len__(self):
         return len(self.entries)
@@ -98,6 +113,35 @@ class SparseROp:
     def sorted_items(self):
         return sorted(self.entries.items())
 
+    def _transitions(self, shift, fixed):
+        """The operator on the two strands whose state bits start at
+        ``shift``, as additive deltas of packed column keys (see
+        ``_columns``): for each value ``want`` that output bits (b, a) read
+        under the mask ``fixed``, a list indexed by the input bits (d, c)
+        of ``(delta, coeff)`` pairs, one per term of each entry whose
+        output reads ``want``.  Built on the first call for a ``(shift,
+        fixed)`` and kept on the operator."""
+        tables = self._tables.get((shift, fixed))
+        if tables is not None:
+            return tables
+        ring = self.ring
+        up = shift + ring._width
+        bias = ring._bias
+        groups = {}
+        for (a, b, c, d), v in self.entries.items():
+            if v.ring is not ring:
+                raise RingError(f"variable-set mismatch: {ring} vs {v.ring}")
+            bits_in = (d - 1) << 2 | (c - 1)
+            bits_out = (b - 1) << 2 | (a - 1)
+            move = ((bits_out - bits_in) << up) - bias
+            by_input = groups.setdefault((bits_out << shift) & fixed, {})
+            by_input.setdefault(bits_in, []).extend(
+                (move + k, x) for k, x in v._t.items())
+        tables = self._tables[(shift, fixed)] = {
+            want: [tuple(by_input.get(g, ())) for g in range(16)]
+            for want, by_input in groups.items()}
+        return tables
+
     def __repr__(self):
         return f"SparseROp({len(self.entries)} entries over {self.ring})"
 
@@ -105,34 +149,45 @@ class SparseROp:
 def _columns(ring, strands, letters, closure_only=False):
     """The one operator product: push every basis column of
     (C^4)^{x strands} through ``letters``, ``(pos, op)`` pairs applied first
-    to last, ``op`` (polynomial entries of ``ring``) acting on strands
-    ``pos`` and ``pos + 1`` with its first tensor slot on the higher strand.
-    Yields ``(input, {output: coeff})`` for each nonzero column in
-    lexicographic order.
+    to last, ``op`` (polynomial entries of ``ring``; RingError for another
+    ring) acting on strands ``pos`` and ``pos + 1`` with its first tensor
+    slot on the higher strand.  Yields ``(input, {output: coeff})`` for
+    each nonzero column in lexicographic order, outputs in lexicographic
+    order too.
 
-    Inside, a state is one int with 2 bits per strand, index - 1, strand 1
-    in the highest bits: so column s is its own index in the lexicographic
-    list of columns, which turns it back into a tuple.  A letter's
-    transition is an XOR of the bits of its two strands.  Each output state
-    is formed once per letter, as one ``sum_of_products`` of the (coeff,
-    entry) pairs that reach it.
+    Inside, a column's vector is one flat dict ``{key: int}``.  A key is
+    ``state << S | monomial key``, S the ring's key width (``Ring._width``)
+    and the state 2 bits per strand, index - 1, strand 1 in the highest
+    bits: so column s is its own index in the lexicographic list of
+    columns, which turns it back into a tuple.  One term of an entry
+    moves a key by one additive delta, ``((bits_out - bits_in) << (shift +
+    S)) + (entry key - bias)``, which sets the letter's two strands and
+    multiplies the monomials at once.  A letter is therefore one loop over
+    the column's terms, each looking up the deltas of its 4-bit strand
+    group, then one fold of i**2 and Y**2 with the range check
+    (``ring._folded``).  At the end of a column its keys are split by
+    state into polynomials.  The transition tables are kept on each
+    operator (``SparseROp._transitions``).
 
     With ``closure_only`` it yields only what the (1,1)-closure reads: the
     image of each input column at that same column.  Once no later letter
-    touches a strand, a state that differs there from the input is dropped
-    before its product is formed, so its successors are never computed.  The
-    image kept is exactly that of the full product.  For charge-conserving
-    operators it is all the closure could read: an output that agrees with
-    the input on strands 2..strands agrees on strand 1 too.
+    touches a strand, a term whose state differs there from the input is
+    never formed: the letter's table keeps only outputs that agree with it.
+    The image kept is exactly that of the full product.  For
+    charge-conserving operators it is all the closure could read: an
+    output that agrees with the input on strands 2..strands agrees on
+    strand 1 too.
     """
-    # Per letter, the shift of its strands' bits, the mask of the bits it
-    # sets for good (it touches those strands, no later letter does; 0
-    # without closure_only), and a table of its transitions kept for each
-    # value the input has under that mask.
+    # Per letter, the shift of its strands' bits in the packed keys, the
+    # mask of the state bits it sets for good (it touches those strands, no
+    # later letter does; 0 without closure_only) and its tables by the
+    # input's bits under that mask.
+    width = ring._width
     steps = []
-    tables = {}
     later = set()
     for pos, op in reversed(letters):
+        if op.ring is not ring:
+            raise RingError(f"variable-set mismatch: {ring} vs {op.ring}")
         lo = pos - 1
         shift = 2 * (strands - 2 - lo)
         fixed = 0
@@ -140,48 +195,43 @@ def _columns(ring, strands, letters, closure_only=False):
             if closure_only and j not in later:
                 fixed |= bits << shift
         later.update((lo, lo + 1))
-        table = tables.setdefault((id(op), lo, fixed), {})
-        steps.append((shift, fixed, op, table))
+        steps.append((shift + width, fixed, op._transitions(shift, fixed)))
     steps.reverse()
     cols = list(product((1, 2, 3, 4), repeat=strands))
-    one = ring.one
+    low = (1 << width) - 1
     for s in range(len(cols)):
-        vec = {s: one}
-        for shift, fixed, op, table in steps:
-            want = s & fixed
-            mp = table.get(want)
-            if mp is None:
-                mp = table[want] = _transitions(op, shift, fixed, want)
-            reach = {}
-            for state, coeff in vec.items():
-                for flip, v in mp.get((state >> shift) & 15, ()):
-                    t = state ^ flip
-                    pairs = reach.get(t)
-                    if pairs is None:
-                        reach[t] = [(coeff, v)]
-                    else:
-                        pairs.append((coeff, v))
-            vec = {}
-            for t, pairs in reach.items():
-                acc = sum_of_products(pairs)
-                if not acc.is_zero():
-                    vec[t] = acc
-        if vec:
-            yield cols[s], {cols[t]: v for t, v in vec.items()}
-
-
-def _transitions(op, shift, fixed, want):
-    """The map of ``op`` on the two strands whose bits start at ``shift``:
-    input bits (d, c) -> [(XOR to the output bits (b, a), value)], keeping
-    only outputs whose bits under the mask ``fixed`` read ``want``."""
-    m = {}
-    for (a, b, c, d), v in op.entries.items():
-        bits_in = (d - 1) << 2 | (c - 1)
-        bits_out = (b - 1) << 2 | (a - 1)
-        if (bits_out << shift) & fixed == want:
-            m.setdefault(bits_in, []).append(((bits_in ^ bits_out) << shift,
-                                              v))
-    return m
+        vec = {s << width | ring._bias: 1}
+        for up, fixed, tables in steps:
+            table = tables.get(s & fixed, _NO_TRANSITIONS)
+            new = {}
+            get = new.get
+            for k, c in vec.items():
+                for d, x in table[(k >> up) & 15]:
+                    e = k + d
+                    new[e] = get(e, 0) + c * x
+            # Range check, once per letter, before the state bits are read
+            # again: an entry's exponents are in range, so one letter moves
+            # a field by less than 2**17.  A field pushed up sets its 15
+            # guard bits and stays within its 32 bits; one pushed down
+            # borrows through them, setting them all, and may decrement the
+            # field above it, or the state bits above the top field.  Either
+            # way its guard bits are set, and the RingError comes before any
+            # state is read or yielded.
+            vec = _folded(ring, new)
+            if not vec:
+                break
+        if not vec:
+            continue
+        images = {}
+        for k, c in vec.items():
+            t = k >> width
+            terms = images.get(t)
+            if terms is None:
+                images[t] = {k & low: c}
+            else:
+                terms[k & low] = c
+        yield cols[s], {cols[t]: LaurentPoly(ring, images[t])
+                        for t in sorted(images)}
 
 
 def identity_op(ring):
@@ -378,23 +428,32 @@ def spectral_limit(R, case):
     N's maps to a unit monomial, so the limit is a product with its
     inverse; an entry of lower X-degree than N tends to 0, and one of
     higher X-degree raises RingError."""
-    L = math.lcm(Fraction(case.ru_exp).denominator,
-                 Fraction(case.su_exp).denominator)
-    images = _case_images(R.ring, case, L)
-    den = map_poly(TRIG_DENOMINATOR, R.ring, images)
+    op, den, _ = substitute_case(R, case)
     dd = den.degree_in("X")
     inv = _to_quantum(den.coeff_of("X", dd)).invert_monomial()
     out = {}
-    for key, v in R.entries.items():
-        num = map_poly(v, R.ring, images)
+    for key, num in op.entries.items():
         dn = num.degree_in("X")
-        if dn is None or dn < dd:
+        if dn < dd:
             continue
         if dn > dd:
             raise RingError(f"divergent spectral limit at {key} "
                             f"(X-degree {dn} > {dd})")
         out[key] = _to_quantum(num.coeff_of("X", dn)) * inv
     return SparseROp(QUANTUM, out)
+
+
+def substitute_case(R, case):
+    """A trigonometric operator's numerators and TRIG_DENOMINATOR under a
+    case's substitution, as ``(numerators, denominator, scale)``: the X
+    grid is refined by ``scale``, the least int that makes the case's
+    exponents integers, so X -> X**scale, Ru -> X**(ru_exp * scale) and
+    Su -> X**(su_exp * scale)."""
+    scale = math.lcm(Fraction(case.ru_exp).denominator,
+                     Fraction(case.su_exp).denominator)
+    images = _case_images(R.ring, case, scale)
+    op = R.map_entries(lambda v: map_poly(v, R.ring, images))
+    return op, map_poly(TRIG_DENOMINATOR, R.ring, images), scale
 
 
 def _case_images(ring, case, scale):
@@ -567,6 +626,28 @@ def _eval_matrix(R, assignment):
     return A, D
 
 
+#: How many (operator, point) pairs ``_eigen_data`` keeps, oldest out first.
+_EIGEN_MEMO = 32
+_eigen_memo = {}
+
+
+def _eigen_data(R, assignment):
+    """``(A, D, charpoly(A))`` for ``(A, D) = _eval_matrix(R, assignment)``.
+    ``eigen_check`` and ``eigenvector_deficiency`` sample the same operator
+    at the same first points, so the data are kept for the last
+    ``_EIGEN_MEMO`` pairs of an operator's sorted entries and the point's
+    exact values.  They are shared, not to be mutated."""
+    key = (tuple(R.sorted_items()), tuple(sorted(assignment.items())))
+    data = _eigen_memo.get(key)
+    if data is None:
+        A, D = _eval_matrix(R, assignment)
+        data = A, D, tuple(charpoly(A))
+        if len(_eigen_memo) >= _EIGEN_MEMO:
+            del _eigen_memo[next(iter(_eigen_memo))]
+        _eigen_memo[key] = data
+    return data
+
+
 def _sparse_rows(A):
     """The nonzero entries of each row of a Gaussian-integer matrix, as
     ``(column, re, im)``."""
@@ -667,8 +748,8 @@ def eigen_check(R, claimed, points=None, min_points=5):
         vals = [evaluate(c, assignment) for c in claimed]
         if len(set(vals)) != len(vals):
             continue  # eigenvalue collision at this point; skip it
-        A, D = _eval_matrix(R, assignment)
-        coeffs = [CRat(*c) for c in charpoly(A)]
+        _, D, coeffs = _eigen_data(R, assignment)
+        coeffs = [CRat(*c) for c in coeffs]
         got = {}
         for c, v in zip(claimed, vals):
             m, coeffs = _root_multiplicity(coeffs, D * v)
@@ -770,8 +851,8 @@ def eigenvector_deficiency(R, points=None):
         raise RingError("no sample points")
     totals = set()
     for assignment in points[:3]:
-        A, _ = _eval_matrix(R, assignment)
-        g = _squarefree_part([CRat(*c) for c in charpoly(A)])
+        A, _, coeffs = _eigen_data(R, assignment)
+        g = _squarefree_part([CRat(*c) for c in coeffs])
         L = math.lcm(*(x.denominator for c in g for x in (c.re, c.im)))
         G = [((c.re * L).numerator, (c.im * L).numerator) for c in g]
         rows = _sparse_rows(A)

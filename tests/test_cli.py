@@ -49,6 +49,44 @@ def test_rmatrix_show_trig(capsys):
     assert all(row["entry"].endswith(over) for row in json.loads(out))
 
 
+@pytest.mark.parametrize("case, header", [
+    (1, "# case 1 substitution: X -> X^1, Ru -> X^0, Su -> X^0"),
+    (2, "# case 2 substitution: X -> X^1, Ru -> X^0, Su -> X^1"),
+    (3, "# case 3 substitution: X -> X^1, Ru -> X^1, Su -> X^1"),
+    (4, "# case 4 substitution: X -> X^2, Ru -> X^1, Su -> X^3"),
+])
+def test_rmatrix_show_trig_case(capsys, case, header):
+    """With --case 1..4 the gauged operator and N are printed under the
+    case's (Ru, Su) -> X-power substitution, the one spectral_limit takes,
+    so no two cases print the same operator."""
+    code, out, _ = run(capsys, "rmatrix", "show", "--regime", "trig",
+                       "--case", str(case))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == [header, "# 36 nonzero components"]
+    op, den, _ = rmat.substitute_case(rmat.build_trig_gauged(),
+                                      rmat.GaugeCase.standard(case))
+    assert lines[2:] == [f"({a}{b})<-({c}{d})  ({v}) / ({den})"
+                         for (a, b, c, d), v in op.sorted_items()]
+    assert all("Ru" not in line and "Su" not in line for line in lines[2:])
+    code, out, _ = run(capsys, "rmatrix", "show", "--regime", "trig",
+                       "--case", str(case), "--format", "json")
+    assert [row["entry"] for row in json.loads(out)] == \
+        [line.split("  ", 1)[1] for line in lines[2:]]
+
+
+def test_rmatrix_show_trig_cases_differ(capsys):
+    """Cases 1..4 print four different operators; case 1 sends r**u and
+    s**u to 1, so its operator is the gauge-free one of --case 0."""
+    bodies = []
+    for case in range(5):
+        _, out, _ = run(capsys, "rmatrix", "show", "--regime", "trig",
+                        "--case", str(case))
+        bodies.append(out.split("# 36 nonzero components\n", 1)[1])
+    assert len(set(bodies[1:])) == 4
+    assert bodies[1] == bodies[0]
+
+
 def test_eigen(capsys):
     code, out, _ = run(capsys, "eigen", "--case", "1")
     assert code == 0

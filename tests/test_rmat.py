@@ -10,8 +10,10 @@ from itertools import product
 import pytest
 
 from conftest import charge_mixing_op
-from gaugeknot import braid, engine, rmat
-from gaugeknot.ring import CRat, QUANTUM, TRIG, RingError, evaluate, map_poly
+from gaugeknot import braid, engine, rmat, ybe
+from gaugeknot.ring import (CONST, CRat, EXP_BIAS, QONLY, QUANTUM, TRIG,
+                            RingError, evaluate, map_poly, sum_of_products)
+from gaugeknot.rmat import SparseROp
 
 #: The sample points that give Y an imaginary value (sign -1).
 IMAGINARY_Y = [rmat.sample_assignment(pt) for pt in rmat.SAMPLE_POINTS
@@ -325,6 +327,126 @@ def test_columns_yield_tuples_in_lexicographic_order(rng, strands):
                            for t in image)
 
 
+def test_key_width_of_each_ring():
+    """The key width above which ``_columns`` packs a state: 2 bits of i,
+    2 of Y and 32 per Laurent variable."""
+    assert [r._width for r in (QUANTUM, TRIG, QONLY, CONST)] == \
+        [68, 260, 34, 2]
+    for ring in (QUANTUM, TRIG, QONLY):
+        top = ring.mono(1, **{ring.names[0]: EXP_BIAS - 1})
+        assert max(top._t) < 1 << ring._width
+
+
+def _reference_columns(ring, strands, letters, closure_only=False):
+    """The operator product with tuple states, each target state formed
+    once per letter by one ``sum_of_products`` of the (coeff, entry) pairs
+    that reach it; closure-only keeps each image's output at its input."""
+    out = []
+    for s in product((1, 2, 3, 4), repeat=strands):
+        vec = {s: ring.one}
+        for pos, op in letters:
+            lo = pos - 1
+            reach = {}
+            for state, coeff in vec.items():
+                for (a, b, c, d), v in op.entries.items():
+                    if state[lo:lo + 2] == (d, c):
+                        t = state[:lo] + (b, a) + state[lo + 2:]
+                        reach.setdefault(t, []).append((coeff, v))
+            vec = {t: sum_of_products(pairs) for t, pairs in reach.items()}
+            vec = {t: v for t, v in vec.items() if not v.is_zero()}
+        if closure_only:
+            vec = {s: vec[s]} if s in vec else {}
+        if vec:
+            out.append((s, dict(sorted(vec.items()))))
+    return out
+
+
+def _assert_columns_match(ring, strands, letters):
+    for closure_only in (False, True):
+        got = list(rmat._columns(ring, strands, letters, closure_only))
+        want = _reference_columns(ring, strands, letters, closure_only)
+        assert got == want
+        # outputs in lexicographic order too
+        assert all(list(image) == sorted(image) for _, image in got)
+
+
+@pytest.mark.parametrize("case", [2, 4])
+def test_columns_match_the_reference_in_the_ambient_rings(rng, case):
+    """Case 2 ambient works in QONLY with i in its entries, case 4 ambient
+    in CONST, where a key is the i field alone."""
+    mod = engine.model(case, "ambient")
+    assert mod.ring is (QONLY if case == 2 else CONST)
+    if case == 2:
+        assert any(k & 1 for v in mod.sigma.entries.values() for k in v._t)
+    for strands in (2, 3, 4):
+        letters = [(rng.randint(1, strands - 1),
+                    rng.choice((mod.sigma, mod.sigma_inv)))
+                   for _ in range(strands + 2)]
+        _assert_columns_match(mod.ring, strands, letters)
+
+
+def test_columns_match_the_reference_on_the_tybe_sides():
+    """Both sides of the additive Yang-Baxter equation on 3 strands, TRIG
+    keys with Y, full and closure-only."""
+    for side in ybe._tybe_sides(rmat.build_trig_gauged()):
+        _assert_columns_match(TRIG, 3, side)
+
+
+def test_cached_transition_tables_equal_a_fresh_build():
+    """One operator at two positions, in both modes, twice: the tables it
+    keeps give what a fresh copy of it gives."""
+    mod = engine.model(1, "ambient")
+    op = SparseROp(QUANTUM, mod.sigma.entries)
+    inv = SparseROp(QUANTUM, mod.sigma_inv.entries)
+    word = [(1, op), (2, inv), (2, op), (1, op), (2, op)]
+    for closure_only in (False, True, False, True):
+        fresh = [(pos, SparseROp(QUANTUM, o.entries)) for pos, o in word]
+        assert list(rmat._columns(QUANTUM, 3, word, closure_only)) == \
+            list(rmat._columns(QUANTUM, 3, fresh, closure_only))
+    assert {key[0] for key in op._tables} == {0, 2}    # both positions
+    assert any(key[1] for key in op._tables)          # closure-only tables
+
+
+def test_columns_refuse_a_letter_of_another_ring():
+    op = rmat.identity_op(QONLY)
+    with pytest.raises(RingError, match="variable-set mismatch"):
+        next(rmat._columns(QUANTUM, 2, [(1, op)]))
+    mixed = SparseROp(QUANTUM, {(1, 1, 1, 1): QONLY.one})
+    with pytest.raises(RingError, match="variable-set mismatch"):
+        next(rmat._columns(QUANTUM, 2, [(1, mixed)]))
+
+
+#: (ring, variable): the highest field of each ring, whose borrow would
+#: reach the state bits, and the lowest Laurent field of TRIG.
+FIELDS = [(QUANTUM, "p"), (QUANTUM, "Q"), (QONLY, "Q"), (TRIG, "Q"),
+          (TRIG, "Sv")]
+
+
+@pytest.mark.parametrize("ring, name", FIELDS)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_columns_refuse_an_exponent_out_of_range_mid_word(ring, name, sign):
+    """The state |2,2> gains name**(sign * 40000) per step: the second step
+    leaves [-2**16, 2**16) and the third would bring it back into range.
+    The check after each letter raises before that column is yielded;
+    every column before it in lexicographic order is yielded."""
+    def step(power):
+        entries = dict(rmat.identity_op(ring).entries)
+        entries[(2, 2, 2, 2)] = ring.mono(1, **{name: sign * power})
+        return SparseROp(ring, entries)
+    word = [(1, step(40000)), (1, step(40000)), (1, step(-40000))]
+    got = []
+    with pytest.raises(RingError, match="exponent outside"):
+        for item in rmat._columns(ring, 2, word):
+            got.append(item)
+    assert [s for s, _ in got] == \
+        [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1)]
+    assert all(image == {s: ring.one} for s, image in got)
+    # two steps of 30000 stay in range
+    word = [(1, step(30000)), (1, step(30000))]
+    image = dict(rmat._columns(ring, 2, word))[(2, 2)]
+    assert image == {(2, 2): ring.mono(1, **{name: sign * 60000})}
+
+
 #: sha256 of the full represent() of a 5-strand word, one line
 #: "input output coefficient" per image term in sorted order, with the
 #: column and image counts, as computed with tuple states and one
@@ -377,6 +499,35 @@ def test_eigen_check_identity():
 def test_eigen_check_rejects_wrong_claim():
     rep = rmat.eigen_check(rmat.quantum_r(1), [QUANTUM.one])
     assert not rep.ok
+
+
+def test_eigen_checks_share_the_characteristic_polynomials(monkeypatch):
+    """eigenvector_deficiency reuses what eigen_check computed at the first
+    three points of the same operator; the memo keeps a bounded number of
+    (operator, point) pairs and changes no result."""
+    calls = []
+    charpoly = rmat.charpoly
+    monkeypatch.setattr(rmat, "charpoly",
+                        lambda A: calls.append(1) or charpoly(A))
+    monkeypatch.setattr(rmat, "_eigen_memo", {})
+    R = rmat.quantum_r(2)
+    rep = rmat.eigen_check(R, rmat.claimed_eigenvalues(2))
+    assert rep.ok and len(calls) == rep.points_used == 5
+    assert rmat.eigenvector_deficiency(rmat.quantum_r(2)) == 16
+    assert len(calls) == 5
+    # new points are computed anew
+    assert rmat.eigenvector_deficiency(R, points=IMAGINARY_Y) == 16
+    assert len(calls) == 8
+    # 4 operators at 12 points: the memo keeps the last _EIGEN_MEMO pairs
+    for i in (1, 2, 3, 4):
+        for point in map(rmat.sample_assignment, rmat.SAMPLE_POINTS):
+            rmat._eigen_data(rmat.quantum_r(i), point)
+    assert len(rmat._eigen_memo) == rmat._EIGEN_MEMO == 32
+    calls.clear()
+    assert rmat.eigenvector_deficiency(rmat.quantum_r(4)) == 16
+    assert calls == []
+    assert rmat.eigenvector_deficiency(rmat.quantum_r(1)) == 16
+    assert len(calls) == 3
 
 
 def test_eigenvector_deficiency():
