@@ -54,6 +54,10 @@ def load_table(path=None):
         if name in seen:
             raise TableError(f"{path}:{lineno}: duplicate knot {name!r}")
         seen.add(name)
+        head = name.split("_")[0]
+        if not (head.isascii() and head.isdigit()):
+            raise TableError(f"{path}:{lineno}: knot name {name!r} does not "
+                             f"begin with its crossing number")
         try:
             word = BraidWord(int(ns), tuple(int(t) for t in ls.split()))
         except (ValueError, BraidError) as exc:
@@ -163,9 +167,9 @@ def _run_one(args):
 
 def run_suite(cases, table=None, max_crossings=8, jobs=1):
     """Run the per-case checks over the table, filtered by crossing count,
-    in ``jobs`` processes.  ValueError unless ``jobs`` is an int of at
-    least 1; TableError when the selection has no row, since an empty run
-    checks nothing."""
+    in ``jobs`` processes, but no more processes than rows.  ValueError
+    unless ``jobs`` is an int of at least 1; TableError when the selection
+    has no row, since an empty run checks nothing."""
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs {jobs!r}: need an int of at least 1")
     if table is None:
@@ -178,7 +182,8 @@ def run_suite(cases, table=None, max_crossings=8, jobs=1):
                          f"in the table: nothing to check")
     report = RunReport()
     if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at once: no more than rows
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             report.rows = list(pool.map(_run_one, work))
     else:
         report.rows = [_run_one(w) for w in work]

@@ -11,11 +11,12 @@ block-diagonal in the 9 charge sectors; ``invert`` works one sector at a
 time, while the eigen checks evaluate the full 16x16 matrix M at exact
 sample points.  They clear M's denominators once, with the least common
 denominator D, and run on D*M over the Gaussian integers, stored as
-``(re, im)`` int pairs: the characteristic polynomial by the
-Faddeev-LeVerrier recursion, and kernel dimensions by fraction-free
-elimination.  The four indices have four different charges, so in a
-product of such operators a state that agrees with its input on all
-strands but one agrees on all.
+``(re, im)`` int pairs, from end to end: the characteristic polynomial by
+the Faddeev-LeVerrier recursion, root multiplicities and its squarefree
+part by one fraction-free pseudo-division, and kernel dimensions by
+fraction-free elimination.  The four indices have four different charges,
+so in a product of such operators a state that agrees with its input on
+all strands but one agrees on all.
 
 Products of operators on many strands run through one kernel,
 ``_columns``.  It keeps a column's vector as one flat term dict whose keys
@@ -626,28 +627,6 @@ def _eval_matrix(R, assignment):
     return A, D
 
 
-#: How many (operator, point) pairs ``_eigen_data`` keeps, oldest out first.
-_EIGEN_MEMO = 32
-_eigen_memo = {}
-
-
-def _eigen_data(R, assignment):
-    """``(A, D, charpoly(A))`` for ``(A, D) = _eval_matrix(R, assignment)``.
-    ``eigen_check`` and ``eigenvector_deficiency`` sample the same operator
-    at the same first points, so the data are kept for the last
-    ``_EIGEN_MEMO`` pairs of an operator's sorted entries and the point's
-    exact values.  They are shared, not to be mutated."""
-    key = (tuple(R.sorted_items()), tuple(sorted(assignment.items())))
-    data = _eigen_memo.get(key)
-    if data is None:
-        A, D = _eval_matrix(R, assignment)
-        data = A, D, tuple(charpoly(A))
-        if len(_eigen_memo) >= _EIGEN_MEMO:
-            del _eigen_memo[next(iter(_eigen_memo))]
-        _eigen_memo[key] = data
-    return data
-
-
 def _sparse_rows(A):
     """The nonzero entries of each row of a Gaussian-integer matrix, as
     ``(column, re, im)``."""
@@ -709,20 +688,53 @@ def _add_to_diagonal(N, c_re, c_im):
         N[i][i] = (re + c_re, im + c_im)
 
 
-def _root_multiplicity(coeffs, lam):
-    """Divide (x - lam) out of the monic coefficient list as often as exact."""
-    mult = 0
-    cur = coeffs
-    while len(cur) > 1:
-        quo = [cur[0]]
-        for c in cur[1:-1]:
-            quo.append(c + lam * quo[-1])
-        rem = cur[-1] + lam * quo[-1]
+def _primitive(a):
+    """A list of Gaussian integers ``(re, im)`` divided by the gcd of all
+    its integer parts (unchanged when that gcd is 0 or 1)."""
+    g = math.gcd(*(x for e in a for x in e))
+    return [(re // g, im // g) for re, im in a] if g > 1 else a
+
+
+def _pseudo_divide(a, b):
+    """Pseudo-division of Gaussian-integer coefficient lists (highest degree
+    first, ``b[0]`` nonzero): ``(q, r)`` with lc(b)**k * a = q * b + r,
+    k = max(0, deg a - deg b + 1) and deg r < deg b.  Leading zeros of r are
+    stripped, so the zero remainder is ``[]``.  For a monic b, lc(b)**k = 1
+    and the division is exact."""
+    lc_re, lc_im = b[0]
+    q, r = [], list(a)
+    while len(r) >= len(b):
+        lead, r = r[0], r[1:]
+        if b[0] != (1, 0):   # q, r <- lc(b) * q, lc(b) * r
+            q, r = ([(lc_re * x - lc_im * y, lc_re * y + lc_im * x)
+                     for x, y in part] for part in (q, r))
+        q.append(lead)
+        l_re, l_im = lead
+        for i, (x, y) in enumerate(b[1:]):   # r <- r - lead * b
+            re, im = r[i]
+            r[i] = (re - l_re * x + l_im * y, im - l_re * y - l_im * x)
+    while r and r[0] == (0, 0):
+        r.pop(0)
+    return q, r
+
+
+def _root_multiplicity(coeffs, r):
+    """How often x - r divides a monic Gaussian-integer coefficient list
+    (highest degree first), with the quotient left: ``(m, quotient)``.
+    ``r`` is a CRat.  A root in Q(i) of a monic polynomial over Z[i] is a
+    Gaussian integer, since Z[i] is integrally closed; so an r with a
+    Fraction part divides out 0 times, and otherwise each division by the
+    monic x - r is an exact ``_pseudo_divide`` with no scaling."""
+    if r.re.denominator != 1 or r.im.denominator != 1:
+        return 0, coeffs
+    b = [(1, 0), (-r.re.numerator, -r.im.numerator)]
+    m = 0
+    while len(coeffs) > 1:
+        q, rem = _pseudo_divide(coeffs, b)
         if rem:
             break
-        mult += 1
-        cur = quo
-    return mult, cur
+        m, coeffs = m + 1, q
+    return m, coeffs
 
 
 @dataclass
@@ -740,6 +752,9 @@ def eigen_check(R, claimed, points=None, min_points=5):
     characteristic polynomial).  At each point the polynomial is that of
     ``A = D * M`` over the Gaussian integers, whose roots are D times the
     eigenvalues of M."""
+    if min_points < 1:
+        raise RingError(f"min_points {min_points!r}: an eigen check needs "
+                        f"at least 1 sample point")
     if points is None:
         points = [sample_assignment(pt) for pt in SAMPLE_POINTS]
     used = 0
@@ -748,8 +763,8 @@ def eigen_check(R, claimed, points=None, min_points=5):
         vals = [evaluate(c, assignment) for c in claimed]
         if len(set(vals)) != len(vals):
             continue  # eigenvalue collision at this point; skip it
-        _, D, coeffs = _eigen_data(R, assignment)
-        coeffs = [CRat(*c) for c in coeffs]
+        A, D = _eval_matrix(R, assignment)
+        coeffs = charpoly(A)
         got = {}
         for c, v in zip(claimed, vals):
             m, coeffs = _root_multiplicity(coeffs, D * v)
@@ -793,56 +808,33 @@ def _kernel_dim(M):
             f_re, f_im = M[r][col]
             if not (f_re or f_im):
                 continue
-            new = [(p_re * a - p_im * b - f_re * c + f_im * d,
-                    p_re * b + p_im * a - f_re * d - f_im * c)
-                   for (a, b), (c, d) in zip(M[r], prow)]
-            g = math.gcd(*(x for e in new for x in e))
-            if g > 1:
-                new = [(a // g, b // g) for a, b in new]
-            M[r] = new
+            M[r] = _primitive([(p_re * a - p_im * b - f_re * c + f_im * d,
+                                p_re * b + p_im * a - f_re * d - f_im * c)
+                               for (a, b), (c, d) in zip(M[r], prow)])
         rank += 1
     return n - rank
 
 
-def _poly_quorem(a, b):
-    """Divide coefficient lists (highest degree first) over CRat."""
-    a = a[:]
-    q = []
-    while len(a) >= len(b) and len(a) > 1:
-        f = a[0] / b[0]
-        q.append(f)
-        for i in range(len(b)):
-            a[i] = a[i] - f * b[i]
-        a.pop(0)
-    if len(a) == 1 and len(b) == 1:
-        q.append(a[0] / b[0])
-        a = [CRat(0)]
-    while len(a) > 1 and not a[0]:
-        a.pop(0)
-    return q, a
-
-
-def _poly_gcd(a, b):
-    while len(b) > 1 or b[0]:
-        _, r = _poly_quorem(a, b)
-        a, b = b, r
-    return [c / a[0] for c in a]
-
-
 def _squarefree_part(coeffs):
-    """Radical of a monic coefficient list (highest degree first)."""
+    """A Gaussian-integer multiple of the radical of a monic Gaussian-integer
+    coefficient list f (highest degree first): gcd(f, f') from a primitive
+    pseudo-remainder sequence, then the pseudo-quotient of f by that gcd,
+    made primitive."""
     n = len(coeffs) - 1
-    deriv = [c * CRat(n - i) for i, c in enumerate(coeffs[:-1])]
-    g = _poly_gcd(coeffs, deriv)
-    q, _ = _poly_quorem(coeffs, g)
-    return q
+    a = coeffs
+    b = _primitive([(re * (n - i), im * (n - i))
+                    for i, (re, im) in enumerate(coeffs[:-1])])
+    while b:
+        a, b = b, _primitive(_pseudo_divide(a, b)[1])
+    return _primitive(_pseudo_divide(coeffs, a)[0])
 
 
 def eigenvector_deficiency(R, points=None):
     """Total eigenvector count of the 16x16 operator: the sum over distinct
-    eigenvalues of dim ker(R - lambda I), computed as dim ker g(A) for the
-    squarefree part g of the characteristic polynomial of ``A = D * M``,
-    scaled to Gaussian-integer coefficients (16 means diagonalizable).  It
+    eigenvalues of dim ker(R - lambda I), computed as dim ker g(A) for
+    ``A = D * M`` and g a Gaussian-integer multiple of the squarefree part
+    of its characteristic polynomial, which has the same kernel (16 means
+    diagonalizable).  It
     is evaluated at each of the first three sample points and the maximum
     is returned; RingError if there is none."""
     if points is None:
@@ -851,10 +843,8 @@ def eigenvector_deficiency(R, points=None):
         raise RingError("no sample points")
     totals = set()
     for assignment in points[:3]:
-        A, _, coeffs = _eigen_data(R, assignment)
-        g = _squarefree_part([CRat(*c) for c in coeffs])
-        L = math.lcm(*(x.denominator for c in g for x in (c.re, c.im)))
-        G = [((c.re * L).numerator, (c.im * L).numerator) for c in g]
+        A, _ = _eval_matrix(R, assignment)
+        G = _squarefree_part(charpoly(A))
         rows = _sparse_rows(A)
         acc = [[G[0] if i == j else (0, 0) for j in range(16)]
                for i in range(16)]

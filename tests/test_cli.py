@@ -183,6 +183,16 @@ def test_bad_braid_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_table_name_without_crossing_number_is_usage_error(capsys,
+                                                          tmp_path):
+    f = tmp_path / "table.txt"
+    f.write_text("trefoil ; 2 ; 1 1 1\n")
+    code, out, err = run(capsys, "suite", "--cases", "4", "--table", str(f))
+    assert code == 2 and out == ""
+    assert err == (f"error: {f}:1: knot name 'trefoil' does not begin "
+                   f"with its crossing number\n")
+
+
 def test_unknown_knot_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "oracle", "jones", "--knot", "99_9")

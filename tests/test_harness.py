@@ -48,14 +48,25 @@ def test_load_table_errors(tmp_path):
     assert load("# only a comment\n") == []
     recs = load("3_1 ; 2 ; 1 1 1  # trefoil\n")
     assert len(recs) == 1 and recs[0].name == "3_1"
-    with pytest.raises(harness.TableError, match="2"):
-        load("ok ; 2 ; 1 1 1\nbad ; 2 ; 5\n")
+    with pytest.raises(harness.TableError, match=":2: "):
+        load("3_1 ; 2 ; 1 1 1\n3_2 ; 2 ; 5\n")
     with pytest.raises(harness.TableError, match="duplicate"):
-        load("a ; 2 ; 1 1 1\na ; 2 ; 1 1 1\n")
+        load("3_1 ; 2 ; 1 1 1\n3_1 ; 2 ; 1 1 1\n")
     with pytest.raises(harness.TableError, match="link"):
-        load("l ; 2 ; 1 1\n")
+        load("2_1 ; 2 ; 1 1\n")
     with pytest.raises(harness.TableError):
-        load("missing-fields ; 2\n")
+        load("3_1 ; 2\n")
+
+
+@pytest.mark.parametrize("name", ["trefoil", "x3_1", "3a_1", "_1", "+3_1",
+                                  "-3_1", "\u0663_1", "\u00b3_1"])
+def test_load_table_refuses_a_name_without_crossing_number(tmp_path, name):
+    """The crossing filter reads the crossing number from the knot name."""
+    f = tmp_path / "table.txt"
+    f.write_text(f"3_1 ; 2 ; 1 1 1\n{name} ; 2 ; 1 1 1\n")
+    with pytest.raises(harness.TableError,
+                       match=re.escape(f"{f}:2: knot name {name!r}")):
+        harness.load_table(f)
 
 
 def test_table_env_override(tmp_path, monkeypatch):
@@ -158,6 +169,34 @@ def test_report_determinism(tmp_path):
         report.write_json(json_p)
         paths.append((csv_p.read_bytes(), json_p.read_bytes()))
     assert paths[0] == paths[1]
+
+
+def test_suite_pool_is_capped_at_the_rows(monkeypatch):
+    """The pool starts all its workers at the first task, so it gets no
+    more workers than there are rows; the fake pool starts no process."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    table = [r for r in harness.load_table() if r.name in ("3_1", "4_1")]
+    report = harness.run_suite({4}, table=table, jobs=64)
+    assert sizes == [2] and report.total == 2 and report.ok
+    harness.run_suite({2, 4}, table=table, jobs=3)
+    assert sizes == [2, 3]
+    harness.run_suite({4}, table=table[:1], jobs=64)   # one row: no pool
+    assert sizes == [2, 3]
 
 
 def test_suite_parallel_matches_serial():

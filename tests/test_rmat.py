@@ -501,35 +501,6 @@ def test_eigen_check_rejects_wrong_claim():
     assert not rep.ok
 
 
-def test_eigen_checks_share_the_characteristic_polynomials(monkeypatch):
-    """eigenvector_deficiency reuses what eigen_check computed at the first
-    three points of the same operator; the memo keeps a bounded number of
-    (operator, point) pairs and changes no result."""
-    calls = []
-    charpoly = rmat.charpoly
-    monkeypatch.setattr(rmat, "charpoly",
-                        lambda A: calls.append(1) or charpoly(A))
-    monkeypatch.setattr(rmat, "_eigen_memo", {})
-    R = rmat.quantum_r(2)
-    rep = rmat.eigen_check(R, rmat.claimed_eigenvalues(2))
-    assert rep.ok and len(calls) == rep.points_used == 5
-    assert rmat.eigenvector_deficiency(rmat.quantum_r(2)) == 16
-    assert len(calls) == 5
-    # new points are computed anew
-    assert rmat.eigenvector_deficiency(R, points=IMAGINARY_Y) == 16
-    assert len(calls) == 8
-    # 4 operators at 12 points: the memo keeps the last _EIGEN_MEMO pairs
-    for i in (1, 2, 3, 4):
-        for point in map(rmat.sample_assignment, rmat.SAMPLE_POINTS):
-            rmat._eigen_data(rmat.quantum_r(i), point)
-    assert len(rmat._eigen_memo) == rmat._EIGEN_MEMO == 32
-    calls.clear()
-    assert rmat.eigenvector_deficiency(rmat.quantum_r(4)) == 16
-    assert calls == []
-    assert rmat.eigenvector_deficiency(rmat.quantum_r(1)) == 16
-    assert len(calls) == 3
-
-
 def test_eigenvector_deficiency():
     assert rmat.eigenvector_deficiency(rmat.identity_op(QUANTUM)) == 16
     for i in (1, 2, 3, 4):
@@ -567,6 +538,105 @@ def test_eigenvector_deficiency_of_a_jordan_block(value):
 def test_eigenvector_deficiency_needs_a_point():
     with pytest.raises(RingError, match="no sample points"):
         rmat.eigenvector_deficiency(rmat.quantum_r(1), points=[])
+
+
+@pytest.mark.parametrize("points", [[], None])
+@pytest.mark.parametrize("min_points", [0, -1])
+def test_eigen_check_needs_a_point(points, min_points):
+    """A check of no sample point checks nothing, whatever is claimed."""
+    with pytest.raises(RingError, match="at least 1 sample point"):
+        rmat.eigen_check(rmat.quantum_r(1), rmat.claimed_eigenvalues(2),
+                         points=points, min_points=min_points)
+
+
+def _gauss(rng, span=5):
+    return (rng.randint(-span, span), rng.randint(-span, span))
+
+
+def _crat_poly_mul(a, b):
+    """The product of two CRat coefficient lists (highest degree first)."""
+    out = [CRat(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _crat_poly_add(a, b):
+    n = max(len(a), len(b))
+    a = [CRat(0)] * (n - len(a)) + list(a)
+    b = [CRat(0)] * (n - len(b)) + list(b)
+    return [x + y for x, y in zip(a, b)]
+
+
+def _from_roots(roots):
+    """The monic Gaussian-integer coefficient list of prod (x - r) over
+    ``roots``, (re, im) pairs with repeats for multiplicity."""
+    f = [CRat(1)]
+    for r in roots:
+        f = _crat_poly_mul(f, [CRat(1), -CRat(*r)])
+    return [(c.re.numerator, c.im.numerator) for c in f]
+
+
+def _random_roots(rng):
+    """Distinct Gaussian-integer roots, at least one of them imaginary, with
+    multiplicities 1..4: ``{root: multiplicity}``."""
+    roots = {(rng.randint(-6, 6), rng.randint(1, 6)): rng.randint(1, 4)}
+    while len(roots) < rng.randint(2, 5):
+        roots.setdefault(_gauss(rng, 6), rng.randint(1, 4))
+    return roots
+
+
+def test_root_multiplicity_recovers_each_multiplicity(rng):
+    for _ in range(30):
+        roots = _random_roots(rng)
+        f = _from_roots([r for r, m in roots.items() for _ in range(m)])
+        assert rmat._root_multiplicity(f, CRat(7, 7)) == (0, f)
+        for frac in (CRat(Fraction(1, 2)), CRat(1, Fraction(-3, 5))):
+            assert rmat._root_multiplicity(f, frac) == (0, f)
+        order = list(roots)
+        rng.shuffle(order)
+        for r in order:
+            m, f = rmat._root_multiplicity(f, CRat(*r))
+            assert m == roots[r]
+            assert rmat._root_multiplicity(f, CRat(*r))[0] == 0
+        assert f == [(1, 0)]
+
+
+def test_pseudo_divide(rng):
+    """lc(b)**k * a = q * b + r with k = max(0, deg a - deg b + 1) and
+    deg r < deg b, checked in CRat; a monic divisor divides exactly."""
+    for _ in range(60):
+        a = [_gauss(rng, 9) for _ in range(rng.randint(1, 9))]
+        b = [_gauss(rng) for _ in range(rng.randint(1, 5))]
+        if b[0] == (0, 0):
+            b[0] = (0, 1)
+        q, r = rmat._pseudo_divide(a, b)
+        assert len(r) < len(b) and (not r or r[0] != (0, 0))
+        k = max(0, len(a) - len(b) + 1)
+        lhs = [CRat(*b[0]) ** k * CRat(*c) for c in a]
+        rhs = _crat_poly_add(
+            _crat_poly_mul([CRat(*c) for c in q] or [CRat(0)],
+                           [CRat(*c) for c in b]),
+            [CRat(*c) for c in r])
+        assert _crat_poly_add(lhs, [-c for c in rhs]) == \
+            [CRat(0)] * max(len(lhs), len(rhs))
+        monic = [(1, 0)] + b[1:]
+        prod = _crat_poly_mul([CRat(*c) for c in a], [CRat(*c) for c in monic])
+        prod = [(c.re.numerator, c.im.numerator) for c in prod]
+        assert rmat._pseudo_divide(prod, monic) == (a, [])
+
+
+def test_squarefree_part_is_a_multiple_of_the_radical(rng):
+    for _ in range(30):
+        roots = _random_roots(rng)
+        f = _from_roots([r for r, m in roots.items() for _ in range(m)])
+        g = [CRat(*c) for c in rmat._squarefree_part(f)]
+        radical = [CRat(*c) for c in _from_roots(list(roots))]
+        assert len(g) == len(radical)
+        assert all(x * radical[0] == y * g[0] for x, y in zip(g, radical))
+    assert rmat._squarefree_part(_from_roots([(0, 1)] * 16)) == [(1, 0),
+                                                                 (0, -1)]
 
 
 def _g(*rows):
