@@ -17,9 +17,10 @@ conserve rmat's ``CHARGE``, the one check the closure rests on: the four
 indices have four different charges, so such an output agrees with s on
 strand 1 too, and the closed 4x4 matrix is diagonal by construction.
 ``tangle_invariant`` and ``verify_handle`` run the product closure-only: a
-state is dropped as soon as no later letter touches a strand on which it
-differs from s, before any of its products is formed.  ``represent`` gives
-the full product unless asked for ``closure_only``.
+term is formed only if its state can still return to s through the nonzero
+entries of the remaining letters, and a column that cannot return to s is
+skipped.  ``represent`` gives the full product unless asked for
+``closure_only``.
 """
 
 from __future__ import annotations

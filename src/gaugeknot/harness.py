@@ -25,14 +25,21 @@ class TableError(ValueError):
 
 @dataclass(frozen=True)
 class KnotRecord:
+    """A knot of the table.  Its name begins with its crossing number, the
+    ASCII digits before the first ``_`` (TableError otherwise)."""
     name: str
     word: BraidWord
+
+    def __post_init__(self):
+        head = self.name.split("_")[0] if isinstance(self.name, str) else ""
+        if not (head.isascii() and head.isdigit()):
+            raise TableError(f"knot name {self.name!r} does not begin with "
+                             f"its crossing number")
 
     @property
     def crossings(self):
         """Nominal crossing count from the table name (e.g. 8 for '8_19')."""
-        head = self.name.split("_")[0]
-        return int(head)
+        return int(self.name.split("_")[0])
 
 
 def table_path():
@@ -41,9 +48,15 @@ def table_path():
 
 def load_table(path=None):
     path = Path(path) if path is not None else table_path()
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc.reason
+        raise TableError(f"{path}: cannot read the knot table: {reason}") \
+            from None
     records = []
     seen = set()
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -54,17 +67,14 @@ def load_table(path=None):
         if name in seen:
             raise TableError(f"{path}:{lineno}: duplicate knot {name!r}")
         seen.add(name)
-        head = name.split("_")[0]
-        if not (head.isascii() and head.isdigit()):
-            raise TableError(f"{path}:{lineno}: knot name {name!r} does not "
-                             f"begin with its crossing number")
-        try:
-            word = BraidWord(int(ns), tuple(int(t) for t in ls.split()))
+        try:   # a TableError is a ValueError
+            record = KnotRecord(name, BraidWord(
+                int(ns), tuple(int(t) for t in ls.split())))
         except (ValueError, BraidError) as exc:
             raise TableError(f"{path}:{lineno}: {exc}") from None
-        if closure_components(word) != 1:
+        if closure_components(record.word) != 1:
             raise TableError(f"{path}:{lineno}: closure of {name} is a link")
-        records.append(KnotRecord(name, word))
+        records.append(record)
     return records
 
 

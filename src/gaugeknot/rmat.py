@@ -24,7 +24,10 @@ carry the braid state above the ring's monomial key (``state << S |
 monomial``, S = ``Ring._width``), so that each term of an operator entry
 acts as one additive key delta that sets two strands and multiplies the
 monomials at once, and i**2, Y**2 and the exponent range are folded and
-checked once per letter per column.
+checked once per letter per column.  For the (1,1)-closure it forms only
+the terms whose state can still return to their input column through the
+nonzero entries of the remaining letters, found by one backward pass of
+bitsets over the letters.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from operator import or_
 
 from .ring import (CRat, LaurentPoly, QUANTUM, RingError, TRIG, _folded,
                    evaluate, map_poly)
@@ -66,13 +71,9 @@ def sample_assignment(point):
     return {"p": CRat(p), "Q": CRat(q), "Y": yv}
 
 
-def _charge(a, b):
-    """The charge of the two-site basis state |a,b>."""
-    return tuple(x + y for x, y in zip(CHARGE[a], CHARGE[b]))
-
-
-#: The transitions of an operator none of whose outputs is kept.
-_NO_TRANSITIONS = ((),) * 16
+#: The charge of each two-site basis state |a,b>, keyed by (a, b).
+_PAIR_CHARGE = {(a, b): tuple(x + y for x, y in zip(CHARGE[a], CHARGE[b]))
+                for a in CHARGE for b in CHARGE}
 
 
 class SparseROp:
@@ -108,43 +109,116 @@ class SparseROp:
         return self.map_entries(lambda v: v * s)
 
     def conserves_charge(self):
-        return all(_charge(a, b) == _charge(c, d)
+        return all(_PAIR_CHARGE[a, b] == _PAIR_CHARGE[c, d]
                    for (a, b, c, d) in self.entries)
 
     def sorted_items(self):
         return sorted(self.entries.items())
 
-    def _transitions(self, shift, fixed):
+    def _transitions(self, shift):
         """The operator on the two strands whose state bits start at
         ``shift``, as additive deltas of packed column keys (see
-        ``_columns``): for each value ``want`` that output bits (b, a) read
-        under the mask ``fixed``, a list indexed by the input bits (d, c)
-        of ``(delta, coeff)`` pairs, one per term of each entry whose
-        output reads ``want``.  Built on the first call for a ``(shift,
-        fixed)`` and kept on the operator."""
-        tables = self._tables.get((shift, fixed))
-        if tables is not None:
-            return tables
+        ``_columns``): ``(flat, moves, conserving)``.  ``flat`` and
+        ``moves`` are indexed by the input bits (d, c); ``flat`` lists the
+        ``(delta, coeff)`` pairs of every term of every entry from those
+        bits, and ``moves`` the same pairs grouped by output as ``(xor,
+        pairs)``, ``xor`` turning the input state into the output one.
+        ``conserving`` says whether every entry conserves the charge.  Built
+        on the first call for a ``shift`` and kept on the operator."""
+        table = self._tables.get(shift)
+        if table is not None:
+            return table
         ring = self.ring
         up = shift + ring._width
         bias = ring._bias
-        groups = {}
+        flat = [[] for _ in range(16)]
+        moves = [{} for _ in range(16)]
+        conserving = True
         for (a, b, c, d), v in self.entries.items():
             if v.ring is not ring:
                 raise RingError(f"variable-set mismatch: {ring} vs {v.ring}")
             bits_in = (d - 1) << 2 | (c - 1)
             bits_out = (b - 1) << 2 | (a - 1)
             move = ((bits_out - bits_in) << up) - bias
-            by_input = groups.setdefault((bits_out << shift) & fixed, {})
-            by_input.setdefault(bits_in, []).extend(
-                (move + k, x) for k, x in v._t.items())
-        tables = self._tables[(shift, fixed)] = {
-            want: [tuple(by_input.get(g, ())) for g in range(16)]
-            for want, by_input in groups.items()}
-        return tables
+            conserving &= _PAIR_CHARGE[a, b] == _PAIR_CHARGE[c, d]
+            pairs = [(move + k, x) for k, x in v._t.items()]
+            flat[bits_in].extend(pairs)
+            moves[bits_in].setdefault((bits_in ^ bits_out) << shift,
+                                      []).extend(pairs)
+        table = self._tables[shift] = (
+            [tuple(pairs) for pairs in flat],
+            [list(by_out.items()) for by_out in moves], conserving)
+        return table
 
     def __repr__(self):
         return f"SparseROp({len(self.entries)} entries over {self.ring})"
+
+
+@lru_cache(maxsize=None)
+def _sector_bits(strands):
+    """``1 << i`` for each state of ``strands`` strands, in lexicographic
+    order, i its index among the states of its charge."""
+    seen = {}
+    bits = []
+    for s in product((1, 2, 3, 4), repeat=strands):
+        q = tuple(map(sum, zip(*(CHARGE[x] for x in s))))
+        i = seen.get(q, 0)
+        seen[q] = i + 1
+        bits.append(1 << i)
+    return tuple(bits)
+
+
+@lru_cache(maxsize=None)
+def _groups(strands, shift):
+    """The states of ``strands`` strands split by their 4 bits at
+    ``shift``: for each value of those bits, a tuple of slices of the
+    lexicographic list of states, of equal lengths and in the same order
+    of the other bits for all 16 values.  The slices are strided runs when
+    that makes fewer of them, else contiguous ones."""
+    n = 4 ** strands
+    size = 1 << shift
+    stride = size << 4
+    if size * stride <= n:
+        return tuple(tuple(slice(g * size + lo, n, stride)
+                           for lo in range(size)) for g in range(16))
+    return tuple(tuple(slice(h + g * size, h + g * size + size)
+                       for h in range(0, n, stride)) for g in range(16))
+
+
+def _reach(strands, steps):
+    """The backward pass of a closure-only product: ``reach[j][t]`` is the
+    set of the states that state t after letter j can still reach through
+    the nonzero entries of the later letters, as an int with one bit per
+    state; ``reach[-1][t]`` is the bit of t.  The bits are numbered within
+    a class that no letter leaves: a charge sector when every letter
+    conserves the charge (``_sector_bits``), else all states.  A letter's
+    sets are ORs of the next letter's, taken for all states of one input
+    group and one output at once, slice by slice (``_groups``); equal sets
+    are one int."""
+    if all(conserving for _, _, (_, _, conserving) in steps):
+        nxt = _sector_bits(strands)
+    else:
+        nxt = [1 << t for t in range(4 ** strands)]
+    reach = [nxt]
+    seen = {}
+    for shift, _, (_, moves, _) in reversed(steps):
+        groups = _groups(strands, shift)
+        cur = [0] * len(nxt)
+        for g, by_out in enumerate(moves):
+            if not by_out:
+                continue    # no nonzero entry: these states reach nothing
+            outs = [groups[g ^ (xor >> shift)] for xor, _ in by_out]
+            for target, first, *rest in zip(groups[g], *outs):
+                acc = nxt[first]
+                if rest:
+                    for sl in rest:
+                        acc = list(map(or_, acc, nxt[sl]))
+                    acc = list(map(seen.setdefault, acc, acc))
+                cur[target] = acc
+        reach.append(cur)
+        nxt = cur
+    reach.reverse()
+    return reach
 
 
 def _columns(ring, strands, letters, closure_only=False):
@@ -171,45 +245,52 @@ def _columns(ring, strands, letters, closure_only=False):
     operator (``SparseROp._transitions``).
 
     With ``closure_only`` it yields only what the (1,1)-closure reads: the
-    image of each input column at that same column.  Once no later letter
-    touches a strand, a term whose state differs there from the input is
-    never formed: the letter's table keeps only outputs that agree with it.
-    The image kept is exactly that of the full product.  For
-    charge-conserving operators it is all the closure could read: an
-    output that agrees with the input on strands 2..strands agrees on
-    strand 1 too.
+    image of each input column s at s itself.  One backward pass over the
+    letters (``_reach``) gives, after each letter, the states each state
+    can still reach through nonzero entries of the later letters.  A
+    column s that cannot return to s is skipped, and a term is formed only
+    if its output state can still reach s: a term's deltas are taken one
+    output at a time, and an output's only if that holds.  A term left out
+    would reach s only through a zero entry, so the image kept is exactly
+    that of the full product, for any operators, charge-conserving or
+    not.
     """
-    # Per letter, the shift of its strands' bits in the packed keys, the
-    # mask of the state bits it sets for good (it touches those strands, no
-    # later letter does; 0 without closure_only) and its tables by the
-    # input's bits under that mask.
+    # Per letter, the shift of its strands' bits in the state, that shift
+    # in the packed keys, and its tables.
     width = ring._width
     steps = []
-    later = set()
-    for pos, op in reversed(letters):
+    for pos, op in letters:
         if op.ring is not ring:
             raise RingError(f"variable-set mismatch: {ring} vs {op.ring}")
-        lo = pos - 1
-        shift = 2 * (strands - 2 - lo)
-        fixed = 0
-        for j, bits in ((lo, 12), (lo + 1, 3)):     # strand lo is higher
-            if closure_only and j not in later:
-                fixed |= bits << shift
-        later.update((lo, lo + 1))
-        steps.append((shift + width, fixed, op._transitions(shift, fixed)))
-    steps.reverse()
+        shift = 2 * (strands - 1 - pos)
+        steps.append((shift, shift + width, op._transitions(shift)))
+    if closure_only:
+        reach = _reach(strands, steps)
     cols = list(product((1, 2, 3, 4), repeat=strands))
     low = (1 << width) - 1
     for s in range(len(cols)):
+        if closure_only:
+            bit = reach[-1][s]
+            if not reach[0][s] & bit:
+                continue
         vec = {s << width | ring._bias: 1}
-        for up, fixed, tables in steps:
-            table = tables.get(s & fixed, _NO_TRANSITIONS)
+        for j, (shift, up, (flat, moves, _)) in enumerate(steps):
             new = {}
             get = new.get
-            for k, c in vec.items():
-                for d, x in table[(k >> up) & 15]:
-                    e = k + d
-                    new[e] = get(e, 0) + c * x
+            if closure_only:
+                nxt = reach[j + 1]
+                for k, c in vec.items():
+                    t = k >> width
+                    for xor, pairs in moves[(t >> shift) & 15]:
+                        if nxt[t ^ xor] & bit:
+                            for d, x in pairs:
+                                e = k + d
+                                new[e] = get(e, 0) + c * x
+            else:
+                for k, c in vec.items():
+                    for d, x in flat[(k >> up) & 15]:
+                        e = k + d
+                        new[e] = get(e, 0) + c * x
             # Range check, once per letter, before the state bits are read
             # again: an entry's exponents are in range, so one letter moves
             # a field by less than 2**17.  A field pushed up sets its 15
@@ -561,7 +642,7 @@ def _blocks(op):
     sectors = {}
     for a in range(1, 5):
         for b in range(1, 5):
-            sectors.setdefault(_charge(a, b), []).append((a, b))
+            sectors.setdefault(_PAIR_CHARGE[a, b], []).append((a, b))
     return list(sectors.values())
 
 

@@ -193,6 +193,18 @@ def test_table_name_without_crossing_number_is_usage_error(capsys,
                    f"with its crossing number\n")
 
 
+def test_missing_table_is_usage_error(capsys, tmp_path, monkeypatch):
+    """Through --table and through GAUGEKNOT_TABLE."""
+    missing = tmp_path / "no-such-table.txt"
+    want = (f"error: {missing}: cannot read the knot table: "
+            f"No such file or directory\n")
+    code, out, err = run(capsys, "suite", "--table", str(missing))
+    assert (code, out, err) == (2, "", want)
+    monkeypatch.setenv("GAUGEKNOT_TABLE", str(missing))
+    code, out, err = run(capsys, "invariant", "--case", "2", "--knot", "3_1")
+    assert (code, out, err) == (2, "", want)
+
+
 def test_unknown_knot_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "oracle", "jones", "--knot", "99_9")

@@ -69,6 +69,30 @@ def test_load_table_refuses_a_name_without_crossing_number(tmp_path, name):
         harness.load_table(f)
 
 
+@pytest.mark.parametrize("name", ["trefoil", "x3_1", "_1", "\u0663_1", 31])
+def test_knot_record_refuses_a_name_without_crossing_number(name):
+    """A record built directly, as run_suite takes them, is checked too."""
+    with pytest.raises(harness.TableError,
+                       match=re.escape(f"knot name {name!r} does not begin")):
+        harness.KnotRecord(name, braid.parse("2 : 1 1 1"))
+
+
+def test_load_table_refuses_an_unreadable_path(tmp_path, monkeypatch):
+    missing = tmp_path / "no-such-table.txt"
+    for path in (missing, tmp_path):
+        with pytest.raises(harness.TableError,
+                           match=re.escape(f"{path}: cannot read the knot "
+                                           f"table: ")):
+            harness.load_table(path)
+    monkeypatch.setenv("GAUGEKNOT_TABLE", str(missing))
+    with pytest.raises(harness.TableError, match=re.escape(str(missing))):
+        harness.load_table()
+    binary = tmp_path / "table.bin"
+    binary.write_bytes(b"3_1 ; 2 ; 1 1 1\n\xff\n")
+    with pytest.raises(harness.TableError, match="cannot read"):
+        harness.load_table(binary)
+
+
 def test_table_env_override(tmp_path, monkeypatch):
     f = tmp_path / "mini.txt"
     f.write_text("3_1 ; 2 ; 1 1 1\n")

@@ -393,8 +393,9 @@ def test_columns_match_the_reference_on_the_tybe_sides():
 
 
 def test_cached_transition_tables_equal_a_fresh_build():
-    """One operator at two positions, in both modes, twice: the tables it
-    keeps give what a fresh copy of it gives."""
+    """One operator at two positions, in both modes, twice: it keeps one
+    table per shift, equal to a fresh build's, and the tables it keeps give
+    what a fresh copy of it gives."""
     mod = engine.model(1, "ambient")
     op = SparseROp(QUANTUM, mod.sigma.entries)
     inv = SparseROp(QUANTUM, mod.sigma_inv.entries)
@@ -403,8 +404,67 @@ def test_cached_transition_tables_equal_a_fresh_build():
         fresh = [(pos, SparseROp(QUANTUM, o.entries)) for pos, o in word]
         assert list(rmat._columns(QUANTUM, 3, word, closure_only)) == \
             list(rmat._columns(QUANTUM, 3, fresh, closure_only))
-    assert {key[0] for key in op._tables} == {0, 2}    # both positions
-    assert any(key[1] for key in op._tables)          # closure-only tables
+    assert set(op._tables) == {0, 2}    # both positions, both modes
+    for shift in (0, 2):
+        assert op._tables[shift] == \
+            SparseROp(QUANTUM, op.entries)._transitions(shift)
+
+
+def _returns(letters, s):
+    """Whether some path of nonzero entries leads from state s back to s
+    through the letters, followed with tuple states."""
+    states = {s}
+    for pos, op in letters:
+        lo = pos - 1
+        states = {state[:lo] + (b, a) + state[lo + 2:]
+                  for state in states for (a, b, c, d) in op.entries
+                  if state[lo:lo + 2] == (d, c)}
+    return s in states
+
+
+def _assert_closure_only_exact(ring, strands, letters):
+    """The pruned closure-only product equals the reference's; returns the
+    number of columns that cannot return to themselves."""
+    got = list(rmat._columns(ring, strands, letters, closure_only=True))
+    assert got == _reference_columns(ring, strands, letters, True)
+    return sum(not _returns(letters, s)
+               for s in product((1, 2, 3, 4), repeat=strands))
+
+
+@pytest.mark.parametrize("key", list(engine.MODELS))
+def test_closure_only_matches_the_reference_on_every_model(rng, key):
+    """Seeded words of each model on 2-5 strands, some with columns that
+    cannot return to themselves, which the kernel skips."""
+    mod = engine.model(*key)
+    stuck = 0
+    for strands in (2, 2, 3, 3, 4, 4, 5):
+        letters = [(rng.randint(1, strands - 1),
+                    rng.choice((mod.sigma, mod.sigma_inv)))
+                   for _ in range(rng.randint(1, strands + 1))]
+        stuck += _assert_closure_only_exact(mod.ring, strands, letters)
+    assert stuck
+
+
+def test_closure_only_matches_the_reference_with_charge_mixing_letters(rng):
+    """Letters that do not conserve the charge, one with input pairs that
+    have no entry at all, mixed with case 1's on 3 strands."""
+    mod = engine.model(1, "ambient")
+    keys = list(product((1, 2, 3, 4), repeat=4))
+    sparse = SparseROp(QUANTUM, {
+        k: QUANTUM.mono(rng.choice((1, -1)), p=rng.randint(-2, 2))
+        for k in rng.sample(keys, 20)})
+    assert not sparse.conserves_charge()
+    assert any(not by_out for by_out in sparse._transitions(0)[1])
+    stuck = 0
+    for _ in range(6):
+        letters = [(rng.randint(1, 2),
+                    rng.choice((charge_mixing_op(), sparse, mod.sigma,
+                                mod.sigma_inv)))
+                   for _ in range(4)]
+        letters.insert(rng.randint(0, 4), (rng.randint(1, 2),
+                                           charge_mixing_op()))
+        stuck += _assert_closure_only_exact(QUANTUM, 3, letters)
+    assert stuck
 
 
 def test_columns_refuse_a_letter_of_another_ring():
