@@ -20,9 +20,13 @@ EX_OK, EX_FAIL, EX_USAGE = 0, 1, 2
 def _word_from_args(args, parser):
     if getattr(args, "braid", None):
         try:
-            return braid.parse(args.braid)
+            word = braid.parse(args.braid)
         except braid.BraidError as exc:
             parser.error(str(exc))
+        if braid.closure_components(word) != 1:
+            parser.error(f"--braid {args.braid!r}: the closure is a link, "
+                         f"not a knot")
+        return word
     if getattr(args, "knot", None):
         for rec in harness.load_table():
             if rec.name == args.knot:

@@ -19,13 +19,15 @@ Y**2 into ``r``.  Y has a 2-bit field of its own.  Products fold i**2 into
 -1 the same way, so the i field holds 0 or 1.  Y is not a unit; the other
 variables are Laurent variables.  The ring has no quotients: a
 trigonometric R-matrix entry is kept as a numerator over one denominator
-(``rmat.TRIG_DENOMINATOR``).  Evaluation values are ``CRat``s.
-Half-integer powers of ``q`` live in ``Q`` (``q = Q**2``) and ``p``
-(``p = q**(alpha + 1/2)``).
+(``rmat.TRIG_DENOMINATOR``).  ``cleared_values`` evaluates polynomials at
+an exact point, rational but for Y, into Gaussian integers over one int
+denominator.  Half-integer powers of ``q`` live in ``Q`` (``q = Q**2``)
+and ``p`` (``p = q**(alpha + 1/2)``).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -53,117 +55,6 @@ _I_BITS = 2
 
 class RingError(ValueError):
     pass
-
-
-class CRat:
-    """Exact complex rational a + b*i with Fraction components.  Each part
-    must be an int (not a bool) or a Fraction; anything else, a float or a
-    string among them, raises RingError."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = _part(re)
-        self.im = _part(im)
-
-    def __add__(self, other):
-        other = _crat(other)
-        if other is NotImplemented:
-            return other
-        return CRat(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CRat(-self.re, -self.im)
-
-    def __sub__(self, other):
-        other = _crat(other)
-        if other is NotImplemented:
-            return other
-        return CRat(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _crat(other)
-        if other is NotImplemented:
-            return other
-        return CRat(other.re - self.re, other.im - self.im)
-
-    def __mul__(self, other):
-        other = _crat(other)
-        if other is NotImplemented:
-            return other
-        return CRat(self.re * other.re - self.im * other.im,
-                    self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _crat(other)
-        if other is NotImplemented:
-            return other
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero CRat")
-        return CRat((self.re * other.re + self.im * other.im) / n,
-                    (self.im * other.re - self.re * other.im) / n)
-
-    def __rtruediv__(self, other):
-        other = _crat(other)
-        if other is NotImplemented:
-            return other
-        return other / self
-
-    def __pow__(self, k):
-        if not self.im:
-            # a real value: one Fraction power, exact for negative k too
-            return CRat(self.re ** k)
-        if k < 0:
-            return CRat(1) / self ** (-k)
-        out = CRat(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        other = _crat(other)
-        if other is NotImplemented:
-            return other
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
-
-
-def _part(x):
-    """A CRat part as a Fraction; RingError unless an int or a Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if type(x) is int:
-        return Fraction(x)
-    raise RingError(f"CRat parts are ints or Fractions, not {x!r}")
-
-
-def _crat(x):
-    """An arithmetic operand as a CRat, or NotImplemented unless it is a
-    CRat, an int (not a bool) or a Fraction."""
-    if isinstance(x, CRat):
-        return x
-    if type(x) is int or isinstance(x, Fraction):
-        return CRat(x)
-    return NotImplemented
 
 
 class Ring:
@@ -571,39 +462,104 @@ QONLY = Ring(("Q",))
 CONST = Ring(())
 
 
-def evaluate(poly, assignment):
-    """Exact evaluation of a polynomial at {name: CRat/Fraction/int} points;
-    RingError for any other value, a float among them.
+def _rational(name, x):
+    """``x`` as (numerator, denominator > 0); RingError unless x is an int
+    (not a bool) or a Fraction."""
+    if type(x) is int or isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise RingError(f"value {x!r} of {name} is not an int or a Fraction")
 
-    A Y-ring requires a "Y" value whose square equals the evaluated rewrite
-    relation.
+
+def cleared_values(polys, point):
+    """The values of polynomials of one ring at an exact point, over one
+    denominator: ``(F, values)``, F a positive int and ``values`` the
+    Gaussian integers F * f(point) as ``(re, im)`` int pairs, one per f.
+
+    ``point`` maps each variable of the ring to its value (other names are
+    ignored): a Laurent variable to a nonzero int or Fraction, Y to an int
+    or Fraction, zero included, or a Gaussian rational ``(re, im)`` of them,
+    whose square must be ``y_square`` at the point when some term has Y.
+    RingError for a missing variable, a zero Laurent value, any other value
+    (a float, bool, str or complex among them) or an inconsistent Y.
+
+    No Fraction is formed per term.  A Laurent value a/b (b > 0) whose
+    exponents lie in [lo, hi], the range the polynomials use widened to hold
+    0, puts b**hi * |a|**-lo into F and gives exponent e the int
+    +-a**(e - lo) * b**(hi - e), which is F's factor times (a/b)**e; a Y
+    value (c + d*i)/g puts g into F and gives Y**0 the int g and Y**1
+    c + d*i.  A term is its coefficient times one entry of each table.
     """
-    ring = poly.ring
-    vals = {}
-    for name in ring.names:
-        if name not in assignment:
-            raise RingError(f"missing assignment for {name}")
-        x = assignment[name]
-        vals[name] = x if isinstance(x, CRat) else CRat(x)
+    polys = list(polys)
+    if not polys:
+        return 1, []
+    ring = polys[0].ring
+    for f in polys:
+        if f.ring is not ring:
+            raise RingError(f"variable-set mismatch: {ring} vs {f.ring}")
+    keys = {k for f in polys for k in f._t}
+    F = 1
+    tables = []        # (shift, mask, {field value: int}) per Laurent variable
+    y = None           # (g, c, d) when some term has Y
+    for name, (s, m, bias) in zip(ring.names, ring._layout):
+        if name not in point:
+            raise RingError(f"missing value for {name}")
+        x = point[name]
+        fields = {(k >> s) & m for k in keys}
+        if name == "Y":
+            re, im = x if isinstance(x, tuple) and len(x) == 2 else (x, 0)
+            (c, cg), (d, dg) = _rational(name, re), _rational(name, im)
+            g = math.lcm(cg, dg)
+            if 1 in fields:
+                y = (g, c * (g // cg), d * (g // dg))
+                F *= g
+            continue
+        a, b = _rational(name, x)
+        if a == 0:
+            raise RingError(f"value 0 of the Laurent variable {name}")
+        lo = min(min(fields, default=bias) - bias, 0)
+        hi = max(max(fields, default=bias) - bias, 0)
+        if lo == hi:
+            continue
+        sign = -1 if a < 0 and lo % 2 else 1
+        F *= b ** hi * abs(a) ** -lo
+        tables.append((s, m, {v: sign * a ** (v - bias - lo)
+                              * b ** (hi + bias - v) for v in fields}))
+    if y is not None:
+        _check_y(ring, point, y)
     ys = ring._ys
-    if ys is not None and any((k >> ys) & 3 for k in poly._t):
-        y = vals["Y"]
-        rel = evaluate(ring.y_square, dict(assignment, Y=0))
-        if y * y != rel:
-            raise RingError(f"inconsistent Y assignment: Y**2 = {y * y} != {rel}")
-    # each variable's powers, computed once per call
-    powers = [(vals[name], {}) for name in ring.names]
-    out = CRat(0)
-    for k, c in poly._t.items():
-        t = CRat(0, c) if k & 1 else CRat(c)
-        for (v, seen), x in zip(powers, ring._unpack(k)):
-            if x:
-                pw = seen.get(x)
-                if pw is None:
-                    pw = seen[x] = v ** x
-                t = t * pw
-        out = out + t
-    return out
+    out = []
+    for f in polys:
+        re = im = 0
+        for k, c in f._t.items():
+            for s, m, table in tables:
+                c *= table[(k >> s) & m]
+            if y is None:
+                u, w = c, 0
+            elif (k >> ys) & 1:
+                u, w = c * y[1], c * y[2]
+            else:
+                u, w = c * y[0], 0
+            if k & 1:          # times i
+                re, im = re - w, im + u
+            else:
+                re, im = re + u, im + w
+        out.append((re, im))
+    return F, out
+
+
+def _check_y(ring, point, y):
+    """RingError unless Y = (c + d*i)/g, ``y = (g, c, d)``, squares to the
+    ring's ``y_square`` at the point."""
+    if ring.y_square is None:
+        raise RingError("Y**2 rewrite relation not set for this ring")
+    g, c, d = y
+    f, ((r, s),) = cleared_values([ring.y_square], point)
+    # (c + d*i)**2 / g**2 == (r + s*i) / f
+    if ((c * c - d * d) * f, 2 * c * d * f) != (r * g * g, s * g * g):
+        raise RingError(
+            f"inconsistent Y value: Y**2 = {Fraction(c * c - d * d, g * g)} "
+            f"+ {Fraction(2 * c * d, g * g)}*i, but the rewrite relation "
+            f"gives {Fraction(r, f)} + {Fraction(s, f)}*i")
 
 
 def map_poly(poly, target_ring, images):

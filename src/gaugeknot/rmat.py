@@ -8,11 +8,12 @@ operator stores numerators over one denominator, ``TRIG_DENOMINATOR``, which
 depends on u alone.  All entries conserve ``CHARGE``, the pair
 (grading weight, n(2) - n(3)) summed over both sites, so each operator is
 block-diagonal in the 9 charge sectors; ``invert`` works one sector at a
-time, while the eigen checks evaluate the full 16x16 matrix M at exact
-sample points.  They clear M's denominators once, with the least common
-denominator D, and run on D*M over the Gaussian integers, stored as
-``(re, im)`` int pairs, from end to end: the characteristic polynomial by
-the Faddeev-LeVerrier recursion, root multiplicities and its squarefree
+time, while the eigen checks work on the full 16x16 matrix M at exact
+sample points.  ``ring.cleared_values`` evaluates M and the claimed
+eigenvalues there straight into Gaussian integers, and the checks run on
+D*M, D the least common denominator of M, stored as ``(re, im)`` int
+pairs, from end to end: the characteristic polynomial by the
+Faddeev-LeVerrier recursion, root multiplicities and its squarefree
 part by one fraction-free pseudo-division, and kernel dimensions by
 fraction-free elimination.  The four indices have four different charges,
 so in a product of such operators a state that agrees with its input on
@@ -39,8 +40,8 @@ from functools import lru_cache
 from itertools import product
 from operator import or_
 
-from .ring import (CRat, LaurentPoly, QUANTUM, RingError, TRIG, _folded,
-                   evaluate, map_poly)
+from .ring import (LaurentPoly, QUANTUM, RingError, TRIG, _folded,
+                   cleared_values, map_poly)
 
 #: (weight, n(2) - n(3)) of each index: the charge every operator conserves.
 CHARGE = {1: (0, 0), 2: (1, 1), 3: (1, -1), 4: (2, 0)}
@@ -62,13 +63,6 @@ SAMPLE_POINTS = [
     (Fraction(3, 11), Fraction(33, 4), Fraction(325, 44), -1),
     (Fraction(1, 9), Fraction(5, 37), Fraction(8528, 1665), 1),
 ]
-
-
-def sample_assignment(point):
-    """Turn a SAMPLE_POINTS row into an {name: CRat} assignment."""
-    p, q, y, sign = point
-    yv = CRat(y) if sign > 0 else CRat(0, y)
-    return {"p": CRat(p), "Q": CRat(q), "Y": yv}
 
 
 #: The charge of each two-site basis state |a,b>, keyed by (a, b).
@@ -692,20 +686,30 @@ def invert(R):
 # ---------------------------------------------------------------------------
 # Eigen-data checks at exact sample points, over the Gaussian integers.
 
-def _eval_matrix(R, assignment):
-    """The 16x16 matrix M of a polynomial operator at an exact point, as
-    ``(A, D)``: ``D`` is the least positive int that clears every
-    denominator of M's real and imaginary parts, and ``A = D * M`` is a
-    list of rows of Gaussian integers ``(re, im)``."""
-    idx = lambda a, b: 4 * (a - 1) + (b - 1)
-    vals = {(idx(a, b), idx(c, d)): evaluate(v, assignment)
-            for (a, b, c, d), v in R.entries.items()}
-    D = math.lcm(*(x.denominator for v in vals.values() for x in (v.re, v.im)))
+def _eval_matrix(R, point, claimed=()):
+    """The 16x16 matrix M of a polynomial operator at a ``SAMPLE_POINTS``
+    row, and the values v of the ``claimed`` polynomials of its ring there,
+    as ``(A, D, roots)``: ``D`` is the least positive int that clears every
+    denominator of M's real and imaginary parts, ``A = D * M`` is a list of
+    rows of Gaussian integers ``(re, im)``, and ``roots`` holds each D * v
+    as a Gaussian integer ``(re, im)``, or None when it is not one.
+
+    One ``cleared_values`` call gives F, a multiple of D, with F * M and
+    F * v.  Then h = gcd(F, every part of F * M) is F / D, since no prime
+    divides both D and every part of D * M; so D = F / h and A = F * M / h,
+    with no Fraction."""
+    p, q, y, sign = point
+    F, vals = cleared_values([*R.entries.values(), *claimed],
+                             {"p": p, "Q": q, "Y": (y, 0) if sign > 0
+                              else (0, y)})
+    n = len(R.entries)
+    h = math.gcd(F, *(x for v in vals[:n] for x in v))
     A = [[(0, 0)] * 16 for _ in range(16)]
-    for (i, j), v in vals.items():
-        A[i][j] = (v.re.numerator * (D // v.re.denominator),
-                   v.im.numerator * (D // v.im.denominator))
-    return A, D
+    for (a, b, c, d), (re, im) in zip(R.entries, vals):
+        A[4 * a + b - 5][4 * c + d - 5] = (re // h, im // h)
+    roots = [None if re % h or im % h else (re // h, im // h)
+             for re, im in vals[n:]]
+    return A, F // h, roots
 
 
 def _sparse_rows(A):
@@ -802,13 +806,9 @@ def _pseudo_divide(a, b):
 def _root_multiplicity(coeffs, r):
     """How often x - r divides a monic Gaussian-integer coefficient list
     (highest degree first), with the quotient left: ``(m, quotient)``.
-    ``r`` is a CRat.  A root in Q(i) of a monic polynomial over Z[i] is a
-    Gaussian integer, since Z[i] is integrally closed; so an r with a
-    Fraction part divides out 0 times, and otherwise each division by the
-    monic x - r is an exact ``_pseudo_divide`` with no scaling."""
-    if r.re.denominator != 1 or r.im.denominator != 1:
-        return 0, coeffs
-    b = [(1, 0), (-r.re.numerator, -r.im.numerator)]
+    ``r`` is a Gaussian integer ``(re, im)``; each division by the monic
+    x - r is an exact ``_pseudo_divide`` with no scaling."""
+    b = [(1, 0), (-r[0], -r[1])]
     m = 0
     while len(coeffs) > 1:
         q, rem = _pseudo_divide(coeffs, b)
@@ -830,28 +830,37 @@ class EigenReport:
 def eigen_check(R, claimed, points=None, min_points=5):
     """Confirm at exact sample points that the 16x16 spectrum equals the
     claimed list of polynomials (with multiplicities found from the
-    characteristic polynomial).  At each point the polynomial is that of
+    characteristic polynomial).  ``points`` are rows like those of
+    ``SAMPLE_POINTS``, the default.  At each point the polynomial is that of
     ``A = D * M`` over the Gaussian integers, whose roots are D times the
-    eigenvalues of M."""
+    eigenvalues of M.  A root in Q(i) of a monic polynomial over Z[i] is a
+    Gaussian integer, since Z[i] is integrally closed, so a claimed v with
+    D * v outside Z[i] is absent."""
     if min_points < 1:
         raise RingError(f"min_points {min_points!r}: an eigen check needs "
                         f"at least 1 sample point")
     if points is None:
-        points = [sample_assignment(pt) for pt in SAMPLE_POINTS]
+        points = SAMPLE_POINTS
     used = 0
     mults = None
-    for assignment in points:
-        vals = [evaluate(c, assignment) for c in claimed]
-        if len(set(vals)) != len(vals):
+    for point in points:
+        A, _, roots = _eval_matrix(R, point, claimed)
+        known = [r for r in roots if r is not None]
+        if len(set(known)) != len(known):
             continue  # eigenvalue collision at this point; skip it
-        A, D = _eval_matrix(R, assignment)
+        # a claimed value with no root here (None) is absent below
         coeffs = charpoly(A)
         got = {}
-        for c, v in zip(claimed, vals):
-            m, coeffs = _root_multiplicity(coeffs, D * v)
+        for c, r in zip(claimed, roots):
+            m = 0
+            if r is not None:
+                m, coeffs = _root_multiplicity(coeffs, r)
             if m == 0:
-                return EigenReport(False, len(claimed), {}, used,
-                                   f"claimed eigenvalue {c} absent at {assignment}")
+                p, q, y, sign = point
+                return EigenReport(
+                    False, len(claimed), {}, used,
+                    f"claimed eigenvalue {c} absent at p = {p}, Q = {q}, "
+                    f"Y = {y}{'' if sign > 0 else ' * i'}")
             got[str(c)] = m
         if len(coeffs) != 1:
             return EigenReport(False, len(claimed), got, used,
@@ -916,15 +925,16 @@ def eigenvector_deficiency(R, points=None):
     ``A = D * M`` and g a Gaussian-integer multiple of the squarefree part
     of its characteristic polynomial, which has the same kernel (16 means
     diagonalizable).  It
-    is evaluated at each of the first three sample points and the maximum
-    is returned; RingError if there is none."""
+    is evaluated at each of the first three ``points``, rows like those of
+    ``SAMPLE_POINTS`` (the default), and the maximum is returned; RingError
+    if there is none."""
     if points is None:
-        points = [sample_assignment(pt) for pt in SAMPLE_POINTS]
+        points = SAMPLE_POINTS
     if not points:
         raise RingError("no sample points")
     totals = set()
-    for assignment in points[:3]:
-        A, _ = _eval_matrix(R, assignment)
+    for point in points[:3]:
+        A, _, _ = _eval_matrix(R, point)
         G = _squarefree_part(charpoly(A))
         rows = _sparse_rows(A)
         acc = [[G[0] if i == j else (0, 0) for j in range(16)]

@@ -183,6 +183,23 @@ def test_bad_braid_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (("invariant", "--case", "2"), "usage: gaugeknot invariant "),
+    (("oracle", "jones"), "usage: gaugeknot oracle "),
+    (("oracle", "alexander"), "usage: gaugeknot oracle "),
+])
+def test_link_braid_is_usage_error(capsys, argv, usage):
+    """A --braid word whose closure is a link is refused input, exit 2,
+    not a failed check."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--braid", "2 : 1 1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(usage)
+    assert err.endswith("error: --braid '2 : 1 1': the closure is a link, "
+                        "not a knot\n")
+
+
 def test_table_name_without_crossing_number_is_usage_error(capsys,
                                                           tmp_path):
     f = tmp_path / "table.txt"

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_poly
-from gaugeknot.ring import (CONST, EXP_BIAS, QONLY, QUANTUM, TRIG, CRat, Ring,
-                            RingError, canonical_str, evaluate, map_poly,
-                            sum_of_products)
+from conftest import GaussQ, rand_poly, reference_value, sample_point
+from gaugeknot import rmat
+from gaugeknot.ring import (CONST, EXP_BIAS, QONLY, QUANTUM, TRIG, Ring,
+                            RingError, canonical_str, cleared_values,
+                            map_poly, sum_of_products)
 
 
 def test_add_examples():
@@ -59,7 +60,7 @@ def test_variables_follow_master_order():
 
 
 def test_coefficients_are_gaussian_integers():
-    for bad in (1.5, Fraction(1, 2), CRat(1), True, (1, 0.5), (1, 2, 3)):
+    for bad in (1.5, Fraction(1, 2), GaussQ(1), True, (1, 0.5), (1, 2, 3)):
         with pytest.raises(RingError):
             QUANTUM.mono(bad, p=1)
     with pytest.raises(RingError):
@@ -122,92 +123,150 @@ def test_no_zero_terms_stored(rng):
             assert coeff != (0, 0)
 
 
+def value(poly, point):
+    """``poly`` at ``point`` through ``cleared_values``, checked against the
+    reference: F is a positive int and F * poly(point) a Gaussian integer
+    equal to F times the term-by-term reference value."""
+    F, (v,) = cleared_values([poly], point)
+    assert type(F) is int and F > 0
+    assert all(type(x) is int for x in v)
+    assert GaussQ(*v) == F * reference_value(poly, point)
+    return GaussQ(*v) / F
+
+
 def test_evaluate_examples():
     m = QUANTUM.mono
-    two = {"p": CRat(1), "Q": CRat(2), "Y": CRat(0)}
-    assert evaluate(m(1, Q=2) - m(1, Q=-2), two) == CRat(Fraction(15, 4))
-    assert evaluate(QUANTUM.one, two) == CRat(1)
-    pt = {"p": CRat(3), "Q": CRat(2), "Y": CRat(0)}
+    two = {"p": 1, "Q": 2, "Y": 0}
+    assert value(m(1, Q=2) - m(1, Q=-2), two) == Fraction(15, 4)
+    assert cleared_values([m(1, Q=2) - m(1, Q=-2)], two) == (4, [(15, 0)])
+    assert cleared_values([QUANTUM.one], two) == (1, [(1, 0)])
+    pt = {"p": 3, "Q": 2, "Y": 0}
     # 9 + 1/9 - 4 - 1/4
-    assert evaluate(QUANTUM.y_square, pt) == CRat(Fraction(175, 36))
-
-
-def test_crat_parts_are_exact():
-    """A CRat part is an int or a Fraction: a float, a string or a bool is
-    refused, as re and as im, and is no arithmetic operand."""
-    for bad in (0.1, "1/3", True, False, None, 1j):
-        with pytest.raises(RingError):
-            CRat(bad)
-        with pytest.raises(RingError):
-            CRat(1, bad)
-    assert CRat(Fraction(1, 3), 2) == CRat(Fraction(1, 3), Fraction(2))
-    assert CRat(3) == 3 and CRat(Fraction(1, 2)) == Fraction(1, 2)
-    half = CRat(Fraction(1, 2))
-    for op in (lambda x: half + x, lambda x: x + half, lambda x: half - x,
-               lambda x: x - half, lambda x: half * x, lambda x: x * half,
-               lambda x: half / x, lambda x: x / half):
-        for bad in (0.5, "1/2"):
-            with pytest.raises(TypeError):
-                op(bad)
-    assert half != 0.5 and CRat(1) != True and CRat(1) != 1.0
+    assert value(QUANTUM.y_square, pt) == Fraction(175, 36)
+    # one F for all: p**-2 and Q**2 at p = 3, Q = 2/5 clear 9 and 25
+    assert cleared_values([m(1, p=-2), m((0, 2), Q=2), QUANTUM.zero],
+                          {"p": 3, "Q": Fraction(2, 5), "Y": 0}) == \
+        (225, [(25, 0), (0, 72), (0, 0)])
+    assert cleared_values([], {}) == (1, [])
 
 
 def test_evaluate_refuses_a_float():
+    """A float, bool, str or complex value, a zero Laurent value and a
+    missing variable are refused with RingError, at a Laurent variable
+    and at Y."""
     p = QUANTUM.var("p")
-    with pytest.raises(RingError):
-        evaluate(p, {"p": 0.5, "Q": 1, "Y": 0})
-    with pytest.raises(RingError):
-        evaluate(p, {"p": 1, "Q": 1, "Y": 0.0})
-    assert evaluate(p, {"p": Fraction(1, 2), "Q": 1, "Y": 0}) == \
-        CRat(Fraction(1, 2))
+    for bad in (0.5, 1.0, True, "1/2", 1j, None, (1, 2, 3), (1, 0.5)):
+        with pytest.raises(RingError):
+            cleared_values([p], {"p": bad, "Q": 1, "Y": 0})
+        with pytest.raises(RingError):
+            cleared_values([p], {"p": 1, "Q": 1, "Y": bad})
+    for bad in ((0, 1), (Fraction(1, 2), 0)):  # no pair at a Laurent variable
+        with pytest.raises(RingError):
+            cleared_values([p], {"p": bad, "Q": 1, "Y": 0})
+    for zero in (0, Fraction(0)):
+        with pytest.raises(RingError, match="value 0"):
+            cleared_values([p], {"p": zero, "Q": 1, "Y": 0})
+    with pytest.raises(RingError, match="missing value for Y"):
+        cleared_values([p], {"p": 1, "Q": 1})
+    with pytest.raises(RingError, match="variable-set mismatch"):
+        cleared_values([p, QONLY.var("Q")], {"p": 1, "Q": 1, "Y": 0})
+    assert value(p, {"p": Fraction(1, 2), "Q": 1, "Y": 0}) == Fraction(1, 2)
+    # only the ring's variables are read: Q alone for QONLY, none for CONST
+    assert value(QONLY.var("Q", -3), {"Q": Fraction(-2, 3), "p": 0.5}) == \
+        Fraction(-27, 8)
+    assert cleared_values([CONST.gauss(2, -1)], {}) == (1, [(2, -1)])
 
 
 def test_evaluate_y_consistency():
     # p = Q makes Y**2 = 0, so Y must evaluate to 0
     Y = QUANTUM.var("Y")
-    good = {"p": CRat(2), "Q": CRat(2), "Y": CRat(0)}
-    assert evaluate(Y, good) == CRat(0)
-    bad = {"p": CRat(2), "Q": CRat(2), "Y": CRat(1)}
-    with pytest.raises(RingError):
-        evaluate(Y, bad)
+    assert value(Y, {"p": 2, "Q": 2, "Y": 0}) == 0
+    with pytest.raises(RingError, match="inconsistent Y"):
+        cleared_values([Y], {"p": 2, "Q": 2, "Y": 1})
+    # Y**2 = p**2 + p**-2 - Q**2 - Q**-2 is (176/325)**2 at p = 3/5,
+    # Q = 25/39, and -(238/33)**2 at p = 1/4, Q = 33/4, where Y is imaginary
+    real = {"p": Fraction(3, 5), "Q": Fraction(25, 39),
+            "Y": Fraction(176, 325)}
+    assert value(Y + 1, real) == Fraction(501, 325)
+    assert value(Y, dict(real, Y=-real["Y"])) == Fraction(-176, 325)
+    imag = {"p": Fraction(1, 4), "Q": Fraction(33, 4),
+            "Y": (0, Fraction(238, 33))}
+    assert value(Y * QUANTUM.var("p"), imag) == GaussQ(0, Fraction(119, 66))
+    r = real["Y"] ** 2
+    # (1 + r)/2 + (r - 1)/2 * i squares to r + (r**2 - 1)/2 * i
+    for bad in (Fraction(176, 326), (0, Fraction(176, 325)),
+                (Fraction(176, 325), 1), ((1 + r) / 2, (r - 1) / 2)):
+        with pytest.raises(RingError, match="inconsistent Y"):
+            cleared_values([Y], dict(real, Y=bad))
+    with pytest.raises(RingError, match="inconsistent Y"):
+        cleared_values([Y], dict(imag, Y=Fraction(238, 33)))
+    # with Y**2 = (5 + 12i) p**2, Y = (3 + 2i) p has parts over different
+    # denominators at p = 1/6
+    ring = Ring(("p", "Y"))
+    ring.set_y_square(ring.mono((5, 12), p=2))
+    pt = {"p": Fraction(1, 6), "Y": (Fraction(1, 2), Fraction(1, 3))}
+    assert value(ring.var("Y") + ring.mono((0, 1), p=-1, Y=1), pt) == \
+        GaussQ(Fraction(-3, 2), Fraction(10, 3))
+    # a Y-free polynomial leaves Y unchecked, as its value does not use it
+    assert value(QUANTUM.var("p"), {"p": 3, "Q": 2, "Y": 1}) == 3
+
+
+def test_reference_gaussian_rational_is_exact():
+    """The tests' reference type refuses a float, a bool or a string, as a
+    part and as an operand, and computes exactly."""
+    half = GaussQ(Fraction(1, 2))
+    for bad in (0.5, 1.0, True, False, "1/2", 1j, None):
+        with pytest.raises(TypeError):
+            GaussQ(bad)
+        with pytest.raises(TypeError):
+            GaussQ(1, bad)
+        for op in (lambda x: half + x, lambda x: x + half,
+                   lambda x: half - x, lambda x: x - half,
+                   lambda x: half * x, lambda x: x * half,
+                   lambda x: half / x, lambda x: x / half,
+                   lambda x: half == x):
+            with pytest.raises(TypeError):
+                op(bad)
+    z = GaussQ(Fraction(-2, 7), 3)
+    assert z * (1 / z) == 1 and z - z == 0 and z / z == GaussQ(1)
+    assert z ** -2 * z ** 2 == 1 and GaussQ(0, 1) ** 2 == -1
+    assert GaussQ(3) == 3 and half == Fraction(1, 2) and half == (half.re, 0)
+    with pytest.raises(ZeroDivisionError):
+        GaussQ(0) ** -1
 
 
 def test_evaluate_is_homomorphism(rng):
     for _ in range(100):
         a = rand_poly(rng, QONLY)
         b = rand_poly(rng, QONLY)
-        num = rng.randint(1, 9)
+        num = rng.choice([-1, 1]) * rng.randint(1, 9)
         den = rng.randint(1, 9)
-        pt = {"Q": CRat(Fraction(num, den))}
-        assert evaluate(a * b, pt) == evaluate(a, pt) * evaluate(b, pt)
-        assert evaluate(a + b, pt) == evaluate(a, pt) + evaluate(b, pt)
-
-
-def _power(v, x):
-    """v**x by |x| multiplications, and a reciprocal for x < 0."""
-    out = CRat(1)
-    for _ in range(abs(x)):
-        out = out * v
-    return out if x >= 0 else 1 / out
+        pt = {"Q": Fraction(num, den)}
+        assert value(a * b, pt) == value(a, pt) * value(b, pt)
+        assert value(a + b, pt) == value(a, pt) + value(b, pt)
 
 
 def test_evaluate_matches_term_by_term(rng):
-    """Powers computed once per call, at a real and a complex value, give
-    the sum of the terms, each coefficient times its own product of
-    powers."""
-    pt = {"p": CRat(Fraction(3, 5)), "Q": CRat(Fraction(-2, 7), 3),
-          "Y": CRat(0)}
-    for _ in range(100):
-        a = rand_poly(rng, max_terms=8).coeff_of("Y", 0)
-        want = CRat(0)
-        for (x, y, _), c in a.terms.items():
-            want = want + CRat(*c) * _power(pt["p"], x) * _power(pt["Q"], y)
-        assert evaluate(a, pt) == want
-    for v in (pt["p"], pt["Q"], CRat(-2)):
-        for x in range(-4, 5):
-            assert v ** x == _power(v, x)
-    with pytest.raises(ZeroDivisionError):
-        CRat(0) ** -1
+    """Every polynomial of one call, over one F, equals the sum of its
+    terms, each coefficient times its own product of powers; with negative
+    values, exponent ranges on one side of 0, and a real and an imaginary
+    Y."""
+    pts = [{"p": Fraction(3, 5), "Q": Fraction(-2, 7), "Y": 0},
+           {"p": -3, "Q": Fraction(7, -4), "Y": 0},
+           {"p": Fraction(-1, 9), "Q": 5, "Y": 0},
+           sample_point(rmat.SAMPLE_POINTS[0]),
+           sample_point(rmat.SAMPLE_POINTS[8])]
+    for _ in range(30):
+        polys = [rand_poly(rng, max_terms=8) for _ in range(3)]
+        shift = QUANTUM.mono(1, p=rng.randint(-5, 5), Q=rng.randint(-5, 5))
+        polys = [f * shift for f in polys]
+        for pt in pts:
+            # Y = 0 is no square root of Y**2 at these p, Q: drop Y terms
+            fs = polys if pt["Y"] else [f.coeff_of("Y", 0) for f in polys]
+            F, vals = cleared_values(fs, pt)
+            assert type(F) is int and F > 0
+            for f, v in zip(fs, vals):
+                assert GaussQ(*v) == F * reference_value(f, pt)
 
 
 def _trig_images(**changes):
@@ -589,5 +648,4 @@ def test_len_terms_and_leading_with_an_imaginary_leading_term():
     assert (poly - m((0, 3), p=2)).leading() == ((1, 0, 0), (5, -1))
     assert str(poly) == "(0+3i) * p^2 + (5-1i) * p^1 + 2 + (0-4i) * Q^-1"
     assert poly.is_monomial() is False and m((1, 1), p=1).is_monomial()
-    assert evaluate(poly, {"p": CRat(2), "Q": CRat(1), "Y": CRat(0)}) == \
-        CRat(12, 6)
+    assert cleared_values([poly], {"p": 2, "Q": 1, "Y": 0}) == (1, [(12, 6)])

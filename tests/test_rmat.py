@@ -9,15 +9,14 @@ from itertools import product
 
 import pytest
 
-from conftest import charge_mixing_op
+from conftest import GaussQ, charge_mixing_op, reference_value, sample_point
 from gaugeknot import braid, engine, rmat, ybe
-from gaugeknot.ring import (CONST, CRat, EXP_BIAS, QONLY, QUANTUM, TRIG,
-                            RingError, evaluate, map_poly, sum_of_products)
+from gaugeknot.ring import (CONST, EXP_BIAS, QONLY, QUANTUM, TRIG, RingError,
+                            map_poly, sum_of_products)
 from gaugeknot.rmat import SparseROp
 
 #: The sample points that give Y an imaginary value (sign -1).
-IMAGINARY_Y = [rmat.sample_assignment(pt) for pt in rmat.SAMPLE_POINTS
-               if pt[3] < 0]
+IMAGINARY_Y = [pt for pt in rmat.SAMPLE_POINTS if pt[3] < 0]
 
 
 def test_component_counts():
@@ -34,15 +33,15 @@ def test_trig_first_component_is_one():
 
 
 def bracket_formulas(v, gauged):
-    """The 36 entries of R(u) at a point ``v`` of TRIG, in CRat, written as
+    """The 36 entries of R(u) at a point ``v`` of TRIG, in GaussQ, written as
     the paper's bracket formulas with [x] = (q**x - q**-x)/(q - q**-1),
     q = Q**2, q**alpha = Aa, q**u = X and [alpha]^(1/2) [1+alpha]^(1/2) =
     Y/(q - q**-1); r**u = Ru and s**u = Su when gauged, else 1."""
-    Q, a, x = v["Q"], v["Aa"], v["X"]
+    Q, a, x = (GaussQ.of(v[n]) for n in ("Q", "Aa", "X"))
     q = Q * Q
     delta = q - 1 / q
     br = lambda qx: (qx - 1 / qx) / delta
-    r, s = (v["Ru"], v["Su"]) if gauged else (CRat(1), CRat(1))
+    r, s = (GaussQ.of(v[n] if gauged else 1) for n in ("Ru", "Su"))
     bA, b1A = br(a), br(q * a)                   # [alpha], [1+alpha]
     bAp, b1Ap = br(a * x), br(q * a * x)         # [alpha+u], [1+alpha+u]
     bAm, b1Am = br(a / x), br(q * a / x)         # [alpha-u], [1+alpha-u]
@@ -51,8 +50,8 @@ def bracket_formulas(v, gauged):
     # q**(1+2alpha) + q**-(1+2alpha) - 2 q**(+-1) +- q**(+-2u) (q - 1/q)
     f = q * a * a + 1 / (q * a * a) - 2 * q + x * x * delta
     fbar = q * a * a + 1 / (q * a * a) - 2 / q - delta / (x * x)
-    gy = v["Y"] / delta * bu / D2
-    ent = {(1, 1, 1, 1): CRat(1),
+    gy = GaussQ.of(v["Y"]) / delta * bu / D2
+    ent = {(1, 1, 1, 1): GaussQ(1),
            (2, 2, 2, 2): bAp / bAm, (3, 3, 3, 3): bAp / bAm,
            (4, 4, 4, 4): bAp * b1Ap / D2,
            (1, 2, 1, 2): bA / bAm * r / x, (1, 3, 1, 3): bA / bAm * s / x,
@@ -81,11 +80,9 @@ def bracket_formulas(v, gauged):
 def trig_point(row, x, ru, su):
     """A TRIG assignment from a SAMPLE_POINTS row: Aa = p/Q makes TRIG's
     Y**2 equal QUANTUM's, so the row's Y value serves."""
-    point = rmat.sample_assignment(row)
-    one = CRat(1)
+    point = sample_point(row)
     return {"Q": point["Q"], "Y": point["Y"], "Aa": point["p"] / point["Q"],
-            "X": CRat(x), "Ru": CRat(ru), "Su": CRat(su),
-            "Xv": one, "Rv": one, "Sv": one}
+            "X": x, "Ru": ru, "Su": su, "Xv": 1, "Rv": 1, "Sv": 1}
 
 
 def test_trig_entries_match_the_bracket_formulas():
@@ -100,11 +97,12 @@ def test_trig_entries_match_the_bracket_formulas():
     for gauged, op in ((True, rmat.build_trig_gauged()),
                        (False, rmat.build_trig_gauge_free())):
         for v in points:
-            den = evaluate(rmat.TRIG_DENOMINATOR, v)
+            den = reference_value(rmat.TRIG_DENOMINATOR, v)
             want = bracket_formulas(v, gauged)
             assert len(want) == 36 and set(op.entries) == set(want)
             for key, num in op.entries.items():
-                assert evaluate(num, v) / den == want[key], (gauged, key)
+                assert reference_value(num, v) / den == want[key], \
+                    (gauged, key)
 
 
 def test_quantum_golden_entries():
@@ -561,6 +559,33 @@ def test_eigen_check_rejects_wrong_claim():
     assert not rep.ok
 
 
+@pytest.mark.parametrize("row, where", [
+    (rmat.SAMPLE_POINTS[0], "p = 3/5, Q = 25/39, Y = 176/325"),
+    (IMAGINARY_Y[0], "p = 1/4, Q = 33/4, Y = 238/33 * i"),
+])
+def test_eigen_check_names_an_absent_eigenvalue_and_its_point(row, where):
+    """p**6 is no eigenvalue of R1: the report names it and the point, with
+    p, Q and Y as fractions."""
+    rep = rmat.eigen_check(rmat.quantum_r(1), [QUANTUM.mono(1, p=6)],
+                           points=[row], min_points=1)
+    assert not rep.ok and rep.points_used == 0
+    assert rep.message == f"claimed eigenvalue 1 * p^6 absent at {where}"
+
+
+def test_eigen_check_skips_a_point_where_claimed_values_collide():
+    """At p = 1 the claims 1 and p**2 coincide, so their multiplicities
+    cannot be told apart there: that point is skipped, and the next one
+    finds p**2 absent."""
+    collide = (1, 2, Fraction(3, 2), -1)     # Y**2 = -(Q - 1/Q)**2
+    rep = rmat.eigen_check(rmat.identity_op(QUANTUM),
+                           [QUANTUM.one, QUANTUM.mono(1, p=2)],
+                           points=[collide, rmat.SAMPLE_POINTS[0]],
+                           min_points=1)
+    assert not rep.ok and rep.points_used == 0
+    assert rep.message == ("claimed eigenvalue 1 * p^2 absent at p = 3/5, "
+                           "Q = 25/39, Y = 176/325")
+
+
 def test_eigenvector_deficiency():
     assert rmat.eigenvector_deficiency(rmat.identity_op(QUANTUM)) == 16
     for i in (1, 2, 3, 4):
@@ -613,29 +638,34 @@ def _gauss(rng, span=5):
     return (rng.randint(-span, span), rng.randint(-span, span))
 
 
-def _crat_poly_mul(a, b):
-    """The product of two CRat coefficient lists (highest degree first)."""
-    out = [CRat(0)] * (len(a) + len(b) - 1)
+def _ref_poly_mul(a, b):
+    """The product of two GaussQ coefficient lists (highest degree first)."""
+    out = [GaussQ(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
     return out
 
 
-def _crat_poly_add(a, b):
+def _ref_poly_add(a, b):
     n = max(len(a), len(b))
-    a = [CRat(0)] * (n - len(a)) + list(a)
-    b = [CRat(0)] * (n - len(b)) + list(b)
+    a = [GaussQ(0)] * (n - len(a)) + list(a)
+    b = [GaussQ(0)] * (n - len(b)) + list(b)
     return [x + y for x, y in zip(a, b)]
+
+
+def _ref(coeffs):
+    """Gaussian-integer ``(re, im)`` coefficients as GaussQs."""
+    return [GaussQ(*c) for c in coeffs]
 
 
 def _from_roots(roots):
     """The monic Gaussian-integer coefficient list of prod (x - r) over
     ``roots``, (re, im) pairs with repeats for multiplicity."""
-    f = [CRat(1)]
+    f = [GaussQ(1)]
     for r in roots:
-        f = _crat_poly_mul(f, [CRat(1), -CRat(*r)])
-    return [(c.re.numerator, c.im.numerator) for c in f]
+        f = _ref_poly_mul(f, [GaussQ(1), -GaussQ(*r)])
+    return [(int(c.re), int(c.im)) for c in f]
 
 
 def _random_roots(rng):
@@ -651,21 +681,19 @@ def test_root_multiplicity_recovers_each_multiplicity(rng):
     for _ in range(30):
         roots = _random_roots(rng)
         f = _from_roots([r for r, m in roots.items() for _ in range(m)])
-        assert rmat._root_multiplicity(f, CRat(7, 7)) == (0, f)
-        for frac in (CRat(Fraction(1, 2)), CRat(1, Fraction(-3, 5))):
-            assert rmat._root_multiplicity(f, frac) == (0, f)
+        assert rmat._root_multiplicity(f, (7, 7)) == (0, f)
         order = list(roots)
         rng.shuffle(order)
         for r in order:
-            m, f = rmat._root_multiplicity(f, CRat(*r))
+            m, f = rmat._root_multiplicity(f, r)
             assert m == roots[r]
-            assert rmat._root_multiplicity(f, CRat(*r))[0] == 0
+            assert rmat._root_multiplicity(f, r)[0] == 0
         assert f == [(1, 0)]
 
 
 def test_pseudo_divide(rng):
     """lc(b)**k * a = q * b + r with k = max(0, deg a - deg b + 1) and
-    deg r < deg b, checked in CRat; a monic divisor divides exactly."""
+    deg r < deg b, checked in GaussQ; a monic divisor divides exactly."""
     for _ in range(60):
         a = [_gauss(rng, 9) for _ in range(rng.randint(1, 9))]
         b = [_gauss(rng) for _ in range(rng.randint(1, 5))]
@@ -674,16 +702,14 @@ def test_pseudo_divide(rng):
         q, r = rmat._pseudo_divide(a, b)
         assert len(r) < len(b) and (not r or r[0] != (0, 0))
         k = max(0, len(a) - len(b) + 1)
-        lhs = [CRat(*b[0]) ** k * CRat(*c) for c in a]
-        rhs = _crat_poly_add(
-            _crat_poly_mul([CRat(*c) for c in q] or [CRat(0)],
-                           [CRat(*c) for c in b]),
-            [CRat(*c) for c in r])
-        assert _crat_poly_add(lhs, [-c for c in rhs]) == \
-            [CRat(0)] * max(len(lhs), len(rhs))
+        lhs = [GaussQ(*b[0]) ** k * c for c in _ref(a)]
+        rhs = _ref_poly_add(_ref_poly_mul(_ref(q) or [GaussQ(0)], _ref(b)),
+                            _ref(r))
+        assert _ref_poly_add(lhs, [-c for c in rhs]) == \
+            [GaussQ(0)] * max(len(lhs), len(rhs))
         monic = [(1, 0)] + b[1:]
-        prod = _crat_poly_mul([CRat(*c) for c in a], [CRat(*c) for c in monic])
-        prod = [(c.re.numerator, c.im.numerator) for c in prod]
+        prod = _ref_poly_mul(_ref(a), _ref(monic))
+        prod = [(int(c.re), int(c.im)) for c in prod]
         assert rmat._pseudo_divide(prod, monic) == (a, [])
 
 
@@ -691,8 +717,8 @@ def test_squarefree_part_is_a_multiple_of_the_radical(rng):
     for _ in range(30):
         roots = _random_roots(rng)
         f = _from_roots([r for r, m in roots.items() for _ in range(m)])
-        g = [CRat(*c) for c in rmat._squarefree_part(f)]
-        radical = [CRat(*c) for c in _from_roots(list(roots))]
+        g = _ref(rmat._squarefree_part(f))
+        radical = _ref(_from_roots(list(roots)))
         assert len(g) == len(radical)
         assert all(x * radical[0] == y * g[0] for x, y in zip(g, radical))
     assert rmat._squarefree_part(_from_roots([(0, 1)] * 16)) == [(1, 0),
@@ -719,24 +745,24 @@ def test_kernel_dim_over_the_gaussian_integers():
 
 
 def reference_charpoly(M):
-    """The Faddeev-LeVerrier recursion over CRat, kept as the reference the
+    """The Faddeev-LeVerrier recursion over GaussQ, kept as the reference the
     Gaussian-integer ``rmat.charpoly`` is checked against."""
     n = len(M)
-    coeffs = [CRat(1)]
-    Mk = [[CRat(1) if i == j else CRat(0) for j in range(n)] for i in range(n)]
+    coeffs = [GaussQ(1)]
+    Mk = [[GaussQ(int(i == j)) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        Mk = _crat_mat_mul(M, Mk)
-        tr = sum((Mk[i][i] for i in range(n)), CRat(0))
-        c = tr / CRat(-k)
+        Mk = _ref_mat_mul(M, Mk)
+        tr = sum((Mk[i][i] for i in range(n)), GaussQ(0))
+        c = tr / -k
         coeffs.append(c)
         for i in range(n):
             Mk[i][i] = Mk[i][i] + c
     return coeffs
 
 
-def _crat_mat_mul(A, B):
+def _ref_mat_mul(A, B):
     n = len(A)
-    out = [[CRat(0)] * n for _ in range(n)]
+    out = [[GaussQ(0)] * n for _ in range(n)]
     for i in range(n):
         Ai = A[i]
         for k in range(n):
@@ -750,41 +776,62 @@ def _crat_mat_mul(A, B):
     return out
 
 
-def _crat_matrix(R, assignment):
-    """The 16x16 CRat matrix of an operator at a point, entry by entry."""
+def _reference_matrix(R, point):
+    """The 16x16 GaussQ matrix of an operator at a point, entry by entry."""
     idx = lambda a, b: 4 * (a - 1) + (b - 1)
-    M = [[CRat(0)] * 16 for _ in range(16)]
+    M = [[GaussQ(0)] * 16 for _ in range(16)]
     for (a, b, c, d), v in R.entries.items():
-        M[idx(a, b)][idx(c, d)] = evaluate(v, assignment)
+        M[idx(a, b)][idx(c, d)] = reference_value(v, point)
     return M
 
 
-def test_charpoly_matches_the_crat_reference():
+def _model_sigmas():
+    return [engine.model(*spec).sigma for spec in engine.MODELS]
+
+
+def test_charpoly_matches_the_reference_on_every_operator():
+    """At every sample point, for the quantum R-matrices, the identity, the
+    Jordan operator and the five model sigmas (case 2 and case 4 ambient in
+    QONLY and CONST): ``_eval_matrix`` gives the reference's least common
+    denominator D and D * M, D times each claimed value, or None when that
+    is no Gaussian integer, and ``charpoly`` the reference's coefficients
+    times powers of D."""
     ops = [rmat.quantum_r(i) for i in (1, 2, 3, 4)]
     ops += [rmat.identity_op(QUANTUM), jordan_op(QUANTUM.one)]
-    complex_entries = 0
+    ops += _model_sigmas()
+    assert {op.ring for op in ops} == {QUANTUM, QONLY, CONST}
+    complex_entries = non_integral = 0
     for op in ops:
+        claimed = [op.ring.one, -op.ring.one]
+        if op.ring is QUANTUM:
+            claimed += [QUANTUM.mono(1, p=4), QUANTUM.mono(-1, p=2, Q=-2)]
         for pt in rmat.SAMPLE_POINTS:
-            assignment = rmat.sample_assignment(pt)
-            M = _crat_matrix(op, assignment)
-            A, D = rmat._eval_matrix(op, assignment)
+            point = sample_point(pt)
+            M = _reference_matrix(op, point)
+            A, D, roots = rmat._eval_matrix(op, pt, claimed)
             parts = [x for row in M for v in row for x in (v.re, v.im)]
             assert D == math.lcm(*(x.denominator for x in parts))
-            assert all(CRat(*A[i][j]) == D * M[i][j]
+            assert all(GaussQ(*A[i][j]) == D * M[i][j]
                        for i in range(16) for j in range(16))
+            for c, r in zip(claimed, roots):
+                v = D * reference_value(c, point)
+                integral = v.re.denominator == v.im.denominator == 1
+                assert r == ((int(v.re), int(v.im)) if integral else None)
+                non_integral += not integral
             got = rmat.charpoly(A)
             want = reference_charpoly(M)
             assert len(got) == len(want) == 17
             for k, (a, c) in enumerate(zip(got, want)):
-                assert CRat(*a) == c * D ** k, (op, pt, k)
+                assert GaussQ(*a) == c * D ** k, (op, pt, k)
             complex_entries += sum(1 for row in A for e in row if e[1])
     assert complex_entries > 0   # the imaginary-Y points reach the im parts
+    assert non_integral > 0
 
 
 def test_charpoly_refuses_inexact_entries():
-    A, _ = rmat._eval_matrix(rmat.quantum_r(1), IMAGINARY_Y[0])
+    A, _, _ = rmat._eval_matrix(rmat.quantum_r(1), IMAGINARY_Y[0])
     for bad in ((Fraction(1), 0), (0, Fraction(1, 2)), (True, 0), (1, False),
-                Fraction(1), 1, (1, 0, 0), [1, 0], CRat(1)):
+                Fraction(1), 1, (1, 0, 0), [1, 0], GaussQ(1)):
         B = [row[:] for row in A]
         B[0][0] = bad
         with pytest.raises(RingError):
