@@ -18,7 +18,7 @@ EX_OK, EX_FAIL, EX_USAGE = 0, 1, 2
 
 
 def _word_from_args(args, parser):
-    if getattr(args, "braid", None):
+    if args.braid is not None:
         try:
             word = braid.parse(args.braid)
         except braid.BraidError as exc:
@@ -27,12 +27,10 @@ def _word_from_args(args, parser):
             parser.error(f"--braid {args.braid!r}: the closure is a link, "
                          f"not a knot")
         return word
-    if getattr(args, "knot", None):
-        for rec in harness.load_table():
-            if rec.name == args.knot:
-                return rec.word
-        parser.error(f"knot {args.knot!r} not in table")
-    parser.error("need --braid or --knot")
+    for rec in harness.load_table():
+        if rec.name == args.knot:
+            return rec.word
+    parser.error(f"knot {args.knot!r} not in table")
 
 
 def _cmd_verify(args, parser):
@@ -219,15 +217,17 @@ def build_parser():
     inv.add_argument("--isotopy", choices=["ambient", "regular"],
                      help="default: regular when the case has a regular "
                           "model, else ambient")
-    inv.add_argument("--braid")
-    inv.add_argument("--knot")
+    word = inv.add_mutually_exclusive_group(required=True)
+    word.add_argument("--braid")
+    word.add_argument("--knot")
     inv.add_argument("--format", default="text", choices=["text", "json"])
     inv.set_defaults(func=_cmd_invariant, parser=inv)
 
     orc = sub.add_parser("oracle", help="classical oracle polynomials")
     orc.add_argument("oracle", choices=["alexander", "jones"])
-    orc.add_argument("--braid")
-    orc.add_argument("--knot")
+    word = orc.add_mutually_exclusive_group(required=True)
+    word.add_argument("--braid")
+    word.add_argument("--knot")
     orc.set_defaults(func=_cmd_oracle, parser=orc)
 
     mat = sub.add_parser("matveev", help="distinguishing-pair test")

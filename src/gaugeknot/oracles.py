@@ -340,12 +340,13 @@ class CompareReport:
 
 def _subst_quantum(poly, q_exp, p_exp):
     """t^(e/2) -> Q^(e*q_exp/2) * p^(e*p_exp/2) for a OnePoly."""
-    out = QUANTUM.zero
+    terms = {}
     for e, c in poly.terms.items():
         if (e * q_exp) % 2 or (e * p_exp) % 2:
             raise OracleError("substitution leaves the integer grid")
-        out = out + QUANTUM.mono(c, Q=e * q_exp // 2, p=e * p_exp // 2)
-    return out
+        key = (e * p_exp // 2, e * q_exp // 2, 0)    # (p, Q, Y)
+        terms[key] = terms.get(key, 0) + c
+    return QUANTUM.poly(terms)
 
 
 def _match_unit(got, want):
@@ -354,7 +355,7 @@ def _match_unit(got, want):
         return QUANTUM.one
     if got.is_zero() or want.is_zero():
         return None
-    if len(got.terms) != len(want.terms):
+    if len(got) != len(want):
         return None
     (ge, gc) = got.leading()
     (we, wc) = want.leading()

@@ -7,16 +7,16 @@ sending ``|c,d>`` to ``|a,b>``.  Every entry is a polynomial: a trigonometric
 operator stores numerators over one denominator, ``TRIG_DENOMINATOR``, which
 depends on u alone.  All entries conserve ``CHARGE``, the pair
 (grading weight, n(2) - n(3)) summed over both sites, so each operator is
-block-diagonal in the 9 charge sectors; ``invert`` works one sector at a
-time, while the eigen checks work on the full 16x16 matrix M at exact
-sample points.  ``ring.cleared_values`` evaluates M and the claimed
-eigenvalues there straight into Gaussian integers, and the checks run on
-D*M, D the least common denominator of M, stored as ``(re, im)`` int
-pairs, from end to end: the characteristic polynomial by the
-Faddeev-LeVerrier recursion, root multiplicities and its squarefree
-part by one fraction-free pseudo-division, and kernel dimensions by
-fraction-free elimination.  The four indices have four different charges,
-so in a product of such operators a state that agrees with its input on
+block-diagonal in the 9 charge sectors; ``invert`` and the eigen checks
+work one sector at a time.  The eigen checks evaluate the operator's
+matrix M and the claimed eigenvalues at exact sample points straight into
+Gaussian integers (``ring.cleared_values``) and run on the sector blocks
+of D*M, D the least common denominator of M, stored as ``(re, im)`` int
+pairs, from end to end: characteristic polynomials by the
+Faddeev-LeVerrier recursion, root multiplicities and squarefree parts by
+one fraction-free pseudo-division, and kernel dimensions by fraction-free
+elimination.  The four indices have four different charges, so in a
+product of such operators a state that agrees with its input on
 all strands but one agrees on all.
 
 Products of operators on many strands run through one kernel,
@@ -112,10 +112,9 @@ class SparseROp:
     def _transitions(self, shift):
         """The operator on the two strands whose state bits start at
         ``shift``, as additive deltas of packed column keys (see
-        ``_columns``): ``(flat, moves, conserving)``.  ``flat`` and
-        ``moves`` are indexed by the input bits (d, c); ``flat`` lists the
-        ``(delta, coeff)`` pairs of every term of every entry from those
-        bits, and ``moves`` the same pairs grouped by output as ``(xor,
+        ``_columns``): ``(moves, conserving)``.  ``moves`` is indexed by the
+        input bits (d, c) and lists the ``(delta, coeff)`` pairs of every
+        term of every entry from those bits, grouped by output as ``(xor,
         pairs)``, ``xor`` turning the input state into the output one.
         ``conserving`` says whether every entry conserves the charge.  Built
         on the first call for a ``shift`` and kept on the operator."""
@@ -125,7 +124,6 @@ class SparseROp:
         ring = self.ring
         up = shift + ring._width
         bias = ring._bias
-        flat = [[] for _ in range(16)]
         moves = [{} for _ in range(16)]
         conserving = True
         for (a, b, c, d), v in self.entries.items():
@@ -135,12 +133,10 @@ class SparseROp:
             bits_out = (b - 1) << 2 | (a - 1)
             move = ((bits_out - bits_in) << up) - bias
             conserving &= _PAIR_CHARGE[a, b] == _PAIR_CHARGE[c, d]
-            pairs = [(move + k, x) for k, x in v._t.items()]
-            flat[bits_in].extend(pairs)
-            moves[bits_in].setdefault((bits_in ^ bits_out) << shift,
-                                      []).extend(pairs)
+            pairs = moves[bits_in].setdefault(
+                (bits_in ^ bits_out) << shift, [])
+            pairs.extend((move + k, x) for k, x in v._t.items())
         table = self._tables[shift] = (
-            [tuple(pairs) for pairs in flat],
             [list(by_out.items()) for by_out in moves], conserving)
         return table
 
@@ -189,13 +185,13 @@ def _reach(strands, steps):
     sets are ORs of the next letter's, taken for all states of one input
     group and one output at once, slice by slice (``_groups``); equal sets
     are one int."""
-    if all(conserving for _, _, (_, _, conserving) in steps):
+    if all(conserving for _, _, (_, conserving) in steps):
         nxt = _sector_bits(strands)
     else:
         nxt = [1 << t for t in range(4 ** strands)]
     reach = [nxt]
     seen = {}
-    for shift, _, (_, moves, _) in reversed(steps):
+    for shift, _, (moves, _) in reversed(steps):
         groups = _groups(strands, shift)
         cur = [0] * len(nxt)
         for g, by_out in enumerate(moves):
@@ -268,7 +264,7 @@ def _columns(ring, strands, letters, closure_only=False):
             if not reach[0][s] & bit:
                 continue
         vec = {s << width | ring._bias: 1}
-        for j, (shift, up, (flat, moves, _)) in enumerate(steps):
+        for j, (shift, up, (moves, _)) in enumerate(steps):
             new = {}
             get = new.get
             if closure_only:
@@ -282,9 +278,10 @@ def _columns(ring, strands, letters, closure_only=False):
                                 new[e] = get(e, 0) + c * x
             else:
                 for k, c in vec.items():
-                    for d, x in flat[(k >> up) & 15]:
-                        e = k + d
-                        new[e] = get(e, 0) + c * x
+                    for _, pairs in moves[(k >> up) & 15]:
+                        for d, x in pairs:
+                            e = k + d
+                            new[e] = get(e, 0) + c * x
             # Range check, once per letter, before the state bits are read
             # again: an entry's exponents are in range, so one letter moves
             # a field by less than 2**17.  A field pushed up sets its 15
@@ -687,50 +684,46 @@ def invert(R):
 # Eigen-data checks at exact sample points, over the Gaussian integers.
 
 def _eval_matrix(R, point, claimed=()):
-    """The 16x16 matrix M of a polynomial operator at a ``SAMPLE_POINTS``
-    row, and the values v of the ``claimed`` polynomials of its ring there,
-    as ``(A, D, roots)``: ``D`` is the least positive int that clears every
-    denominator of M's real and imaginary parts, ``A = D * M`` is a list of
-    rows of Gaussian integers ``(re, im)``, and ``roots`` holds each D * v
-    as a Gaussian integer ``(re, im)``, or None when it is not one.
+    """The charge-sector blocks of the matrix M of a polynomial operator at
+    a ``SAMPLE_POINTS`` row, in ``_blocks`` order, and the values v of the
+    ``claimed`` polynomials of its ring there, as ``(blocks, D, roots)``:
+    ``D`` is the least positive int that clears every denominator of M's
+    real and imaginary parts, each block of ``D * M`` is a list of rows of
+    Gaussian integers ``(re, im)``, and ``roots`` holds each D * v as a
+    Gaussian integer ``(re, im)``, or None when it is not one.  RingError
+    when the operator does not conserve the charge.
 
     One ``cleared_values`` call gives F, a multiple of D, with F * M and
     F * v.  Then h = gcd(F, every part of F * M) is F / D, since no prime
-    divides both D and every part of D * M; so D = F / h and A = F * M / h,
-    with no Fraction."""
+    divides both D and every part of D * M; so D = F / h and D * M is
+    F * M / h, with no Fraction."""
+    blocks = _blocks(R)
     p, q, y, sign = point
     F, vals = cleared_values([*R.entries.values(), *claimed],
                              {"p": p, "Q": q, "Y": (y, 0) if sign > 0
                               else (0, y)})
     n = len(R.entries)
     h = math.gcd(F, *(x for v in vals[:n] for x in v))
-    A = [[(0, 0)] * 16 for _ in range(16)]
-    for (a, b, c, d), (re, im) in zip(R.entries, vals):
-        A[4 * a + b - 5][4 * c + d - 5] = (re // h, im // h)
+    DM = {k: (re // h, im // h) for k, (re, im) in zip(R.entries, vals)}
     roots = [None if re % h or im % h else (re // h, im // h)
              for re, im in vals[n:]]
-    return A, F // h, roots
+    return ([[[DM.get(ab + cd, (0, 0)) for cd in block] for ab in block]
+             for block in blocks], F // h, roots)
 
 
-def _sparse_rows(A):
-    """The nonzero entries of each row of a Gaussian-integer matrix, as
-    ``(column, re, im)``."""
-    return [[(j, re, im) for j, (re, im) in enumerate(row) if re or im]
-            for row in A]
-
-
-def _gauss_mul(rows, B):
-    """The product of a Gaussian-integer matrix, given by ``_sparse_rows``,
-    and a square Gaussian-integer matrix ``B``."""
+def _gauss_mul(A, B):
+    """The product of two square Gaussian-integer matrices; A's zero
+    entries are skipped."""
     n = len(B)
     out = []
-    for row in rows:
+    for row in A:
         res = [0] * n
         ims = [0] * n
-        for k, a, b in row:
-            for j, (c, d) in enumerate(B[k]):
-                res[j] += a * c - b * d
-                ims[j] += a * d + b * c
+        for (a, b), Bk in zip(row, B):
+            if a or b:
+                for j, (c, d) in enumerate(Bk):
+                    res[j] += a * c - b * d
+                    ims[j] += a * d + b * c
         out.append(list(zip(res, ims)))
     return out
 
@@ -749,11 +742,10 @@ def charpoly(A):
                 and type(e[0]) is int and type(e[1]) is int for e in row):
             raise RingError("charpoly needs a square matrix of Gaussian "
                             "integers (re, im)")
-    rows = _sparse_rows(A)
     coeffs = [(1, 0)]
     N = [[(1, 0) if i == j else (0, 0) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        N = _gauss_mul(rows, N)
+        N = _gauss_mul(A, N)
         tr_re = sum(N[i][i][0] for i in range(n))
         tr_im = sum(N[i][i][1] for i in range(n))
         c_re, r_re = divmod(-tr_re, k)
@@ -828,14 +820,17 @@ class EigenReport:
 
 
 def eigen_check(R, claimed, points=None, min_points=5):
-    """Confirm at exact sample points that the 16x16 spectrum equals the
-    claimed list of polynomials (with multiplicities found from the
-    characteristic polynomial).  ``points`` are rows like those of
-    ``SAMPLE_POINTS``, the default.  At each point the polynomial is that of
-    ``A = D * M`` over the Gaussian integers, whose roots are D times the
-    eigenvalues of M.  A root in Q(i) of a monic polynomial over Z[i] is a
-    Gaussian integer, since Z[i] is integrally closed, so a claimed v with
-    D * v outside Z[i] is absent."""
+    """Confirm at exact sample points that the spectrum of a
+    charge-conserving operator (RingError otherwise) equals the claimed
+    list of polynomials, with multiplicities found from the characteristic
+    polynomials.  ``points`` are rows like those of ``SAMPLE_POINTS``, the
+    default.  At each point these are the polynomials of the sector blocks
+    of ``D * M`` over the Gaussian integers, whose product is that of
+    ``D * M``, with roots D times the eigenvalues of M: a claimed value's
+    multiplicity is its sum over the blocks, and the spectrum is exhausted
+    when every block's polynomial is divided down to 1.  A root in Q(i) of
+    a monic polynomial over Z[i] is a Gaussian integer, since Z[i] is
+    integrally closed, so a claimed v with D * v outside Z[i] is absent."""
     if min_points < 1:
         raise RingError(f"min_points {min_points!r}: an eigen check needs "
                         f"at least 1 sample point")
@@ -844,17 +839,19 @@ def eigen_check(R, claimed, points=None, min_points=5):
     used = 0
     mults = None
     for point in points:
-        A, _, roots = _eval_matrix(R, point, claimed)
+        blocks, _, roots = _eval_matrix(R, point, claimed)
         known = [r for r in roots if r is not None]
         if len(set(known)) != len(known):
             continue  # eigenvalue collision at this point; skip it
         # a claimed value with no root here (None) is absent below
-        coeffs = charpoly(A)
+        polys = [charpoly(B) for B in blocks]
         got = {}
         for c, r in zip(claimed, roots):
             m = 0
             if r is not None:
-                m, coeffs = _root_multiplicity(coeffs, r)
+                for k, f in enumerate(polys):
+                    mk, polys[k] = _root_multiplicity(f, r)
+                    m += mk
             if m == 0:
                 p, q, y, sign = point
                 return EigenReport(
@@ -862,7 +859,7 @@ def eigen_check(R, claimed, points=None, min_points=5):
                     f"claimed eigenvalue {c} absent at p = {p}, Q = {q}, "
                     f"Y = {y}{'' if sign > 0 else ' * i'}")
             got[str(c)] = m
-        if len(coeffs) != 1:
+        if any(len(f) != 1 for f in polys):
             return EigenReport(False, len(claimed), got, used,
                                "spectrum not exhausted by the claimed list")
         if mults is None:
@@ -920,27 +917,27 @@ def _squarefree_part(coeffs):
 
 
 def eigenvector_deficiency(R, points=None):
-    """Total eigenvector count of the 16x16 operator: the sum over distinct
-    eigenvalues of dim ker(R - lambda I), computed as dim ker g(A) for
-    ``A = D * M`` and g a Gaussian-integer multiple of the squarefree part
-    of its characteristic polynomial, which has the same kernel (16 means
-    diagonalizable).  It
-    is evaluated at each of the first three ``points``, rows like those of
-    ``SAMPLE_POINTS`` (the default), and the maximum is returned; RingError
-    if there is none."""
+    """Total eigenvector count of a charge-conserving operator (RingError
+    otherwise): the sum over distinct eigenvalues of dim ker(R - lambda I),
+    16 meaning diagonalizable.  It is the sum over the sector blocks B of
+    ``D * M`` of dim ker g(B), g a Gaussian-integer multiple of the
+    squarefree part of B's characteristic polynomial, whose kernel is
+    spanned by B's eigenvectors.  It is evaluated at each of the first
+    three ``points``, rows like those of ``SAMPLE_POINTS`` (the default),
+    and the maximum is returned; RingError if there is none."""
     if points is None:
         points = SAMPLE_POINTS
     if not points:
         raise RingError("no sample points")
     totals = set()
     for point in points[:3]:
-        A, _, _ = _eval_matrix(R, point)
-        G = _squarefree_part(charpoly(A))
-        rows = _sparse_rows(A)
-        acc = [[G[0] if i == j else (0, 0) for j in range(16)]
-               for i in range(16)]
-        for c in G[1:]:     # Horner: acc = A acc + c I
-            acc = _gauss_mul(rows, acc)
-            _add_to_diagonal(acc, *c)
-        totals.add(_kernel_dim(acc))
+        total = 0
+        for B in _eval_matrix(R, point)[0]:
+            G = _squarefree_part(charpoly(B))
+            acc = [[(0, 0)] * len(B) for _ in B]
+            for c in G:     # Horner: acc = B acc + c I
+                acc = _gauss_mul(B, acc)
+                _add_to_diagonal(acc, *c)
+            total += _kernel_dim(acc)
+        totals.add(total)
     return max(totals)

@@ -129,6 +129,13 @@ def test_invariant_without_a_model_is_usage_error(capsys):
     (("suite", "--max-crossings", "2"), "usage: gaugeknot suite "),
     (("suite", "--jobs", "0"), "usage: gaugeknot suite "),
     (("suite", "--jobs", "-3"), "usage: gaugeknot suite "),
+    # exactly one of --braid and --knot names the knot
+    (("invariant", "--case", "2", "--braid", "2 : 1", "--knot", "3_1"),
+     "usage: gaugeknot invariant "),
+    (("invariant", "--case", "2"), "usage: gaugeknot invariant "),
+    (("oracle", "alexander", "--braid", "2 : 1", "--knot", "3_1"),
+     "usage: gaugeknot oracle "),
+    (("oracle", "jones"), "usage: gaugeknot oracle "),
 ])
 def test_usage_errors_name_the_subcommand(capsys, argv, usage):
     with pytest.raises(SystemExit) as exc:

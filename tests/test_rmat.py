@@ -257,21 +257,30 @@ def test_invert_refuses_a_non_unit_determinant():
         rmat.invert(rmat.identity_op(QUANTUM).scale(2))
 
 
+#: Everything that works one charge sector at a time.
+_SECTOR_CHECKS = (rmat.invert, rmat.eigenvector_deficiency,
+                  lambda op: rmat.eigen_check(op, [QUANTUM.one]))
+
+
 def test_invert_refuses_a_weight_mixing_operator():
+    """So do the eigen checks."""
     ident = rmat.identity_op(QUANTUM)
     entries = dict(ident.entries)
     entries[(2, 1, 1, 1)] = QUANTUM.one      # weight 1 <- weight 0
-    with pytest.raises(RingError, match="does not conserve the charge"):
-        rmat.invert(rmat.SparseROp(QUANTUM, entries))
+    for check in _SECTOR_CHECKS:
+        with pytest.raises(RingError, match="does not conserve the charge"):
+            check(rmat.SparseROp(QUANTUM, entries))
 
 
 def test_invert_refuses_a_charge_mixing_operator():
-    """Conserving the weight alone is not enough: invert works in the 9
-    charge sectors."""
+    """Conserving the weight alone is not enough: invert and the eigen
+    checks work in the 9 charge sectors."""
     op = charge_mixing_op()
     assert not op.conserves_charge()
-    with pytest.raises(RingError, match=r"charge \(weight, n\(2\) - n\(3\)\)"):
-        rmat.invert(op)
+    for check in _SECTOR_CHECKS:
+        with pytest.raises(RingError,
+                           match=r"charge \(weight, n\(2\) - n\(3\)\)"):
+            check(op)
 
 
 def test_closure_only_prunes_strand_one():
@@ -452,7 +461,7 @@ def test_closure_only_matches_the_reference_with_charge_mixing_letters(rng):
         k: QUANTUM.mono(rng.choice((1, -1)), p=rng.randint(-2, 2))
         for k in rng.sample(keys, 20)})
     assert not sparse.conserves_charge()
-    assert any(not by_out for by_out in sparse._transitions(0)[1])
+    assert any(not by_out for by_out in sparse._transitions(0)[0])
     stuck = 0
     for _ in range(6):
         letters = [(rng.randint(1, 2),
@@ -554,9 +563,29 @@ def test_eigen_check_identity():
     assert rep.multiplicities == {str(QUANTUM.one): 16}
 
 
-def test_eigen_check_rejects_wrong_claim():
-    rep = rmat.eigen_check(rmat.quantum_r(1), [QUANTUM.one])
+@pytest.mark.parametrize("case", [1, 2, 3, 4])
+def test_eigen_check_rejects_wrong_claim(case):
+    """Without its last value, each case's list leaves that value's roots
+    in some sector's polynomial."""
+    rep = rmat.eigen_check(rmat.quantum_r(case),
+                           rmat.claimed_eigenvalues(case)[:-1])
     assert not rep.ok
+    assert rep.message == "spectrum not exhausted by the claimed list"
+
+
+def test_eigen_check_reads_every_sector():
+    """The identity with p**2 at one diagonal entry, for each of the 16: a
+    claim of 1 alone leaves p**2 in that entry's sector, and a claim of 1
+    and p**2 finds multiplicities 15 and 1, summed over the sectors."""
+    one, p2 = QUANTUM.one, QUANTUM.mono(1, p=2)
+    for a, b in product((1, 2, 3, 4), repeat=2):
+        entries = dict(rmat.identity_op(QUANTUM).entries)
+        entries[(a, b, a, b)] = p2
+        op = rmat.SparseROp(QUANTUM, entries)
+        rep = rmat.eigen_check(op, [one])
+        assert rep.message == "spectrum not exhausted by the claimed list"
+        rep = rmat.eigen_check(op, [one, p2])
+        assert rep.ok and rep.multiplicities == {str(one): 15, str(p2): 1}
 
 
 @pytest.mark.parametrize("row, where", [
@@ -776,12 +805,15 @@ def _ref_mat_mul(A, B):
     return out
 
 
+def _index(a, b):
+    return 4 * (a - 1) + (b - 1)
+
+
 def _reference_matrix(R, point):
     """The 16x16 GaussQ matrix of an operator at a point, entry by entry."""
-    idx = lambda a, b: 4 * (a - 1) + (b - 1)
     M = [[GaussQ(0)] * 16 for _ in range(16)]
     for (a, b, c, d), v in R.entries.items():
-        M[idx(a, b)][idx(c, d)] = reference_value(v, point)
+        M[_index(a, b)][_index(c, d)] = reference_value(v, point)
     return M
 
 
@@ -792,10 +824,12 @@ def _model_sigmas():
 def test_charpoly_matches_the_reference_on_every_operator():
     """At every sample point, for the quantum R-matrices, the identity, the
     Jordan operator and the five model sigmas (case 2 and case 4 ambient in
-    QONLY and CONST): ``_eval_matrix`` gives the reference's least common
-    denominator D and D * M, D times each claimed value, or None when that
-    is no Gaussian integer, and ``charpoly`` the reference's coefficients
-    times powers of D."""
+    QONLY and CONST): the reference matrix M is zero off the charge
+    sectors; ``_eval_matrix`` gives the reference's least common
+    denominator D, each sector's block of D * M, and D times each claimed
+    value, or None when that is no Gaussian integer; ``charpoly`` of each
+    block gives the reference's coefficients for M's block times powers of
+    D, and the blocks' polynomials multiply to M's times powers of D."""
     ops = [rmat.quantum_r(i) for i in (1, 2, 3, 4)]
     ops += [rmat.identity_op(QUANTUM), jordan_op(QUANTUM.one)]
     ops += _model_sigmas()
@@ -805,31 +839,48 @@ def test_charpoly_matches_the_reference_on_every_operator():
         claimed = [op.ring.one, -op.ring.one]
         if op.ring is QUANTUM:
             claimed += [QUANTUM.mono(1, p=4), QUANTUM.mono(-1, p=2, Q=-2)]
+        sectors = [[_index(*ab) for ab in block]
+                   for block in rmat._blocks(op)]
+        assert sorted(map(len, sectors)) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
+        inside = {(i, j) for rows in sectors for i in rows for j in rows}
         for pt in rmat.SAMPLE_POINTS:
             point = sample_point(pt)
             M = _reference_matrix(op, point)
-            A, D, roots = rmat._eval_matrix(op, pt, claimed)
+            assert all(M[i][j] == GaussQ(0) for i in range(16)
+                       for j in range(16) if (i, j) not in inside)
+            blocks, D, roots = rmat._eval_matrix(op, pt, claimed)
             parts = [x for row in M for v in row for x in (v.re, v.im)]
             assert D == math.lcm(*(x.denominator for x in parts))
-            assert all(GaussQ(*A[i][j]) == D * M[i][j]
-                       for i in range(16) for j in range(16))
             for c, r in zip(claimed, roots):
                 v = D * reference_value(c, point)
                 integral = v.re.denominator == v.im.denominator == 1
                 assert r == ((int(v.re), int(v.im)) if integral else None)
                 non_integral += not integral
-            got = rmat.charpoly(A)
-            want = reference_charpoly(M)
-            assert len(got) == len(want) == 17
-            for k, (a, c) in enumerate(zip(got, want)):
-                assert GaussQ(*a) == c * D ** k, (op, pt, k)
-            complex_entries += sum(1 for row in A for e in row if e[1])
+            assert len(blocks) == len(sectors)
+            product = [GaussQ(1)]
+            for rows, B in zip(sectors, blocks):
+                ref = [[M[i][j] for j in rows] for i in rows]
+                assert [[GaussQ(*e) for e in row] for row in B] == \
+                    [[D * x for x in row] for row in ref]
+                got = rmat.charpoly(B)
+                want = reference_charpoly(ref)
+                assert len(got) == len(want) == len(rows) + 1
+                for k, (a, c) in enumerate(zip(got, want)):
+                    assert GaussQ(*a) == c * D ** k, (op, pt, k)
+                product = _ref_poly_mul(product, _ref(got))
+                complex_entries += sum(1 for row in B for e in row if e[1])
+            whole = reference_charpoly(M)
+            assert len(whole) == 17
+            assert product == [c * D ** k for k, c in enumerate(whole)]
     assert complex_entries > 0   # the imaginary-Y points reach the im parts
     assert non_integral > 0
 
 
 def test_charpoly_refuses_inexact_entries():
-    A, _, _ = rmat._eval_matrix(rmat.quantum_r(1), IMAGINARY_Y[0])
+    """Each bad entry is the only fault of a 4x4 block charpoly accepts."""
+    blocks, _, _ = rmat._eval_matrix(rmat.quantum_r(1), IMAGINARY_Y[0])
+    A = next(B for B in blocks if len(B) == 4)
+    assert len(rmat.charpoly(A)) == 5
     for bad in ((Fraction(1), 0), (0, Fraction(1, 2)), (True, 0), (1, False),
                 Fraction(1), 1, (1, 0, 0), [1, 0], GaussQ(1)):
         B = [row[:] for row in A]
@@ -837,4 +888,4 @@ def test_charpoly_refuses_inexact_entries():
         with pytest.raises(RingError):
             rmat.charpoly(B)
     with pytest.raises(RingError):
-        rmat.charpoly([row[:15] for row in A])
+        rmat.charpoly([row[:3] for row in A])
