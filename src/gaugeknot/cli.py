@@ -182,7 +182,8 @@ def _cmd_suite(args, parser):
     for r in report.rows:
         print(f"{r['status']:<14} case {r['case']}  {r['knot']:<7} "
               f"({r['seconds']}s)  {r['unit']}")
-    print(f"{report.total} rows, {report.failed} failures")
+    print(f"{report.total} rows, {report.failed} failures, "
+          f"{report.unchecked} unchecked")
     return EX_OK if report.ok else EX_FAIL
 
 

@@ -61,6 +61,8 @@ class StateModel:
     sigma_inv: SparseROp
     C: tuple          # 4 diagonal handle entries (LaurentPoly)
     kappa: LaurentPoly
+    handle: tuple = None         # regular: the one-loop contraction diag
+    scalar: LaurentPoly = None   # ambient: the scalar every knot gives
 
     def __post_init__(self):
         for name in ("sigma", "sigma_inv"):
@@ -151,7 +153,8 @@ def suite_isotopy(case):
 
 @lru_cache(maxsize=None)
 def model(case, isotopy):
-    """The state model of a MODELS row, built on first use."""
+    """The state model of a MODELS row, with the row's handle and scalar,
+    built on first use."""
     row = MODELS.get((case, isotopy))
     if row is None:
         raise EngineError(f"no {isotopy} model for case {case}")
@@ -160,15 +163,8 @@ def model(case, isotopy):
         ring = row.kappa.ring
         R = R.map_entries(lambda v: map_poly(v, ring, row.images))
     sig, sig_inv = _scaled(R, row.kappa)
-    return StateModel(case, isotopy, sig, sig_inv, row.C, row.kappa)
-
-
-def handle_diagonal(mod):
-    """The expected one-loop contraction diag for a regular model."""
-    row = MODELS.get((mod.case, mod.isotopy))
-    if row is None or row.handle is None:
-        raise EngineError(f"no handle diagonal for {mod.case} {mod.isotopy}")
-    return row.handle
+    return StateModel(case, isotopy, sig, sig_inv, row.C, row.kappa,
+                      row.handle, row.scalar)
 
 
 def _letters(word, sigma, sigma_inv):
@@ -199,11 +195,15 @@ def _close(mod, columns):
 
 def verify_handle(mod):
     """Single-loop identity: ambient models contract to the identity for
-    both crossing signs; regular models to the stated diagonal and its
-    inverse."""
+    both crossing signs; regular models to their ``handle`` diagonal and
+    its inverse (EngineError when a regular model states none)."""
     ring = mod.ring
-    exp_plus = ((ring.one,) * 4 if mod.isotopy == "ambient"
-                else handle_diagonal(mod))
+    if mod.isotopy == "ambient":
+        exp_plus = (ring.one,) * 4
+    elif mod.handle is None:
+        raise EngineError(f"no handle diagonal for {mod.case} {mod.isotopy}")
+    else:
+        exp_plus = mod.handle
     exp_minus = tuple(d.invert_monomial() for d in exp_plus)
     for op, expected in ((mod.sigma, exp_plus), (mod.sigma_inv, exp_minus)):
         T = _close(mod, _columns(ring, 2, [(1, op)], closure_only=True))

@@ -360,15 +360,6 @@ class LaurentPoly:
     def __hash__(self):
         return hash((id(self.ring), frozenset(self._t.items())))
 
-    def leading(self):
-        """(exponents, (re, im)) of the canonically-largest term."""
-        if not self._t:
-            raise RingError("zero polynomial has no leading term")
-        t = self._t
-        k = max(t)      # the i**1 key of a monomial sorts above its i**0 key
-        c = (t.get(k ^ 1, 0), t[k]) if k & 1 else (t[k], 0)
-        return self.ring._unpack(k), c
-
     def is_monomial(self):
         return len(self) == 1
 

@@ -69,12 +69,10 @@ def test_criterion_07_handle_identities():
     assert engine.verify_handle(engine.model(4, "ambient"))
     reg2 = engine.model(2, "regular")
     assert engine.verify_handle(reg2)
-    assert engine.handle_diagonal(reg2) == (m(1, p=-1), m(1, p=-1),
-                                            m(1, p=1), m(1, p=1))
+    assert reg2.handle == (m(1, p=-1), m(1, p=-1), m(1, p=1), m(1, p=1))
     reg3 = engine.model(3, "regular")
     assert engine.verify_handle(reg3)
-    assert engine.handle_diagonal(reg3) == (m(1, p=-2), m(-1, Q=-4),
-                                            m(-1, Q=-4), m(1, p=2))
+    assert reg3.handle == (m(1, p=-2), m(-1, Q=-4), m(-1, Q=-4), m(1, p=2))
 
 
 def test_criterion_08_case2_is_alexander():
@@ -169,7 +167,7 @@ def test_criterion_11c_engine_invariance_1000():
             if mod.isotopy == "ambient":
                 assert got == ref
             else:
-                handle = engine.handle_diagonal(mod)
+                handle = mod.handle
                 factor = handle if sign > 0 else tuple(
                     h.invert_monomial() for h in handle)
                 assert got == [f * r for f, r in zip(factor, ref)]

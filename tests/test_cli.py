@@ -177,6 +177,14 @@ def test_suite_writes_reports(capsys, tmp_path):
                       "entry33,entry44,status,unit")
 
 
+def test_suite_summary_counts_unchecked_rows(capsys):
+    """Case-1 rows are compared with nothing, so the summary says so."""
+    code, out, _ = run(capsys, "suite", "--cases", "1,4",
+                       "--max-crossings", "4")
+    assert code == 0
+    assert out.endswith("\n4 rows, 0 failures, 2 unchecked\n")
+
+
 @pytest.mark.parametrize("cases", ["x", "5"])
 def test_bad_suite_cases_are_usage_errors(capsys, cases):
     with pytest.raises(SystemExit) as exc:

@@ -69,18 +69,22 @@ def test_verify_handle():
 
 def test_handle_diagonal_case2():
     m = QUANTUM.mono
-    assert engine.handle_diagonal(engine.model(2, "regular")) == \
+    assert engine.model(2, "regular").handle == \
         (m(1, p=-1), m(1, p=-1), m(1, p=1), m(1, p=1))
-    with pytest.raises(engine.EngineError):
-        engine.handle_diagonal(engine.model(2, "ambient"))
+    assert engine.model(2, "ambient").handle is None
 
 
 def test_kappa_doubled_handle_fails():
     mod = engine.model(2, "regular")
     two = QUANTUM.mono(2)
     broken = engine.StateModel(mod.case, mod.isotopy, mod.sigma.scale(two),
-                               mod.sigma_inv, mod.C, mod.kappa)
+                               mod.sigma_inv, mod.C, mod.kappa, mod.handle)
     assert not engine.verify_handle(broken)
+    # a regular model that states no handle has nothing to be checked against
+    unstated = engine.StateModel(mod.case, mod.isotopy, mod.sigma,
+                                 mod.sigma_inv, mod.C, mod.kappa)
+    with pytest.raises(engine.EngineError, match="no handle diagonal"):
+        engine.verify_handle(unstated)
 
 
 def test_represent_single_letter():
@@ -259,7 +263,7 @@ def test_stabilization():
     # regular: stabilization multiplies by the handle diagonal
     mod = engine.model(2, "regular")
     base = engine.tangle_invariant(TREFOIL, mod).diagonal()
-    handle = engine.handle_diagonal(mod)
+    handle = mod.handle
     for sign in (1, -1):
         stab = braid.BraidWord(3, TREFOIL.letters + (2 * sign,))
         got = engine.tangle_invariant(stab, mod).diagonal()

@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from gaugeknot import braid, harness, oracles
+from gaugeknot import braid, cli, harness, oracles
+from gaugeknot.ring import QUANTUM
 
 
 def test_bundled_table():
@@ -117,6 +118,39 @@ def test_bad_jobs_are_refused(jobs):
     table = [r for r in harness.load_table() if r.name == "3_1"]
     with pytest.raises(ValueError, match=re.escape(f"jobs {jobs!r}")):
         harness.run_suite({3}, table=table, jobs=jobs)
+
+
+@pytest.mark.parametrize("case", [2.0, True, "3", 7, None])
+def test_bad_cases_are_refused(case):
+    """Refused before any row runs: a float or bool is no case, and a
+    case with no state model is no row of the report."""
+    table = [r for r in harness.load_table() if r.name == "3_1"]
+    with pytest.raises(ValueError, match=re.escape(f"case {case!r}")):
+        harness.run_suite({3, case}, table=table)
+
+
+def test_a_global_unit_is_a_failure(monkeypatch, capsys):
+    """Every case-3 diagonal scaled by p^2 reads fail on every row, naming
+    the entry, and neither the report nor the CLI passes."""
+    true = oracles.tangle_invariant
+    p2 = QUANTUM.mono(1, p=2)
+
+    def scaled(word, mod):
+        inv = true(word, mod)
+        for a in range(4):
+            inv.matrix[a][a] = inv.matrix[a][a] * p2
+        return inv
+
+    monkeypatch.setattr(oracles, "tangle_invariant", scaled)
+    table = [r for r in harness.load_table() if r.crossings <= 5]
+    report = harness.run_suite({3}, table=table)
+    assert report.total == 4 and report.failed == 4 and not report.ok
+    for row in report.rows:
+        assert row["status"] == "fail"
+        assert row["unit"].startswith("entry11: got ")
+    assert cli.main(["suite", "--cases", "3", "--max-crossings", "5"]) == 1
+    assert capsys.readouterr().out.endswith(
+        "4 rows, 4 failures, 0 unchecked\n")
 
 
 def test_suite_small():

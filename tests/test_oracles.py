@@ -3,7 +3,8 @@
 import pytest
 
 from conftest import rand_knot_word
-from gaugeknot import braid, harness, oracles
+from gaugeknot import braid, engine, harness, oracles
+from gaugeknot.ring import QUANTUM
 
 TREFOIL = braid.parse("2 : 1 1 1")
 FIG8 = braid.parse("3 : 1 -2 1 -2")
@@ -159,19 +160,59 @@ def test_markov_moves(rng):
             assert oracles.jones(stab) == j
 
 
-def test_compare_case2():
-    for word in (UNKNOT, TREFOIL, FIG8):
-        rep = oracles.compare_case2(word)
+def _seeded_words(rng):
+    """Knot words on 2-4 strands of up to 10 letters (a knot on n strands
+    needs at least n - 1)."""
+    return [rand_knot_word(rng, strands=n, length=rng.randint(n - 1, 10))
+            for n in (2, 3, 4) for _ in range(15)]
+
+
+def _agrees_exactly(compare, case, words):
+    for word in words:
+        rep = compare(word)
         assert rep.ok, rep.detail
-        assert rep.unit == "1"
+        assert rep.diag == engine.tangle_invariant(
+            word, engine.model(case, "regular")).diagonal()
+
+
+def test_compare_case2(rng):
+    m = QUANTUM.mono
+    # trefoil, writhe 3, Delta = t - 1 + 1/t, with t -> Q^2 p^-2 and Q^2 p^2
+    minus = m(1, p=-5, Q=2) - m(1, p=-3) + m(1, p=-1, Q=-2)
+    plus = m(1, p=5, Q=2) - m(1, p=3) + m(1, p=1, Q=-2)
+    rep = oracles.compare_case2(TREFOIL)
+    assert rep.ok and rep.diag == [minus, minus, plus, plus]
     assert oracles.compare_case2(FIG8).word.writhe == 0
+    _agrees_exactly(oracles.compare_case2, 2,
+                    [UNKNOT, FIG8] + _seeded_words(rng))
 
 
-def test_compare_case3():
-    for word in (UNKNOT, TREFOIL, FIG8):
-        rep = oracles.compare_case3(word)
-        assert rep.ok, rep.detail
-        assert rep.unit == "1"
+def test_compare_case3(rng):
+    m = QUANTUM.mono
+    # trefoil, writhe 3, V = -t^4 + t^3 + t: -Q^-12 V(Q^4) = Q^4 - 1 - Q^-8
+    mid = m(1, Q=4) - m(1) - m(1, Q=-8)
+    rep = oracles.compare_case3(TREFOIL)
+    assert rep.ok and rep.diag == [m(1, p=-6), mid, mid, m(1, p=6)]
+    _agrees_exactly(oracles.compare_case3, 3,
+                    [UNKNOT, FIG8] + _seeded_words(rng))
+
+
+def test_compare_names_the_first_entry_that_differs(monkeypatch):
+    """With only the last entry off by p^2, the report fails and names
+    entry44, the one entry that differs."""
+    true = oracles.tangle_invariant
+    p2 = QUANTUM.mono(1, p=2)
+
+    def scaled(word, mod):
+        inv = true(word, mod)
+        inv.matrix[3][3] = inv.matrix[3][3] * p2
+        return inv
+
+    monkeypatch.setattr(oracles, "tangle_invariant", scaled)
+    for compare in (oracles.compare_case2, oracles.compare_case3):
+        rep = compare(TREFOIL)
+        assert not rep.ok
+        assert rep.detail.startswith("entry44: got ")
 
 
 def test_matveev_pair_closures_are_links():
