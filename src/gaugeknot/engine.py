@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .braid import closure_components, matveev_pair
-from .ring import (CONST, LaurentPoly, QONLY, QUANTUM, RingError, map_poly,
-                   sum_of_products)
+from .ring import (CONST, LaurentPoly, QONLY, QUANTUM, RingError, _folded,
+                   map_poly)
 from .rmat import SparseROp, _columns, invert, quantum_r
 
 
@@ -69,6 +69,11 @@ class StateModel:
             if not getattr(self, name).conserves_charge():
                 raise EngineError(f"case {self.case} {self.isotopy}: {name} "
                                   f"does not conserve the charge")
+        for a, c in enumerate(self.C, start=1):
+            if c.ring is not self.ring or len(c._t) != 1 or min(c._t) & 3:
+                raise EngineError(f"case {self.case} {self.isotopy}: C[{a}] "
+                                  f"= {c} is not one term of {self.ring} "
+                                  f"with a real int coefficient")
 
     @property
     def ring(self):
@@ -174,22 +179,33 @@ def _letters(word, sigma, sigma_inv):
 
 def _close(mod, columns):
     """Close every strand but the first with C: M[b][b] sums C[s[1]] ...
-    C[s[n-1]] * image(s)[s] over input columns s with s[0] = b.  The
-    entries off the diagonal are zero, as the model conserves the charge."""
-    zero = mod.ring.zero
-    pairs = [[] for _ in range(4)]
+    C[s[n-1]] * image(s)[s] over input columns s with s[0] = b.  Each C
+    entry is one real term (``StateModel``), so a column's weight is one
+    key offset and one int: it is added to the keys of the image, into one
+    term dict per diagonal entry, which ``ring._folded`` settles and
+    range-checks once.  The entries off the diagonal are zero, as the model
+    conserves the charge."""
+    ring = mod.ring
+    weights = [(k - ring._bias, x) for c in mod.C for k, x in c._t.items()]
+    sums = [{} for _ in range(4)]
     for s, images in columns:
         v = images.get(s)
         if v is None:
             continue
-        weight = mod.ring.one
+        offset, w = 0, 1
         for c in s[1:]:
-            weight = weight * mod.C[c - 1]
-        pairs[s[0] - 1].append((weight, v))
-    M = [[zero] * 4 for _ in range(4)]
+            k, x = weights[c - 1]
+            offset += k
+            w *= x
+        terms = sums[s[0] - 1]
+        get = terms.get
+        for k, x in v._t.items():
+            k += offset
+            terms[k] = get(k, 0) + x * w
+    M = [[ring.zero] * 4 for _ in range(4)]
     for b in range(4):
-        if pairs[b]:
-            M[b][b] = sum_of_products(pairs[b])
+        if sums[b]:
+            M[b][b] = LaurentPoly(ring, _folded(ring, sums[b]))
     return M
 
 

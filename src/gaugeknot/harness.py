@@ -7,7 +7,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -194,7 +193,9 @@ def run_suite(cases, table=None, max_crossings=8, jobs=1):
                          f"in the table: nothing to check")
     report = RunReport()
     if jobs > 1 and len(work) > 1:
-        # the pool starts all its workers at once: no more than rows
+        # imported here: multiprocessing is no cost of a serial run.  The
+        # pool starts all its workers at once: no more than rows
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             report.rows = list(pool.map(_run_one, work))
     else:

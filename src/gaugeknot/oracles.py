@@ -90,18 +90,21 @@ class OnePoly:
         return (min(self.terms), max(self.terms))
 
     def divexact(self, den):
-        """Exact Laurent division (raises OracleError on a remainder)."""
+        """Exact Laurent division (raises OracleError on a remainder).  An
+        exact quotient's lowest exponent is the dividend's less the
+        divisor's, so the division stops there."""
         if den.is_zero():
             raise OracleError("division by zero")
         num = dict(self.terms)
         dmax = max(den.terms)
         dc = den.terms[dmax]
+        lowest = min(num, default=0) - min(den.terms)
         quo = {}
         while num:
             e = max(num)
             q, r = divmod(num[e], dc)
-            if r:
-                raise OracleError("inexact coefficient division")
+            if r or e - dmax < lowest:
+                raise OracleError("inexact division")
             quo[e - dmax] = q
             for de, c in den.terms.items():
                 k = e - dmax + de
@@ -141,33 +144,12 @@ def _require_knot(word):
 # ---------------------------------------------------------------------------
 # Alexander-Conway via reduced Burau.
 
-def _burau_generator(i, n, inverse=False):
-    """(n-1)x(n-1) reduced Burau matrix of generator i (1-based)."""
-    t = OnePoly.t(2)
-    tbar = OnePoly.t(-2)
-    one = OnePoly.const(1)
-    M = [[one if r == c else OnePoly() for c in range(n - 1)]
-         for r in range(n - 1)]
-    r = i - 1
-    if not inverse:
-        M[r][r] = -t
-        if r - 1 >= 0:
-            M[r][r - 1] = t
-        if r + 1 < n - 1:
-            M[r][r + 1] = one
-    else:
-        M[r][r] = -tbar
-        if r - 1 >= 0:
-            M[r][r - 1] = one
-        if r + 1 < n - 1:
-            M[r][r + 1] = tbar
-    return M
-
-
-def _mat_mul(A, B):
-    n = len(A)
-    return [[sum((A[i][k] * B[k][j] for k in range(n)), OnePoly())
-             for j in range(n)] for i in range(n)]
+def _burau_row(inverse=False):
+    """Row i of the reduced Burau matrix of generator i (1-based), the one
+    row that differs from the identity's: its entries in columns i - 1, i
+    and i + 1, those outside the matrix dropped."""
+    t, tbar, one = OnePoly.t(2), OnePoly.t(-2), OnePoly.const(1)
+    return (one, -tbar, tbar) if inverse else (t, -t, one)
 
 
 def _det(M):
@@ -189,15 +171,30 @@ def _det(M):
 
 def alexander(word):
     """Symmetric Alexander-Conway polynomial of the closure, normalized so
-    that Delta(t) = Delta(1/t) and Delta(1) = 1."""
+    that Delta(t) = Delta(1/t) and Delta(1) = 1, from det(I - rho) of the
+    word's reduced Burau matrix rho.  A generator changes only three
+    columns of the product, so a letter costs O(n) OnePoly operations."""
     _require_knot(word)
     n = word.strands
     if n == 1:
         return OnePoly.const(1)
     rho = [[OnePoly.const(1 if r == c else 0) for c in range(n - 1)]
            for r in range(n - 1)]
+    rows = (_burau_row(), _burau_row(inverse=True))
     for k in word.letters:
-        rho = _mat_mul(rho, _burau_generator(abs(k), n, inverse=k < 0))
+        # rho times a generator on row r: column r times the row's entry
+        # is added to columns r - 1 and r + 1 and replaces column r
+        r = abs(k) - 1
+        left, mid, right = rows[k < 0]
+        for row in rho:
+            x = row[r]
+            if x.is_zero():
+                continue
+            if r > 0:
+                row[r - 1] = row[r - 1] + x * left
+            row[r] = x * mid
+            if r + 1 < n - 1:
+                row[r + 1] = row[r + 1] + x * right
     IM = [[OnePoly.const(1 if r == c else 0) - rho[r][c] for c in range(n - 1)]
           for r in range(n - 1)]
     det = _det(IM)

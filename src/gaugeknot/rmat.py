@@ -28,7 +28,8 @@ monomials at once, and i**2, Y**2 and the exponent range are folded and
 checked once per letter per column.  For the (1,1)-closure it forms only
 the terms whose state can still return to their input column through the
 nonzero entries of the remaining letters, found by one backward pass of
-bitsets over the letters.
+bitsets over the letters.  The transition tables and the backward pass's
+slice plans are built once per operator and kept on it.
 """
 
 from __future__ import annotations
@@ -72,13 +73,15 @@ _PAIR_CHARGE = {(a, b): tuple(x + y for x, y in zip(CHARGE[a], CHARGE[b]))
 
 class SparseROp:
     """Sparse two-site operator over a Laurent ring.  Its entries are not
-    mutated once it is built: ``_columns`` caches transition tables on it,
-    and every operation returns a new operator."""
+    mutated once it is built: ``_columns`` caches transition tables and
+    ``_reach`` slice plans on it, and every operation returns a new
+    operator."""
 
     def __init__(self, ring, entries):
         self.ring = ring
         self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
         self._tables = {}
+        self._plans = {}
 
     def __len__(self):
         return len(self.entries)
@@ -140,6 +143,31 @@ class SparseROp:
             [list(by_out.items()) for by_out in moves], conserving)
         return table
 
+    def _plan(self, strands, shift):
+        """The plan of ``_reach``'s pass through the operator on
+        ``strands`` strands, acting on the two whose state bits start at
+        ``shift``: ``(slices, conserving)``.  For each input group of
+        ``_groups`` that has a nonzero entry, ``slices`` holds ``(target,
+        first, rest)`` slices of the list of states: states of the group,
+        and the states their first and other outputs turn them into, so
+        that a target's set is the OR of its outputs' sets.
+        ``conserving`` is ``_transitions``'.  Built on the first call for a
+        ``(strands, shift)`` and kept on the operator."""
+        plan = self._plans.get((strands, shift))
+        if plan is not None:
+            return plan
+        moves, conserving = self._transitions(shift)
+        groups = _groups(strands, shift)
+        slices = []
+        for g, by_out in enumerate(moves):
+            if by_out:
+                outs = [groups[g ^ (xor >> shift)] for xor, _ in by_out]
+                slices.extend((target, first, tuple(rest))
+                              for target, first, *rest
+                              in zip(groups[g], *outs))
+        plan = self._plans[strands, shift] = (slices, conserving)
+        return plan
+
     def __repr__(self):
         return f"SparseROp({len(self.entries)} entries over {self.ring})"
 
@@ -175,40 +203,41 @@ def _groups(strands, shift):
                        for h in range(0, n, stride)) for g in range(16))
 
 
-def _reach(strands, steps):
-    """The backward pass of a closure-only product: ``reach[j][t]`` is the
-    set of the states that state t after letter j can still reach through
-    the nonzero entries of the later letters, as an int with one bit per
-    state; ``reach[-1][t]`` is the bit of t.  The bits are numbered within
-    a class that no letter leaves: a charge sector when every letter
-    conserves the charge (``_sector_bits``), else all states.  A letter's
-    sets are ORs of the next letter's, taken for all states of one input
-    group and one output at once, slice by slice (``_groups``); equal sets
-    are one int."""
-    if all(conserving for _, _, (_, conserving) in steps):
+def _reach(strands, letters):
+    """The backward pass of a closure-only product over ``(pos, op)``
+    letters: ``reach[j][t]`` is the set of the states that state t after
+    letter j can still reach through the nonzero entries of the later
+    letters, as an int with one bit per state; ``reach[-1][t]`` is the bit
+    of t.  The bits are numbered within a class that no letter leaves: a
+    charge sector when every letter conserves the charge
+    (``_sector_bits``), else all states.  A letter's sets are ORs of the
+    next letter's, taken slice by slice as its operator's plan lists them
+    (``SparseROp._plan``); equal sets are one int."""
+    plans = [op._plan(strands, _shift(strands, pos)) for pos, op in letters]
+    if all(conserving for _, conserving in plans):
         nxt = _sector_bits(strands)
     else:
         nxt = [1 << t for t in range(4 ** strands)]
     reach = [nxt]
     seen = {}
-    for shift, _, (moves, _) in reversed(steps):
-        groups = _groups(strands, shift)
+    for slices, _ in reversed(plans):
         cur = [0] * len(nxt)
-        for g, by_out in enumerate(moves):
-            if not by_out:
-                continue    # no nonzero entry: these states reach nothing
-            outs = [groups[g ^ (xor >> shift)] for xor, _ in by_out]
-            for target, first, *rest in zip(groups[g], *outs):
-                acc = nxt[first]
-                if rest:
-                    for sl in rest:
-                        acc = list(map(or_, acc, nxt[sl]))
-                    acc = list(map(seen.setdefault, acc, acc))
-                cur[target] = acc
+        for target, first, rest in slices:
+            acc = nxt[first]
+            if rest:
+                for sl in rest:
+                    acc = list(map(or_, acc, nxt[sl]))
+                acc = list(map(seen.setdefault, acc, acc))
+            cur[target] = acc
         reach.append(cur)
         nxt = cur
     reach.reverse()
     return reach
+
+
+def _shift(strands, pos):
+    """The shift of the state bits of strands ``pos`` and ``pos + 1``."""
+    return 2 * (strands - 1 - pos)
 
 
 def _columns(ring, strands, letters, closure_only=False):
@@ -252,10 +281,10 @@ def _columns(ring, strands, letters, closure_only=False):
     for pos, op in letters:
         if op.ring is not ring:
             raise RingError(f"variable-set mismatch: {ring} vs {op.ring}")
-        shift = 2 * (strands - 1 - pos)
+        shift = _shift(strands, pos)
         steps.append((shift, shift + width, op._transitions(shift)))
     if closure_only:
-        reach = _reach(strands, steps)
+        reach = _reach(strands, letters)
     cols = list(product((1, 2, 3, 4), repeat=strands))
     low = (1 << width) - 1
     for s in range(len(cols)):

@@ -1,6 +1,10 @@
 """CLI surface: argument handling, output formats and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +179,16 @@ def test_suite_writes_reports(capsys, tmp_path):
     header = (tmp_path / "suite.csv").read_text().splitlines()[0]
     assert header == ("knot,case,isotopy,writhe,entry11,entry22,"
                       "entry33,entry44,status,unit")
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    """Only a suite in more than one job imports the process pool, so a
+    fresh interpreter that imports the CLI has no multiprocessing."""
+    src = str(Path(cli.__file__).parents[1])
+    probe = "import sys, gaugeknot.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout) == (0, "False\n")
 
 
 def test_suite_summary_counts_unchecked_rows(capsys):

@@ -164,6 +164,50 @@ def test_state_model_refuses_a_charge_mixing_operator():
                               mod.kappa)
 
 
+@pytest.mark.parametrize("bad", [
+    pytest.param(QUANTUM.mono(1, p=-2, Q=2) + QUANTUM.one, id="two terms"),
+    pytest.param(QUANTUM.mono((0, 1), p=-2, Q=2), id="i coefficient"),
+    pytest.param(QONLY.one, id="another ring"),
+])
+def test_state_model_refuses_a_handle_entry_that_is_not_one_real_term(bad):
+    mod = engine.model(1, "ambient")
+    for a in (1, 4):
+        C = mod.C[:a - 1] + (bad,) + mod.C[a:]
+        with pytest.raises(engine.EngineError,
+                           match=rf"case 1 ambient: C\[{a}\] = .* is not one "
+                                 r"term of Ring\('p', 'Q', 'Y'\) with a "
+                                 r"real int coefficient"):
+            engine.StateModel(1, "ambient", mod.sigma, mod.sigma_inv, C,
+                              mod.kappa)
+
+
+def _product_close(mod, columns):
+    """The closure with ring products: each column's weight multiplied out
+    of the C entries, then times the image at the column."""
+    M = [[mod.ring.zero] * 4 for _ in range(4)]
+    for s, images in columns:
+        if s in images:
+            weight = mod.ring.one
+            for c in s[1:]:
+                weight = weight * mod.C[c - 1]
+            M[s[0] - 1][s[0] - 1] += weight * images[s]
+    return M
+
+
+@pytest.mark.parametrize("key", ALL_MODELS)
+def test_close_matches_the_ring_product_closure(rng, key):
+    """On the unknot and seeded knot words of 2-5 strands, full and
+    closure-only images."""
+    mod = engine.model(*key)
+    words = [UNKNOT] + [rand_knot_word(rng, strands, length) for
+                        strands, length in ((2, 3), (3, 5), (4, 6), (5, 5))]
+    for word in words:
+        for closure_only in (False, True):
+            rep = engine.represent(word, mod, closure_only=closure_only)
+            assert engine._close(mod, rep.items()) == \
+                _product_close(mod, rep.items())
+
+
 def test_unknot_invariant_is_identity():
     for case, isotopy in ALL_MODELS:
         mod = engine.model(case, isotopy)

@@ -247,7 +247,7 @@ def test_suite_pool_is_capped_at_the_rows(monkeypatch):
         def map(self, fn, work):
             return map(fn, work)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     table = [r for r in harness.load_table() if r.name in ("3_1", "4_1")]
     report = harness.run_suite({4}, table=table, jobs=64)
     assert sizes == [2] and report.total == 2 and report.ok

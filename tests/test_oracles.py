@@ -35,6 +35,23 @@ def test_alexander_rejects_links():
         oracles.alexander(braid.parse("2 : 1 1"))
 
 
+def _dense_mul(A, B):
+    n = len(A)
+    return [[sum((A[i][k] * B[k][j] for k in range(n)), oracles.OnePoly())
+             for j in range(n)] for i in range(n)]
+
+
+def _burau_matrix(row, i, n):
+    """The (n-1)x(n-1) identity with row i - 1 set from ``row``, the
+    entries of columns i - 2, i - 1 and i, those outside dropped."""
+    M = [[oracles.OnePoly.const(int(r == c)) for c in range(n - 1)]
+         for r in range(n - 1)]
+    for c, x in zip(range(i - 2, i + 1), row):
+        if 0 <= c < n - 1:
+            M[i - 1][c] = x
+    return M
+
+
 def test_burau_generator_inverse_pairs():
     """Each reduced Burau generator and its inverse multiply to the
     identity in both orders."""
@@ -42,10 +59,40 @@ def test_burau_generator_inverse_pairs():
         ident = [[oracles.OnePoly.const(int(r == c)) for c in range(n - 1)]
                  for r in range(n - 1)]
         for i in range(1, n):
-            g = oracles._burau_generator(i, n)
-            g_inv = oracles._burau_generator(i, n, inverse=True)
-            assert oracles._mat_mul(g, g_inv) == ident
-            assert oracles._mat_mul(g_inv, g) == ident
+            g = _burau_matrix(oracles._burau_row(), i, n)
+            g_inv = _burau_matrix(oracles._burau_row(inverse=True), i, n)
+            assert _dense_mul(g, g_inv) == ident
+            assert _dense_mul(g_inv, g) == ident
+
+
+def _dense_alexander(word):
+    """The Alexander polynomial from the dense product of the textbook
+    reduced Burau matrices: generator i has -t at (i, i), t at (i, i - 1)
+    and 1 at (i, i + 1), its inverse -1/t, 1 and 1/t."""
+    n = word.strands
+    t, tbar = oracles.OnePoly.t(2), oracles.OnePoly.t(-2)
+    one = oracles.OnePoly.const(1)
+    rho = [[oracles.OnePoly.const(int(r == c)) for c in range(n - 1)]
+           for r in range(n - 1)]
+    for k in word.letters:
+        rho = _dense_mul(rho, _burau_matrix(
+            (t, -t, one) if k > 0 else (one, -tbar, tbar), abs(k), n))
+    det = oracles._det([[oracles.OnePoly.const(int(r == c)) - rho[r][c]
+                         for c in range(n - 1)] for r in range(n - 1)])
+    delta = det.divexact(oracles.OnePoly({2 * k: 1 for k in range(n)}))
+    lo, hi = delta.span()
+    delta = delta.shift(-(lo + hi) // 2)
+    return delta if delta.at_one() == 1 else -delta
+
+
+def test_alexander_matches_dense_burau_product(rng):
+    """The column-updated Burau product gives what the dense product of
+    full generator matrices gives, on seeded knot words of 2-8 strands."""
+    for strands in range(2, 9):
+        for _ in range(3):
+            word = rand_knot_word(rng, strands=strands,
+                                  length=strands + rng.randint(0, 6))
+            assert oracles.alexander(word) == _dense_alexander(word)
 
 
 def test_jones_examples():
@@ -237,3 +284,12 @@ def test_onepoly_arithmetic():
     assert a.bar() == onepoly({-1: 1, 0: -1})
     assert onepoly({2: 1, 0: -2}).at_one() == -1
     assert (a * b).divexact(b) == a
+
+
+def test_onepoly_inexact_division_is_refused():
+    """A remainder is refused, also where the divisor is monic and the
+    long division would otherwise go on below every exact quotient."""
+    for num, den in (({0: 1}, {0: 1, 1: 1}), ({2: 1, 0: 1}, {1: 1, 0: 1}),
+                     ({0: 1}, {0: 2})):
+        with pytest.raises(oracles.OracleError, match="inexact division"):
+            onepoly(num).divexact(onepoly(den))

@@ -417,6 +417,85 @@ def test_cached_transition_tables_equal_a_fresh_build():
             SparseROp(QUANTUM, op.entries)._transitions(shift)
 
 
+def test_cached_reach_plans_equal_a_fresh_build():
+    """One operator at two positions on 3 strands and one on 4, in both
+    modes: the full product builds no plan, and each plan kept on the
+    operator, one per (strands, shift), equals a fresh copy's."""
+    mod = engine.model(2, "regular")
+    op = SparseROp(QUANTUM, mod.sigma.entries)
+    inv = SparseROp(QUANTUM, mod.sigma_inv.entries)
+    list(rmat._columns(QUANTUM, 3, [(1, op), (2, inv), (2, op)]))
+    assert op._plans == {}
+    for strands, word in ((3, [(1, op), (2, inv), (2, op), (1, op)]),
+                          (4, [(3, op), (1, inv)])):
+        for _ in range(2):
+            fresh = [(pos, SparseROp(QUANTUM, o.entries)) for pos, o in word]
+            assert list(rmat._columns(QUANTUM, strands, word, True)) == \
+                list(rmat._columns(QUANTUM, strands, fresh, True))
+    assert set(op._plans) == {(3, 0), (3, 2), (4, 0)}
+    for strands, shift in op._plans:
+        assert op._plans[strands, shift] == \
+            SparseROp(QUANTUM, op.entries)._plan(strands, shift)
+
+
+def _reference_reach(strands, letters):
+    """Per state, with tuple states: after each number of letters, the
+    states each state can still reach through the nonzero entries of the
+    later letters."""
+    states = list(product((1, 2, 3, 4), repeat=strands))
+    reach = [{t: {t} for t in states}]
+    for pos, op in reversed(letters):
+        lo = pos - 1
+        nxt = reach[-1]
+        reach.append({t: set().union(*(
+            nxt[t[:lo] + (b, a) + t[lo + 2:]] for (a, b, c, d) in op.entries
+            if t[lo:lo + 2] == (d, c))) for t in states})
+    reach.reverse()
+    return reach
+
+
+def _assert_reach_matches_the_reference(strands, letters):
+    """``_reach``'s bitsets read as sets of states, their bits numbered in
+    each state's charge sector when every letter conserves the charge."""
+    states = list(product((1, 2, 3, 4), repeat=strands))
+    if all(op.conserves_charge() for _, op in letters):
+        seen = {}
+        bit = {}
+        for t in states:
+            charge = tuple(map(sum, zip(*(rmat.CHARGE[x] for x in t))))
+            i = seen[charge] = seen.get(charge, -1) + 1
+            bit[t] = 1 << i
+    else:
+        bit = {t: 1 << i for i, t in enumerate(states)}
+    got = rmat._reach(strands, letters)
+    assert len(got) == len(letters) + 1
+    for bits, sets in zip(got, _reference_reach(strands, letters)):
+        assert list(bits) == [sum(bit[u] for u in sets[t]) for t in states]
+
+
+@pytest.mark.parametrize("key", list(engine.MODELS))
+def test_reach_matches_a_per_state_backward_pass(rng, key):
+    """Seeded words of each model on 2-5 strands."""
+    mod = engine.model(*key)
+    for strands in (2, 3, 4, 5):
+        letters = [(rng.randint(1, strands - 1),
+                    rng.choice((mod.sigma, mod.sigma_inv)))
+                   for _ in range(rng.randint(1, strands + 1))]
+        _assert_reach_matches_the_reference(strands, letters)
+
+
+def test_reach_matches_a_per_state_backward_pass_with_charge_mixing(rng):
+    """Charge-mixing letters among case 1's on 2-4 strands: the bits are
+    numbered over all states."""
+    mod = engine.model(1, "ambient")
+    for strands in (2, 3, 4):
+        letters = [(rng.randint(1, strands - 1),
+                    rng.choice((charge_mixing_op(), mod.sigma, mod.sigma_inv)))
+                   for _ in range(strands + 1)]
+        letters.insert(rng.randint(0, strands), (1, charge_mixing_op()))
+        _assert_reach_matches_the_reference(strands, letters)
+
+
 def _returns(letters, s):
     """Whether some path of nonzero entries leads from state s back to s
     through the letters, followed with tuple states."""
