@@ -30,12 +30,14 @@ class OracleError(ValueError):
 class OnePoly:
     """Univariate integer Laurent polynomial in t, on the half-integer
     exponent grid: ``terms`` maps doubled exponents to coefficients, so
-    terms = {1: 2} means 2*t^(1/2)."""
+    terms = {1: 2} means 2*t^(1/2).  Zero coefficients are filtered out,
+    unless ``nonzero`` says that ``terms`` holds none and is not shared."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
+    def __init__(self, terms=None, nonzero=False):
+        self.terms = terms if nonzero else {e: c for e, c in
+                                            (terms or {}).items() if c}
 
     @staticmethod
     def t(double_exp=2, coeff=1):
@@ -52,7 +54,7 @@ class OnePoly:
         return OnePoly(out)
 
     def __neg__(self):
-        return OnePoly({e: -c for e, c in self.terms.items()})
+        return OnePoly({e: -c for e, c in self.terms.items()}, True)
 
     def __sub__(self, other):
         return self + (-other)
@@ -76,18 +78,17 @@ class OnePoly:
 
     def bar(self):
         """t -> 1/t."""
-        return OnePoly({-e: c for e, c in self.terms.items()})
+        return OnePoly({-e: c for e, c in self.terms.items()}, True)
 
     def shift(self, double_exp):
-        return OnePoly({e + double_exp: c for e, c in self.terms.items()})
+        return OnePoly({e + double_exp: c for e, c in self.terms.items()},
+                       True)
 
     def at_one(self):
         return sum(self.terms.values())
 
     def span(self):
-        if not self.terms:
-            return (0, 0)
-        return (min(self.terms), max(self.terms))
+        return min(self.terms, default=0), max(self.terms, default=0)
 
     def divexact(self, den):
         """Exact Laurent division (raises OracleError on a remainder).  An
@@ -153,19 +154,16 @@ def _burau_row(inverse=False):
 
 
 def _det(M):
+    """Cofactor expansion along the first row, skipping zero entries."""
     n = len(M)
     if n == 0:
         return OnePoly.const(1)
-    if n == 1:
-        return M[0][0]
     out = OnePoly()
-    sign = 1
     for j in range(n):
         if not M[0][j].is_zero():
             minor = [[M[r][c] for c in range(n) if c != j] for r in range(1, n)]
             term = M[0][j] * _det(minor)
-            out = out + (term if sign > 0 else -term)
-        sign = -sign
+            out = out + (-term if j % 2 else term)
     return out
 
 
@@ -176,8 +174,6 @@ def alexander(word):
     columns of the product, so a letter costs O(n) OnePoly operations."""
     _require_knot(word)
     n = word.strands
-    if n == 1:
-        return OnePoly.const(1)
     rho = [[OnePoly.const(1 if r == c else 0) for c in range(n - 1)]
            for r in range(n - 1)]
     rows = (_burau_row(), _burau_row(inverse=True))

@@ -111,7 +111,8 @@ class Ring:
             raise RingError("Y**2 rewrite must be Y-free")
         self.y_square = poly
         # Y**-2 * r as key offsets: a product's Y**2 terms times this land
-        # at Y-degree 0
+        # at Y-degree 0, and so do the Y-carrying deltas of the operator
+        # product's tables
         self._y_fold = {k - self._bias - (2 << ys): c
                         for k, c in poly._t.items()}
 
@@ -212,13 +213,16 @@ def _nonzero(terms):
 
 
 def _folded(ring, terms):
-    """A sum of products' term dict settled: zero coefficients dropped,
+    """A product's or a sum's term dict settled: zero coefficients dropped,
     RingError if an exponent left its range, else i**2 and Y**2 folded.
     One OR over the keys finds guard bits, i**2 and Y**2 terms at once; it
     reads only the ring's ``_width`` low bits of a key, so keys may carry
     other data above them.  i**2 is folded before the Y**2 fold, whose
     offsets may carry i, and again after it, so that no field ever holds
-    4."""
+    4.  Of the package's callers only ``LaurentPoly.__mul__`` forms Y**2
+    terms: the operator product's transition tables fold Y**2 into their
+    deltas (``rmat.SparseROp._transitions``), and the closure adds Y-free
+    weights."""
     if 0 in terms.values():
         terms = {k: c for k, c in terms.items() if c}
     acc = reduce(or_, terms, 0)
@@ -239,27 +243,6 @@ def _folded(ring, terms):
         if ring._check_keys(terms) & 2:
             _fold_i(terms)
     return _nonzero(terms)
-
-
-def sum_of_products(pairs):
-    """The sum of ``a * b`` over the ``(a, b)`` pairs of polynomials of one
-    ring, accumulated into one term dict, then folded and range-checked
-    once.  RingError when an operand is of another ring, an exponent of the
-    sum leaves [-EXP_BIAS, EXP_BIAS) or there is no pair."""
-    terms = {}
-    ring = None
-    for a, b in pairs:
-        if a.ring is not ring or b.ring is not ring:
-            if ring is not None or a.ring is not b.ring:
-                first = a.ring if ring is None else ring
-                raise RingError(f"variable-set mismatch: {first} vs "
-                                f"{b.ring if a.ring is first else a.ring}")
-            ring = a.ring
-            bias = ring._bias
-        _mul_into(terms, a._t, b._t, bias)
-    if ring is None:
-        raise RingError("sum of no products")
-    return LaurentPoly(ring, _folded(ring, terms))
 
 
 class LaurentPoly:
@@ -333,7 +316,9 @@ class LaurentPoly:
         other = self._check(other)
         if other is NotImplemented:
             return other
-        return sum_of_products(((self, other),))
+        terms = {}
+        _mul_into(terms, self._t, other._t, self.ring._bias)
+        return LaurentPoly(self.ring, _folded(self.ring, terms))
 
     __rmul__ = __mul__
 

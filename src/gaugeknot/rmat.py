@@ -24,8 +24,11 @@ Products of operators on many strands run through one kernel,
 carry the braid state above the ring's monomial key (``state << S |
 monomial``, S = ``Ring._width``), so that each term of an operator entry
 acts as one additive key delta that sets two strands and multiplies the
-monomials at once, and i**2, Y**2 and the exponent range are folded and
-checked once per letter per column.  For the (1,1)-closure it forms only
+monomials at once.  Y**2 is folded into the transition tables: a key that
+carries Y takes deltas in which each Y-carrying term is already
+multiplied out by the Y**2 relation, so no letter forms a Y**2 term, and
+i**2 and the exponent range are folded and checked once per letter per
+column.  For the (1,1)-closure it forms only
 the terms whose state can still return to their input column through the
 nonzero entries of the remaining letters, found by one backward pass of
 bitsets over the letters.  The transition tables and the backward pass's
@@ -38,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from operator import or_
 
 from .ring import (LaurentPoly, QUANTUM, RingError, TRIG, _folded,
@@ -92,10 +95,7 @@ class SparseROp:
         return self.entries == other.entries
 
     def get(self, a, b, c, d):
-        v = self.entries.get((a, b, c, d))
-        if v is None:
-            return self.ring.zero
-        return v
+        return self.entries.get((a, b, c, d), self.ring.zero)
 
     def map_entries(self, fn):
         out = {k: fn(v) for k, v in self.entries.items()}
@@ -115,32 +115,57 @@ class SparseROp:
     def _transitions(self, shift):
         """The operator on the two strands whose state bits start at
         ``shift``, as additive deltas of packed column keys (see
-        ``_columns``): ``(moves, conserving)``.  ``moves`` is indexed by the
-        input bits (d, c) and lists the ``(delta, coeff)`` pairs of every
-        term of every entry from those bits, grouped by output as ``(xor,
-        pairs)``, ``xor`` turning the input state into the output one.
-        ``conserving`` says whether every entry conserves the charge.  Built
-        on the first call for a ``shift`` and kept on the operator."""
+        ``_columns``): ``(moves, ymoves, mask)``.  ``moves`` is indexed by
+        the input bits (d, c) and lists the ``(delta, coeff)`` pairs of
+        every term of every entry from those bits, grouped by output as
+        ``(xor, pairs)``, ``xor`` turning the input state into the output
+        one.
+
+        ``ymoves`` is None when no entry term carries Y, or when the ring's
+        Y**2 relation is not set (a Y * Y product then forms a Y**2 key,
+        which ``ring._folded`` refuses).  Else it maps ``key & mask``, the
+        input bits and the Y bit of a key (``mask = 15 << shift + S | Y
+        bit``, S the ring's key width), to that group's lists: ``moves``'
+        for a key without Y; for a key with Y, the same lists with each
+        Y-carrying term multiplied out by ``ring._y_fold`` (Y**-2 * r as key
+        offsets), i**2 folded, merged by delta and zeros dropped.  Through a
+        Y-carrying term a key with Y then lands at Y-degree 0, and no Y**2
+        key is formed.  Built on the first call for a ``shift`` and kept on
+        the operator."""
         table = self._tables.get(shift)
         if table is not None:
             return table
         ring = self.ring
         up = shift + ring._width
-        bias = ring._bias
+        ybit = 0 if ring.y_square is None else 1 << ring._ys
+        fold = any(k & ybit for v in self.entries.values() for k in v._t)
         moves = [{} for _ in range(16)]
-        conserving = True
+        ymoves = {g << up | ybit: {} for g in range(16)} if fold else None
         for (a, b, c, d), v in self.entries.items():
             if v.ring is not ring:
                 raise RingError(f"variable-set mismatch: {ring} vs {v.ring}")
             bits_in = (d - 1) << 2 | (c - 1)
             bits_out = (b - 1) << 2 | (a - 1)
-            move = ((bits_out - bits_in) << up) - bias
-            conserving &= _PAIR_CHARGE[a, b] == _PAIR_CHARGE[c, d]
-            pairs = moves[bits_in].setdefault(
-                (bits_in ^ bits_out) << shift, [])
-            pairs.extend((move + k, x) for k, x in v._t.items())
-        table = self._tables[shift] = (
-            [list(by_out.items()) for by_out in moves], conserving)
+            move = ((bits_out - bits_in) << up) - ring._bias
+            xor = (bits_in ^ bits_out) << shift
+            moves[bits_in].setdefault(xor, []).extend(
+                (move + k, x) for k, x in v._t.items())
+            if not fold:
+                continue
+            pairs = ymoves[bits_in << up | ybit].setdefault(xor, {})
+            for k, x in v._t.items():
+                for f, y in ring._y_fold.items() if k & ybit else ((0, 1),):
+                    e = move + k + f
+                    if e & 2:       # i**2 = -1
+                        e, y = e - 2, -y
+                    pairs[e] = pairs.get(e, 0) + x * y
+        moves = [list(by_out.items()) for by_out in moves]
+        if fold:
+            ymoves = {key: [(xor, [(e, x) for e, x in pairs.items() if x])
+                            for xor, pairs in by_out.items()]
+                      for key, by_out in ymoves.items()}
+            ymoves.update((g << up, by_out) for g, by_out in enumerate(moves))
+        table = self._tables[shift] = (moves, ymoves, 15 << up | ybit)
         return table
 
     def _plan(self, strands, shift):
@@ -151,12 +176,13 @@ class SparseROp:
         first, rest)`` slices of the list of states: states of the group,
         and the states their first and other outputs turn them into, so
         that a target's set is the OR of its outputs' sets.
-        ``conserving`` is ``_transitions``'.  Built on the first call for a
-        ``(strands, shift)`` and kept on the operator."""
+        ``conserving`` says whether every entry conserves the charge.
+        Built on the first call for a ``(strands, shift)`` and kept on the
+        operator."""
         plan = self._plans.get((strands, shift))
         if plan is not None:
             return plan
-        moves, conserving = self._transitions(shift)
+        moves = self._transitions(shift)[0]
         groups = _groups(strands, shift)
         slices = []
         for g, by_out in enumerate(moves):
@@ -165,7 +191,7 @@ class SparseROp:
                 slices.extend((target, first, tuple(rest))
                               for target, first, *rest
                               in zip(groups[g], *outs))
-        plan = self._plans[strands, shift] = (slices, conserving)
+        plan = self._plans[strands, shift] = slices, self.conserves_charge()
         return plan
 
     def __repr__(self):
@@ -175,15 +201,14 @@ class SparseROp:
 @lru_cache(maxsize=None)
 def _sector_bits(strands):
     """``1 << i`` for each state of ``strands`` strands, in lexicographic
-    order, i its index among the states of its charge."""
-    seen = {}
-    bits = []
-    for s in product((1, 2, 3, 4), repeat=strands):
-        q = tuple(map(sum, zip(*(CHARGE[x] for x in s))))
-        i = seen.get(q, 0)
-        seen[q] = i + 1
-        bits.append(1 << i)
-    return tuple(bits)
+    order, i its index among the states of its charge.  The charges are
+    built strand by strand: a state's is that of its first indices plus the
+    ``CHARGE`` of its last."""
+    qs = [(0, 0)]
+    for _ in range(strands):
+        qs = [(w + x, m + y) for w, m in qs for x, y in CHARGE.values()]
+    seen = {}       # a counter of the states met so far, per charge
+    return tuple(1 << next(seen.setdefault(q, count())) for q in qs)
 
 
 @lru_cache(maxsize=None)
@@ -258,10 +283,14 @@ def _columns(ring, strands, letters, closure_only=False):
     S)) + (entry key - bias)``, which sets the letter's two strands and
     multiplies the monomials at once.  A letter is therefore one loop over
     the column's terms, each looking up the deltas of its 4-bit strand
-    group, then one fold of i**2 and Y**2 with the range check
-    (``ring._folded``).  At the end of a column its keys are split by
-    state into polynomials.  The transition tables are kept on each
-    operator (``SparseROp._transitions``).
+    group, then one range check with the fold of i**2 (``ring._folded``).
+    A letter whose operator has Y-carrying terms looks a key's deltas up
+    by its strand group and its Y bit: for a key with Y, each Y-carrying
+    term's delta is already multiplied out by the Y**2 relation, so the
+    product lands at Y-degree 0 and no Y**2 key is formed.  A Y-free
+    letter keeps one list per group.  At the end of a column its keys are
+    split by state into polynomials.  The transition tables are kept on
+    each operator (``SparseROp._transitions``).
 
     With ``closure_only`` it yields only what the (1,1)-closure reads: the
     image of each input column s at s itself.  One backward pass over the
@@ -272,7 +301,8 @@ def _columns(ring, strands, letters, closure_only=False):
     output at a time, and an output's only if that holds.  A term left out
     would reach s only through a zero entry, so the image kept is exactly
     that of the full product, for any operators, charge-conserving or
-    not.
+    not.  The full product runs letters with Y through the same loop, with
+    every output passing.
     """
     # Per letter, the shift of its strands' bits in the state, that shift
     # in the packed keys, and its tables.
@@ -282,10 +312,14 @@ def _columns(ring, strands, letters, closure_only=False):
         if op.ring is not ring:
             raise RingError(f"variable-set mismatch: {ring} vs {op.ring}")
         shift = _shift(strands, pos)
-        steps.append((shift, shift + width, op._transitions(shift)))
+        steps.append((shift, shift + width) + op._transitions(shift))
+    cols = list(product((1, 2, 3, 4), repeat=strands))
     if closure_only:
         reach = _reach(strands, letters)
-    cols = list(product((1, 2, 3, 4), repeat=strands))
+    else:
+        # every state reaches every column, whose bit is 1: the full
+        # product passes every output through the loop of letters with Y
+        reach, bit = [[1] * len(cols)] * (len(steps) + 1), 1
     low = (1 << width) - 1
     for s in range(len(cols)):
         if closure_only:
@@ -293,10 +327,21 @@ def _columns(ring, strands, letters, closure_only=False):
             if not reach[0][s] & bit:
                 continue
         vec = {s << width | ring._bias: 1}
-        for j, (shift, up, (moves, _)) in enumerate(steps):
+        for j, (shift, up, moves, ymoves, mask) in enumerate(steps):
             new = {}
             get = new.get
-            if closure_only:
+            # A letter with Y-carrying terms looks each key's lists up by
+            # its input bits and Y bit, a Y-free one by its input bits.
+            if ymoves is not None:
+                nxt = reach[j + 1]
+                for k, c in vec.items():
+                    t = k >> width
+                    for xor, pairs in ymoves[k & mask]:
+                        if nxt[t ^ xor] & bit:
+                            for d, x in pairs:
+                                e = k + d
+                                new[e] = get(e, 0) + c * x
+            elif closure_only:
                 nxt = reach[j + 1]
                 for k, c in vec.items():
                     t = k >> width
@@ -312,13 +357,14 @@ def _columns(ring, strands, letters, closure_only=False):
                             e = k + d
                             new[e] = get(e, 0) + c * x
             # Range check, once per letter, before the state bits are read
-            # again: an entry's exponents are in range, so one letter moves
-            # a field by less than 2**17.  A field pushed up sets its 15
-            # guard bits and stays within its 32 bits; one pushed down
-            # borrows through them, setting them all, and may decrement the
-            # field above it, or the state bits above the top field.  Either
-            # way its guard bits are set, and the RingError comes before any
-            # state is read or yielded.
+            # again: an entry's exponents and those of the Y**2 relation
+            # folded into a delta are in range, so one letter moves a field
+            # by less than 2**18.  A field pushed up sets its 15 guard bits
+            # and stays within its 32 bits; one pushed down borrows through
+            # them, setting them all, and may decrement the field above it,
+            # or the state bits above the top field.  Either way its guard
+            # bits are set, and the RingError comes before any state is read
+            # or yielded.
             vec = _folded(ring, new)
             if not vec:
                 break

@@ -9,7 +9,7 @@ from conftest import GaussQ, rand_poly, reference_value, sample_point
 from gaugeknot import rmat
 from gaugeknot.ring import (CONST, EXP_BIAS, QONLY, QUANTUM, TRIG, Ring,
                             RingError, canonical_str, cleared_values,
-                            map_poly, sum_of_products)
+                            map_poly)
 
 
 def test_add_examples():
@@ -566,39 +566,40 @@ def test_i_and_y_fold_in_one_product():
     iy, y = ring.mono((0, 1), Y=1), ring.var("Y")
     assert iy * y == -ring.var("p")
     assert iy * iy == ring.mono((0, -1), p=1)
-    assert sum_of_products([(iy, y), (y, y)]) == ring.mono((-1, 1), p=1)
+    assert iy * y + y * y == ring.mono((-1, 1), p=1)
 
 
 @RINGS
-def test_sum_of_products_is_the_sum_of_the_products(rng, ring):
+def test_cancelling_products_leave_no_zero_term(rng, ring):
+    """(a + b)(a - b) = a*a - b*b: the cross terms cancel within the
+    product, and no zero coefficient is kept."""
     for _ in range(60):
-        pairs = [(rand_poly(rng, ring, max_terms=4),
-                  rand_poly(rng, ring, max_terms=4))
-                 for _ in range(rng.randint(1, 5))]
-        want = ring.zero
-        for a, b in pairs:
-            want = want + a * b
-        assert sum_of_products(pairs) == want
-        assert sum_of_products(iter(pairs)) == want
-    # products that cancel leave no zero term behind
+        a = rand_poly(rng, ring, max_terms=4)
+        b = rand_poly(rng, ring, max_terms=4)
+        got = (a + b) * (a - b)
+        assert got == a * a - b * b
+        assert 0 not in got._t.values()
     a = rand_poly(rng, ring)
-    assert sum_of_products([(a, a), (-a, a)]).is_zero()
+    assert (a * a - a * a).is_zero()
 
 
-def test_sum_of_products_refuses_bad_operands():
+def test_mul_refuses_another_ring_and_an_out_of_range_term():
+    """A product's terms are range-checked after its zero terms are
+    dropped.  A term outside the range cannot cancel within one product:
+    the product of the two terms extreme in an exponent is the only term
+    at the sum of those extremes, so it is always there, and every other
+    term lies between the extremes.  An out-of-range term that cancels
+    within a sum is no error (``test_columns_keep_an_out_of_range_sum_that_
+    cancels``)."""
     q = QUANTUM.var("Q")
-    for pairs in ([(q, QONLY.var("Q"))], [(QONLY.var("Q"), q)],
-                  [(q, q), (q, TRIG.var("Q"))], [(q, q), (TRIG.var("Q"), q)]):
-        with pytest.raises(RingError):
-            sum_of_products(pairs)
-    with pytest.raises(RingError):
-        sum_of_products([])
+    for a, b in ((q, QONLY.var("Q")), (QONLY.var("Q"), q),
+                 (q, TRIG.var("Q")), (TRIG.var("Q"), q)):
+        with pytest.raises(RingError, match="variable-set mismatch"):
+            a * b
     up = QUANTUM.var("p", EXP_BIAS // 2)
-    with pytest.raises(RingError):
-        sum_of_products([(q, q), (up, up)])
-    # an out-of-range term that cancels within the sum is no error
-    assert sum_of_products([(up, up), (-up, up), (q, q)]) == \
-        QUANTUM.var("Q", 2)
+    for a, b in ((up, up), (up + q, up - q), (q - up, q + up)):
+        with pytest.raises(RingError, match="exponent outside"):
+            a * b
 
 
 def test_invert_monomial_of_the_imaginary_units():

@@ -11,8 +11,9 @@ import pytest
 
 from conftest import GaussQ, charge_mixing_op, reference_value, sample_point
 from gaugeknot import braid, engine, rmat, ybe
-from gaugeknot.ring import (CONST, EXP_BIAS, QONLY, QUANTUM, TRIG, RingError,
-                            map_poly, sum_of_products)
+from gaugeknot import ring as ring_module
+from gaugeknot.ring import (CONST, EXP_BIAS, QONLY, QUANTUM, TRIG, Ring,
+                            RingError, map_poly)
 from gaugeknot.rmat import SparseROp
 
 #: The sample points that give Y an imaginary value (sign -1).
@@ -345,22 +346,12 @@ def test_key_width_of_each_ring():
 
 
 def _reference_columns(ring, strands, letters, closure_only=False):
-    """The operator product with tuple states, each target state formed
-    once per letter by one ``sum_of_products`` of the (coeff, entry) pairs
-    that reach it; closure-only keeps each image's output at its input."""
+    """The operator product with tuple states, formed with the ring's own
+    ``*`` and ``+`` (``_tuple_product``), so independent of the kernel's
+    tables; closure-only keeps each image's output at its input."""
     out = []
     for s in product((1, 2, 3, 4), repeat=strands):
-        vec = {s: ring.one}
-        for pos, op in letters:
-            lo = pos - 1
-            reach = {}
-            for state, coeff in vec.items():
-                for (a, b, c, d), v in op.entries.items():
-                    if state[lo:lo + 2] == (d, c):
-                        t = state[:lo] + (b, a) + state[lo + 2:]
-                        reach.setdefault(t, []).append((coeff, v))
-            vec = {t: sum_of_products(pairs) for t, pairs in reach.items()}
-            vec = {t: v for t, v in vec.items() if not v.is_zero()}
+        vec = _tuple_product(ring, letters, s)
         if closure_only:
             vec = {s: vec[s]} if s in vec else {}
         if vec:
@@ -591,6 +582,241 @@ def test_columns_refuse_an_exponent_out_of_range_mid_word(ring, name, sign):
     word = [(1, step(30000)), (1, step(30000))]
     image = dict(rmat._columns(ring, 2, word))[(2, 2)]
     assert image == {(2, 2): ring.mono(1, **{name: sign * 60000})}
+
+
+#: (ring, variable): the variables of each Y ring that its Y**2 relation
+#: moves, so that a folded delta can carry them out of range.
+FOLDED_FIELDS = [(QUANTUM, "p"), (QUANTUM, "Q"), (TRIG, "Q"), (TRIG, "Aa")]
+
+
+@pytest.mark.parametrize("ring, name", FOLDED_FIELDS)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_columns_refuse_an_exponent_out_of_range_through_a_folded_delta(
+        ring, name, sign):
+    """|2,2> gains Y * name**(sign * 60000), then Y * name**(sign * 5535):
+    the Y**2 term name**(sign * 65535) is in range, but the relation's
+    name**(sign * 2) term takes it out.  The kernel adds the folded delta
+    at once, and its range check raises before that column is yielded;
+    the ring's own product raises as well."""
+    def step(power):
+        entries = dict(rmat.identity_op(ring).entries)
+        entries[(2, 2, 2, 2)] = ring.mono(1, Y=1, **{name: sign * power})
+        return SparseROp(ring, entries)
+    word = [(1, step(60000)), (1, step(5535))]
+    assert word[1][1]._transitions(0)[1] is not None
+    got = []
+    with pytest.raises(RingError, match="exponent outside"):
+        for item in rmat._columns(ring, 2, word):
+            got.append(item)
+    assert [s for s, _ in got] == \
+        [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1)]
+    assert all(image == {s: ring.one} for s, image in got)
+    with pytest.raises(RingError, match="exponent outside"):
+        word[0][1].get(2, 2, 2, 2) * word[1][1].get(2, 2, 2, 2)
+
+
+def test_columns_keep_an_out_of_range_sum_that_cancels():
+    """Column (3, 2) goes to P (3, 2) + P (2, 3), P = p**(2**15), and then
+    both terms go to (3, 2), with P and -P: the two products p**(2**16)
+    are out of range but cancel, and the kernel drops the zero before its
+    range check.  No single ring product can do this: the term of a
+    product at the sum of its factors' highest exponents is never
+    cancelled."""
+    big = QUANTUM.var("p", EXP_BIAS // 2)
+    first = dict(rmat.identity_op(QUANTUM).entries)
+    first[(2, 3, 2, 3)] = first[(3, 2, 2, 3)] = big
+    second = dict(rmat.identity_op(QUANTUM).entries)
+    second[(2, 3, 2, 3)] = big
+    second[(2, 3, 3, 2)] = -big
+    word = [(1, SparseROp(QUANTUM, first)), (1, SparseROp(QUANTUM, second))]
+    assert dict(rmat._columns(QUANTUM, 2, word))[(3, 2)] == {(2, 3): big}
+    assert (3, 2) not in dict(rmat._columns(QUANTUM, 2, word, True))
+    with pytest.raises(RingError, match="exponent outside"):
+        big * big
+
+
+@pytest.mark.parametrize("strands", [1, 2, 3, 4, 5, 6])
+def test_sector_bits_match_the_charge_sums(strands):
+    """The strand-by-strand charges give the bits of the per-state sums."""
+    seen = {}
+    want = []
+    for s in product((1, 2, 3, 4), repeat=strands):
+        q = tuple(map(sum, zip(*(rmat.CHARGE[x] for x in s))))
+        i = seen.get(q, 0)
+        seen[q] = i + 1
+        want.append(1 << i)
+    assert rmat._sector_bits(strands) == tuple(want)
+
+
+def _operators_with_y():
+    """Every operator the package multiplies with Y-carrying terms: the
+    model sigmas and their inverses, quantum R1 and both trigonometric
+    operators."""
+    ops = {"R1": rmat.quantum_r(1), "trig gauged": rmat.build_trig_gauged(),
+           "trig gauge-free": rmat.build_trig_gauge_free()}
+    for key in engine.MODELS:
+        mod = engine.model(*key)
+        ops[f"{key} sigma"], ops[f"{key} sigma_inv"] = mod.sigma, mod.sigma_inv
+    return ops
+
+
+def _assert_y_lists_are_products(op):
+    """For a key that carries Y, each output's deltas are the terms of Y
+    times the entry, formed by the ring's own product and Y**2 fold, less
+    the key of Y; for a key without Y they are ``moves``'."""
+    ring = op.ring
+    for shift in (0, 2, 4):
+        moves, ymoves, mask = op._transitions(shift)
+        up = shift + ring._width
+        ybit = 1 << ring._ys
+        y = ring.var("Y")
+        (ykey,) = y._t
+        assert mask == 15 << up | ybit
+        assert set(ymoves) == {g << up | b for g in range(16)
+                               for b in (0, ybit)}
+        for g in range(16):
+            assert ymoves[g << up] is moves[g]
+            want = {}
+            for (a, b, c, d), v in op.entries.items():
+                if (d - 1) << 2 | (c - 1) == g:
+                    out = (b - 1) << 2 | (a - 1)
+                    want[(g ^ out) << shift] = {
+                        ((out - g) << up) + k - ykey: x
+                        for k, x in (y * v)._t.items()}
+            got = {xor: dict(pairs) for xor, pairs in ymoves[g << up | ybit]}
+            assert got == want
+            assert all(x for pairs in got.values() for x in pairs.values())
+
+
+@pytest.mark.parametrize("name, op", list(_operators_with_y().items()))
+def test_y_delta_lists_equal_the_ring_products(name, op):
+    """Every model sigma and inverse, R1 and the trigonometric operators;
+    one with no Y-carrying term has no second list."""
+    ring = op.ring
+    if ring._ys is not None and any(k >> ring._ys & 1
+                                    for v in op.entries.values()
+                                    for k in v._t):
+        _assert_y_lists_are_products(op)
+    else:
+        assert all(op._transitions(shift)[1] is None for shift in (0, 2))
+
+
+def test_folded_deltas_fold_i_squared():
+    """With Y**2 = i*p, an entry i*Y*p times a key with Y forms i**2 in the
+    delta itself, which the table folds; the kernel matches the reference
+    in both modes."""
+    ring = Ring(("p", "Y"))
+    ring.set_y_square(ring.mono((0, 1), p=1))
+    entries = dict(rmat.identity_op(ring).entries)
+    entries[(2, 2, 2, 2)] = ring.mono((0, 1), p=1, Y=1)
+    entries[(3, 3, 3, 3)] = ring.mono(1, Y=1) + ring.mono(-2, p=-1)
+    entries[(2, 3, 3, 2)] = entries[(3, 2, 2, 3)] = ring.mono(1, Y=1)
+    op = SparseROp(ring, entries)
+    _assert_y_lists_are_products(op)
+    image = dict(rmat._columns(ring, 2, [(1, op)] * 2))[(2, 2)]
+    assert image == {(2, 2): ring.mono((0, -1), p=3)}   # (iYp)**2 = -ip**3
+    for strands in (2, 3):
+        _assert_columns_match(ring, strands, [(1, op), (strands - 1, op),
+                                              (1, op), (1, op)])
+
+
+def test_y_lists_of_a_sparse_operator(rng):
+    """Y-carrying entries on a few input pairs only: every input group has
+    its lists, empty or not, and the kernel matches the reference."""
+    keys = list(product((1, 2, 3, 4), repeat=4))
+    for _ in range(4):
+        sparse = SparseROp(QUANTUM, {
+            k: QUANTUM.mono(rng.choice((1, -1)), p=rng.randint(-2, 2),
+                            Y=rng.randint(0, 1))
+            for k in rng.sample(keys, 12)})
+        if sparse._transitions(0)[1] is None:
+            continue
+        _assert_y_lists_are_products(sparse)
+        for strands in (2, 3):
+            _assert_columns_match(QUANTUM, strands,
+                                  [(rng.randint(1, strands - 1), sparse)
+                                   for _ in range(4)])
+
+
+def test_models_without_y_terms_keep_a_single_list():
+    """Cases 3 and 4, case 2 ambient, R3 and R4 have no Y-carrying term."""
+    ops = [rmat.quantum_r(3), rmat.quantum_r(4)]
+    for key in ((3, "regular"), (4, "ambient"), (2, "ambient")):
+        ops += [engine.model(*key).sigma, engine.model(*key).sigma_inv]
+    assert all(op._transitions(shift)[1] is None
+               for op in ops for shift in (0, 2))
+
+
+@pytest.fixture
+def y_folds(monkeypatch):
+    """Counts the products the ring forms with a Y**2 relation's offsets:
+    the calls of ``ring._mul_into`` that ``ring._folded``'s Y**2 branch
+    makes."""
+    calls = []
+    real = ring_module._mul_into
+
+    def counted(terms, a, b, bias):
+        if any(b is r._y_fold for r in (QUANTUM, TRIG)):
+            calls.append(len(a))
+        return real(terms, a, b, bias)
+    monkeypatch.setattr(ring_module, "_mul_into", counted)
+    return calls
+
+
+def test_columns_never_fold_y_squared_after_a_letter(rng, y_folds):
+    """Seeded case-1 words in both modes and one TYBE side form no Y**2
+    term: the tables fold it.  The reference products of the same words
+    do form Y**2 terms."""
+    y = QUANTUM.var("Y")
+    y * y
+    assert y_folds == [1]
+    mod = engine.model(1, "ambient")
+    words = [[(rng.randint(1, strands - 1),
+               rng.choice((mod.sigma, mod.sigma_inv)))
+              for _ in range(strands + 3)] for strands in (2, 3, 3, 4)]
+    side = ybe._tybe_sides(rmat.build_trig_gauged())[0]
+    del y_folds[:]
+    for letters in words:
+        for closure_only in (False, True):
+            list(rmat._columns(QUANTUM, len(letters) - 3, letters,
+                               closure_only))
+    list(rmat._columns(TRIG, 3, side))
+    assert y_folds == []
+    for letters in words:
+        _reference_columns(QUANTUM, len(letters) - 3, letters)
+    assert y_folds
+
+
+@pytest.mark.parametrize("key", [(1, "ambient"), (2, "regular")])
+def test_columns_match_the_reference_where_y_products_arise(rng, key,
+                                                            y_folds):
+    """Seeded words of the two models whose letters carry Y, full and
+    closure-only, on 2-4 strands; their reference products form Y**2
+    terms."""
+    mod = engine.model(*key)
+    for strands in (2, 3, 3, 4):
+        letters = [(rng.randint(1, strands - 1),
+                    rng.choice((mod.sigma, mod.sigma_inv)))
+                   for _ in range(strands + 3)]
+        _assert_columns_match(mod.ring, strands, letters)
+    assert y_folds
+
+
+def test_an_unset_y_relation_is_refused_when_y_meets_y():
+    """A ring with Y whose Y**2 relation is not set: its operators have no
+    folded lists, one letter of Y is a product, and the second letter's
+    Y * Y raises."""
+    ring = Ring(("p", "Y"))
+    entries = dict(rmat.identity_op(ring).entries)
+    entries[(2, 2, 2, 2)] = ring.mono(1, p=1, Y=1)
+    op = SparseROp(ring, entries)
+    assert op._transitions(0)[1] is None
+    assert dict(rmat._columns(ring, 2, [(1, op)]))[(2, 2)] == \
+        {(2, 2): ring.mono(1, p=1, Y=1)}
+    for closure_only in (False, True):
+        with pytest.raises(RingError, match=r"Y\*\*2 rewrite relation not "
+                                            r"set"):
+            list(rmat._columns(ring, 2, [(1, op), (1, op)], closure_only))
 
 
 #: sha256 of the full represent() of a 5-strand word, one line
