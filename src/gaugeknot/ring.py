@@ -221,8 +221,8 @@ def _folded(ring, terms):
     offsets may carry i, and again after it, so that no field ever holds
     4.  Of the package's callers only ``LaurentPoly.__mul__`` forms Y**2
     terms: the operator product's transition tables fold Y**2 into their
-    deltas (``rmat.SparseROp._transitions``), and the closure adds Y-free
-    weights."""
+    deltas (``rmat.SparseROp._transitions``) when the relation is set, and
+    the closure adds Y-free weights."""
     if 0 in terms.values():
         terms = {k: c for k, c in terms.items() if c}
     acc = reduce(or_, terms, 0)
