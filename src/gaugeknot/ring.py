@@ -206,25 +206,31 @@ def _fold_i(terms):
 
 
 def _nonzero(terms):
-    """``terms`` without its zero coefficients."""
+    """``terms`` with its zero coefficients deleted in place; every caller
+    hands it a dict of its own."""
     if 0 in terms.values():
-        return {k: c for k, c in terms.items() if c}
+        for k in [k for k, c in terms.items() if not c]:
+            del terms[k]
     return terms
 
 
 def _folded(ring, terms):
-    """A product's or a sum's term dict settled: zero coefficients dropped,
-    RingError if an exponent left its range, else i**2 and Y**2 folded.
-    One OR over the keys finds guard bits, i**2 and Y**2 terms at once; it
-    reads only the ring's ``_width`` low bits of a key, so keys may carry
-    other data above them.  i**2 is folded before the Y**2 fold, whose
-    offsets may carry i, and again after it, so that no field ever holds
-    4.  Of the package's callers only ``LaurentPoly.__mul__`` forms Y**2
-    terms: the operator product's transition tables fold Y**2 into their
-    deltas (``rmat.SparseROp._transitions``) when the relation is set, and
-    the closure adds Y-free weights."""
-    if 0 in terms.values():
-        terms = {k: c for k, c in terms.items() if c}
+    """A product's or a sum's term dict settled in place, and returned:
+    zero coefficients deleted, RingError if an exponent left its range,
+    else i**2 and Y**2 folded.  Every caller hands it a dict it has just
+    built.  One OR over the keys finds guard bits, i**2 and Y**2 terms at
+    once; it reads only the ring's ``_width`` low bits of a key, so keys
+    may carry other data above them.  i**2 is folded before the Y**2 fold,
+    whose offsets may carry i, and again after it, so that no field ever
+    holds 4.  Of the package's callers only ``LaurentPoly.__mul__`` forms
+    Y**2 terms: the operator product's transition tables fold Y**2 into
+    their deltas (``rmat.SparseROp._transitions``) when the relation is
+    set, and the closure adds Y-free weights.  The operator product calls
+    it after each letter only when the product needs it, a rule decided
+    once per product (``rmat._columns``): when its letters' exponent
+    bounds sum to ``EXP_BIAS`` or more, a delta carries i, or Y * Y can
+    form with the Y**2 relation unset."""
+    _nonzero(terms)
     acc = reduce(or_, terms, 0)
     if not acc & ring._fold_bits:
         return terms
@@ -239,7 +245,7 @@ def _folded(ring, terms):
         high = {k: terms.pop(k) for k in [k for k in terms
                                            if (k >> ys) & 3 == 2]}
         _mul_into(terms, high, ring._y_fold, 0)
-        terms = _nonzero(terms)
+        _nonzero(terms)
         if ring._check_keys(terms) & 2:
             _fold_i(terms)
     return _nonzero(terms)

@@ -26,13 +26,17 @@ monomial``, S = ``Ring._width``), so that each term of an operator entry
 acts as one additive key delta that sets two strands and multiplies the
 monomials at once.  Y**2 is folded into the transition tables: a key that
 carries Y takes deltas in which each Y-carrying term is already
-multiplied out by the Y**2 relation, so no letter forms a Y**2 term, and
-i**2 and the exponent range are folded and checked once per letter per
-column.  For the (1,1)-closure it forms only
+multiplied out by the Y**2 relation, so no letter forms a Y**2 term.  The
+exponent range is proven once per product: each operator bounds how far
+one letter moves an exponent, and when its letters' bounds sum below
+``ring.EXP_BIAS``, no delta carries i and Y * Y cannot form with the Y**2
+relation unset, a letter only drops a column's cancelled terms.
+Otherwise every column folds i**2 and is range-checked after every
+letter.  For the (1,1)-closure it forms only
 the terms whose state can still return to their input column through the
 nonzero entries of the remaining letters, found by one backward pass of
-bitsets over the letters.  The transition tables and the backward pass's
-slice plans are built once per operator and kept on it.
+bitsets over the letters.  The transition tables, the bounds and the
+backward pass's slice plans are built once per operator and kept on it.
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
 from operator import or_
+from types import MappingProxyType
 
-from .ring import (LaurentPoly, QUANTUM, RingError, TRIG, _folded,
-                   cleared_values, map_poly)
+from .ring import (EXP_BIAS, LaurentPoly, QUANTUM, RingError, TRIG, _folded,
+                   _nonzero, cleared_values, map_poly)
 
 #: (weight, n(2) - n(3)) of each index: the charge every operator conserves.
 CHARGE = {1: (0, 0), 2: (1, 1), 3: (1, -1), 4: (2, 0)}
@@ -75,14 +80,15 @@ _PAIR_CHARGE = {(a, b): tuple(x + y for x, y in zip(CHARGE[a], CHARGE[b]))
 
 
 class SparseROp:
-    """Sparse two-site operator over a Laurent ring.  Its entries are not
-    mutated once it is built: ``_columns`` caches transition tables and
-    ``_reach`` slice plans on it, and every operation returns a new
-    operator."""
+    """Sparse two-site operator over a Laurent ring.  Its ``entries`` are a
+    read-only view: ``_columns`` keeps transition tables, the bound of a
+    letter's moves and ``_reach`` slice plans on it, ``quantum_r`` keeps
+    one operator per index, and every operation returns a new operator."""
 
     def __init__(self, ring, entries):
         self.ring = ring
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
+        self.entries = MappingProxyType(
+            {k: v for k, v in entries.items() if not v.is_zero()})
         self._tables = {}
         self._plans = {}
 
@@ -131,14 +137,23 @@ class SparseROp:
         offsets), i**2 folded, merged by delta and zeros dropped.  Through a
         Y-carrying term a key with Y then lands at Y-degree 0, and no Y**2
         key is formed.  Built on the first call for a ``shift`` and kept on
-        the operator."""
+        the operator.
+
+        The first build also keeps two facts on the operator, the same at
+        every shift.  ``_bound`` is the largest |exponent| of a Laurent
+        variable that one of its letters adds to a key: its entries', plus
+        the Y**2 relation's when a Y-carrying term is folded.  ``_settle``
+        says whether its letters need ``ring._folded`` after each letter
+        anyway: some delta carries i, so i**2 can form, or some term
+        carries Y while the ring's Y**2 relation is not set, so Y**2 can."""
         table = self._tables.get(shift)
         if table is not None:
             return table
         ring = self.ring
         up = shift + ring._width
         ybit = 0 if ring.y_square is None else 1 << ring._ys
-        fold = any(k & ybit for v in self.entries.values() for k in v._t)
+        keys = [k for v in self.entries.values() for k in v._t]
+        fold = any(k & ybit for k in keys)
         moves = [{} for _ in range(16)]
         ymoves = {g << up | ybit: {} for g in range(16)} if fold else None
         for (a, b, c, d), v in self.entries.items():
@@ -165,6 +180,14 @@ class SparseROp:
                             for xor, pairs in by_out.items()]
                       for key, by_out in ymoves.items()}
             ymoves.update((g << up, by_out) for g, by_out in enumerate(moves))
+        if not self._tables:
+            self._bound = _largest_exponent(ring, keys) + (
+                _largest_exponent(ring, ring.y_square._t) if fold else 0)
+            deltas = (d for by_out in (ymoves.values() if fold else moves)
+                      for _, pairs in by_out for d, _ in pairs)
+            unset_y = (ring.y_square is None and ring._ys is not None
+                       and any(k >> ring._ys & 1 for k in keys))
+            self._settle = any(d & 1 for d in deltas) or unset_y
         table = self._tables[shift] = (moves, ymoves, 15 << up | ybit)
         return table
 
@@ -265,6 +288,13 @@ def _shift(strands, pos):
     return 2 * (strands - 1 - pos)
 
 
+def _largest_exponent(ring, keys):
+    """The largest |exponent| of a Laurent variable among packed keys."""
+    fields = [(s, m, b) for s, m, b in ring._layout if b]
+    return max((abs(((k >> s) & m) - b) for k in keys for s, m, b in fields),
+               default=0)
+
+
 def _columns(ring, strands, letters, closure_only=False):
     """The one operator product: push every basis column of
     (C^4)^{x strands} through ``letters``, ``(pos, op)`` pairs applied first
@@ -283,7 +313,12 @@ def _columns(ring, strands, letters, closure_only=False):
     S)) + (entry key - bias)``, which sets the letter's two strands and
     multiplies the monomials at once.  A letter is therefore one loop over
     the column's terms, each looking up the deltas of its 4-bit strand
-    group, then one range check with the fold of i**2 (``ring._folded``).
+    group, then the deletion of the column's cancelled terms.  Whether each
+    letter is also range-checked, with the fold of i**2
+    (``ring._folded``), is decided once per product: it is not when the
+    operators' bounds (``SparseROp._transitions``) sum below ``EXP_BIAS``,
+    no delta carries i and Y * Y cannot form with the Y**2 relation unset,
+    since no key can then leave its range or form i**2 or Y**2.
     A letter whose operator has Y-carrying terms looks a key's deltas up
     by its strand group and its Y bit: for a key with Y, each Y-carrying
     term's delta is already multiplied out by the Y**2 relation, so the
@@ -313,6 +348,9 @@ def _columns(ring, strands, letters, closure_only=False):
             raise RingError(f"variable-set mismatch: {ring} vs {op.ring}")
         shift = _shift(strands, pos)
         steps.append((shift, shift + width) + op._transitions(shift))
+    # whether each letter is settled: the rule of the docstring
+    settle = (sum(op._bound for _, op in letters) >= EXP_BIAS
+              or any(op._settle for _, op in letters))
     cols = list(product((1, 2, 3, 4), repeat=strands))
     if closure_only:
         reach = _reach(strands, letters)
@@ -356,16 +394,17 @@ def _columns(ring, strands, letters, closure_only=False):
                         for d, x in pairs:
                             e = k + d
                             new[e] = get(e, 0) + c * x
-            # Range check, once per letter, before the state bits are read
-            # again: an entry's exponents and those of the Y**2 relation
-            # folded into a delta are in range, so one letter moves a field
-            # by less than 2**18.  A field pushed up sets its 15 guard bits
-            # and stays within its 32 bits; one pushed down borrows through
-            # them, setting them all, and may decrement the field above it,
-            # or the state bits above the top field.  Either way its guard
-            # bits are set, and the RingError comes before any state is read
-            # or yielded.
-            vec = _folded(ring, new)
+            # Unless the bounds prove the product's range (see the
+            # docstring), the range check runs once per letter, before the
+            # state bits are read again: an entry's exponents and those of
+            # the Y**2 relation folded into a delta are in range, so one
+            # letter moves a field by less than 2**18.  A field pushed up
+            # sets its 15 guard bits and stays within its 32 bits; one
+            # pushed down borrows through them, setting them all, and may
+            # decrement the field above it, or the state bits above the top
+            # field.  Either way its guard bits are set, and the RingError
+            # comes before any state is read or yielded.
+            vec = _folded(ring, new) if settle else _nonzero(new)
             if not vec:
                 break
         if not vec:
@@ -629,8 +668,11 @@ def _to_quantum(poly):
     return map_poly(poly, QUANTUM, _QUANTUM_IMAGES)
 
 
+@lru_cache(maxsize=None)
 def quantum_r(index):
-    """The constant quantum R-matrices, transcribed component by component."""
+    """The constant quantum R-matrices, transcribed component by component;
+    one operator per index, built on first use, so its tables are built
+    once."""
     m = QUANTUM.mono
     one = QUANTUM.one
     # shared building blocks

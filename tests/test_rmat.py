@@ -27,6 +27,26 @@ def test_component_counts():
         assert len(rmat.quantum_r(i)) == count
 
 
+def test_quantum_r_keeps_one_operator_per_index():
+    for i in (1, 2, 3, 4):
+        assert rmat.quantum_r(i) is rmat.quantum_r(i)
+    with pytest.raises(RingError, match="no quantum R-matrix 5"):
+        rmat.quantum_r(5)
+
+
+def test_entries_are_read_only():
+    """An operator's tables, bound and plans rest on entries that never
+    change; a copy of them is a plain dict."""
+    op = rmat.quantum_r(1)
+    with pytest.raises(TypeError):
+        op.entries[(1, 1, 1, 1)] = QUANTUM.zero
+    with pytest.raises(TypeError):
+        del op.entries[(1, 1, 1, 1)]
+    copy = dict(op.entries)
+    copy[(1, 1, 1, 1)] = QUANTUM.zero
+    assert len(op) == 26 and op.get(1, 1, 1, 1) == QUANTUM.one
+
+
 def test_trig_first_component_is_one():
     """The (1,1)<-(1,1) entry is 1: its numerator is the denominator."""
     for op in (rmat.build_trig_gauged(), rmat.build_trig_gauge_free()):
@@ -817,6 +837,133 @@ def test_an_unset_y_relation_is_refused_when_y_meets_y():
         with pytest.raises(RingError, match=r"Y\*\*2 rewrite relation not "
                                             r"set"):
             list(rmat._columns(ring, 2, [(1, op), (1, op)], closure_only))
+
+
+@pytest.fixture
+def folded_calls(monkeypatch):
+    """Counts the columns the operator product settles after a letter: the
+    calls of ``rmat._folded``, which the ring's own products do not
+    make."""
+    calls = []
+    real = rmat._folded
+
+    def counted(ring, terms):
+        calls.append(len(terms))
+        return real(ring, terms)
+    monkeypatch.setattr(rmat, "_folded", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ring, name", FIELDS)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_columns_prove_the_range_up_to_the_boundary(ring, name, sign,
+                                                    folded_calls):
+    """|2,2> gains name**(sign * 2**15), then name**(sign * (2**15 - 1)):
+    the bounds sum to 2**16 - 1, below EXP_BIAS, so no letter is settled
+    and the image is name**(sign * 65535).  With 2**15 twice the sum
+    reaches EXP_BIAS and every letter is settled: the product raises at
+    the top of the range and gives name**-65536 at the bottom."""
+    def step(power):
+        entries = dict(rmat.identity_op(ring).entries)
+        entries[(2, 2, 2, 2)] = ring.mono(1, **{name: sign * power})
+        return SparseROp(ring, entries)
+    half = EXP_BIAS // 2
+    word = [(1, step(half)), (1, step(half - 1))]
+    image = dict(rmat._columns(ring, 2, word))[(2, 2)]
+    assert [op._bound for _, op in word] == [half, half - 1]
+    assert image == {(2, 2): ring.mono(1, **{name: sign * (EXP_BIAS - 1)})}
+    assert folded_calls == []
+    word = [(1, step(half)), (1, step(half))]
+    if sign > 0:
+        with pytest.raises(RingError, match="exponent outside"):
+            list(rmat._columns(ring, 2, word))
+    else:
+        image = dict(rmat._columns(ring, 2, word))[(2, 2)]
+        assert image == {(2, 2): ring.mono(1, **{name: -EXP_BIAS})}
+    assert folded_calls
+
+
+@pytest.mark.parametrize("ring, name", FOLDED_FIELDS)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_letters_bound_counts_the_y_relation_it_folds(ring, name, sign,
+                                                        folded_calls):
+    """Y * name**(sign * power) moves an exponent by up to power + 2, as
+    the relation's terms carry name**+-2; without Y, by power.  Two such
+    letters with Y are proven at power 2**15 - 3 and settled at
+    2**15 - 2, and both give the ring's own product."""
+    def step(power, y):
+        entries = dict(rmat.identity_op(ring).entries)
+        entries[(2, 2, 2, 2)] = ring.mono(1, Y=y, **{name: sign * power})
+        return SparseROp(ring, entries)
+    for power, settled in ((EXP_BIAS // 2 - 3, False),
+                           (EXP_BIAS // 2 - 2, True)):
+        op = step(power, 0)
+        op._transitions(0)
+        assert op._bound == power and not op._settle
+        op = step(power, 1)
+        image = dict(rmat._columns(ring, 2, [(1, op)] * 2))[(2, 2)]
+        assert op._bound == power + 2
+        assert image == {(2, 2): op.get(2, 2, 2, 2) ** 2}
+        assert bool(folded_calls) == settled
+
+
+@pytest.mark.parametrize("key", list(engine.MODELS))
+def test_model_words_settle_a_letter_only_when_i_can_square(rng, key,
+                                                            folded_calls):
+    """Seeded words of each model on 2-4 strands, full and closure-only,
+    equal the reference.  Only case 2 ambient, whose entries carry i,
+    settles its columns after each letter."""
+    mod = engine.model(*key)
+    carries_i = any(k & 1 for v in mod.sigma.entries.values() for k in v._t)
+    assert carries_i == (key == (2, "ambient"))
+    for strands in (2, 3, 4):
+        letters = [(rng.randint(1, strands - 1),
+                    rng.choice((mod.sigma, mod.sigma_inv)))
+                   for _ in range(strands + 3)]
+        _assert_columns_match(mod.ring, strands, letters)
+    assert mod.sigma._settle == mod.sigma_inv._settle == carries_i
+    assert bool(folded_calls) == carries_i
+
+
+@pytest.mark.parametrize("name", ["R1", "R2", "R3", "R4", "TYBE"])
+def test_yang_baxter_sides_settle_no_letter(name, folded_calls):
+    """Both QYBE sides of each quantum R-matrix, and both sides of the
+    gauged TYBE, equal the reference with no letter settled."""
+    if name == "TYBE":
+        ring, sides = TRIG, ybe._tybe_sides(rmat.build_trig_gauged())
+    else:
+        ring, sides = QUANTUM, ybe._qybe_sides(rmat.quantum_r(int(name[1])))
+    for side in sides:
+        _assert_columns_match(ring, 3, side)
+    assert folded_calls == []
+
+
+def test_an_unset_y_relation_settles_every_letter(folded_calls):
+    """A Y-carrying operator over a ring whose Y**2 relation is not set
+    takes the per-letter settle even with a small bound; a Y-free one of
+    the same ring does not."""
+    ring = Ring(("p", "Y"))
+    for y, settled in ((1, True), (0, False)):
+        del folded_calls[:]
+        entries = dict(rmat.identity_op(ring).entries)
+        entries[(2, 2, 2, 2)] = ring.mono(1, p=1, Y=y)
+        op = SparseROp(ring, entries)
+        list(rmat._columns(ring, 2, [(1, op)]))
+        assert op._bound == 1 and op._settle == settled
+        assert bool(folded_calls) == settled
+
+
+def test_folded_deletes_a_cancelled_term_in_the_dict_it_is_given():
+    """With and without an i**2 or Y**2 fold to make, the dict returned is
+    the one given, its zero terms deleted."""
+    one, p, y = (QUANTUM.var(n, e)._t.popitem()[0]
+                 for n, e in (("p", 0), ("p", 1), ("Y", 1)))
+    for terms, want in (({one: 2, p: 0}, {one: 2}),
+                        ({one + 2: 1, p: 0}, {one: -1}),
+                        ({y + y - one: 1, one: 0},
+                         dict(QUANTUM.y_square._t))):
+        out = rmat._folded(QUANTUM, terms)
+        assert out is terms and out == want
 
 
 #: sha256 of the full represent() of a 5-strand word, one line
