@@ -121,9 +121,13 @@ class RunReport:
 
 
 def _knot_key(name):
+    """A row name's sort key: its crossing number, then the index after
+    the first ``_`` when that is ASCII digits (0 else), then the name.  A
+    name with no ASCII-digit head, which ``run_suite`` meets only in a
+    table of records other than ``KnotRecord``, sorts after the rest."""
     a, _, b = name.partition("_")
-    if a.isdigit():
-        return (0, int(a), int(b) if b.isdigit() else 0, name)
+    if a.isascii() and a.isdigit():
+        return (0, int(a), int(b) if b.isascii() and b.isdigit() else 0, name)
     return (1, 0, 0, name)
 
 

@@ -223,13 +223,14 @@ def _folded(ring, terms):
     may carry other data above them.  i**2 is folded before the Y**2 fold,
     whose offsets may carry i, and again after it, so that no field ever
     holds 4.  Of the package's callers only ``LaurentPoly.__mul__`` forms
-    Y**2 terms: the operator product's transition tables fold Y**2 into
-    their deltas (``rmat.SparseROp._transitions``) when the relation is
-    set, and the closure adds Y-free weights.  The operator product calls
-    it after each letter only when the product needs it, a rule decided
-    once per product (``rmat._columns``): when its letters' exponent
-    bounds sum to ``EXP_BIAS`` or more, a delta carries i, or Y * Y can
-    form with the Y**2 relation unset."""
+    Y**2 terms: in an operator's one transition table a key that carries
+    Y takes deltas with Y**2 already folded in
+    (``rmat.SparseROp._transitions``) when the relation is set, and the
+    closure adds Y-free weights.  The operator product calls it after
+    each letter only when the product needs it, a rule decided once per
+    product (``rmat._columns``): when its letters' exponent bounds sum to
+    ``EXP_BIAS`` or more, a delta carries i, or Y * Y can form with the
+    Y**2 relation unset."""
     _nonzero(terms)
     acc = reduce(or_, terms, 0)
     if not acc & ring._fold_bits:

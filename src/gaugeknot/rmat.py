@@ -24,15 +24,16 @@ Products of operators on many strands run through one kernel,
 carry the braid state above the ring's monomial key (``state << S |
 monomial``, S = ``Ring._width``), so that each term of an operator entry
 acts as one additive key delta that sets two strands and multiplies the
-monomials at once.  Y**2 is folded into the transition tables: a key that
-carries Y takes deltas in which each Y-carrying term is already
-multiplied out by the Y**2 relation, so no letter forms a Y**2 term.  The
-exponent range is proven once per product: each operator bounds how far
-one letter moves an exponent, and when its letters' bounds sum below
-``ring.EXP_BIAS``, no delta carries i and Y * Y cannot form with the Y**2
-relation unset, a letter only drops a column's cancelled terms.
-Otherwise every column folds i**2 and is range-checked after every
-letter.  For the (1,1)-closure it forms only
+monomials at once.  Every letter looks a key's deltas up in one
+transition table of its operator, by the key's input bits and, when the
+operator folds Y, its Y bit: a key that carries Y takes deltas in which
+each Y-carrying term is already multiplied out by the Y**2 relation, so
+no letter forms a Y**2 term.  The exponent range is proven once per
+product: each operator bounds how far one letter moves an exponent, and
+when its letters' bounds sum below ``ring.EXP_BIAS``, no delta carries i
+and Y * Y cannot form with the Y**2 relation unset, a letter only drops
+a column's cancelled terms.  Otherwise every column folds i**2 and is
+range-checked after every letter.  For the (1,1)-closure it forms only
 the terms whose state can still return to their input column through the
 nonzero entries of the remaining letters, found by one backward pass of
 bitsets over the letters.  The transition tables, the bounds and the
@@ -121,23 +122,20 @@ class SparseROp:
     def _transitions(self, shift):
         """The operator on the two strands whose state bits start at
         ``shift``, as additive deltas of packed column keys (see
-        ``_columns``): ``(moves, ymoves, mask)``.  ``moves`` is indexed by
-        the input bits (d, c) and lists the ``(delta, coeff)`` pairs of
-        every term of every entry from those bits, grouped by output as
-        ``(xor, pairs)``, ``xor`` turning the input state into the output
-        one.
+        ``_columns``): ``(table, mask)``.  ``table`` maps ``key & mask`` to
+        the ``(delta, coeff)`` pairs of every term of every entry from that
+        key's input bits (d, c), grouped by output as ``(xor, pairs)``,
+        ``xor`` turning the input state into the output one.
 
-        ``ymoves`` is None when no entry term carries Y, or when the ring's
-        Y**2 relation is not set (a Y * Y product then forms a Y**2 key,
-        which ``ring._folded`` refuses).  Else it maps ``key & mask``, the
-        input bits and the Y bit of a key (``mask = 15 << shift + S | Y
-        bit``, S the ring's key width), to that group's lists: ``moves``'
-        for a key without Y; for a key with Y, the same lists with each
-        Y-carrying term multiplied out by ``ring._y_fold`` (Y**-2 * r as key
-        offsets), i**2 folded, merged by delta and zeros dropped.  Through a
-        Y-carrying term a key with Y then lands at Y-degree 0, and no Y**2
-        key is formed.  Built on the first call for a ``shift`` and kept on
-        the operator.
+        ``mask`` is ``15 << shift + S``, S the ring's key width, and holds
+        the Y bit too when the operator folds Y: some entry term carries Y
+        and the ring's Y**2 relation is set (else a Y * Y product forms a
+        Y**2 key, which ``ring._folded`` refuses).  Then a key with Y has
+        its own lists, in which each Y-carrying term is multiplied out by
+        ``ring._y_fold`` (Y**-2 * r as key offsets), so through it the key
+        lands at Y-degree 0 and no Y**2 key is formed.  Every list has i**2
+        folded, its pairs merged by delta and its zeros dropped.  Built on
+        the first call for a ``shift`` and kept on the operator.
 
         The first build also keeps two facts on the operator, the same at
         every shift.  ``_bound`` is the largest |exponent| of a Laurent
@@ -154,8 +152,8 @@ class SparseROp:
         ybit = 0 if ring.y_square is None else 1 << ring._ys
         keys = [k for v in self.entries.values() for k in v._t]
         fold = any(k & ybit for k in keys)
-        moves = [{} for _ in range(16)]
-        ymoves = {g << up | ybit: {} for g in range(16)} if fold else None
+        ybits = (0, ybit) if fold else (0,)
+        by_key = {g << up | yk: {} for g in range(16) for yk in ybits}
         for (a, b, c, d), v in self.entries.items():
             if v.ring is not ring:
                 raise RingError(f"variable-set mismatch: {ring} vs {v.ring}")
@@ -163,32 +161,26 @@ class SparseROp:
             bits_out = (b - 1) << 2 | (a - 1)
             move = ((bits_out - bits_in) << up) - ring._bias
             xor = (bits_in ^ bits_out) << shift
-            moves[bits_in].setdefault(xor, []).extend(
-                (move + k, x) for k, x in v._t.items())
-            if not fold:
-                continue
-            pairs = ymoves[bits_in << up | ybit].setdefault(xor, {})
-            for k, x in v._t.items():
-                for f, y in ring._y_fold.items() if k & ybit else ((0, 1),):
-                    e = move + k + f
-                    if e & 2:       # i**2 = -1
-                        e, y = e - 2, -y
-                    pairs[e] = pairs.get(e, 0) + x * y
-        moves = [list(by_out.items()) for by_out in moves]
-        if fold:
-            ymoves = {key: [(xor, [(e, x) for e, x in pairs.items() if x])
-                            for xor, pairs in by_out.items()]
-                      for key, by_out in ymoves.items()}
-            ymoves.update((g << up, by_out) for g, by_out in enumerate(moves))
+            for yk in ybits:     # the Y bit of a key
+                pairs = by_key[bits_in << up | yk].setdefault(xor, {})
+                for k, x in v._t.items():
+                    for f, y in ring._y_fold.items() if k & yk else ((0, 1),):
+                        e = move + k + f
+                        if e & 2:       # i**2 = -1
+                            e, y = e - 2, -y
+                        pairs[e] = pairs.get(e, 0) + x * y
+        table = {key: [(xor, [(e, x) for e, x in pairs.items() if x])
+                       for xor, pairs in by_out.items()]
+                 for key, by_out in by_key.items()}
         if not self._tables:
             self._bound = _largest_exponent(ring, keys) + (
                 _largest_exponent(ring, ring.y_square._t) if fold else 0)
-            deltas = (d for by_out in (ymoves.values() if fold else moves)
-                      for _, pairs in by_out for d, _ in pairs)
             unset_y = (ring.y_square is None and ring._ys is not None
                        and any(k >> ring._ys & 1 for k in keys))
-            self._settle = any(d & 1 for d in deltas) or unset_y
-        table = self._tables[shift] = (moves, ymoves, 15 << up | ybit)
+            self._settle = unset_y or any(
+                d & 1 for by_out in table.values() for _, pairs in by_out
+                for d, _ in pairs)
+        table = self._tables[shift] = (table, 15 << up | (ybit if fold else 0))
         return table
 
     def _plan(self, strands, shift):
@@ -198,17 +190,20 @@ class SparseROp:
         ``_groups`` that has a nonzero entry, ``slices`` holds ``(target,
         first, rest)`` slices of the list of states: states of the group,
         and the states their first and other outputs turn them into, so
-        that a target's set is the OR of its outputs' sets.
-        ``conserving`` says whether every entry conserves the charge.
-        Built on the first call for a ``(strands, shift)`` and kept on the
-        operator."""
+        that a target's set is the OR of its outputs' sets.  A group's
+        outputs are read from the transition table under its key without
+        Y, ``g << shift + S``.  ``conserving`` says whether every entry
+        conserves the charge.  Built on the first call for a ``(strands,
+        shift)`` and kept on the operator."""
         plan = self._plans.get((strands, shift))
         if plan is not None:
             return plan
-        moves = self._transitions(shift)[0]
+        table = self._transitions(shift)[0]
+        up = shift + self.ring._width
         groups = _groups(strands, shift)
         slices = []
-        for g, by_out in enumerate(moves):
+        for g in range(16):
+            by_out = table[g << up]
             if by_out:
                 outs = [groups[g ^ (xor >> shift)] for xor, _ in by_out]
                 slices.extend((target, first, tuple(rest))
@@ -312,20 +307,18 @@ def _columns(ring, strands, letters, closure_only=False):
     moves a key by one additive delta, ``((bits_out - bits_in) << (shift +
     S)) + (entry key - bias)``, which sets the letter's two strands and
     multiplies the monomials at once.  A letter is therefore one loop over
-    the column's terms, each looking up the deltas of its 4-bit strand
-    group, then the deletion of the column's cancelled terms.  Whether each
-    letter is also range-checked, with the fold of i**2
-    (``ring._folded``), is decided once per product: it is not when the
-    operators' bounds (``SparseROp._transitions``) sum below ``EXP_BIAS``,
-    no delta carries i and Y * Y cannot form with the Y**2 relation unset,
-    since no key can then leave its range or form i**2 or Y**2.
-    A letter whose operator has Y-carrying terms looks a key's deltas up
-    by its strand group and its Y bit: for a key with Y, each Y-carrying
-    term's delta is already multiplied out by the Y**2 relation, so the
-    product lands at Y-degree 0 and no Y**2 key is formed.  A Y-free
-    letter keeps one list per group.  At the end of a column its keys are
-    split by state into polynomials.  The transition tables are kept on
-    each operator (``SparseROp._transitions``).
+    the column's terms, each looking up its deltas in the operator's one
+    transition table (``SparseROp._transitions``, kept on the operator) by
+    ``key & mask``: its 4-bit strand group, and its Y bit when the
+    operator folds Y.  For a key with Y, each Y-carrying term's delta is
+    then already multiplied out by the Y**2 relation, so the product lands
+    at Y-degree 0 and no Y**2 key is formed.  Then the column's cancelled
+    terms are deleted.  Whether each letter is also range-checked,
+    with the fold of i**2 (``ring._folded``), is decided once per product:
+    it is not when the operators' bounds sum below ``EXP_BIAS``, no delta
+    carries i and Y * Y cannot form with the Y**2 relation unset, since no
+    key can then leave its range or form i**2 or Y**2.  At the end of a
+    column its keys are split by state into polynomials.
 
     With ``closure_only`` it yields only what the (1,1)-closure reads: the
     image of each input column s at s itself.  One backward pass over the
@@ -336,18 +329,15 @@ def _columns(ring, strands, letters, closure_only=False):
     output at a time, and an output's only if that holds.  A term left out
     would reach s only through a zero entry, so the image kept is exactly
     that of the full product, for any operators, charge-conserving or
-    not.  The full product runs letters with Y through the same loop, with
-    every output passing.
+    not.  The full product runs the same loop, with every output passing.
     """
-    # Per letter, the shift of its strands' bits in the state, that shift
-    # in the packed keys, and its tables.
+    # Per letter, its transition table and mask.
     width = ring._width
     steps = []
     for pos, op in letters:
         if op.ring is not ring:
             raise RingError(f"variable-set mismatch: {ring} vs {op.ring}")
-        shift = _shift(strands, pos)
-        steps.append((shift, shift + width) + op._transitions(shift))
+        steps.append(op._transitions(_shift(strands, pos)))
     # whether each letter is settled: the rule of the docstring
     settle = (sum(op._bound for _, op in letters) >= EXP_BIAS
               or any(op._settle for _, op in letters))
@@ -356,8 +346,9 @@ def _columns(ring, strands, letters, closure_only=False):
         reach = _reach(strands, letters)
     else:
         # every state reaches every column, whose bit is 1: the full
-        # product passes every output through the loop of letters with Y
+        # product passes every output
         reach, bit = [[1] * len(cols)] * (len(steps) + 1), 1
+    after = reach[1:]       # per letter, the sets after it
     low = (1 << width) - 1
     for s in range(len(cols)):
         if closure_only:
@@ -365,32 +356,13 @@ def _columns(ring, strands, letters, closure_only=False):
             if not reach[0][s] & bit:
                 continue
         vec = {s << width | ring._bias: 1}
-        for j, (shift, up, moves, ymoves, mask) in enumerate(steps):
+        for nxt, (table, mask) in zip(after, steps):
             new = {}
             get = new.get
-            # A letter with Y-carrying terms looks each key's lists up by
-            # its input bits and Y bit, a Y-free one by its input bits.
-            if ymoves is not None:
-                nxt = reach[j + 1]
-                for k, c in vec.items():
-                    t = k >> width
-                    for xor, pairs in ymoves[k & mask]:
-                        if nxt[t ^ xor] & bit:
-                            for d, x in pairs:
-                                e = k + d
-                                new[e] = get(e, 0) + c * x
-            elif closure_only:
-                nxt = reach[j + 1]
-                for k, c in vec.items():
-                    t = k >> width
-                    for xor, pairs in moves[(t >> shift) & 15]:
-                        if nxt[t ^ xor] & bit:
-                            for d, x in pairs:
-                                e = k + d
-                                new[e] = get(e, 0) + c * x
-            else:
-                for k, c in vec.items():
-                    for _, pairs in moves[(k >> up) & 15]:
+            for k, c in vec.items():
+                t = k >> width
+                for xor, pairs in table[k & mask]:
+                    if nxt[t ^ xor] & bit:
                         for d, x in pairs:
                             e = k + d
                             new[e] = get(e, 0) + c * x

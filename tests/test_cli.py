@@ -239,6 +239,24 @@ def test_table_name_without_crossing_number_is_usage_error(capsys,
                    f"with its crossing number\n")
 
 
+def test_suite_orders_a_row_whose_index_is_not_ascii_digits(capsys,
+                                                             tmp_path):
+    """'3_\u00b9' begins with its crossing number, so the table takes it;
+    its index '\u00b9' counts as a digit to ``str.isdigit`` but is no
+    ASCII digit, so it sorts as index 0 and the suite runs to the end."""
+    f = tmp_path / "table.txt"
+    f.write_text("3_\u00b9 ; 2 ; 1 1 1\n4_1 ; 3 ; 1 -2 1 -2\n",
+                 encoding="utf-8")
+    code, out, err = run(capsys, "suite", "--cases", "4", "--table", str(f),
+                         "--out", str(tmp_path / "out"))
+    assert (code, err) == (0, "")
+    assert [line.split()[3] for line in out.splitlines()[:-1]] == \
+        ["3_\u00b9", "4_1"]
+    rows = (tmp_path / "out" / "suite.csv").read_text(
+        encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["3_\u00b9", "4_1"]
+
+
 def test_missing_table_is_usage_error(capsys, tmp_path, monkeypatch):
     """Through --table and through GAUGEKNOT_TABLE."""
     missing = tmp_path / "no-such-table.txt"

@@ -551,7 +551,7 @@ def test_closure_only_matches_the_reference_with_charge_mixing_letters(rng):
         k: QUANTUM.mono(rng.choice((1, -1)), p=rng.randint(-2, 2))
         for k in rng.sample(keys, 20)})
     assert not sparse.conserves_charge()
-    assert any(not by_out for by_out in sparse._transitions(0)[0])
+    assert any(not by_out for by_out in sparse._transitions(0)[0].values())
     stuck = 0
     for _ in range(6):
         letters = [(rng.randint(1, 2),
@@ -623,7 +623,7 @@ def test_columns_refuse_an_exponent_out_of_range_through_a_folded_delta(
         entries[(2, 2, 2, 2)] = ring.mono(1, Y=1, **{name: sign * power})
         return SparseROp(ring, entries)
     word = [(1, step(60000)), (1, step(5535))]
-    assert word[1][1]._transitions(0)[1] is not None
+    assert word[1][1]._transitions(0)[1] & 1 << ring._ys
     got = []
     with pytest.raises(RingError, match="exponent outside"):
         for item in rmat._columns(ring, 2, word):
@@ -680,45 +680,68 @@ def _operators_with_y():
     return ops
 
 
-def _assert_y_lists_are_products(op):
-    """For a key that carries Y, each output's deltas are the terms of Y
-    times the entry, formed by the ring's own product and Y**2 fold, less
-    the key of Y; for a key without Y they are ``moves``'."""
+def _assert_lists_are_products(op, shift, ybit, factor):
+    """Under each input group's key with ``ybit``, each output's deltas are
+    the terms of ``factor`` times the entry, formed by the ring's own
+    product and Y**2 fold, less the key of ``factor``; no coefficient is
+    zero."""
     ring = op.ring
+    table = op._transitions(shift)[0]
+    up = shift + ring._width
+    (fkey,) = factor._t
+    for g in range(16):
+        want = {}
+        for (a, b, c, d), v in op.entries.items():
+            if (d - 1) << 2 | (c - 1) == g:
+                out = (b - 1) << 2 | (a - 1)
+                want[(g ^ out) << shift] = {
+                    ((out - g) << up) + k - fkey: x
+                    for k, x in (factor * v)._t.items()}
+        got = {xor: dict(pairs) for xor, pairs in table[g << up | ybit]}
+        assert got == want
+        assert all(x for pairs in got.values() for x in pairs.values())
+
+
+def _assert_y_lists_are_products(op):
+    """An operator that folds Y: its mask holds the Y bit, its table has
+    the keys of the 16 input groups without and with Y, and a key that
+    carries Y takes the deltas of Y times each entry, folded by the Y**2
+    relation; a key without Y takes the entry's own."""
+    ring = op.ring
+    ybit = 1 << ring._ys
     for shift in (0, 2, 4):
-        moves, ymoves, mask = op._transitions(shift)
+        table, mask = op._transitions(shift)
         up = shift + ring._width
-        ybit = 1 << ring._ys
-        y = ring.var("Y")
-        (ykey,) = y._t
         assert mask == 15 << up | ybit
-        assert set(ymoves) == {g << up | b for g in range(16)
-                               for b in (0, ybit)}
-        for g in range(16):
-            assert ymoves[g << up] is moves[g]
-            want = {}
-            for (a, b, c, d), v in op.entries.items():
-                if (d - 1) << 2 | (c - 1) == g:
-                    out = (b - 1) << 2 | (a - 1)
-                    want[(g ^ out) << shift] = {
-                        ((out - g) << up) + k - ykey: x
-                        for k, x in (y * v)._t.items()}
-            got = {xor: dict(pairs) for xor, pairs in ymoves[g << up | ybit]}
-            assert got == want
-            assert all(x for pairs in got.values() for x in pairs.values())
+        assert set(table) == {g << up | b for g in range(16)
+                              for b in (0, ybit)}
+        _assert_lists_are_products(op, shift, 0, ring.one)
+        _assert_lists_are_products(op, shift, ybit, ring.var("Y"))
+
+
+def _assert_a_y_free_table(op):
+    """An operator that does not fold Y: its mask holds no Y bit, and its
+    table has exactly the keys of the 16 input groups, each with the
+    entries' own deltas."""
+    for shift in (0, 2):
+        table, mask = op._transitions(shift)
+        up = shift + op.ring._width
+        assert mask == 15 << up
+        assert set(table) == {g << up for g in range(16)}
+        _assert_lists_are_products(op, shift, 0, op.ring.one)
 
 
 @pytest.mark.parametrize("name, op", list(_operators_with_y().items()))
 def test_y_delta_lists_equal_the_ring_products(name, op):
     """Every model sigma and inverse, R1 and the trigonometric operators;
-    one with no Y-carrying term has no second list."""
+    one with no Y-carrying term has no key with Y."""
     ring = op.ring
     if ring._ys is not None and any(k >> ring._ys & 1
                                     for v in op.entries.values()
                                     for k in v._t):
         _assert_y_lists_are_products(op)
     else:
-        assert all(op._transitions(shift)[1] is None for shift in (0, 2))
+        _assert_a_y_free_table(op)
 
 
 def test_folded_deltas_fold_i_squared():
@@ -742,14 +765,15 @@ def test_folded_deltas_fold_i_squared():
 
 def test_y_lists_of_a_sparse_operator(rng):
     """Y-carrying entries on a few input pairs only: every input group has
-    its lists, empty or not, and the kernel matches the reference."""
+    its lists under both keys, empty or not, and the kernel matches the
+    reference."""
     keys = list(product((1, 2, 3, 4), repeat=4))
     for _ in range(4):
         sparse = SparseROp(QUANTUM, {
             k: QUANTUM.mono(rng.choice((1, -1)), p=rng.randint(-2, 2),
                             Y=rng.randint(0, 1))
             for k in rng.sample(keys, 12)})
-        if sparse._transitions(0)[1] is None:
+        if not sparse._transitions(0)[1] & 1 << QUANTUM._ys:
             continue
         _assert_y_lists_are_products(sparse)
         for strands in (2, 3):
@@ -759,12 +783,13 @@ def test_y_lists_of_a_sparse_operator(rng):
 
 
 def test_models_without_y_terms_keep_a_single_list():
-    """Cases 3 and 4, case 2 ambient, R3 and R4 have no Y-carrying term."""
+    """Cases 3 and 4, case 2 ambient, R3 and R4 have no Y-carrying term:
+    one list per input group, and no Y bit in the mask."""
     ops = [rmat.quantum_r(3), rmat.quantum_r(4)]
     for key in ((3, "regular"), (4, "ambient"), (2, "ambient")):
         ops += [engine.model(*key).sigma, engine.model(*key).sigma_inv]
-    assert all(op._transitions(shift)[1] is None
-               for op in ops for shift in (0, 2))
+    for op in ops:
+        _assert_a_y_free_table(op)
 
 
 @pytest.fixture
@@ -812,25 +837,29 @@ def test_columns_match_the_reference_where_y_products_arise(rng, key,
                                                             y_folds):
     """Seeded words of the two models whose letters carry Y, full and
     closure-only, on 2-4 strands; their reference products form Y**2
-    terms."""
+    terms.  So does a word that alternates R1 and R3 letters, where keys
+    with Y meet a letter with no key with Y."""
     mod = engine.model(*key)
     for strands in (2, 3, 3, 4):
         letters = [(rng.randint(1, strands - 1),
                     rng.choice((mod.sigma, mod.sigma_inv)))
                    for _ in range(strands + 3)]
         _assert_columns_match(mod.ring, strands, letters)
+    r1, r3 = rmat.quantum_r(1), rmat.quantum_r(3)
+    _assert_columns_match(QUANTUM, 3, [(1, r1), (2, r3), (2, r1), (1, r3),
+                                       (1, r1), (2, r3)])
     assert y_folds
 
 
 def test_an_unset_y_relation_is_refused_when_y_meets_y():
     """A ring with Y whose Y**2 relation is not set: its operators have no
-    folded lists, one letter of Y is a product, and the second letter's
+    key with Y, one letter of Y is a product, and the second letter's
     Y * Y raises."""
     ring = Ring(("p", "Y"))
     entries = dict(rmat.identity_op(ring).entries)
     entries[(2, 2, 2, 2)] = ring.mono(1, p=1, Y=1)
     op = SparseROp(ring, entries)
-    assert op._transitions(0)[1] is None
+    _assert_a_y_free_table(op)
     assert dict(rmat._columns(ring, 2, [(1, op)]))[(2, 2)] == \
         {(2, 2): ring.mono(1, p=1, Y=1)}
     for closure_only in (False, True):
