@@ -21,14 +21,26 @@ term is formed only if its state can still return to s through the nonzero
 entries of the remaining letters, and a column that cannot return to s is
 skipped.  ``represent`` gives the full product unless asked for
 ``closure_only``.
+
+The work of that product depends on the word, not only on the knot: the
+pruning is strongest near the ends of the word, so a rotation of the same
+word can form far fewer terms.  A rotation is a conjugation, and all
+(1,1)-closures of conjugate knot braids are the same long knot, so for an
+ambient model ``tangle_invariant`` closes the rotation that
+``cheapest_rotation`` picks from the letters alone.  A regular model
+closes the word it is given: its closed matrix is a non-scalar diagonal,
+and nothing proves it unchanged by conjugation.  ``represent`` is the
+product of the word it is given, whatever the model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import and_, or_
 
-from .braid import closure_components, matveev_pair
+from .braid import BraidWord, closure_components, matveev_pair
 from .ring import (CONST, LaurentPoly, QONLY, QUANTUM, RingError, _folded,
                    map_poly)
 from .rmat import SparseROp, _columns, invert, quantum_r
@@ -251,12 +263,58 @@ def represent(word, mod, term_budget=DEFAULT_TERM_BUDGET, closure_only=False):
     return out
 
 
+def cheapest_rotation(word):
+    """The rotation of ``word`` that the closure-only product is predicted
+    to form the fewest terms for; ``word`` itself on a tie.  The prediction
+    reads the letters only: a cut after j letters of a rotation costs
+    4**c, c the number of strands that both its first j letters and the
+    rest touch (the strands whose states may still differ from the input
+    column there), and a rotation costs the sum over its cuts.  Words of
+    fewer than 3 letters are returned as they are."""
+    letters = word.letters
+    n = len(letters)
+    if n < 3:
+        return word
+    m = n - 1       # the cuts of a rotation
+    masks = [3 << abs(k) for k in letters] * 2
+    # arcs[a * m + l - 1]: one bit per strand that the l letters from a on
+    # touch, cyclically (1 <= l <= m); twice over, for starts past the end
+    arcs = []
+    for a in range(n):
+        arcs += accumulate(masks[a:a + m], or_)
+    arcs += arcs
+    # Rotation r's cut after j letters has arcs[r * m + j - 1] before it,
+    # and after it the n - j letters from r + j on, at index
+    # (r + j) * m + n - j - 1: a stride of m - 1 in j.
+    rest = []
+    for r in range(n):
+        first = (r + 1) * m + m - 1
+        rest += arcs[first:first + (m - 1) ** 2 + 1:m - 1]
+    weights = list(map(pow, repeat(4), map(int.bit_count,
+                                           map(and_, arcs, rest))))
+    costs = [sum(weights[i:i + m]) for i in range(0, n * m, m)]
+    r = costs.index(min(costs))
+    if r == 0:
+        return word
+    return BraidWord(word.strands, letters[r:] + letters[:r])
+
+
 def tangle_invariant(word, mod, term_budget=DEFAULT_TERM_BUDGET):
     """Close all strands but the first with C and return the 4x4 matrix,
-    from the closure-only images of the word."""
+    from the closure-only images of the word.  An ambient model closes
+    ``cheapest_rotation(word)`` instead, which is the same long knot, and
+    an error raised while a rotation runs names both words.  A regular
+    model closes the word as given (see the module docstring)."""
     if closure_components(word) != 1:
         raise EngineError(f"closure of {word} is not a knot")
-    rep = represent(word, mod, term_budget, closure_only=True)
+    run = cheapest_rotation(word) if mod.isotopy == "ambient" else word
+    try:
+        rep = represent(run, mod, term_budget, closure_only=True)
+    except RingError as exc:
+        if run is word:
+            raise
+        raise type(exc)(f"{exc}; braid '{run}' is the rotation closed for "
+                        f"the given braid '{word}'") from exc
     return TangleInvariant(_close(mod, rep.items()))
 
 

@@ -316,6 +316,173 @@ def test_stabilization():
         assert got == [f * b for f, b in zip(factor, base)]
 
 
+def _closed_as_given(word, mod):
+    """The scalar of the closure of ``word`` itself, past the rotation
+    choice of ``tangle_invariant``."""
+    rep = engine.represent(word, mod, closure_only=True)
+    return engine.TangleInvariant(engine._close(mod, rep.items())).scalar()
+
+
+def _rotation(word, r):
+    return braid.BraidWord(word.strands, word.letters[r:] + word.letters[:r])
+
+
+def _flip(word):
+    """sigma_i -> sigma_(n-i): conjugation by the half twist."""
+    n = word.strands
+    return braid.BraidWord(n, tuple(n - k if k > 0 else -n - k
+                                    for k in word.letters))
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_ambient_closure_is_the_same_on_every_rotation_and_flip(rng, case):
+    """Rotations and the flip are conjugations, so each closes to the
+    scalar of the word as given: what the rotation choice rests on."""
+    mod = engine.model(case, "ambient")
+    words = [rand_knot_word(rng, strands=3, length=6) for _ in range(6)]
+    words += [r.word for r in load_table() if r.word.strands <= 3]
+    for word in words:
+        want = _closed_as_given(word, mod)
+        assert engine.tangle_invariant(word, mod).scalar() == want
+        variants = [_rotation(word, r) for r in range(1, len(word.letters))]
+        for variant in variants + [_flip(word)]:
+            assert _closed_as_given(variant, mod) == want, (word, variant)
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_ambient_stabilization_and_braid_relation(rng, case):
+    mod = engine.model(case, "ambient")
+    for _ in range(3):
+        word = rand_knot_word(rng, strands=3, length=5)
+        want = engine.ambient_invariant(word, case)
+        assert want == _closed_as_given(word, mod)
+        for sign in (1, -1):
+            stab = braid.BraidWord(4, word.letters + (3 * sign,))
+            assert engine.ambient_invariant(stab, case) == want
+            assert _closed_as_given(stab, mod) == want
+    for _ in range(3):
+        # s1 s2 s1 = s2 s1 s2 at a cut of a word whose closure is a knot
+        while True:
+            letters = tuple(rng.choice((1, -1, 2, -2)) for _ in range(5))
+            cut = rng.randrange(len(letters) + 1)
+            sides = [braid.BraidWord(3, letters[:cut] + side + letters[cut:])
+                     for side in ((1, 2, 1), (2, 1, 2))]
+            if braid.closure_components(sides[0]) == 1:
+                break
+        got = [engine.ambient_invariant(w, case) for w in sides]
+        assert got[0] == got[1]
+        assert [_closed_as_given(w, mod) for w in sides] == got
+
+
+def _rotation_costs(word):
+    """The cost ``cheapest_rotation`` predicts for each rotation, by its
+    docstring: over the cuts of the rotation, 4 ** (the number of strands
+    that the letters on both sides of the cut touch)."""
+    costs = []
+    for r in range(len(word.letters)):
+        rot = _rotation(word, r).letters
+        cost = 0
+        for j in range(1, len(rot)):
+            sides = [{s for k in side for s in (abs(k), abs(k) + 1)}
+                     for side in (rot[:j], rot[j:])]
+            cost += 4 ** len(sides[0] & sides[1])
+        costs.append(cost)
+    return costs
+
+
+def test_cheapest_rotation_is_the_first_of_least_predicted_cost(rng):
+    words = [rand_knot_word(rng, strands, length)
+             for strands, length in ((3, 6), (4, 9), (5, 10)) for _ in range(4)]
+    words += [r.word for r in load_table()]
+    moved = 0
+    for word in words:
+        costs = _rotation_costs(word)
+        r = costs.index(min(costs))
+        got = engine.cheapest_rotation(word)
+        assert got == _rotation(word, r), word
+        assert engine.cheapest_rotation(word) == got
+        if r == 0:
+            assert got is word
+        moved += r != 0
+    assert 0 < moved < len(words)
+
+
+@pytest.mark.parametrize("name, pick", [("5_2", 0), ("8_6", 9)])
+def test_a_tie_keeps_the_earliest_rotation(name, pick):
+    # 5_2 ties rotations 0 and 3, 8_6 rotations 9 and 10
+    word = next(r.word for r in load_table() if r.name == name)
+    costs = _rotation_costs(word)
+    assert costs.count(min(costs)) == 2
+    assert engine.cheapest_rotation(word) == _rotation(word, pick)
+
+
+@pytest.fixture
+def ran(monkeypatch):
+    """The words ``engine.represent`` is called with, in order."""
+    words = []
+    represent = engine.represent
+
+    def recording(word, *args, **kwargs):
+        words.append(word)
+        return represent(word, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "represent", recording)
+    return words
+
+
+@pytest.mark.parametrize("text", ["1 :", "2 : 1", "2 : -1", "3 : 1 2",
+                                  "3 : -2 1"])
+def test_words_under_three_letters_are_closed_as_given(text, ran):
+    word = braid.parse(text)
+    assert engine.cheapest_rotation(word) is word
+    for case in (1, 2, 4):
+        mod = engine.model(case, "ambient")
+        assert engine.tangle_invariant(word, mod).scalar() == mod.ring.one
+    assert ran == [word] * 3
+
+
+def test_ambient_models_close_the_predicted_rotation(ran):
+    words = [r.word for r in load_table() if r.name in
+             ("5_2", "7_3", "7_4", "7_7", "8_6", "8_7", "8_17", "8_21")]
+    for key in ALL_MODELS:
+        mod = engine.model(*key)
+        for word in words:
+            del ran[:]
+            engine.tangle_invariant(word, mod)
+            want = (engine.cheapest_rotation(word)
+                    if mod.isotopy == "ambient" else word)
+            assert len(ran) == 1 and ran[0] == want, (key, word)
+    assert any(engine.cheapest_rotation(w) != w for w in words)
+
+
+def test_represent_runs_the_word_as_given():
+    word = next(r.word for r in load_table() if r.name == "8_17")
+    run = engine.cheapest_rotation(word)
+    assert run != word
+    for key in ALL_MODELS:
+        mod = engine.model(*key)
+        letters = engine._letters(word, mod.sigma, mod.sigma_inv)
+        for closure_only in (False, True):
+            assert engine.represent(word, mod, closure_only=closure_only) \
+                == dict(rmat._columns(mod.ring, word.strands, letters,
+                                      closure_only))
+
+
+def test_ambient_budget_error_names_the_word_and_its_rotation():
+    word = next(r.word for r in load_table() if r.name == "8_17")
+    run = engine.cheapest_rotation(word)
+    assert run != word
+    for case in (1, 2, 4):
+        with pytest.raises(engine.EngineError) as err:
+            engine.tangle_invariant(word, engine.model(case, "ambient"),
+                                    term_budget=3)
+        msg = str(err.value)
+        assert msg.startswith("term budget exceeded: ")
+        assert f" of braid '{run}', case {case} ambient; " in msg
+        assert msg.endswith(f"; braid '{run}' is the rotation closed for "
+                            f"the given braid '{word}'")
+
+
 def test_matveev():
     assert engine.matveev_test(engine.model(2, "regular")) is True
     assert engine.matveev_test(engine.model(3, "regular")) is True

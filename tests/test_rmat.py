@@ -669,14 +669,17 @@ def test_sector_bits_match_the_charge_sums(strands):
 
 
 def _operators_with_y():
-    """Every operator the package multiplies with Y-carrying terms: the
-    model sigmas and their inverses, quantum R1 and both trigonometric
-    operators."""
-    ops = {"R1": rmat.quantum_r(1), "trig gauged": rmat.build_trig_gauged(),
-           "trig gauge-free": rmat.build_trig_gauge_free()}
+    """A function that makes each operator the package multiplies with
+    Y-carrying terms: the model sigmas and their inverses, quantum R1 and
+    both trigonometric operators.  Nothing is made until a test calls one,
+    so a kernel fault fails the tests that make it, not the module's
+    collection."""
+    ops = {"R1": lambda: rmat.quantum_r(1),
+           "trig gauged": rmat.build_trig_gauged,
+           "trig gauge-free": rmat.build_trig_gauge_free}
     for key in engine.MODELS:
-        mod = engine.model(*key)
-        ops[f"{key} sigma"], ops[f"{key} sigma_inv"] = mod.sigma, mod.sigma_inv
+        ops[f"{key} sigma"] = lambda key=key: engine.model(*key).sigma
+        ops[f"{key} sigma_inv"] = lambda key=key: engine.model(*key).sigma_inv
     return ops
 
 
@@ -731,10 +734,13 @@ def _assert_a_y_free_table(op):
         _assert_lists_are_products(op, shift, 0, op.ring.one)
 
 
-@pytest.mark.parametrize("name, op", list(_operators_with_y().items()))
-def test_y_delta_lists_equal_the_ring_products(name, op):
+@pytest.mark.parametrize("name, build", [
+    pytest.param(name, build, id=f"{name}-op{i}")
+    for i, (name, build) in enumerate(_operators_with_y().items())])
+def test_y_delta_lists_equal_the_ring_products(name, build):
     """Every model sigma and inverse, R1 and the trigonometric operators;
     one with no Y-carrying term has no key with Y."""
+    op = build()
     ring = op.ring
     if ring._ys is not None and any(k >> ring._ys & 1
                                     for v in op.entries.values()
