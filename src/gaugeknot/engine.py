@@ -22,15 +22,24 @@ entries of the remaining letters, and a column that cannot return to s is
 skipped.  ``represent`` gives the full product unless asked for
 ``closure_only``.
 
-The work of that product depends on the word, not only on the knot: the
-pruning is strongest near the ends of the word, so a rotation of the same
-word can form far fewer terms.  A rotation is a conjugation, and all
-(1,1)-closures of conjugate knot braids are the same long knot, so for an
-ambient model ``tangle_invariant`` closes the rotation that
+The work of that product depends on the word, not only on the knot.  An
+ambient model's invariant is one of the knot: the single-loop identity
+makes it unchanged by Markov stabilization, and all (1,1)-closures of
+conjugate knot braids are the same long knot.  So for an ambient model
+``tangle_invariant`` first closes fewer letters and strands.
+``braid.reduce_knot_word`` cancels k against a later -k when every letter
+between them commutes with k (sigma_i sigma_j = sigma_j sigma_i for
+|i - j| >= 2, a braid relation); it does the same across the end of the
+word, which is a conjugation; and it drops a generator of the top or the
+bottom strand that occurs once, which is a conjugation (at the bottom, by
+the half twist) followed by a Markov destabilization.  The pruning is
+strongest near the ends of the word, so a rotation of the same word can
+form far fewer terms; of the reduced word it closes the rotation that
 ``cheapest_rotation`` picks from the letters alone.  A regular model
-closes the word it is given: its closed matrix is a non-scalar diagonal,
-and nothing proves it unchanged by conjugation.  ``represent`` is the
-product of the word it is given, whatever the model.
+closes the word it is given: its closed matrix is a non-scalar diagonal
+that stabilization multiplies by the handle, and nothing proves it
+unchanged by conjugation.  ``represent`` is the product of the word it is
+given, whatever the model.
 """
 
 from __future__ import annotations
@@ -40,7 +49,8 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import and_, or_
 
-from .braid import BraidWord, closure_components, matveev_pair
+from .braid import (BraidWord, closure_components, matveev_pair,
+                    reduce_knot_word)
 from .ring import (CONST, LaurentPoly, QONLY, QUANTUM, RingError, _folded,
                    map_poly)
 from .rmat import SparseROp, _columns, invert, quantum_r
@@ -302,19 +312,23 @@ def cheapest_rotation(word):
 def tangle_invariant(word, mod, term_budget=DEFAULT_TERM_BUDGET):
     """Close all strands but the first with C and return the 4x4 matrix,
     from the closure-only images of the word.  An ambient model closes
-    ``cheapest_rotation(word)`` instead, which is the same long knot, and
-    an error raised while a rotation runs names both words.  A regular
-    model closes the word as given (see the module docstring)."""
+    ``cheapest_rotation(reduce_knot_word(word))`` instead, which has the
+    same knot as closure, and an error raised while that word runs names
+    both words.  A regular model closes the word as given (see the module
+    docstring)."""
     if closure_components(word) != 1:
         raise EngineError(f"closure of {word} is not a knot")
-    run = cheapest_rotation(word) if mod.isotopy == "ambient" else word
+    if mod.isotopy == "ambient":
+        run = cheapest_rotation(reduce_knot_word(word))
+    else:
+        run = word
     try:
         rep = represent(run, mod, term_budget, closure_only=True)
     except RingError as exc:
         if run is word:
             raise
-        raise type(exc)(f"{exc}; braid '{run}' is the rotation closed for "
-                        f"the given braid '{word}'") from exc
+        raise type(exc)(f"{exc}; braid '{run}' is the word closed for the "
+                        f"given braid '{word}'") from exc
     return TangleInvariant(_close(mod, rep.items()))
 
 

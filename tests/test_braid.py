@@ -2,7 +2,9 @@
 
 import pytest
 
+from conftest import rand_knot_word
 from gaugeknot import braid
+from gaugeknot.harness import load_table
 
 
 def test_parse_examples():
@@ -41,6 +43,14 @@ def test_word_validation():
             braid.BraidWord(strands, letters)
 
 
+def test_letters_are_kept_as_a_tuple():
+    listed = braid.BraidWord(3, [1, -2, 1, -2])
+    assert listed.letters == (1, -2, 1, -2)
+    assert listed == braid.BraidWord(3, (1, -2, 1, -2))
+    assert hash(listed) == hash(braid.parse("3 : 1 -2 1 -2"))
+    assert {listed: 1}[braid.parse("3 : 1 -2 1 -2")] == 1
+
+
 def test_inverse_and_mirror():
     w = braid.parse("3 : 1 -2 1")
     assert w.inverse().letters == (-1, 2, -1)
@@ -62,3 +72,85 @@ def test_matveev_pair():
     assert str(b) == "3 : 2 -1 2"
     assert a.writhe == 1 and b.writhe == 1
     assert a.letters != b.letters
+
+
+def _commute(a, b):
+    return abs(abs(a) - abs(b)) >= 2
+
+
+def _steps_left(word):
+    """Which step of ``reduce_knot_word`` still applies to ``word``, by
+    trying every pair and every end: None when no step does."""
+    letters, n = word.letters, word.strands
+    for i, k in enumerate(letters):
+        for j in range(i + 1, len(letters)):
+            if letters[j] != -k:
+                continue
+            if all(_commute(x, k) for x in letters[i + 1:j]):
+                return f"pair {i}, {j}"
+            if all(_commute(x, k) for x in letters[:i] + letters[j + 1:]):
+                return f"pair {i}, {j} across the end"
+    gens = [abs(k) for k in letters]
+    for g in (1, n - 1):
+        if gens.count(g) == 1:
+            return f"destabilization at {g}"
+    return None
+
+
+def _reducer_words(rng):
+    words = [rand_knot_word(rng, strands, length)
+             for strands, length in ((3, 6), (4, 9), (5, 10), (6, 14))
+             for _ in range(25)]
+    return words + [r.word for r in load_table()]
+
+
+def test_reduced_words_admit_no_step(rng):
+    """No step applies to a reduced word, so reducing it again gives it
+    back itself; a word is never given more strands or letters."""
+    moved = 0
+    for word in _reducer_words(rng):
+        red = braid.reduce_knot_word(word)
+        assert _steps_left(red) is None, (word, red)
+        assert braid.reduce_knot_word(red) is red
+        assert red.strands <= word.strands
+        assert len(red.letters) <= len(word.letters)
+        assert braid.closure_components(red) == 1
+        assert red.letters == () or max(map(abs, red.letters)) == \
+            red.strands - 1
+        if red == word:
+            assert red is word
+        moved += red != word
+    assert 0 < moved
+
+
+@pytest.mark.parametrize("text", ["1 :", "2 : 1 1 1", "3 : 1 -2 1 -2",
+                                  "4 : 1 -2 3 -2 1 -2 3 -2 -2"])
+def test_a_word_that_does_not_reduce_is_returned_itself(text):
+    word = braid.parse(text)
+    assert braid.reduce_knot_word(word) is word
+
+
+@pytest.mark.parametrize("text, want", [
+    # -3 1 3 and 3 -1 -3 cancel, then 1 -1, then each generator in turn
+    # occurs once at the top
+    ("4 : -3 1 3 3 -1 -3 -2 -1 -3", "1 :"),
+    ("2 : 1", "1 :"),
+    ("3 : -2 1", "1 :"),
+    # a k ... -k pair across the end: 3 commutes with the 1 before it
+    ("4 : 1 3 -2 3 -2 1 -2 3 -2 -2 -3", "4 : 1 -2 3 -2 1 -2 3 -2 -2"),
+    # sigma_1 once: dropped, the rest shifted down
+    ("4 : 2 -3 2 1 -3", "3 : 1 -2 1 -2"),
+    # sigma_3 once: dropped with the top strand
+    ("4 : 1 -2 1 -2 3", "3 : 1 -2 1 -2"),
+])
+def test_reduction_examples(text, want):
+    word = braid.parse(text)
+    assert braid.closure_components(word) == 1
+    assert braid.reduce_knot_word(word) == braid.parse(want)
+
+
+def test_8_16_reduces_to_three_strands():
+    word = next(r.word for r in load_table() if r.name == "8_16")
+    red = braid.reduce_knot_word(word)
+    assert (word.strands, red.strands) == (4, 3)
+    assert str(red) == "3 : -2 1 -2 1 1 -2 1 1"

@@ -374,6 +374,62 @@ def test_ambient_stabilization_and_braid_relation(rng, case):
         assert [_closed_as_given(w, mod) for w in sides] == got
 
 
+def _shifted_up(word):
+    """The word on one more strand, every letter one generator higher."""
+    return braid.BraidWord(word.strands + 1,
+                           tuple(k + 1 if k > 0 else k - 1
+                                 for k in word.letters))
+
+
+@pytest.mark.parametrize("case", [1, 2, 4])
+def test_ambient_stabilization_at_either_end(rng, case):
+    """A Markov stabilization at the top strand, and at the bottom one
+    (the word shifted up, plus sigma_1^+-1), closes to the word's scalar:
+    what destabilization in ``reduce_knot_word`` rests on."""
+    mod = engine.model(case, "ambient")
+    words = []
+    while len(words) < 3:
+        # words that do not reduce, so that each stabilization is undone
+        # by exactly one destabilization
+        word = rand_knot_word(rng, strands=3, length=6)
+        if braid.reduce_knot_word(word) is word:
+            words.append(word)
+    for word in words:
+        want = _closed_as_given(word, mod)
+        n = len(word.letters)
+        for sign in (1, -1):
+            cut = rng.randrange(n + 1)
+            top = braid.BraidWord(4, word.letters[:cut] + (3 * sign,)
+                                  + word.letters[cut:])
+            up = _shifted_up(word).letters
+            bottom = braid.BraidWord(4, up[:cut] + (sign,) + up[cut:])
+            for stab in (top, bottom):
+                assert braid.reduce_knot_word(stab) == word, stab
+                assert _closed_as_given(stab, mod) == want, (word, stab)
+                assert engine.tangle_invariant(stab, mod).scalar() == want
+
+
+@pytest.mark.parametrize("case", [1, 2, 4])
+def test_ambient_pair_across_far_letters(rng, case):
+    """k and -k with letters between that all commute with k close to the
+    scalar of the word without the pair: what cancellation in
+    ``reduce_knot_word`` rests on."""
+    mod = engine.model(case, "ambient")
+    for k in (1, -1, 4, -4):
+        far = (3, -4) if abs(k) == 1 else (-1, 2)
+        while True:
+            word = rand_knot_word(rng, strands=5, length=6)
+            cut = rng.randrange(len(word.letters) + 1)
+            head, tail = word.letters[:cut], word.letters[cut:]
+            without = braid.BraidWord(5, head + far + tail)
+            if braid.closure_components(without) == 1:
+                break
+        paired = braid.BraidWord(5, head + (k,) + far + (-k,) + tail)
+        want = _closed_as_given(without, mod)
+        assert _closed_as_given(paired, mod) == want, (paired, without)
+        assert engine.tangle_invariant(paired, mod).scalar() == want
+
+
 def _rotation_costs(word):
     """The cost ``cheapest_rotation`` predicts for each rotation, by its
     docstring: over the cuts of the rotation, 4 ** (the number of strands
@@ -433,26 +489,33 @@ def ran(monkeypatch):
 @pytest.mark.parametrize("text", ["1 :", "2 : 1", "2 : -1", "3 : 1 2",
                                   "3 : -2 1"])
 def test_words_under_three_letters_are_closed_as_given(text, ran):
+    # no rotation is tried; each of these unknots reduces to "1 :", and
+    # "1 :" is itself
     word = braid.parse(text)
     assert engine.cheapest_rotation(word) is word
     for case in (1, 2, 4):
         mod = engine.model(case, "ambient")
         assert engine.tangle_invariant(word, mod).scalar() == mod.ring.one
-    assert ran == [word] * 3
+    assert ran == [UNKNOT] * 3
+    assert (ran[0] is word) == (word == UNKNOT)
 
 
 def test_ambient_models_close_the_predicted_rotation(ran):
     words = [r.word for r in load_table() if r.name in
-             ("5_2", "7_3", "7_4", "7_7", "8_6", "8_7", "8_17", "8_21")]
+             ("5_2", "7_3", "7_4", "7_6", "7_7", "8_6", "8_7", "8_16", "8_17",
+              "8_21")]
     for key in ALL_MODELS:
         mod = engine.model(*key)
         for word in words:
             del ran[:]
             engine.tangle_invariant(word, mod)
-            want = (engine.cheapest_rotation(word)
+            want = (engine.cheapest_rotation(braid.reduce_knot_word(word))
                     if mod.isotopy == "ambient" else word)
             assert len(ran) == 1 and ran[0] == want, (key, word)
+            if mod.isotopy == "regular":
+                assert ran[0] is word
     assert any(engine.cheapest_rotation(w) != w for w in words)
+    assert any(braid.reduce_knot_word(w).strands < w.strands for w in words)
 
 
 def test_represent_runs_the_word_as_given():
@@ -469,9 +532,9 @@ def test_represent_runs_the_word_as_given():
 
 
 def test_ambient_budget_error_names_the_word_and_its_rotation():
-    word = next(r.word for r in load_table() if r.name == "8_17")
-    run = engine.cheapest_rotation(word)
-    assert run != word
+    word = next(r.word for r in load_table() if r.name == "8_16")
+    run = engine.cheapest_rotation(braid.reduce_knot_word(word))
+    assert (word.strands, run.strands) == (4, 3)
     for case in (1, 2, 4):
         with pytest.raises(engine.EngineError) as err:
             engine.tangle_invariant(word, engine.model(case, "ambient"),
@@ -479,8 +542,8 @@ def test_ambient_budget_error_names_the_word_and_its_rotation():
         msg = str(err.value)
         assert msg.startswith("term budget exceeded: ")
         assert f" of braid '{run}', case {case} ambient; " in msg
-        assert msg.endswith(f"; braid '{run}' is the rotation closed for "
-                            f"the given braid '{word}'")
+        assert msg.endswith(f"; braid '{run}' is the word closed for the "
+                            f"given braid '{word}'")
 
 
 def test_matveev():
