@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import charge_mixing_op, rand_knot_word
+from conftest import charge_mixing_op, closed_as_given, rand_knot_word
 from gaugeknot import braid, engine, rmat
 from gaugeknot.harness import load_table
 from gaugeknot.ring import CONST, QONLY, QUANTUM, map_poly
@@ -299,11 +299,12 @@ def test_conjugation_invariance(rng):
 
 
 def test_stabilization():
-    # ambient: Reidemeister I leaves the invariant alone
+    # ambient: Reidemeister I leaves the closure alone; each word is closed
+    # as given, as tangle_invariant would destabilize stab back to TREFOIL
+    amb = engine.model(2, "ambient")
     for sign in (1, -1):
         stab = braid.BraidWord(3, TREFOIL.letters + (2 * sign,))
-        assert engine.ambient_invariant(stab, 2) == \
-            engine.ambient_invariant(TREFOIL, 2)
+        assert _closed_as_given(stab, amb) == _closed_as_given(TREFOIL, amb)
     # regular: stabilization multiplies by the handle diagonal
     mod = engine.model(2, "regular")
     base = engine.tangle_invariant(TREFOIL, mod).diagonal()
@@ -317,10 +318,8 @@ def test_stabilization():
 
 
 def _closed_as_given(word, mod):
-    """The scalar of the closure of ``word`` itself, past the rotation
-    choice of ``tangle_invariant``."""
-    rep = engine.represent(word, mod, closure_only=True)
-    return engine.TangleInvariant(engine._close(mod, rep.items())).scalar()
+    """The scalar of the closure of ``word`` itself."""
+    return closed_as_given(word, mod).scalar()
 
 
 def _rotation(word, r):
@@ -489,8 +488,10 @@ def ran(monkeypatch):
 @pytest.mark.parametrize("text", ["1 :", "2 : 1", "2 : -1", "3 : 1 2",
                                   "3 : -2 1"])
 def test_words_under_three_letters_are_closed_as_given(text, ran):
-    # no rotation is tried; each of these unknots reduces to "1 :", and
-    # "1 :" is itself
+    """``cheapest_rotation`` returns a word of under three letters as given.
+    Each of these unknot words reduces to "1 :" first ("1 :" to itself), so
+    the word an ambient model closes is "1 :", the given object only for
+    "1 :"."""
     word = braid.parse(text)
     assert engine.cheapest_rotation(word) is word
     for case in (1, 2, 4):
@@ -532,6 +533,8 @@ def test_represent_runs_the_word_as_given():
 
 
 def test_ambient_budget_error_names_the_word_and_its_rotation():
+    """The error names the given word and the word closed for it: the
+    cheapest rotation of the reduced word, here on 3 strands for 8_16's 4."""
     word = next(r.word for r in load_table() if r.name == "8_16")
     run = engine.cheapest_rotation(braid.reduce_knot_word(word))
     assert (word.strands, run.strands) == (4, 3)
