@@ -131,14 +131,16 @@ def _cmd_invariant(args, parser):
         parser.error(f"--isotopy: no {isotopy} model for case {args.case}")
     mod = engine.model(args.case, isotopy)
     inv = engine.tangle_invariant(word, mod)
-    matrix = [[str(v) for v in row] for row in inv.matrix]
+    diag = [str(v) for v in inv.entries]
     if args.format == "json":
+        matrix = [[d if a == b else "0" for b in range(4)]
+                  for a, d in enumerate(diag)]
         print(json.dumps({"knot": args.knot or str(word), "case": args.case,
                           "isotopy": isotopy, "writhe": word.writhe,
                           "matrix": matrix}, indent=2, sort_keys=True))
     else:
-        for a in range(4):
-            print(f"[{a + 1}][{a + 1}]  {matrix[a][a]}")
+        for a, d in enumerate(diag, start=1):
+            print(f"[{a}][{a}]  {d}")
     return EX_OK
 
 

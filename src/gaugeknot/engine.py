@@ -15,12 +15,13 @@ The closure reads, for input column s, the outputs that agree with s on
 strands 2..n.  ``StateModel`` refuses a sigma or sigma^-1 that does not
 conserve rmat's ``CHARGE``, the one check the closure rests on: the four
 indices have four different charges, so such an output agrees with s on
-strand 1 too, and the closed 4x4 matrix is diagonal by construction.
-``tangle_invariant`` and ``verify_handle`` run the product closure-only: a
-term is formed only if its state can still return to s through the nonzero
-entries of the remaining letters, and a column that cannot return to s is
-skipped.  ``represent`` gives the full product unless asked for
-``closure_only``.
+strand 1 too, and the closed 4x4 matrix is diagonal.  The invariant is
+therefore its four diagonal entries.  ``tangle_invariant`` and
+``verify_handle`` run the product closure-only, which takes
+charge-conserving letters only: a term is formed only if its state can
+still return to s through the nonzero entries of the remaining letters,
+and a column that cannot return to s is skipped.  ``represent`` gives the
+full product unless asked for ``closure_only``.
 
 The work of that product depends on the word, not only on the knot.  An
 ambient model's invariant is one of the knot: the single-loop identity
@@ -102,17 +103,19 @@ class StateModel:
         return self.sigma.ring
 
 
-@dataclass
+@dataclass(frozen=True)
 class TangleInvariant:
-    matrix: list      # 4x4 of LaurentPoly, zero off the diagonal
+    """The closed (1,1)-tangle: the four diagonal entries of a 4x4 matrix
+    that is zero off the diagonal (see the module docstring)."""
+    entries: tuple    # 4 LaurentPoly
 
     def diagonal(self):
-        return [self.matrix[a][a] for a in range(4)]
+        return list(self.entries)
 
     def scalar(self):
         """The scalar when the matrix is that multiple of the identity."""
-        d = self.matrix[0][0]
-        if any(x != d for x in self.diagonal()):
+        d = self.entries[0]
+        if any(x != d for x in self.entries):
             raise EngineError("tangle invariant is not scalar")
         return d
 
@@ -200,13 +203,13 @@ def _letters(word, sigma, sigma_inv):
 
 
 def _close(mod, columns):
-    """Close every strand but the first with C: M[b][b] sums C[s[1]] ...
-    C[s[n-1]] * image(s)[s] over input columns s with s[0] = b.  Each C
-    entry is one real term (``StateModel``), so a column's weight is one
-    key offset and one int: it is added to the keys of the image, into one
-    term dict per diagonal entry, which ``ring._folded`` settles and
-    range-checks once.  The entries off the diagonal are zero, as the model
-    conserves the charge."""
+    """Close every strand but the first with C: the four diagonal entries
+    M[b][b], each the sum of C[s[1]] ... C[s[n-1]] * image(s)[s] over input
+    columns s with s[0] = b.  Each C entry is one real term
+    (``StateModel``), so a column's weight is one key offset and one int:
+    it is added to the keys of the image, into one term dict per entry,
+    which ``ring._folded`` settles and range-checks once.  The entries off
+    the diagonal are zero, as the model conserves the charge."""
     ring = mod.ring
     weights = [(k - ring._bias, x) for c in mod.C for k, x in c._t.items()]
     sums = [{} for _ in range(4)]
@@ -224,11 +227,7 @@ def _close(mod, columns):
         for k, x in v._t.items():
             k += offset
             terms[k] = get(k, 0) + x * w
-    M = [[ring.zero] * 4 for _ in range(4)]
-    for b in range(4):
-        if sums[b]:
-            M[b][b] = LaurentPoly(ring, _folded(ring, sums[b]))
-    return M
+    return tuple(LaurentPoly(ring, _folded(ring, t)) for t in sums)
 
 
 def verify_handle(mod):
@@ -243,11 +242,10 @@ def verify_handle(mod):
     else:
         exp_plus = mod.handle
     exp_minus = tuple(d.invert_monomial() for d in exp_plus)
-    for op, expected in ((mod.sigma, exp_plus), (mod.sigma_inv, exp_minus)):
-        T = _close(mod, _columns(ring, 2, [(1, op)], closure_only=True))
-        if [T[a][a] for a in range(4)] != list(expected):
-            return False
-    return True
+    return all(_close(mod, _columns(ring, 2, [(1, op)], closure_only=True))
+               == expected
+               for op, expected in ((mod.sigma, exp_plus),
+                                    (mod.sigma_inv, exp_minus)))
 
 
 def represent(word, mod, term_budget=DEFAULT_TERM_BUDGET, closure_only=False):
@@ -285,24 +283,14 @@ def cheapest_rotation(word):
     n = len(letters)
     if n < 3:
         return word
-    m = n - 1       # the cuts of a rotation
-    masks = [3 << abs(k) for k in letters] * 2
-    # arcs[a * m + l - 1]: one bit per strand that the l letters from a on
-    # touch, cyclically (1 <= l <= m); twice over, for starts past the end
-    arcs = []
-    for a in range(n):
-        arcs += accumulate(masks[a:a + m], or_)
-    arcs += arcs
-    # Rotation r's cut after j letters has arcs[r * m + j - 1] before it,
-    # and after it the n - j letters from r + j on, at index
-    # (r + j) * m + n - j - 1: a stride of m - 1 in j.
-    rest = []
+    masks = [3 << abs(k) for k in letters]
+    costs = []
     for r in range(n):
-        first = (r + 1) * m + m - 1
-        rest += arcs[first:first + (m - 1) ** 2 + 1:m - 1]
-    weights = list(map(pow, repeat(4), map(int.bit_count,
-                                           map(and_, arcs, rest))))
-    costs = [sum(weights[i:i + m]) for i in range(0, n * m, m)]
+        rot = masks[r:] + masks[:r]
+        before = accumulate(rot[:-1], or_)
+        after = list(accumulate(reversed(rot[1:]), or_))[::-1]
+        costs.append(sum(map(pow, repeat(4), map(int.bit_count,
+                                                 map(and_, before, after)))))
     r = costs.index(min(costs))
     if r == 0:
         return word
@@ -310,11 +298,11 @@ def cheapest_rotation(word):
 
 
 def tangle_invariant(word, mod, term_budget=DEFAULT_TERM_BUDGET):
-    """Close all strands but the first with C and return the 4x4 matrix,
-    from the closure-only images of the word.  An ambient model closes
-    ``cheapest_rotation(reduce_knot_word(word))`` instead, which has the
-    same knot as closure, and an error raised while that word runs names
-    both words.  A regular model closes the word as given (see the module
+    """Close all strands but the first with C and return the diagonal of
+    the 4x4 matrix, from the closure-only images of the word.  An ambient
+    model closes ``cheapest_rotation(reduce_knot_word(word))`` instead,
+    which has the same knot as closure, and an error raised while that
+    word runs names both words.  A regular model closes the word as given (see the module
     docstring)."""
     if closure_components(word) != 1:
         raise EngineError(f"closure of {word} is not a knot")
@@ -333,7 +321,7 @@ def tangle_invariant(word, mod, term_budget=DEFAULT_TERM_BUDGET):
 
 
 def ambient_invariant(word, case, term_budget=DEFAULT_TERM_BUDGET):
-    """The scalar of the (necessarily scalar) ambient 4x4 invariant."""
+    """The scalar of the (necessarily scalar) ambient invariant."""
     return tangle_invariant(word, model(case, "ambient"), term_budget).scalar()
 
 

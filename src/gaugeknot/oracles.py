@@ -154,17 +154,30 @@ def _burau_row(inverse=False):
 
 
 def _det(M):
-    """Cofactor expansion along the first row, skipping zero entries."""
+    """Determinant by fraction-free (Bareiss) elimination: step k replaces
+    each entry below and right of the pivot by the 2x2 minor it forms with
+    the pivot, divided exactly by the previous pivot, so every entry stays
+    a OnePoly and the last one is the determinant.  A zero pivot is
+    swapped with a row below it, which flips the sign; with none the
+    determinant is 0.  O(n**3) OnePoly operations."""
+    M = [list(row) for row in M]
     n = len(M)
-    if n == 0:
-        return OnePoly.const(1)
-    out = OnePoly()
-    for j in range(n):
-        if not M[0][j].is_zero():
-            minor = [[M[r][c] for c in range(n) if c != j] for r in range(1, n)]
-            term = M[0][j] * _det(minor)
-            out = out + (-term if j % 2 else term)
-    return out
+    sign, prev = 1, OnePoly.const(1)
+    for k in range(n - 1):
+        if M[k][k].is_zero():
+            swap = next((r for r in range(k + 1, n)
+                         if not M[r][k].is_zero()), None)
+            if swap is None:
+                return OnePoly()
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        pivot = M[k][k]
+        for row in M[k + 1:]:
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - row[k] * M[k][j]).divexact(prev)
+        prev = pivot
+    det = M[-1][-1] if M else OnePoly.const(1)
+    return det if sign > 0 else -det
 
 
 def alexander(word):

@@ -14,9 +14,10 @@ next field.  ``LaurentPoly.terms`` is a read-only view keyed by exponent
 tuples, with ``(re, im)`` coefficients, built on first read.
 
 A ring may adjoin the square-root symbol ``Y`` with ``Y**2 = r`` for a
-Y-free ``r``; every polynomial has Y-degree 0 or 1, because products fold
-Y**2 into ``r``.  Y has a 2-bit field of its own.  Products fold i**2 into
--1 the same way, so the i field holds 0 or 1.  Y is not a unit; the other
+Y-free ``r``, which it is built with; every polynomial has Y-degree 0 or
+1, because products fold Y**2 into ``r``.  Y has a 2-bit field of its
+own.  Products fold i**2 into -1 the same way, so the i field holds 0 or
+1.  Y is not a unit; the other
 variables are Laurent variables.  The ring has no quotients: a
 trigonometric R-matrix entry is kept as a numerator over one denominator
 (``rmat.TRIG_DENOMINATOR``).  ``cleared_values`` evaluates polynomials at
@@ -61,12 +62,15 @@ class Ring:
     """A Laurent-polynomial ring whose variable tuple, and so every packed
     key's field order, follows MASTER_ORDER.
 
-    If ``"Y"`` is among the names, its polynomials have Y-degree 0 or 1, and
-    ``set_y_square`` must be called with the Y-free polynomial that Y**2
-    folds into before any multiplication touching Y is performed.
+    A ring has ``"Y"`` among its names exactly when it is given
+    ``y_square``, a function of the new ring that returns the Y-free
+    polynomial Y**2 folds into; its polynomials then have Y-degree 0 or 1.
+    The function is called before the ring folds Y**2, so a relation that
+    has Y, a Y * Y among them, is refused with ``RingError``, as is Y
+    without a relation or a relation without Y.
     """
 
-    def __init__(self, names):
+    def __init__(self, names, y_square=None):
         self.names = tuple(names)
         if self.names != tuple(n for n in MASTER_ORDER if n in self.names):
             raise RingError(f"variables {self.names} are not distinct names "
@@ -95,26 +99,29 @@ class Ring:
         self._image_bias = sum(_IMAGE_LIMIT << s for s, _, b in self._layout if b)
         self._image_guard = sum(((1 << _FIELD_BITS) - 2 * _IMAGE_LIMIT) << s
                                 for s, _, b in self._layout if b)
-        self._ys = None if self.y_index is None else self._layout[self.y_index][0]
-        # the key bits of an out-of-range exponent, i**2 or Y**2
-        self._fold_bits = self._guard | 2 | (0 if self._ys is None
-                                             else 2 << self._ys)
-        self.y_square = None
+        # the key bits of an out-of-range exponent or i**2; Y**2's join
+        # them once the relation is set
+        self._fold_bits = self._guard | 2
+        self._ys = self.y_square = None
         self.zero = LaurentPoly(self, {})
         self.one = LaurentPoly(self, {self._bias: 1})
-
-    def set_y_square(self, poly):
-        ys = self._ys
-        if ys is None:
-            raise RingError("ring has no Y symbol")
-        if any((k >> ys) & 3 for k in poly._t):
-            raise RingError("Y**2 rewrite must be Y-free")
-        self.y_square = poly
-        # Y**-2 * r as key offsets: a product's Y**2 terms times this land
-        # at Y-degree 0, and so do the Y-carrying deltas of the operator
-        # product's tables
-        self._y_fold = {k - self._bias - (2 << ys): c
-                        for k, c in poly._t.items()}
+        if (y_square is None) != (self.y_index is None):
+            raise RingError(f"a ring with variables {self.names} needs a Y**2 "
+                            f"relation exactly when it has Y")
+        if y_square is not None:
+            ys = self._layout[self.y_index][0]
+            r = y_square(self)
+            if (not isinstance(r, LaurentPoly) or r.ring is not self
+                    or any((k >> ys) & 3 for k in r._t)):
+                raise RingError(f"Y**2 relation {r} is not a Y-free "
+                                f"polynomial of {self}")
+            self._ys, self.y_square = ys, r
+            self._fold_bits |= 2 << ys
+            # Y**-2 * r as key offsets: a product's Y**2 terms times this
+            # land at Y-degree 0, and so do the Y-carrying deltas of the
+            # operator product's tables
+            self._y_fold = {k - self._bias - (2 << ys): c
+                            for k, c in r._t.items()}
 
     def _pack(self, exps):
         if exps and not -EXP_BIAS <= min(exps) <= max(exps) < EXP_BIAS:
@@ -225,12 +232,11 @@ def _folded(ring, terms):
     holds 4.  Of the package's callers only ``LaurentPoly.__mul__`` forms
     Y**2 terms: in an operator's one transition table a key that carries
     Y takes deltas with Y**2 already folded in
-    (``rmat.SparseROp._transitions``) when the relation is set, and the
-    closure adds Y-free weights.  The operator product calls it after
-    each letter only when the product needs it, a rule decided once per
-    product (``rmat._columns``): when its letters' exponent bounds sum to
-    ``EXP_BIAS`` or more, a delta carries i, or Y * Y can form with the
-    Y**2 relation unset."""
+    (``rmat.SparseROp._transitions``), and the closure adds Y-free
+    weights.  The operator product calls it after each letter only when
+    the product needs it, a rule decided once per product
+    (``rmat._columns``): when its letters' exponent bounds sum to
+    ``EXP_BIAS`` or more, or a delta carries i."""
     _nonzero(terms)
     acc = reduce(or_, terms, 0)
     if not acc & ring._fold_bits:
@@ -241,8 +247,6 @@ def _folded(ring, terms):
         _fold_i(terms)
     ys = ring._ys
     if ys is not None and (acc >> ys) & 2:
-        if ring.y_square is None:
-            raise RingError("Y**2 rewrite relation not set for this ring")
         high = {k: terms.pop(k) for k in [k for k in terms
                                            if (k >> ys) & 3 == 2]}
         _mul_into(terms, high, ring._y_fold, 0)
@@ -425,18 +429,15 @@ def canonical_str(poly):
 # The two standard rings.
 
 #: Quantum regime: p = q**(alpha+1/2), Q = q**(1/2), Y**2 = (p/Q - Q/p)(pQ - 1/(pQ)).
-QUANTUM = Ring(("p", "Q", "Y"))
-QUANTUM.set_y_square(
-    QUANTUM.mono(1, p=2) + QUANTUM.mono(1, p=-2)
-    - QUANTUM.mono(1, Q=2) - QUANTUM.mono(1, Q=-2))
+QUANTUM = Ring(("p", "Q", "Y"), lambda r: r.mono(1, p=2) + r.mono(1, p=-2)
+               - r.mono(1, Q=2) - r.mono(1, Q=-2))
 
 #: Trigonometric regime: Aa = q**alpha, X = q**u, Xv = q**v, Ru = r**u, etc.
 #: Y here squares to (q**alpha - q**-alpha)(q**(1+alpha) - q**-(1+alpha)),
 #: i.e. the bracket product [alpha][1+alpha] times (q - 1/q)**2.
-TRIG = Ring(("Q", "Y", "Aa", "X", "Xv", "Ru", "Rv", "Su", "Sv"))
-TRIG.set_y_square(
-    TRIG.mono(1, Aa=2, Q=2) + TRIG.mono(1, Aa=-2, Q=-2)
-    - TRIG.mono(1, Q=2) - TRIG.mono(1, Q=-2))
+TRIG = Ring(("Q", "Y", "Aa", "X", "Xv", "Ru", "Rv", "Su", "Sv"),
+            lambda r: r.mono(1, Aa=2, Q=2) + r.mono(1, Aa=-2, Q=-2)
+            - r.mono(1, Q=2) - r.mono(1, Q=-2))
 
 #: One-variable reduction used by the gauge-2 ambient model (p set to 1).
 QONLY = Ring(("Q",))
@@ -533,8 +534,6 @@ def cleared_values(polys, point):
 def _check_y(ring, point, y):
     """RingError unless Y = (c + d*i)/g, ``y = (g, c, d)``, squares to the
     ring's ``y_square`` at the point."""
-    if ring.y_square is None:
-        raise RingError("Y**2 rewrite relation not set for this ring")
     g, c, d = y
     f, ((r, s),) = cleared_values([ring.y_square], point)
     # (c + d*i)**2 / g**2 == (r + s*i) / f

@@ -26,18 +26,20 @@ monomial``, S = ``Ring._width``), so that each term of an operator entry
 acts as one additive key delta that sets two strands and multiplies the
 monomials at once.  Every letter looks a key's deltas up in one
 transition table of its operator, by the key's input bits and, when the
-operator folds Y, its Y bit: a key that carries Y takes deltas in which
-each Y-carrying term is already multiplied out by the Y**2 relation, so
-no letter forms a Y**2 term.  The exponent range is proven once per
-product: each operator bounds how far one letter moves an exponent, and
-when its letters' bounds sum below ``ring.EXP_BIAS``, no delta carries i
-and Y * Y cannot form with the Y**2 relation unset, a letter only drops
-a column's cancelled terms.  Otherwise every column folds i**2 and is
-range-checked after every letter.  For the (1,1)-closure it forms only
-the terms whose state can still return to their input column through the
-nonzero entries of the remaining letters, found by one backward pass of
-bitsets over the letters.  The transition tables, the bounds and the
-backward pass's slice plans are built once per operator and kept on it.
+operator has a Y-carrying term, its Y bit: a key that carries Y takes
+deltas in which each Y-carrying term is already multiplied out by the
+ring's Y**2 relation, so no letter forms a Y**2 term.  The exponent range
+is proven once per product: each operator bounds how far one letter moves
+an exponent, and when its letters' bounds sum below ``ring.EXP_BIAS`` and
+no delta carries i, a letter only drops a column's cancelled terms.
+Otherwise every column folds i**2 and is range-checked after every
+letter.  For the (1,1)-closure it forms only the terms whose state can
+still return to their input column through the nonzero entries of the
+remaining letters, found by one backward pass of bitsets over the
+letters, numbered within charge sectors: a closure-only product takes
+charge-conserving operators only.  The transition tables, the bounds and
+the backward pass's slice plans are built once per operator and kept on
+it.
 """
 
 from __future__ import annotations
@@ -128,28 +130,26 @@ class SparseROp:
         ``xor`` turning the input state into the output one.
 
         ``mask`` is ``15 << shift + S``, S the ring's key width, and holds
-        the Y bit too when the operator folds Y: some entry term carries Y
-        and the ring's Y**2 relation is set (else a Y * Y product forms a
-        Y**2 key, which ``ring._folded`` refuses).  Then a key with Y has
-        its own lists, in which each Y-carrying term is multiplied out by
-        ``ring._y_fold`` (Y**-2 * r as key offsets), so through it the key
-        lands at Y-degree 0 and no Y**2 key is formed.  Every list has i**2
-        folded, its pairs merged by delta and its zeros dropped.  Built on
-        the first call for a ``shift`` and kept on the operator.
+        the Y bit too when the operator folds Y: some entry term carries Y.
+        Then a key with Y has its own lists, in which each Y-carrying term
+        is multiplied out by ``ring._y_fold`` (Y**-2 * r as key offsets),
+        so through it the key lands at Y-degree 0 and no Y**2 key is
+        formed.  Every list has i**2 folded, its pairs merged by delta and
+        its zeros dropped.  Built on the first call for a ``shift`` and
+        kept on the operator.
 
         The first build also keeps two facts on the operator, the same at
         every shift.  ``_bound`` is the largest |exponent| of a Laurent
         variable that one of its letters adds to a key: its entries', plus
         the Y**2 relation's when a Y-carrying term is folded.  ``_settle``
         says whether its letters need ``ring._folded`` after each letter
-        anyway: some delta carries i, so i**2 can form, or some term
-        carries Y while the ring's Y**2 relation is not set, so Y**2 can."""
+        anyway: some delta carries i, so i**2 can form."""
         table = self._tables.get(shift)
         if table is not None:
             return table
         ring = self.ring
         up = shift + ring._width
-        ybit = 0 if ring.y_square is None else 1 << ring._ys
+        ybit = 0 if ring._ys is None else 1 << ring._ys
         keys = [k for v in self.entries.values() for k in v._t]
         fold = any(k & ybit for k in keys)
         ybits = (0, ybit) if fold else (0,)
@@ -175,29 +175,29 @@ class SparseROp:
         if not self._tables:
             self._bound = _largest_exponent(ring, keys) + (
                 _largest_exponent(ring, ring.y_square._t) if fold else 0)
-            unset_y = (ring.y_square is None and ring._ys is not None
-                       and any(k >> ring._ys & 1 for k in keys))
-            self._settle = unset_y or any(
-                d & 1 for by_out in table.values() for _, pairs in by_out
-                for d, _ in pairs)
+            self._settle = any(d & 1 for by_out in table.values()
+                               for _, pairs in by_out for d, _ in pairs)
         table = self._tables[shift] = (table, 15 << up | (ybit if fold else 0))
         return table
 
     def _plan(self, strands, shift):
         """The plan of ``_reach``'s pass through the operator on
         ``strands`` strands, acting on the two whose state bits start at
-        ``shift``: ``(slices, conserving)``.  For each input group of
-        ``_groups`` that has a nonzero entry, ``slices`` holds ``(target,
-        first, rest)`` slices of the list of states: states of the group,
-        and the states their first and other outputs turn them into, so
-        that a target's set is the OR of its outputs' sets.  A group's
-        outputs are read from the transition table under its key without
-        Y, ``g << shift + S``.  ``conserving`` says whether every entry
-        conserves the charge.  Built on the first call for a ``(strands,
-        shift)`` and kept on the operator."""
+        ``shift``: for each input group of ``_groups`` that has a nonzero
+        entry, ``(target, first, rest)`` slices of the list of states:
+        states of the group, and the states their first and other outputs
+        turn them into, so that a target's set is the OR of its outputs'
+        sets.  A group's outputs are read from the transition table under
+        its key without Y, ``g << shift + S``.  RingError unless the
+        operator conserves the charge, which ``_reach``'s numbering of
+        bits within charge sectors needs.  Built on the first call for a
+        ``(strands, shift)`` and kept on the operator."""
         plan = self._plans.get((strands, shift))
         if plan is not None:
             return plan
+        if not self.conserves_charge():
+            raise RingError("a closure-only product needs operators that "
+                            "conserve the charge (weight, n(2) - n(3))")
         table = self._transitions(shift)[0]
         up = shift + self.ring._width
         groups = _groups(strands, shift)
@@ -209,8 +209,8 @@ class SparseROp:
                 slices.extend((target, first, tuple(rest))
                               for target, first, *rest
                               in zip(groups[g], *outs))
-        plan = self._plans[strands, shift] = slices, self.conserves_charge()
-        return plan
+        self._plans[strands, shift] = slices
+        return slices
 
     def __repr__(self):
         return f"SparseROp({len(self.entries)} entries over {self.ring})"
@@ -251,19 +251,16 @@ def _reach(strands, letters):
     letters: ``reach[j][t]`` is the set of the states that state t after
     letter j can still reach through the nonzero entries of the later
     letters, as an int with one bit per state; ``reach[-1][t]`` is the bit
-    of t.  The bits are numbered within a class that no letter leaves: a
-    charge sector when every letter conserves the charge
-    (``_sector_bits``), else all states.  A letter's sets are ORs of the
-    next letter's, taken slice by slice as its operator's plan lists them
-    (``SparseROp._plan``); equal sets are one int."""
+    of t.  The bits are numbered within the charge sector of each state
+    (``_sector_bits``), which no letter leaves.  A letter's sets are ORs
+    of the next letter's, taken slice by slice as its operator's plan
+    lists them (``SparseROp._plan``, RingError for an operator that does
+    not conserve the charge); equal sets are one int."""
     plans = [op._plan(strands, _shift(strands, pos)) for pos, op in letters]
-    if all(conserving for _, conserving in plans):
-        nxt = _sector_bits(strands)
-    else:
-        nxt = [1 << t for t in range(4 ** strands)]
+    nxt = _sector_bits(strands)
     reach = [nxt]
     seen = {}
-    for slices, _ in reversed(plans):
+    for slices in reversed(plans):
         cur = [0] * len(nxt)
         for target, first, rest in slices:
             acc = nxt[first]
@@ -315,10 +312,9 @@ def _columns(ring, strands, letters, closure_only=False):
     at Y-degree 0 and no Y**2 key is formed.  Then the column's cancelled
     terms are deleted.  Whether each letter is also range-checked,
     with the fold of i**2 (``ring._folded``), is decided once per product:
-    it is not when the operators' bounds sum below ``EXP_BIAS``, no delta
-    carries i and Y * Y cannot form with the Y**2 relation unset, since no
-    key can then leave its range or form i**2 or Y**2.  At the end of a
-    column its keys are split by state into polynomials.
+    it is not when the operators' bounds sum below ``EXP_BIAS`` and no
+    delta carries i, since no key can then leave its range or form i**2.
+    At the end of a column its keys are split by state into polynomials.
 
     With ``closure_only`` it yields only what the (1,1)-closure reads: the
     image of each input column s at s itself.  One backward pass over the
@@ -328,8 +324,9 @@ def _columns(ring, strands, letters, closure_only=False):
     if its output state can still reach s: a term's deltas are taken one
     output at a time, and an output's only if that holds.  A term left out
     would reach s only through a zero entry, so the image kept is exactly
-    that of the full product, for any operators, charge-conserving or
-    not.  The full product runs the same loop, with every output passing.
+    that of the full product.  This mode takes operators that conserve the
+    charge only, RingError otherwise; the full product takes any operator
+    and runs the same loop, with every output passing.
     """
     # Per letter, its transition table and mask.
     width = ring._width

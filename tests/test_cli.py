@@ -105,7 +105,11 @@ def test_invariant_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["knot"] == "3_1" and data["writhe"] == 3
-    assert data["matrix"][0][0] == "1 * p^-6"
+    mid = "1 * Q^4 - 1 - 1 * Q^-8"
+    assert data["matrix"] == [["1 * p^-6", "0", "0", "0"],
+                              ["0", mid, "0", "0"],
+                              ["0", "0", mid, "0"],
+                              ["0", "0", "0", "1 * p^6"]]
 
 
 def test_invariant_default_isotopy_is_the_suite_one(capsys):

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from gaugeknot import braid, cli, harness, oracles
+from gaugeknot import braid, cli, engine, harness, oracles
 from gaugeknot.ring import QUANTUM
 
 
@@ -136,10 +136,8 @@ def test_a_global_unit_is_a_failure(monkeypatch, capsys):
     p2 = QUANTUM.mono(1, p=2)
 
     def scaled(word, mod):
-        inv = true(word, mod)
-        for a in range(4):
-            inv.matrix[a][a] = inv.matrix[a][a] * p2
-        return inv
+        return engine.TangleInvariant(tuple(d * p2 for d in
+                                            true(word, mod).entries))
 
     monkeypatch.setattr(oracles, "tangle_invariant", scaled)
     table = [r for r in harness.load_table() if r.crossings <= 5]

@@ -47,9 +47,31 @@ def test_y_degree_at_most_one():
     # Y**2 = p^2 + p^-2 - Q^2 - Q^-2 is no unit, so neither is Y
     with pytest.raises(RingError):
         QUANTUM.var("Y").invert_monomial()
-    unset = Ring(("p", "Y"))
-    with pytest.raises(RingError):
-        unset.var("Y") * unset.var("Y")
+
+
+def test_a_ring_has_y_exactly_when_it_is_built_with_its_relation():
+    """Y without a relation, a relation without Y, and a relation that is
+    not a Y-free polynomial of the new ring are refused; so a polynomial
+    with Y always has a relation to fold and map by."""
+    with pytest.raises(RingError, match="needs a Y\\*\\*2 relation"):
+        Ring(("p", "Y"))
+    with pytest.raises(RingError, match="needs a Y\\*\\*2 relation"):
+        Ring(("p", "Q"), lambda r: r.var("p"))
+    for bad in (lambda r: r.var("Y"), lambda r: r.var("Y") * r.var("Y"),
+                lambda r: r.mono(1, p=2) + r.mono(1, Y=1), lambda r: 1,
+                lambda r: QUANTUM.var("p")):
+        with pytest.raises(RingError, match="is not a Y-free polynomial"):
+            Ring(("p", "Y"), bad)
+    ring = Ring(("p", "Y"), lambda r: r.var("p", 2))
+    assert ring.y_square == ring.var("p", 2)
+    assert ring.var("Y") * ring.var("Y") == ring.var("p", 2)
+    # map_poly checks a Y image against the relation
+    assert map_poly(ring.mono(3, p=1, Y=1), ring,
+                    {"p": ring.var("p"), "Y": ring.var("p")}) == \
+        ring.mono(3, p=2)
+    with pytest.raises(RingError, match="Y image inconsistent"):
+        map_poly(ring.var("Y"), QUANTUM, {"p": QUANTUM.var("p"),
+                                          "Y": QUANTUM.var("Y")})
 
 
 def test_variables_follow_master_order():
@@ -202,8 +224,7 @@ def test_evaluate_y_consistency():
         cleared_values([Y], dict(imag, Y=Fraction(238, 33)))
     # with Y**2 = (5 + 12i) p**2, Y = (3 + 2i) p has parts over different
     # denominators at p = 1/6
-    ring = Ring(("p", "Y"))
-    ring.set_y_square(ring.mono((5, 12), p=2))
+    ring = Ring(("p", "Y"), lambda r: r.mono((5, 12), p=2))
     pt = {"p": Fraction(1, 6), "Y": (Fraction(1, 2), Fraction(1, 3))}
     assert value(ring.var("Y") + ring.mono((0, 1), p=-1, Y=1), pt) == \
         GaussQ(Fraction(-3, 2), Fraction(10, 3))
@@ -561,8 +582,7 @@ def test_i_and_y_fold_in_one_product():
     assert dict((it * it).terms) == _schoolbook(it, it)
     # with a complex Y**2 the fold itself forms i**2 terms: here
     # iY * Y = i * Y**2 = i * ip = -p
-    ring = Ring(("p", "Y"))
-    ring.set_y_square(ring.mono((0, 1), p=1))
+    ring = Ring(("p", "Y"), lambda r: r.mono((0, 1), p=1))
     iy, y = ring.mono((0, 1), Y=1), ring.var("Y")
     assert iy * y == -ring.var("p")
     assert iy * iy == ring.mono((0, -1), p=1)

@@ -304,14 +304,19 @@ def test_invert_refuses_a_charge_mixing_operator():
             check(op)
 
 
-def test_closure_only_prunes_strand_one():
-    """The closure-only product keeps each column's image at the input
-    column only, also where the operator changes strand 1 alone."""
+def test_closure_only_refuses_a_charge_mixing_letter():
+    """The full product takes an operator that changes strand 1 alone; the
+    closure-only one refuses it, at any place in the word, before a column
+    is yielded."""
     op = charge_mixing_op()
     full = dict(rmat._columns(QUANTUM, 2, [(1, op)]))
     assert set(full[(3, 1)]) == {(3, 1), (2, 1)}
-    fast = dict(rmat._columns(QUANTUM, 2, [(1, op)], closure_only=True))
-    assert fast == {s: {s: full[s][s]} for s in full}
+    sigma = engine.model(1, "ambient").sigma
+    for letters in ([(1, op)], [(1, sigma), (2, op)], [(2, op), (1, sigma)]):
+        with pytest.raises(RingError, match="closure-only product needs "
+                                            "operators that conserve the "
+                                            "charge"):
+            next(rmat._columns(QUANTUM, 3, letters, closure_only=True))
 
 
 def _tuple_product(ring, letters, s):
@@ -380,7 +385,14 @@ def _reference_columns(ring, strands, letters, closure_only=False):
 
 
 def _assert_columns_match(ring, strands, letters):
+    """Full and closure-only, the latter refused unless every letter
+    conserves the charge."""
     for closure_only in (False, True):
+        if closure_only and not all(op.conserves_charge()
+                                    for _, op in letters):
+            with pytest.raises(RingError, match="conserve the charge"):
+                next(rmat._columns(ring, strands, letters, closure_only))
+            continue
         got = list(rmat._columns(ring, strands, letters, closure_only))
         want = _reference_columns(ring, strands, letters, closure_only)
         assert got == want
@@ -467,17 +479,14 @@ def _reference_reach(strands, letters):
 
 def _assert_reach_matches_the_reference(strands, letters):
     """``_reach``'s bitsets read as sets of states, their bits numbered in
-    each state's charge sector when every letter conserves the charge."""
+    each state's charge sector."""
     states = list(product((1, 2, 3, 4), repeat=strands))
-    if all(op.conserves_charge() for _, op in letters):
-        seen = {}
-        bit = {}
-        for t in states:
-            charge = tuple(map(sum, zip(*(rmat.CHARGE[x] for x in t))))
-            i = seen[charge] = seen.get(charge, -1) + 1
-            bit[t] = 1 << i
-    else:
-        bit = {t: 1 << i for i, t in enumerate(states)}
+    seen = {}
+    bit = {}
+    for t in states:
+        charge = tuple(map(sum, zip(*(rmat.CHARGE[x] for x in t))))
+        i = seen[charge] = seen.get(charge, -1) + 1
+        bit[t] = 1 << i
     got = rmat._reach(strands, letters)
     assert len(got) == len(letters) + 1
     for bits, sets in zip(got, _reference_reach(strands, letters)):
@@ -495,16 +504,14 @@ def test_reach_matches_a_per_state_backward_pass(rng, key):
         _assert_reach_matches_the_reference(strands, letters)
 
 
-def test_reach_matches_a_per_state_backward_pass_with_charge_mixing(rng):
-    """Charge-mixing letters among case 1's on 2-4 strands: the bits are
-    numbered over all states."""
+def test_reach_refuses_a_charge_mixing_letter():
+    """Its bits are numbered within charge sectors, which a letter that
+    does not conserve the charge would leave."""
     mod = engine.model(1, "ambient")
-    for strands in (2, 3, 4):
-        letters = [(rng.randint(1, strands - 1),
-                    rng.choice((charge_mixing_op(), mod.sigma, mod.sigma_inv)))
-                   for _ in range(strands + 1)]
-        letters.insert(rng.randint(0, strands), (1, charge_mixing_op()))
-        _assert_reach_matches_the_reference(strands, letters)
+    for letters in ([(1, charge_mixing_op())],
+                    [(1, mod.sigma), (2, charge_mixing_op()), (1, mod.sigma)]):
+        with pytest.raises(RingError, match="conserve the charge"):
+            rmat._reach(3, letters)
 
 
 def _returns(letters, s):
@@ -542,24 +549,20 @@ def test_closure_only_matches_the_reference_on_every_model(rng, key):
     assert stuck
 
 
-def test_closure_only_matches_the_reference_with_charge_mixing_letters(rng):
-    """Letters that do not conserve the charge, one with input pairs that
-    have no entry at all, mixed with case 1's on 3 strands."""
+def test_closure_only_matches_the_reference_with_a_sparse_letter(rng):
+    """A charge-conserving operator with half of R1's entries, some input
+    pairs left with no entry at all, mixed with case 1's on 3 strands."""
     mod = engine.model(1, "ambient")
-    keys = list(product((1, 2, 3, 4), repeat=4))
-    sparse = SparseROp(QUANTUM, {
-        k: QUANTUM.mono(rng.choice((1, -1)), p=rng.randint(-2, 2))
-        for k in rng.sample(keys, 20)})
-    assert not sparse.conserves_charge()
+    entries = rmat.quantum_r(1).sorted_items()
+    sparse = SparseROp(QUANTUM, dict(rng.sample(entries, len(entries) // 2)))
+    assert sparse.conserves_charge()
     assert any(not by_out for by_out in sparse._transitions(0)[0].values())
     stuck = 0
     for _ in range(6):
         letters = [(rng.randint(1, 2),
-                    rng.choice((charge_mixing_op(), sparse, mod.sigma,
-                                mod.sigma_inv)))
+                    rng.choice((sparse, mod.sigma, mod.sigma_inv)))
                    for _ in range(4)]
-        letters.insert(rng.randint(0, 4), (rng.randint(1, 2),
-                                           charge_mixing_op()))
+        letters.insert(rng.randint(0, 4), (rng.randint(1, 2), sparse))
         stuck += _assert_closure_only_exact(QUANTUM, 3, letters)
     assert stuck
 
@@ -754,8 +757,7 @@ def test_folded_deltas_fold_i_squared():
     """With Y**2 = i*p, an entry i*Y*p times a key with Y forms i**2 in the
     delta itself, which the table folds; the kernel matches the reference
     in both modes."""
-    ring = Ring(("p", "Y"))
-    ring.set_y_square(ring.mono((0, 1), p=1))
+    ring = Ring(("p", "Y"), lambda r: r.mono((0, 1), p=1))
     entries = dict(rmat.identity_op(ring).entries)
     entries[(2, 2, 2, 2)] = ring.mono((0, 1), p=1, Y=1)
     entries[(3, 3, 3, 3)] = ring.mono(1, Y=1) + ring.mono(-2, p=-1)
@@ -771,8 +773,9 @@ def test_folded_deltas_fold_i_squared():
 
 def test_y_lists_of_a_sparse_operator(rng):
     """Y-carrying entries on a few input pairs only: every input group has
-    its lists under both keys, empty or not, and the kernel matches the
-    reference."""
+    its lists under both keys, empty or not, and the full product matches
+    the reference; the closure-only one refuses such an operator, which
+    does not conserve the charge."""
     keys = list(product((1, 2, 3, 4), repeat=4))
     for _ in range(4):
         sparse = SparseROp(QUANTUM, {
@@ -782,6 +785,7 @@ def test_y_lists_of_a_sparse_operator(rng):
         if not sparse._transitions(0)[1] & 1 << QUANTUM._ys:
             continue
         _assert_y_lists_are_products(sparse)
+        assert not sparse.conserves_charge()
         for strands in (2, 3):
             _assert_columns_match(QUANTUM, strands,
                                   [(rng.randint(1, strands - 1), sparse)
@@ -855,23 +859,6 @@ def test_columns_match_the_reference_where_y_products_arise(rng, key,
     _assert_columns_match(QUANTUM, 3, [(1, r1), (2, r3), (2, r1), (1, r3),
                                        (1, r1), (2, r3)])
     assert y_folds
-
-
-def test_an_unset_y_relation_is_refused_when_y_meets_y():
-    """A ring with Y whose Y**2 relation is not set: its operators have no
-    key with Y, one letter of Y is a product, and the second letter's
-    Y * Y raises."""
-    ring = Ring(("p", "Y"))
-    entries = dict(rmat.identity_op(ring).entries)
-    entries[(2, 2, 2, 2)] = ring.mono(1, p=1, Y=1)
-    op = SparseROp(ring, entries)
-    _assert_a_y_free_table(op)
-    assert dict(rmat._columns(ring, 2, [(1, op)]))[(2, 2)] == \
-        {(2, 2): ring.mono(1, p=1, Y=1)}
-    for closure_only in (False, True):
-        with pytest.raises(RingError, match=r"Y\*\*2 rewrite relation not "
-                                            r"set"):
-            list(rmat._columns(ring, 2, [(1, op), (1, op)], closure_only))
 
 
 @pytest.fixture
@@ -971,21 +958,6 @@ def test_yang_baxter_sides_settle_no_letter(name, folded_calls):
     for side in sides:
         _assert_columns_match(ring, 3, side)
     assert folded_calls == []
-
-
-def test_an_unset_y_relation_settles_every_letter(folded_calls):
-    """A Y-carrying operator over a ring whose Y**2 relation is not set
-    takes the per-letter settle even with a small bound; a Y-free one of
-    the same ring does not."""
-    ring = Ring(("p", "Y"))
-    for y, settled in ((1, True), (0, False)):
-        del folded_calls[:]
-        entries = dict(rmat.identity_op(ring).entries)
-        entries[(2, 2, 2, 2)] = ring.mono(1, p=1, Y=y)
-        op = SparseROp(ring, entries)
-        list(rmat._columns(ring, 2, [(1, op)]))
-        assert op._bound == 1 and op._settle == settled
-        assert bool(folded_calls) == settled
 
 
 def test_folded_deletes_a_cancelled_term_in_the_dict_it_is_given():
