@@ -75,6 +75,15 @@ class EngineError(RingError):
 #: At 136 bytes a term the budget is reached at about 4.6 GB, before 8 GiB.
 DEFAULT_TERM_BUDGET = (8 * 2**30) // 256
 
+#: The most strands represent() runs.  The product builds per-state tables
+#: of 4**n entries before the term budget can fire, and the closure's
+#: backward pass holds one bitset per state whose size grows with its
+#: charge sector, so memory grows faster than 4**n.  Peak RSS of case 2
+#: regular on s1 s2 ... s(n-1), in a fresh process (2-vCPU machine, Python
+#: 3.11): 23 MB at 7 strands, 67 MB at 8, 551 MB at 9, 1.7 s.  Every table
+#: word has at most 5 strands.
+MAX_ENGINE_STRANDS = 8
+
 
 @dataclass(frozen=True)
 class StateModel:
@@ -242,7 +251,7 @@ def verify_handle(mod):
     else:
         exp_plus = mod.handle
     exp_minus = tuple(d.invert_monomial() for d in exp_plus)
-    return all(_close(mod, _columns(ring, 2, [(1, op)], closure_only=True))
+    return all(_close(mod, _columns(ring, 2, [(1, op)], "closure"))
                == expected
                for op, expected in ((mod.sigma, exp_plus),
                                     (mod.sigma_inv, exp_minus)))
@@ -256,11 +265,18 @@ def represent(word, mod, term_budget=DEFAULT_TERM_BUDGET, closure_only=False):
     column itself, the one output the (1,1)-closure reads, and columns
     without it are left out; the rest of the product is never computed.
     The term budget counts the terms of the images stored here, so in that
-    mode only of the closure-read ones."""
+    mode only of the closure-read ones.  A word on more than
+    ``MAX_ENGINE_STRANDS`` strands is refused before any work."""
+    if word.strands > MAX_ENGINE_STRANDS:
+        raise EngineError(
+            f"braid '{word}' has {word.strands} strands, more than "
+            f"MAX_ENGINE_STRANDS = {MAX_ENGINE_STRANDS}, case {mod.case} "
+            f"{mod.isotopy}")
     out = {}
     stored = 0
     letters = _letters(word, mod.sigma, mod.sigma_inv)
-    for s, vec in _columns(mod.ring, word.strands, letters, closure_only):
+    outputs = "closure" if closure_only else "all"
+    for s, vec in _columns(mod.ring, word.strands, letters, outputs):
         stored += sum(map(len, vec.values()))
         if stored > term_budget:
             raise EngineError(

@@ -35,11 +35,12 @@ no delta carries i, a letter only drops a column's cancelled terms.
 Otherwise every column folds i**2 and is range-checked after every
 letter.  For the (1,1)-closure it forms only the terms whose state can
 still return to their input column through the nonzero entries of the
-remaining letters, found by one backward pass of bitsets over the
-letters, numbered within charge sectors: a closure-only product takes
-charge-conserving operators only.  The transition tables, the bounds and
-the backward pass's slice plans are built once per operator and kept on
-it.
+remaining letters, and for a Yang-Baxter comparison only those that can
+still reach an output at or after their input column; both are found by
+one backward pass of bitsets over the letters, numbered within charge
+sectors, so a pruned product takes charge-conserving operators only.
+The transition tables, the bounds and the backward pass's slice plans are
+built once per operator and kept on it.
 """
 
 from __future__ import annotations
@@ -117,6 +118,11 @@ class SparseROp:
     def conserves_charge(self):
         return all(_PAIR_CHARGE[a, b] == _PAIR_CHARGE[c, d]
                    for (a, b, c, d) in self.entries)
+
+    def transpose(self):
+        """The operator with entry (a, b, c, d) = this one's (c, d, a, b)."""
+        return SparseROp(self.ring, {(c, d, a, b): v for (a, b, c, d), v
+                                     in self.entries.items()})
 
     def sorted_items(self):
         return sorted(self.entries.items())
@@ -287,7 +293,7 @@ def _largest_exponent(ring, keys):
                default=0)
 
 
-def _columns(ring, strands, letters, closure_only=False):
+def _columns(ring, strands, letters, outputs="all"):
     """The one operator product: push every basis column of
     (C^4)^{x strands} through ``letters``, ``(pos, op)`` pairs applied first
     to last, ``op`` (polynomial entries of ``ring``; RingError for another
@@ -316,18 +322,32 @@ def _columns(ring, strands, letters, closure_only=False):
     delta carries i, since no key can then leave its range or form i**2.
     At the end of a column its keys are split by state into polynomials.
 
-    With ``closure_only`` it yields only what the (1,1)-closure reads: the
-    image of each input column s at s itself.  One backward pass over the
-    letters (``_reach``) gives, after each letter, the states each state
-    can still reach through nonzero entries of the later letters.  A
-    column s that cannot return to s is skipped, and a term is formed only
-    if its output state can still reach s: a term's deltas are taken one
-    output at a time, and an output's only if that holds.  A term left out
-    would reach s only through a zero entry, so the image kept is exactly
-    that of the full product.  This mode takes operators that conserve the
-    charge only, RingError otherwise; the full product takes any operator
-    and runs the same loop, with every output passing.
+    ``outputs`` says which outputs t of each input column s are kept:
+
+    * ``"all"``: every output, the full product.
+    * ``"closure"``: t = s only, what the (1,1)-closure reads.
+    * ``"triangle"``: t >= s in lexicographic order, the part of a product
+      that decides whether two products are equal when their difference
+      is symmetric up to a ring automorphism (``ybe``).
+
+    The last two prune.  One backward pass over the letters (``_reach``)
+    gives, after each letter, the set of states each state can still reach
+    through nonzero entries of the later letters, as bits numbered
+    lexicographically within each charge sector (``_sector_bits``).  So
+    the kept outputs of column s are one mask of those bits: s's own bit
+    for the closure, and every bit from s's up, ``-bit``, for the
+    triangle.  A column whose reach after no letter meets its mask is
+    skipped, and a term is formed only if its output state's reach does:
+    a term's deltas are taken one output at a time, and an output's only
+    if that holds.  A term left out would reach a kept output only through
+    a zero entry, so the images kept are exactly those of the full
+    product.  The pruning modes take operators that conserve the charge
+    only, RingError otherwise, since a state never leaves its sector
+    there; the full product takes any operator and runs the same loop,
+    every state reaching the one bit of every column.
     """
+    if outputs not in ("all", "closure", "triangle"):
+        raise ValueError(f"unknown outputs {outputs!r}")
     # Per letter, its transition table and mask.
     width = ring._width
     steps = []
@@ -339,19 +359,20 @@ def _columns(ring, strands, letters, closure_only=False):
     settle = (sum(op._bound for _, op in letters) >= EXP_BIAS
               or any(op._settle for _, op in letters))
     cols = list(product((1, 2, 3, 4), repeat=strands))
-    if closure_only:
-        reach = _reach(strands, letters)
-    else:
+    if outputs == "all":
         # every state reaches every column, whose bit is 1: the full
         # product passes every output
-        reach, bit = [[1] * len(cols)] * (len(steps) + 1), 1
+        reach = [[1] * len(cols)] * (len(steps) + 1)
+    else:
+        reach = _reach(strands, letters)
+    keeps = reach[-1]       # per column, the mask of the outputs it keeps
+    if outputs == "triangle":
+        keeps = [-bit for bit in keeps]
     after = reach[1:]       # per letter, the sets after it
     low = (1 << width) - 1
-    for s in range(len(cols)):
-        if closure_only:
-            bit = reach[-1][s]
-            if not reach[0][s] & bit:
-                continue
+    for s, (start, keep) in enumerate(zip(reach[0], keeps)):
+        if not start & keep:
+            continue
         vec = {s << width | ring._bias: 1}
         for nxt, (table, mask) in zip(after, steps):
             new = {}
@@ -359,7 +380,7 @@ def _columns(ring, strands, letters, closure_only=False):
             for k, c in vec.items():
                 t = k >> width
                 for xor, pairs in table[k & mask]:
-                    if nxt[t ^ xor] & bit:
+                    if nxt[t ^ xor] & keep:
                         for d, x in pairs:
                             e = k + d
                             new[e] = get(e, 0) + c * x

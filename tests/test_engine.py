@@ -1,5 +1,7 @@
 """State models and the (1,1)-tangle evaluator."""
 
+import re
+
 import pytest
 
 from conftest import charge_mixing_op, closed_as_given, rand_knot_word
@@ -129,6 +131,53 @@ def test_term_budget_through_tangle_invariant():
     for field in (r"\b5 stored terms", r"> budget 3 ",
                   r"input column \(1, 2\) ", r"braid '2 : 1 1 1'",
                   r"case 2 regular$"):
+        err.match(field)
+
+
+def test_represent_refuses_a_word_past_the_strand_limit():
+    """Past MAX_ENGINE_STRANDS the product's per-state tables would take
+    hundreds of MB before the term budget could fire, so the word is
+    refused first, named with its strands, case and isotopy.  At the limit
+    a word runs."""
+    top = engine.MAX_ENGINE_STRANDS
+    word = braid.BraidWord(top + 1, tuple(range(1, top + 1)))
+    for case, isotopy in ALL_MODELS:
+        mod = engine.model(case, isotopy)
+        for closure_only in (False, True):
+            with pytest.raises(engine.EngineError) as err:
+                engine.represent(word, mod, closure_only=closure_only)
+            for field in (re.escape(f"braid '{word}'"),
+                          rf"\b{top + 1} strands",
+                          rf"MAX_ENGINE_STRANDS = {top}\b",
+                          rf"case {case} {isotopy}$"):
+                err.match(field)
+    at_limit = braid.BraidWord(top, tuple(range(1, top)))
+    assert engine.represent(at_limit, engine.model(3, "regular"),
+                            closure_only=True)
+
+
+def test_the_strand_limit_reads_the_word_an_ambient_model_closes():
+    """An ambient model closes the reduced word, so a stabilized unknot past
+    the limit gives the unknot's invariant; a regular model closes the word
+    as given and refuses it.  A knot word that reduces, but not below the
+    limit, is refused with both words named."""
+    top = engine.MAX_ENGINE_STRANDS
+    unknot = braid.BraidWord(top + 1, tuple(range(1, top + 1)))
+    for case in (1, 2, 4):
+        mod = engine.model(case, "ambient")
+        assert engine.tangle_invariant(unknot, mod) == \
+            engine.tangle_invariant(UNKNOT, mod)
+    with pytest.raises(engine.EngineError,
+                       match=rf"\b{top + 1} strands.*case 2 regular$"):
+        engine.tangle_invariant(unknot, engine.model(2, "regular"))
+    knot = braid.BraidWord(top + 1, (2, -2) + tuple(
+        k for k in range(1, top + 1) for _ in range(3)))
+    assert braid.reduce_knot_word(knot) == \
+        braid.BraidWord(top + 1, knot.letters[2:])
+    with pytest.raises(engine.EngineError) as err:
+        engine.tangle_invariant(knot, engine.model(1, "ambient"))
+    for field in (rf"\b{top + 1} strands", r"case 1 ambient",
+                  re.escape(f"given braid '{knot}'")):
         err.match(field)
 
 
@@ -549,10 +598,10 @@ def test_represent_runs_the_word_as_given():
     for key in ALL_MODELS:
         mod = engine.model(*key)
         letters = engine._letters(word, mod.sigma, mod.sigma_inv)
-        for closure_only in (False, True):
+        for closure_only, outputs in ((False, "all"), (True, "closure")):
             assert engine.represent(word, mod, closure_only=closure_only) \
                 == dict(rmat._columns(mod.ring, word.strands, letters,
-                                      closure_only))
+                                      outputs))
 
 
 def test_ambient_budget_error_names_the_word_and_its_rotation():
@@ -625,3 +674,82 @@ def test_case1_symmetries():
     trefoil = knots["3_1"]
     assert engine.ambient_invariant(trefoil, 1) != \
         engine.ambient_invariant(trefoil.mirror(), 1)
+
+
+def test_every_operator_equals_its_transpose():
+    """Entry (a, b, c, d) = entry (c, d, a, b) for sigma and sigma^-1 of
+    every MODELS row, the four quantum R-matrices and both trigonometric
+    operators: each is a symmetric matrix on two sites, and so is each
+    letter it gives on n strands.  The reversal theorem below and the
+    triangle of ``ybe`` rest on this."""
+    ops = {f"{case} {isotopy} {name}": getattr(engine.model(case, isotopy),
+                                               name)
+           for case, isotopy in ALL_MODELS for name in ("sigma", "sigma_inv")}
+    ops.update({f"R{i}": rmat.quantum_r(i) for i in (1, 2, 3, 4)})
+    ops["trig gauged"] = rmat.build_trig_gauged()
+    ops["trig gauge-free"] = rmat.build_trig_gauge_free()
+    assert len(ops) == 16
+    for name, op in ops.items():
+        assert op.transpose() == op, name
+    entries = dict(rmat.quantum_r(1).entries)
+    entries[(2, 3, 3, 2)] = entries[(2, 3, 3, 2)] * 2
+    skewed = rmat.SparseROp(QUANTUM, entries)
+    assert skewed.transpose() != skewed
+    assert skewed.transpose().transpose() == skewed
+
+
+@pytest.mark.parametrize("key", [(2, "regular"), (3, "regular"),
+                                 (2, "ambient"), (4, "ambient")])
+def test_the_reversed_word_has_the_same_closure(key):
+    """Theorem: a word read backwards has the same closed 4x4 matrix, for
+    every word and every model whose sigma and sigma^-1 equal their
+    transposes (all of MODELS).  Proof: the product of a word applied
+    first to last is M = L_k ... L_1, and its reverse's is
+    L_1 ... L_k = (L_k^T ... L_1^T)^T = M^T, each letter being symmetric.
+    The closure reads the diagonal entries M[s, s] only, which M^T shares.
+    Checked on the 37 table words as given, past the engine's reduction
+    and rotation."""
+    mod = engine.model(*key)
+    table = load_table()
+    assert len(table) == 37
+    for r in table:
+        backwards = braid.BraidWord(r.word.strands, r.word.letters[::-1])
+        assert closed_as_given(backwards, mod) == \
+            closed_as_given(r.word, mod), r.name
+
+
+def _q_inverted(op):
+    """The operator with Q -> 1/Q in every entry; p and Y fixed."""
+    ring = op.ring
+    images = {n: ring.var(n, -1 if n == "Q" else 1) for n in ring.names}
+    return op.map_entries(lambda v: map_poly(v, ring, images))
+
+
+def _j_conjugated(op):
+    """J op J, J the index map 1 <-> 4, 2 <-> 3 on each site."""
+    return rmat.SparseROp(op.ring, {tuple(5 - x for x in k): v
+                                    for k, v in op.entries.items()})
+
+
+def test_the_mirror_identity_of_the_models():
+    """sigma(Q -> 1/Q) = J sigma^-1 J holds for case 1, case 4 ambient and
+    cases 2 and 3 regular, and not for case 2 ambient, whose Y is
+    i (Q - 1/Q): Q -> 1/Q turns it into -Y.
+
+    Theorem, case 1: closing the mirror word (every letter inverted) gives
+    the invariant under Q -> 1/Q, for every word.  Proof: let phi be
+    Q -> 1/Q.  Then phi(sigma^-1) = phi(sigma)^-1 = J sigma J, so phi of
+    the word's product M is J M* J, M* the mirror word's product and J
+    acting on every strand.  The handle satisfies phi(C) = C o J, so phi
+    of the closed entry b is the sum over u of C(J u) M*[(J b, J u),
+    (J b, J u)], the mirror's closed entry J b; the ambient invariant is a
+    scalar.  ``test_case1_symmetries`` measures this relation on knots."""
+    holds = {key for key in ALL_MODELS
+             if _q_inverted(engine.model(*key).sigma)
+             == _j_conjugated(engine.model(*key).sigma_inv)}
+    assert holds == {(1, "ambient"), (4, "ambient"), (2, "regular"),
+                     (3, "regular")}
+    C = engine.model(1, "ambient").C
+    q_inv = {"p": QUANTUM.var("p"), "Q": QUANTUM.var("Q", -1),
+             "Y": QUANTUM.var("Y")}
+    assert tuple(map_poly(c, QUANTUM, q_inv) for c in C) == C[::-1]

@@ -9,7 +9,8 @@ from itertools import product
 
 import pytest
 
-from conftest import GaussQ, charge_mixing_op, reference_value, sample_point
+from conftest import (GaussQ, charge_mixing_op, rand_poly, reference_value,
+                      sample_point)
 from gaugeknot import braid, engine, rmat, ybe
 from gaugeknot import ring as ring_module
 from gaugeknot.ring import (CONST, EXP_BIAS, QONLY, QUANTUM, TRIG, Ring,
@@ -316,7 +317,7 @@ def test_closure_only_refuses_a_charge_mixing_letter():
         with pytest.raises(RingError, match="closure-only product needs "
                                             "operators that conserve the "
                                             "charge"):
-            next(rmat._columns(QUANTUM, 3, letters, closure_only=True))
+            next(rmat._columns(QUANTUM, 3, letters, "closure"))
 
 
 def _tuple_product(ring, letters, s):
@@ -350,9 +351,8 @@ def test_columns_yield_tuples_in_lexicographic_order(rng, strands):
                    for _ in range(strands + 1)]
         ref = {s: _tuple_product(QUANTUM, letters, s) for s in columns}
         closed = {s: {s: v[s]} for s, v in ref.items() if s in v}
-        for closure_only, want in ((False, ref), (True, closed)):
-            got = list(rmat._columns(QUANTUM, strands, letters,
-                                     closure_only))
+        for outputs, want in (("all", ref), ("closure", closed)):
+            got = list(rmat._columns(QUANTUM, strands, letters, outputs))
             assert [s for s, _ in got] == [s for s in columns if want.get(s)]
             for s, image in got:
                 assert image == want[s]
@@ -370,34 +370,72 @@ def test_key_width_of_each_ring():
         assert max(top._t) < 1 << ring._width
 
 
-def _reference_columns(ring, strands, letters, closure_only=False):
+def _kept(columns, outputs):
+    """The nonzero columns of a full product with the outputs ``outputs``
+    keeps: "closure" each image's output at its input, "triangle" its
+    outputs at or after its input."""
+    if outputs == "closure":
+        columns = [(s, {s: vec[s]} if s in vec else {}) for s, vec in columns]
+    elif outputs == "triangle":
+        columns = [(s, {t: v for t, v in vec.items() if t >= s})
+                   for s, vec in columns]
+    return [(s, vec) for s, vec in columns if vec]
+
+
+def _reference_columns(ring, strands, letters, outputs="all"):
     """The operator product with tuple states, formed with the ring's own
     ``*`` and ``+`` (``_tuple_product``), so independent of the kernel's
-    tables; closure-only keeps each image's output at its input."""
-    out = []
-    for s in product((1, 2, 3, 4), repeat=strands):
-        vec = _tuple_product(ring, letters, s)
-        if closure_only:
-            vec = {s: vec[s]} if s in vec else {}
-        if vec:
-            out.append((s, dict(sorted(vec.items()))))
-    return out
+    tables, with the outputs ``outputs`` keeps (``_kept``)."""
+    return _kept([(s, dict(sorted(_tuple_product(ring, letters, s).items())))
+                  for s in product((1, 2, 3, 4), repeat=strands)], outputs)
 
 
 def _assert_columns_match(ring, strands, letters):
-    """Full and closure-only, the latter refused unless every letter
-    conserves the charge."""
-    for closure_only in (False, True):
-        if closure_only and not all(op.conserves_charge()
-                                    for _, op in letters):
+    """Full, closure-only and triangle, the last two refused unless every
+    letter conserves the charge."""
+    full = _reference_columns(ring, strands, letters)
+    for outputs in ("all", "closure", "triangle"):
+        if outputs != "all" and not all(op.conserves_charge()
+                                        for _, op in letters):
             with pytest.raises(RingError, match="conserve the charge"):
-                next(rmat._columns(ring, strands, letters, closure_only))
+                next(rmat._columns(ring, strands, letters, outputs))
             continue
-        got = list(rmat._columns(ring, strands, letters, closure_only))
-        want = _reference_columns(ring, strands, letters, closure_only)
+        got = list(rmat._columns(ring, strands, letters, outputs))
+        want = _kept(full, outputs)
         assert got == want
         # outputs in lexicographic order too
         assert all(list(image) == sorted(image) for _, image in got)
+
+
+def _symmetric_op(rng):
+    """A seeded operator that conserves the charge and equals its
+    transpose: ``rand_poly`` entries on half of the charge-conserving keys
+    (a, b, c, d) <= (c, d, a, b), each also set at (c, d, a, b)."""
+    keys = [k for k in product(range(1, 5), repeat=4)
+            if rmat._PAIR_CHARGE[k[:2]] == rmat._PAIR_CHARGE[k[2:]]
+            and k <= k[2:] + k[:2]]
+    entries = {}
+    for a, b, c, d in rng.sample(keys, len(keys) // 2):
+        entries[a, b, c, d] = entries[c, d, a, b] = rand_poly(
+            rng, max_terms=2, span=2)
+    return SparseROp(QUANTUM, entries)
+
+
+def test_the_triangle_is_the_full_product_from_the_input_up(rng):
+    """On case-1 letters and seeded symmetric charge-conserving operators,
+    2-4 strands: the triangle yields, for each input column s, exactly the
+    outputs t >= s of the full product, and no column that has none."""
+    mod = engine.model(1, "ambient")
+    for strands in (2, 3, 3, 4):
+        ops = (mod.sigma, mod.sigma_inv,
+               _symmetric_op(rng), _symmetric_op(rng))
+        letters = [(rng.randint(1, strands - 1), rng.choice(ops))
+                   for _ in range(strands + 2)]
+        full = list(rmat._columns(QUANTUM, strands, letters))
+        assert list(rmat._columns(QUANTUM, strands, letters, "triangle")) \
+            == _kept(full, "triangle")
+    with pytest.raises(ValueError, match="unknown outputs 'diagonal'"):
+        next(rmat._columns(QUANTUM, 2, (), "diagonal"))
 
 
 @pytest.mark.parametrize("case", [2, 4])
@@ -417,7 +455,7 @@ def test_columns_match_the_reference_in_the_ambient_rings(rng, case):
 
 def test_columns_match_the_reference_on_the_tybe_sides():
     """Both sides of the additive Yang-Baxter equation on 3 strands, TRIG
-    keys with Y, full and closure-only."""
+    keys with Y, in every mode of ``_columns``."""
     for side in ybe._tybe_sides(rmat.build_trig_gauged()):
         _assert_columns_match(TRIG, 3, side)
 
@@ -430,10 +468,10 @@ def test_cached_transition_tables_equal_a_fresh_build():
     op = SparseROp(QUANTUM, mod.sigma.entries)
     inv = SparseROp(QUANTUM, mod.sigma_inv.entries)
     word = [(1, op), (2, inv), (2, op), (1, op), (2, op)]
-    for closure_only in (False, True, False, True):
+    for outputs in ("all", "closure", "all", "closure"):
         fresh = [(pos, SparseROp(QUANTUM, o.entries)) for pos, o in word]
-        assert list(rmat._columns(QUANTUM, 3, word, closure_only)) == \
-            list(rmat._columns(QUANTUM, 3, fresh, closure_only))
+        assert list(rmat._columns(QUANTUM, 3, word, outputs)) == \
+            list(rmat._columns(QUANTUM, 3, fresh, outputs))
     assert set(op._tables) == {0, 2}    # both positions, both modes
     for shift in (0, 2):
         assert op._tables[shift] == \
@@ -453,8 +491,9 @@ def test_cached_reach_plans_equal_a_fresh_build():
                           (4, [(3, op), (1, inv)])):
         for _ in range(2):
             fresh = [(pos, SparseROp(QUANTUM, o.entries)) for pos, o in word]
-            assert list(rmat._columns(QUANTUM, strands, word, True)) == \
-                list(rmat._columns(QUANTUM, strands, fresh, True))
+            assert list(rmat._columns(QUANTUM, strands, word,
+                                      "closure")) == \
+                list(rmat._columns(QUANTUM, strands, fresh, "closure"))
     assert set(op._plans) == {(3, 0), (3, 2), (4, 0)}
     for strands, shift in op._plans:
         assert op._plans[strands, shift] == \
@@ -529,8 +568,8 @@ def _returns(letters, s):
 def _assert_closure_only_exact(ring, strands, letters):
     """The pruned closure-only product equals the reference's; returns the
     number of columns that cannot return to themselves."""
-    got = list(rmat._columns(ring, strands, letters, closure_only=True))
-    assert got == _reference_columns(ring, strands, letters, True)
+    got = list(rmat._columns(ring, strands, letters, "closure"))
+    assert got == _reference_columns(ring, strands, letters, "closure")
     return sum(not _returns(letters, s)
                for s in product((1, 2, 3, 4), repeat=strands))
 
@@ -653,7 +692,7 @@ def test_columns_keep_an_out_of_range_sum_that_cancels():
     second[(2, 3, 3, 2)] = -big
     word = [(1, SparseROp(QUANTUM, first)), (1, SparseROp(QUANTUM, second))]
     assert dict(rmat._columns(QUANTUM, 2, word))[(3, 2)] == {(2, 3): big}
-    assert (3, 2) not in dict(rmat._columns(QUANTUM, 2, word, True))
+    assert (3, 2) not in dict(rmat._columns(QUANTUM, 2, word, "closure"))
     with pytest.raises(RingError, match="exponent outside"):
         big * big
 
@@ -756,7 +795,7 @@ def test_y_delta_lists_equal_the_ring_products(name, build):
 def test_folded_deltas_fold_i_squared():
     """With Y**2 = i*p, an entry i*Y*p times a key with Y forms i**2 in the
     delta itself, which the table folds; the kernel matches the reference
-    in both modes."""
+    in every mode."""
     ring = Ring(("p", "Y"), lambda r: r.mono((0, 1), p=1))
     entries = dict(rmat.identity_op(ring).entries)
     entries[(2, 2, 2, 2)] = ring.mono((0, 1), p=1, Y=1)
@@ -832,9 +871,8 @@ def test_columns_never_fold_y_squared_after_a_letter(rng, y_folds):
     side = ybe._tybe_sides(rmat.build_trig_gauged())[0]
     del y_folds[:]
     for letters in words:
-        for closure_only in (False, True):
-            list(rmat._columns(QUANTUM, len(letters) - 3, letters,
-                               closure_only))
+        for outputs in ("all", "closure"):
+            list(rmat._columns(QUANTUM, len(letters) - 3, letters, outputs))
     list(rmat._columns(TRIG, 3, side))
     assert y_folds == []
     for letters in words:
@@ -845,10 +883,10 @@ def test_columns_never_fold_y_squared_after_a_letter(rng, y_folds):
 @pytest.mark.parametrize("key", [(1, "ambient"), (2, "regular")])
 def test_columns_match_the_reference_where_y_products_arise(rng, key,
                                                             y_folds):
-    """Seeded words of the two models whose letters carry Y, full and
-    closure-only, on 2-4 strands; their reference products form Y**2
-    terms.  So does a word that alternates R1 and R3 letters, where keys
-    with Y meet a letter with no key with Y."""
+    """Seeded words of the two models whose letters carry Y, in every mode,
+    on 2-4 strands; their reference products form Y**2 terms.  So does a
+    word that alternates R1 and R3 letters, where keys with Y meet a letter
+    with no key with Y."""
     mod = engine.model(*key)
     for strands in (2, 3, 3, 4):
         letters = [(rng.randint(1, strands - 1),
@@ -932,9 +970,9 @@ def test_a_letters_bound_counts_the_y_relation_it_folds(ring, name, sign,
 @pytest.mark.parametrize("key", list(engine.MODELS))
 def test_model_words_settle_a_letter_only_when_i_can_square(rng, key,
                                                             folded_calls):
-    """Seeded words of each model on 2-4 strands, full and closure-only,
-    equal the reference.  Only case 2 ambient, whose entries carry i,
-    settles its columns after each letter."""
+    """Seeded words of each model on 2-4 strands, in every mode, equal the
+    reference.  Only case 2 ambient, whose entries carry i, settles its
+    columns after each letter."""
     mod = engine.model(*key)
     carries_i = any(k & 1 for v in mod.sigma.entries.values() for k in v._t)
     assert carries_i == (key == (2, "ambient"))

@@ -2,6 +2,8 @@
 
 from itertools import product
 
+import pytest
+
 from gaugeknot import rmat, ybe
 from gaugeknot.ring import QUANTUM, TRIG, map_poly
 
@@ -149,3 +151,105 @@ def test_gauge_covariance_of_tybe():
     A = rmat.GaugeMatrix((TRIG.one, m(1, Ru=1), TRIG.one, m(1, Ru=1)))
     assert ybe.verify_gauge_properties(A, free)
     assert ybe.verify_tybe_additive(rmat.apply_gauge(free, A))
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The ``outputs`` of every product ``ybe._compare`` forms."""
+    seen = []
+    real = ybe._columns
+
+    def recorded(ring, strands, letters, outputs="all"):
+        seen.append(outputs)
+        return real(ring, strands, letters, outputs)
+    monkeypatch.setattr(ybe, "_columns", recorded)
+    return seen
+
+
+def _full_report(ring, lhs, rhs):
+    """The reference comparison: every output of both sides, the first
+    difference in input and then output order."""
+    L, R = (dict(rmat._columns(ring, 3, word)) for word in (lhs, rhs))
+    for s in sorted(L.keys() | R.keys()):
+        left, right = L.get(s, {}), R.get(s, {})
+        for t in sorted(left.keys() | right.keys()):
+            lv, rv = left.get(t), right.get(t)
+            if lv is None or rv is None or lv != rv:
+                return ybe.YBEReport(False, (s, t), lv, rv)
+    return ybe.YBEReport(True)
+
+
+def _with(op, scale, *keys):
+    """``op`` with the entries at ``keys`` multiplied by ``scale``."""
+    entries = dict(op.entries)
+    for k in keys:
+        entries[k] = entries[k] * scale
+    return rmat.SparseROp(op.ring, entries)
+
+
+def test_the_paper_operators_are_decided_on_the_triangle(reads):
+    """The QYBE of the four quantum R-matrices and the TYBE of both
+    trigonometric operators meet the premise: symmetric, charge-conserving
+    letters, and for the TYBE an R with no Xv, Rv or Sv."""
+    for i in (1, 2, 3, 4):
+        assert ybe.verify_qybe(rmat.quantum_r(i))
+    for R in (rmat.build_trig_gauge_free(), rmat.build_trig_gauged()):
+        assert ybe.verify_tybe_additive(R)
+    assert reads == ["triangle"] * 12
+
+
+def test_a_symmetric_perturbation_fails_with_the_full_report(reads):
+    """Doubling a pair (a, b, c, d), (c, d, a, b) keeps an operator
+    symmetric, so the triangle is read, and the report is the full
+    comparison's, witness and both sides: (2, 3, 3, 2) with (3, 2, 2, 3) in
+    R1 and in the gauged trigonometric operator, which fail, and every
+    off-diagonal pair of R1-R4, most of which fail."""
+    pair = ((2, 3, 3, 2), (3, 2, 2, 3))
+    cases = [(ybe.verify_qybe, ybe._qybe_sides,
+              _with(rmat.quantum_r(1), 2, *pair)),
+             (ybe.verify_tybe_additive, ybe._tybe_sides,
+              _with(rmat.build_trig_gauged(), 2, *pair))]
+    for i in (1, 2, 3, 4):
+        R = rmat.quantum_r(i)
+        cases += [(ybe.verify_qybe, ybe._qybe_sides,
+                   _with(R, 2, k, k[2:] + k[:2]))
+                  for k in R.entries if k < k[2:] + k[:2]]
+    failed = 0
+    for n, (verify, sides, P) in enumerate(cases):
+        del reads[:]
+        rep = verify(P)
+        assert reads == ["triangle", "triangle"]
+        assert n > 1 or not rep.ok
+        want = _full_report(P.ring, *sides(P))
+        assert rep == want and str(rep) == str(want)
+        if not rep.ok:
+            s, t = rep.witness
+            assert t >= s
+            failed += 1
+    assert len(cases) > 20 and failed > len(cases) // 2
+
+
+def test_an_operator_off_the_premise_is_compared_in_full(reads):
+    """A non-symmetric R1, a symmetric R1 that does not conserve the
+    charge, and a symmetric trigonometric R with an Xv term each read every
+    output, with the full comparison's report."""
+    xv = TRIG.var("Xv")
+    free = rmat.build_trig_gauge_free()
+    pair = ((2, 3, 3, 2), (3, 2, 2, 3))
+    mixing = dict(rmat.quantum_r(1).entries)
+    for k in ((1, 2, 1, 3), (2, 1, 3, 1)):
+        mixing[k] = mixing[k[2:] + k[:2]] = QUANTUM.one
+    mixing = rmat.SparseROp(QUANTUM, mixing)
+    assert mixing.transpose() == mixing and not mixing.conserves_charge()
+    with_xv = _with(free, xv, *pair)
+    assert with_xv.transpose() == with_xv and with_xv.conserves_charge()
+    for verify, sides, P in (
+            (ybe.verify_qybe, ybe._qybe_sides,
+             _with(rmat.quantum_r(1), 2, pair[0])),
+            (ybe.verify_qybe, ybe._qybe_sides, mixing),
+            (ybe.verify_tybe_additive, ybe._tybe_sides, with_xv)):
+        del reads[:]
+        rep = verify(P)
+        assert reads == ["all", "all"]
+        assert not rep.ok
+        assert rep == _full_report(P.ring, *sides(P))
