@@ -36,9 +36,10 @@ Otherwise every column folds i**2 and is range-checked after every
 letter.  For the (1,1)-closure it forms only the terms whose state can
 still return to their input column through the nonzero entries of the
 remaining letters, and for a Yang-Baxter comparison only those that can
-still reach an output at or after their input column; both are found by
-one backward pass of bitsets over the letters, numbered within charge
-sectors, so a pruned product takes charge-conserving operators only.
+still reach an output its caller keeps, one mask of outputs per input
+column; both are found by one backward pass of bitsets over the letters,
+numbered within charge sectors, so a pruned product takes
+charge-conserving operators only.
 The transition tables, the bounds and the backward pass's slice plans are
 built once per operator and kept on it.
 """
@@ -202,8 +203,9 @@ class SparseROp:
         if plan is not None:
             return plan
         if not self.conserves_charge():
-            raise RingError("a closure-only product needs operators that "
-                            "conserve the charge (weight, n(2) - n(3))")
+            raise RingError("a pruned product (closure-only, or one mask "
+                            "of kept outputs per column) needs operators "
+                            "that conserve the charge (weight, n(2) - n(3))")
         table = self._transitions(shift)[0]
         up = shift + self.ring._width
         groups = _groups(strands, shift)
@@ -253,7 +255,7 @@ def _groups(strands, shift):
 
 
 def _reach(strands, letters):
-    """The backward pass of a closure-only product over ``(pos, op)``
+    """The backward pass of a pruned product over ``(pos, op)``
     letters: ``reach[j][t]`` is the set of the states that state t after
     letter j can still reach through the nonzero entries of the later
     letters, as an int with one bit per state; ``reach[-1][t]`` is the bit
@@ -326,18 +328,20 @@ def _columns(ring, strands, letters, outputs="all"):
 
     * ``"all"``: every output, the full product.
     * ``"closure"``: t = s only, what the (1,1)-closure reads.
-    * ``"triangle"``: t >= s in lexicographic order, the part of a product
-      that decides whether two products are equal when their difference
-      is symmetric up to a ring automorphism (``ybe``).
+    * a tuple of one int mask per column, in the lexicographic order of
+      the columns, of bits numbered as ``_sector_bits`` numbers states:
+      the outputs t of s's charge sector whose bits are set in s's mask.
+      A Yang-Baxter comparison (``ybe``) passes the pairs that decide it:
+      the triangle t >= s, or one pair per orbit of two symmetries.
 
     The last two prune.  One backward pass over the letters (``_reach``)
     gives, after each letter, the set of states each state can still reach
     through nonzero entries of the later letters, as bits numbered
     lexicographically within each charge sector (``_sector_bits``).  So
     the kept outputs of column s are one mask of those bits: s's own bit
-    for the closure, and every bit from s's up, ``-bit``, for the
-    triangle.  A column whose reach after no letter meets its mask is
-    skipped, and a term is formed only if its output state's reach does:
+    for the closure, or the mask given for s.  A column whose reach after
+    no letter meets its mask is skipped, and a term is formed only if its
+    output state's reach does:
     a term's deltas are taken one output at a time, and an output's only
     if that holds.  A term left out would reach a kept output only through
     a zero entry, so the images kept are exactly those of the full
@@ -346,8 +350,12 @@ def _columns(ring, strands, letters, outputs="all"):
     there; the full product takes any operator and runs the same loop,
     every state reaching the one bit of every column.
     """
-    if outputs not in ("all", "closure", "triangle"):
-        raise ValueError(f"unknown outputs {outputs!r}")
+    if isinstance(outputs, str):
+        if outputs not in ("all", "closure"):
+            raise ValueError(f"unknown outputs {outputs!r}")
+    elif len(outputs) != 4 ** strands:
+        raise ValueError(f"{len(outputs)} output masks for "
+                         f"{4 ** strands} columns")
     # Per letter, its transition table and mask.
     width = ring._width
     steps = []
@@ -365,9 +373,8 @@ def _columns(ring, strands, letters, outputs="all"):
         reach = [[1] * len(cols)] * (len(steps) + 1)
     else:
         reach = _reach(strands, letters)
-    keeps = reach[-1]       # per column, the mask of the outputs it keeps
-    if outputs == "triangle":
-        keeps = [-bit for bit in keeps]
+    # per column, the mask of the outputs it keeps
+    keeps = reach[-1] if isinstance(outputs, str) else outputs
     after = reach[1:]       # per letter, the sets after it
     low = (1 << width) - 1
     for s, (start, keep) in enumerate(zip(reach[0], keeps)):

@@ -13,39 +13,78 @@ numerators: clearing N rescales both sides of
 by the same factor N(u) N(u+v) N(v), so the cleared identity is equivalent
 and purely polynomial.
 
-Each equation is decided on one triangle of its 64x64 matrices, when its
-letters allow it.  Let E = LHS - RHS, and call an operator symmetric when
-entry (a, b, c, d) equals entry (c, d, a, b): as a matrix on two sites it
-equals its transpose, and so does each letter it gives on three strands.
-A product's transpose is the product of the transposes in reverse order.
+Each equation is decided on one pair per orbit of two symmetries of its
+64x64 matrices, when its letters allow it.  Let E = LHS - RHS, and write
+E[s, t] for its entry at input column s and output t.
 
-* QYBE: each side is a palindrome of one letter, so if R is symmetric
-  each side equals its transpose, and so does E.
-* TYBE: the left side applies R(v) on R12, R(u+v) on R23 and R(u) on R12.
-  Let phi be the ring automorphism of TRIG that swaps X with Xv, Ru with
-  Rv and Su with Sv and fixes Q, Y and Aa, so the Y**2 relation too.  If
-  R has no Xv, Rv or Sv, then phi(R(u)) = R(v), phi(R(v)) = R(u) and
-  phi(R(u+v)) = R(u+v).  The left side reversed is R(u), R(u+v), R(v) on
-  the same positions, which is phi of the left side; with symmetric
-  letters its transpose is therefore phi of it.  The same holds for the
-  right side, so E's transpose is phi(E).
+* T, the transpose.  Call an operator symmetric when entry (a, b, c, d)
+  equals entry (c, d, a, b): as a matrix on two sites it equals its
+  transpose, and so does each letter it gives on three strands.  A
+  product's transpose is the product of the transposes in reverse order.
+  QYBE: each side is a palindrome of one letter, so if R is symmetric each
+  side equals its transpose, and so does E.  TYBE: the left side applies
+  R(v) on R12, R(u+v) on R23 and R(u) on R12.  Let phi be the ring
+  automorphism of TRIG that swaps X with Xv, Ru with Rv and Su with Sv and
+  fixes Q, Y and Aa, so the Y**2 relation too.  If R has no Xv, Rv or Sv,
+  then phi(R(u)) = R(v), phi(R(v)) = R(u) and phi(R(u+v)) = R(u+v).  The
+  left side reversed is R(u), R(u+v), R(v) on the same positions, which
+  is phi of the left side; with symmetric letters its transpose is
+  therefore phi of it.  The same holds for the right side, so E's
+  transpose is phi(E), and E[t, s] = 0 exactly when E[s, t] = 0.
 
-In both cases E[t, s] = 0 exactly when E[s, t] = 0 (phi is a ring
-automorphism, the identity for the QYBE).  So the outputs t >= s of each input column s decide the
-equation, and ``_compare`` reads only those (``rmat._columns``'s
-``"triangle"``) when every letter also conserves the charge, which that
-product needs.  Its report is the full comparison's too: the first
-difference in the order (s, t) of the full matrices has t >= s, since a
-difference at (s, t) with t < s would mirror one at (t, s), which comes
-first.  Any other operator is compared in full.
+* K, the reflection alpha -> -1 - alpha.  J swaps the indices 1 <-> 4
+  and 2 <-> 3; PJ(op) is the operator whose entry (a, b, c, d) is op's
+  (Jb, Ja, Jd, Jc); and phi' is the ring automorphism that sends p to 1/p
+  (QUANTUM, p = q**(alpha + 1/2)) and Aa to Q**-2 / Aa (TRIG, Aa =
+  q**alpha, Q**2 = q) and fixes every other variable.  Both Y**2
+  relations are phi'-invariant, so phi' fixes Y (``map_poly`` checks the
+  relation on every polynomial with Y).  Say R reflects when PJ(R) =
+  c phi'(R) for a unit monomial c: +-1 times a monomial without Y.  On
+  three strands let K map the state (s1, s2, s3) to (Js3, Js2, Js1).  A
+  letter at position pos sets strand pos from d to b and strand pos + 1
+  from c to a with coefficient op[a, b, c, d]; conjugated by K it sets
+  strand 3 - pos from Jc to Ja and strand 4 - pos from Jd to Jb with that
+  coefficient, which is the letter (3 - pos, PJ(op)).  QYBE: with PJ(R) =
+  c phi'(R), K LHS K^-1 = c**3 phi'(RHS) and K RHS K^-1 = c**3
+  phi'(LHS), so K E K^-1 = -c**3 phi'(E).  TYBE: a shift S (u -> v or
+  u -> u + v) is a ring morphism that maps X, Ru, Su into the u- and
+  v-variables and fixes p, Q, Y and Aa, while phi' fixes every u- and
+  v-variable, so S phi' and phi' S agree on every variable and are equal;
+  both act on entries and PJ and the transpose move keys, so they commute
+  too.  So if R reflects with c, each shifted letter S(R) reflects with
+  S(c), a unit monomial, and it is symmetric and conserves the charge
+  when R does: the premise needs checking on R alone.  A unit factor of
+  a letter factors out of a product, so K LHS K^-1 is C times the word
+  R(v), R(u+v), R(u) on positions 1, 2, 1 with phi' applied, C the
+  product of the three letters' units, and that word is phi'(phi(RHS));
+  likewise K RHS K^-1 = C phi'(phi(LHS)), so K E K^-1 = -C
+  phi'(phi(E)).  Since (K M K^-1)[Ks, Kt] = M[s, t], in both cases
+  E[Ks, Kt] = 0 exactly when E[s, t] = 0.
+
+T and K are commuting involutions, so the orbit of (s, t) is {(s, t),
+(t, s), (Ks, Kt), (Kt, Ks)}, and E vanishes on all of it or on none.
+``_compare`` keeps, for each column s, the outputs t of its charge sector
+for which (s, t) comes first of its orbit in (s, t) order (``_masks``):
+the orbit domain when R is symmetric, conserves the charge and reflects,
+the triangle t >= s (the orbit of T alone) when it does not reflect.
+Either set decides the equation, as it meets every orbit and E is zero
+off the charge sectors.  Its report is the full comparison's too: the
+first difference in (s, t) order of the full matrices comes first of its
+orbit, which holds only differences, so it is kept, and the kept pairs
+before it are zero in full.  Every kept pair has t >= s, (t, s) being in
+its orbit.  The kept outputs need charge-conserving letters
+(``rmat._columns``); any other operator, and for the TYBE an R with Xv,
+Rv or Sv, is compared in full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 
-from .ring import TRIG, map_poly
-from .rmat import _columns
+from .ring import TRIG, RingError, map_poly
+from .rmat import CHARGE, SparseROp, _columns, _sector_bits
 
 
 @dataclass
@@ -65,17 +104,11 @@ class YBEReport:
                 f"lhs = {self.lhs}, rhs = {self.rhs}")
 
 
-def _compare(ring, lhs, rhs, mirrored):
-    """Compare two words on three strands column by column; a failure
+def _compare(ring, lhs, rhs, outputs):
+    """Compare two words on three strands column by column, on the
+    ``outputs`` of ``_columns`` that ``_outputs`` chose for them; a failure
     witness is (input column, output), the first difference in input and
-    then output order.  Only the triangle is read when the caller's words
-    are ``mirrored`` (each side reversed is its image under a ring
-    automorphism once its letters are symmetric; see the module docstring)
-    and every letter is symmetric and conserves the charge."""
-    ops = {id(op): op for _, op in lhs + rhs}.values()
-    triangle = mirrored and all(op.conserves_charge() and op == op.transpose()
-                                for op in ops)
-    outputs = "triangle" if triangle else "all"
+    then output order."""
     L, R = (dict(_columns(ring, 3, word, outputs)) for word in (lhs, rhs))
     for s in sorted(L.keys() | R.keys()):
         left, right = L.get(s, {}), R.get(s, {})
@@ -86,6 +119,84 @@ def _compare(ring, lhs, rhs, mirrored):
     return YBEReport(True)
 
 
+def _outputs(R, mirrored):
+    """The outputs ``_compare`` reads for the equation of R, whose sides
+    the caller says are ``mirrored``: the orbit domain of T and K when R
+    is symmetric, conserves the charge and reflects, the triangle of T
+    when it does not reflect, and ``"all"`` otherwise (module
+    docstring)."""
+    if not (mirrored and R.conserves_charge() and R.transpose() == R):
+        return "all"
+    return _masks(3, _reflects(R))
+
+
+def _reflects(R):
+    """Whether PJ(R) = c phi'(R) for a unit monomial c (module docstring).
+    c is read off the least terms of one entry, as multiplying by a unit
+    monomial shifts every exponent tuple alike, and then every entry is
+    compared."""
+    ring = R.ring
+    images = {n: ring.var(n) for n in ring.names}
+    try:
+        if "p" in ring.index:
+            images["p"] = ring.var("p", -1)
+        if "Aa" in ring.index:
+            images["Aa"] = ring.mono(1, Q=-2, Aa=-1)
+        image = _shift(R, images)
+    except RingError:       # no such automorphism, or an exponent overflows
+        return False
+    pj = SparseROp(ring, {(5 - b, 5 - a, 5 - d, 5 - c): v
+                          for (a, b, c, d), v in R.entries.items()})
+    if pj == image:
+        return True
+    if pj.entries.keys() != image.entries.keys():
+        return False
+    k = min(pj.entries)
+    (ea, ca), (eb, cb) = (min(op.entries[k].terms.items())
+                          for op in (pj, image))
+    exps = tuple(x - y for x, y in zip(ea, eb))
+    if ca == cb:
+        sign = 1
+    elif ca == (-cb[0], -cb[1]):
+        sign = -1
+    else:
+        return False
+    if ring.y_index is not None and exps[ring.y_index]:
+        return False
+    return pj == image.scale(ring.poly({exps: sign}))
+
+
+def _reflected(s):
+    """K on a state: the strands in reverse order, each index by J."""
+    return tuple(5 - x for x in reversed(s))
+
+
+@lru_cache(maxsize=None)
+def _masks(strands, reflect):
+    """``_columns`` masks, bits numbered by ``rmat._sector_bits``: for
+    each column s, the outputs t of its charge sector for which (s, t)
+    comes first of its orbit in (s, t) order, the orbit of the transpose T
+    and, when ``reflect``, of K (module docstring)."""
+    cols = list(product((1, 2, 3, 4), repeat=strands))
+    sectors = {}
+    for s, bit in zip(cols, _sector_bits(strands)):
+        charge = tuple(map(sum, zip(*(CHARGE[x] for x in s))))
+        sectors.setdefault(charge, []).append((s, bit))
+    masks = {}
+    for sector in sectors.values():
+        for s, _ in sector:
+            ks = _reflected(s)
+            masks[s] = 0
+            for t, bit in sector:
+                orbit = [(t, s)]
+                if reflect:
+                    kt = _reflected(t)
+                    orbit += [(ks, kt), (kt, ks)]
+                if (s, t) <= min(orbit):
+                    masks[s] |= bit
+    return tuple(masks[s] for s in cols)
+
+
 def _qybe_sides(R):
     """Both sides as words, first letter applied first."""
     return [(2, R), (1, R), (2, R)], [(1, R), (2, R), (1, R)]
@@ -94,7 +205,7 @@ def _qybe_sides(R):
 def verify_qybe(R):
     """Constant braid-form equation R12 R23 R12 = R23 R12 R23 (R with
     polynomial entries)."""
-    return _compare(R.ring, *_qybe_sides(R), mirrored=True)
+    return _compare(R.ring, *_qybe_sides(R), _outputs(R, mirrored=True))
 
 
 #: ``map_poly`` images over TRIG: u -> v sends X, Ru, Su to Xv, Rv, Sv,
@@ -121,7 +232,7 @@ def verify_tybe_additive(R):
     """
     v_free = all(p.coeff_of(n, 0) == p for p in R.entries.values()
                  for n in ("Xv", "Rv", "Sv"))
-    return _compare(R.ring, *_tybe_sides(R), mirrored=v_free)
+    return _compare(R.ring, *_tybe_sides(R), _outputs(R, v_free))
 
 
 def _tybe_sides(R):

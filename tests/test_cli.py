@@ -17,6 +17,45 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+#: The whole standard output of ``gaugeknot verify``, one line per check.
+VERIFY_LINES = [
+    "PASS  trig gauged entries == 36",
+    "PASS  trig gauge-free entries == 36",
+    "PASS  quantum R1 entries == 26",
+    "PASS  quantum R2 entries == 20",
+    "PASS  quantum R3 entries == 17",
+    "PASS  quantum R4 entries == 16",
+    "PASS  QYBE R1",
+    "PASS  QYBE R2",
+    "PASS  QYBE R3",
+    "PASS  QYBE R4",
+    "PASS  gauge properties",
+    "PASS  gauge conjugation",
+    "PASS  TYBE gauge-free",
+    "PASS  TYBE gauged",
+    "PASS  spectral limit case 1",
+    "PASS  spectral limit case 2",
+    "PASS  spectral limit case 3",
+    "PASS  spectral limit case 4",
+    "PASS  spectral limit case 4 at gamma=2/3",
+    "PASS  handle case 1 ambient",
+    "PASS  handle case 2 ambient",
+    "PASS  handle case 4 ambient",
+    "PASS  handle case 2 regular",
+    "PASS  handle case 3 regular",
+]
+
+
+def test_verify_prints_every_check(capsys):
+    """``verify`` and ``verify --what tybe`` exit 0 and print exactly these
+    lines: every check passes, in a fixed order."""
+    code, out, err = run(capsys, "verify")
+    assert (code, out, err) == (0, "\n".join(VERIFY_LINES) + "\n", "")
+    assert len(VERIFY_LINES) == 24
+    code, out, err = run(capsys, "verify", "--what", "tybe")
+    assert (code, out, err) == (0, "\n".join(VERIFY_LINES[12:14]) + "\n", "")
+
+
 def test_verify_gauge_subset(capsys):
     code, out, _ = run(capsys, "verify", "--what", "gauge")
     assert code == 0

@@ -681,7 +681,7 @@ def test_every_operator_equals_its_transpose():
     every MODELS row, the four quantum R-matrices and both trigonometric
     operators: each is a symmetric matrix on two sites, and so is each
     letter it gives on n strands.  The reversal theorem below and the
-    triangle of ``ybe`` rest on this."""
+    triangle and orbit domain of ``ybe`` rest on this."""
     ops = {f"{case} {isotopy} {name}": getattr(engine.model(case, isotopy),
                                                name)
            for case, isotopy in ALL_MODELS for name in ("sigma", "sigma_inv")}
@@ -753,3 +753,69 @@ def test_the_mirror_identity_of_the_models():
     q_inv = {"p": QUANTUM.var("p"), "Q": QUANTUM.var("Q", -1),
              "Y": QUANTUM.var("Y")}
     assert tuple(map_poly(c, QUANTUM, q_inv) for c in C) == C[::-1]
+
+
+def _pj(op):
+    """PJ(op): the operator whose entry (a, b, c, d) is op's (Jb, Ja, Jd,
+    Jc), J the index map 1 <-> 4, 2 <-> 3."""
+    return rmat.SparseROp(op.ring, {(5 - b, 5 - a, 5 - d, 5 - c): v
+                                    for (a, b, c, d), v in op.entries.items()})
+
+
+def _reflected(op):
+    """phi'(op), alpha -> -1 - alpha in every entry: p -> 1/p in QUANTUM,
+    Aa -> Q**-2 / Aa in TRIG, every other variable fixed."""
+    ring = op.ring
+    images = {n: ring.var(n) for n in ring.names}
+    if "p" in ring.index:
+        images["p"] = ring.var("p", -1)
+    if "Aa" in ring.index:
+        images["Aa"] = ring.mono(1, Q=-2, Aa=-1)
+    return op.map_entries(lambda v: map_poly(v, ring, images))
+
+
+def test_the_reflection_identity_of_the_operators():
+    """PJ(op) = c phi'(op): with c = p**4 for quantum_r(1..4), and c = 1
+    for both trigonometric operators and for sigma and sigma^-1 of every
+    MODELS row.  phi' fixes both Y**2 relations, so it is a ring
+    automorphism.  ``ybe`` decides each Yang-Baxter equation on one pair
+    per orbit of the transpose and of the reflection this identity gives
+    on three strands.
+
+    Theorem, case 1 (p -> 1/p): let K map a state (s1, ..., sn) of n
+    strands to (Jsn, ..., Js1), and let the flip of a word send sigma_i to
+    sigma_(n-i).  For every word w, M_w[s, t] = phi'(M_flip(w)[Ks, Kt]),
+    M the product of a word at input column s and output t.  Proof:
+    conjugated by K, the letter (pos, op) is the letter (n - pos, PJ(op))
+    (it sets strand n + 1 - pos from Jd to Jb and strand n - pos from Jc
+    to Ja with op's coefficient at (a, b, c, d)), and PJ(op) = phi'(op)
+    for sigma and sigma^-1, so K M_w K^-1 = phi'(M_flip(w)), and
+    (K M K^-1)[Ks, Kt] = M[s, t].  The handle satisfies phi'(C) o J =
+    C^-1, checked here, so phi' of the closed entry b of w is the closure
+    of the flip on strands 1..n-1 with the weights C^-1, strand n left
+    open at Jb.  That this equals the closure of the flip with C, which
+    would make the invariant unchanged by p -> 1/p (what
+    ``test_case1_symmetries`` measures on knots), is not proved here."""
+    p4 = QUANTUM.mono(1, p=4)
+    ops = {f"R{i}": (rmat.quantum_r(i), p4) for i in (1, 2, 3, 4)}
+    ops["trig gauged"] = (rmat.build_trig_gauged(), None)
+    ops["trig gauge-free"] = (rmat.build_trig_gauge_free(), None)
+    for case, isotopy in ALL_MODELS:
+        mod = engine.model(case, isotopy)
+        for name in ("sigma", "sigma_inv"):
+            ops[f"{case} {isotopy} {name}"] = (getattr(mod, name), None)
+    assert len(ops) == 16
+    for name, (op, c) in ops.items():
+        image = _reflected(op)
+        assert _pj(op) == (image if c is None else image.scale(c)), name
+    for ring in (QUANTUM, rmat.TRIG):
+        y_square = ring.y_square
+        images = {n: ring.var(n) for n in ring.names}
+        images.update({"p": ring.var("p", -1)} if "p" in ring.index else
+                      {"Aa": ring.mono(1, Q=-2, Aa=-1)})
+        assert map_poly(y_square, ring, images) == y_square
+    C = engine.model(1, "ambient").C
+    assert tuple(map_poly(c, QUANTUM, {"p": QUANTUM.var("p", -1),
+                                       "Q": QUANTUM.var("Q"),
+                                       "Y": QUANTUM.var("Y")})
+                 for c in C[::-1]) == tuple(c.invert_monomial() for c in C)

@@ -307,17 +307,20 @@ def test_invert_refuses_a_charge_mixing_operator():
 
 def test_closure_only_refuses_a_charge_mixing_letter():
     """The full product takes an operator that changes strand 1 alone; the
-    closure-only one refuses it, at any place in the word, before a column
-    is yielded."""
+    closure-only one and one with masks of kept outputs refuse it, at any
+    place in the word, before a column is yielded, with an error that
+    names both pruned products."""
     op = charge_mixing_op()
     full = dict(rmat._columns(QUANTUM, 2, [(1, op)]))
     assert set(full[(3, 1)]) == {(3, 1), (2, 1)}
     sigma = engine.model(1, "ambient").sigma
     for letters in ([(1, op)], [(1, sigma), (2, op)], [(2, op), (1, sigma)]):
-        with pytest.raises(RingError, match="closure-only product needs "
-                                            "operators that conserve the "
-                                            "charge"):
-            next(rmat._columns(QUANTUM, 3, letters, "closure"))
+        for outputs in ("closure", ybe._masks(3, False)):
+            with pytest.raises(RingError, match=r"pruned product "
+                               r"\(closure-only, or one mask of kept outputs "
+                               r"per column\) needs operators that conserve "
+                               r"the charge"):
+                next(rmat._columns(QUANTUM, 3, letters, outputs))
 
 
 def _tuple_product(ring, letters, s):
@@ -372,12 +375,16 @@ def test_key_width_of_each_ring():
 
 def _kept(columns, outputs):
     """The nonzero columns of a full product with the outputs ``outputs``
-    keeps: "closure" each image's output at its input, "triangle" its
-    outputs at or after its input."""
+    keeps: "closure" each image's output at its input, and a tuple of
+    masks, one per column in lexicographic order, the outputs whose
+    ``_sector_bits`` bits are set in their column's mask."""
     if outputs == "closure":
         columns = [(s, {s: vec[s]} if s in vec else {}) for s, vec in columns]
-    elif outputs == "triangle":
-        columns = [(s, {t: v for t, v in vec.items() if t >= s})
+    elif outputs != "all":
+        states = list(product((1, 2, 3, 4), repeat=len(columns[0][0])))
+        bits = dict(zip(states, rmat._sector_bits(len(states[0]))))
+        masks = dict(zip(states, outputs))
+        columns = [(s, {t: v for t, v in vec.items() if masks[s] & bits[t]})
                    for s, vec in columns]
     return [(s, vec) for s, vec in columns if vec]
 
@@ -391,10 +398,11 @@ def _reference_columns(ring, strands, letters, outputs="all"):
 
 
 def _assert_columns_match(ring, strands, letters):
-    """Full, closure-only and triangle, the last two refused unless every
-    letter conserves the charge."""
+    """Full, closure-only, the triangle and the orbit domain of ``ybe``,
+    the last three refused unless every letter conserves the charge."""
     full = _reference_columns(ring, strands, letters)
-    for outputs in ("all", "closure", "triangle"):
+    for outputs in ("all", "closure", ybe._masks(strands, False),
+                    ybe._masks(strands, True)):
         if outputs != "all" and not all(op.conserves_charge()
                                         for _, op in letters):
             with pytest.raises(RingError, match="conserve the charge"):
@@ -432,10 +440,14 @@ def test_the_triangle_is_the_full_product_from_the_input_up(rng):
         letters = [(rng.randint(1, strands - 1), rng.choice(ops))
                    for _ in range(strands + 2)]
         full = list(rmat._columns(QUANTUM, strands, letters))
-        assert list(rmat._columns(QUANTUM, strands, letters, "triangle")) \
-            == _kept(full, "triangle")
+        got = list(rmat._columns(QUANTUM, strands, letters,
+                                 ybe._masks(strands, False)))
+        assert got == [(s, {t: v for t, v in image.items() if t >= s})
+                       for s, image in full if max(image) >= s]
     with pytest.raises(ValueError, match="unknown outputs 'diagonal'"):
         next(rmat._columns(QUANTUM, 2, (), "diagonal"))
+    with pytest.raises(ValueError, match="16 output masks for 64 columns"):
+        next(rmat._columns(QUANTUM, 3, (), ybe._masks(2, False)))
 
 
 @pytest.mark.parametrize("case", [2, 4])

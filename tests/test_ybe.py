@@ -187,38 +187,87 @@ def _with(op, scale, *keys):
     return rmat.SparseROp(op.ring, entries)
 
 
+def _t(k):
+    """The transpose's key map: (a, b, c, d) -> (c, d, a, b)."""
+    return k[2:] + k[:2]
+
+
+def _pj(k):
+    """PJ's key map: entry (a, b, c, d) of PJ(op) is op's (Jb, Ja, Jd, Jc),
+    J swapping 1 <-> 4 and 2 <-> 3."""
+    a, b, c, d = k
+    return (5 - b, 5 - a, 5 - d, 5 - c)
+
+
+ORBIT = ybe._masks(3, True)
+TRIANGLE = ybe._masks(3, False)
+
+
 def test_the_paper_operators_are_decided_on_the_triangle(reads):
     """The QYBE of the four quantum R-matrices and the TYBE of both
-    trigonometric operators meet the premise: symmetric, charge-conserving
-    letters, and for the TYBE an R with no Xv, Rv or Sv."""
+    trigonometric operators meet the premise of the orbit domain, one pair
+    per orbit of T and K: symmetric, charge-conserving letters that
+    reflect, and for the TYBE an R with no Xv, Rv or Sv."""
     for i in (1, 2, 3, 4):
         assert ybe.verify_qybe(rmat.quantum_r(i))
     for R in (rmat.build_trig_gauge_free(), rmat.build_trig_gauged()):
         assert ybe.verify_tybe_additive(R)
-    assert reads == ["triangle"] * 12
+    assert reads == [ORBIT] * 12
+    assert ORBIT != TRIANGLE
+
+
+def test_the_orbit_domain_holds_one_pair_per_orbit():
+    """Over the pairs (s, t) of one charge sector on three strands, each
+    orbit of T: (s, t) -> (t, s) and K: (s, t) -> (Ks, Kt), Ks = (Js3, Js2,
+    Js1), holds exactly one kept pair of the orbit masks, its least, and
+    each orbit of T alone one kept pair of the triangle, (s, t) with
+    t >= s."""
+    states = list(product(range(1, 5), repeat=3))
+    bits = dict(zip(states, rmat._sector_bits(3)))
+
+    def charge(s):
+        return tuple(map(sum, zip(*(rmat.CHARGE[x] for x in s))))
+
+    def kept(masks, s, t):
+        return bool(masks[states.index(s)] & bits[t])
+
+    def k(s):
+        return tuple(5 - x for x in s[::-1])
+
+    pairs = [(s, t) for s in states for t in states if charge(s) == charge(t)]
+    for masks, group in ((ORBIT, 4), (TRIANGLE, 2)):
+        orbits = {frozenset([(s, t), (t, s)] + ([(k(s), k(t)), (k(t), k(s))]
+                                                if group == 4 else []))
+                  for s, t in pairs}
+        for orbit in orbits:
+            assert [p for p in sorted(orbit) if kept(masks, *p)] == \
+                [min(orbit)]
+        assert sum(kept(masks, *p) for p in pairs) == len(orbits)
+    assert len(pairs) == 400 and sum(kept(ORBIT, *p) for p in pairs) == 116
 
 
 def test_a_symmetric_perturbation_fails_with_the_full_report(reads):
     """Doubling a pair (a, b, c, d), (c, d, a, b) keeps an operator
-    symmetric, so the triangle is read, and the report is the full
+    symmetric, so the orbit domain is read when the doubled keys are also
+    closed under PJ, and the triangle otherwise, and the report is the full
     comparison's, witness and both sides: (2, 3, 3, 2) with (3, 2, 2, 3) in
     R1 and in the gauged trigonometric operator, which fail, and every
     off-diagonal pair of R1-R4, most of which fail."""
     pair = ((2, 3, 3, 2), (3, 2, 2, 3))
-    cases = [(ybe.verify_qybe, ybe._qybe_sides,
-              _with(rmat.quantum_r(1), 2, *pair)),
+    cases = [(ybe.verify_qybe, ybe._qybe_sides, rmat.quantum_r(1), pair),
              (ybe.verify_tybe_additive, ybe._tybe_sides,
-              _with(rmat.build_trig_gauged(), 2, *pair))]
+              rmat.build_trig_gauged(), pair)]
     for i in (1, 2, 3, 4):
         R = rmat.quantum_r(i)
-        cases += [(ybe.verify_qybe, ybe._qybe_sides,
-                   _with(R, 2, k, k[2:] + k[:2]))
-                  for k in R.entries if k < k[2:] + k[:2]]
+        cases += [(ybe.verify_qybe, ybe._qybe_sides, R, (k, _t(k)))
+                  for k in R.entries if k < _t(k)]
     failed = 0
-    for n, (verify, sides, P) in enumerate(cases):
+    for n, (verify, sides, R, keys) in enumerate(cases):
+        P = _with(R, 2, *keys)
         del reads[:]
         rep = verify(P)
-        assert reads == ["triangle", "triangle"]
+        closed = {_pj(k) for k in keys} == set(keys)
+        assert reads == [ORBIT if closed else TRIANGLE] * 2
         assert n > 1 or not rep.ok
         want = _full_report(P.ring, *sides(P))
         assert rep == want and str(rep) == str(want)
@@ -227,6 +276,42 @@ def test_a_symmetric_perturbation_fails_with_the_full_report(reads):
             assert t >= s
             failed += 1
     assert len(cases) > 20 and failed > len(cases) // 2
+
+
+def test_a_doubled_orbit_of_entries_fails_on_the_orbit_domain(reads):
+    """Doubling the entries of one orbit of the key maps of T and PJ keeps
+    an operator symmetric and reflecting, so the orbit domain is read, and
+    the report is the full comparison's: every such orbit of R1-R4 and of
+    both trigonometric operators, and all 36 of the trigonometric ones
+    fail.  Doubling (1, 2, 2, 1) with (2, 1, 1, 2), whose PJ keys are
+    (3, 4, 4, 3) and (4, 3, 3, 4), keeps T and breaks K: in R1 and in the
+    gauged trigonometric operator the triangle is read, and the equation
+    fails with the full comparison's report."""
+    ops = [(ybe.verify_qybe, ybe._qybe_sides, rmat.quantum_r(i))
+           for i in (1, 2, 3, 4)]
+    ops += [(ybe.verify_tybe_additive, ybe._tybe_sides, R)
+            for R in (rmat.build_trig_gauge_free(), rmat.build_trig_gauged())]
+    pair = ((1, 2, 2, 1), (2, 1, 1, 2))
+    cases = [(verify, sides, R, orbit, ORBIT)
+             for verify, sides, R in ops
+             for orbit in {frozenset({k, _t(k), _pj(k), _t(_pj(k))})
+                           for k in R.entries}]
+    cases += [(verify, sides, R, pair, TRIANGLE)
+              for verify, sides, R in (ops[0], ops[-1])]
+    trig_failed = 0
+    for verify, sides, R, keys, domain in cases:
+        P = _with(R, 2, *keys)
+        del reads[:]
+        rep = verify(P)
+        assert reads == [domain] * 2
+        want = _full_report(P.ring, *sides(P))
+        assert rep == want and str(rep) == str(want)
+        assert rep.ok or rep.witness[1] >= rep.witness[0]
+        if domain is ORBIT:
+            trig_failed += R.ring is TRIG and not rep.ok
+        else:
+            assert not rep.ok
+    assert trig_failed == 36
 
 
 def test_an_operator_off_the_premise_is_compared_in_full(reads):
