@@ -2,16 +2,32 @@
 
 A word on n strands is a sequence of nonzero integers k with |k| < n;
 positive k is the standard generator crossing strands k and k+1, negative
-its inverse.  The text format is "n : k1 k2 ... km" (commas optional).
+its inverse.  The text format is "n : k1 k2 ... km" (commas optional),
+each number an integer of ``parse_int``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+
+#: The one integer grammar of braid text, knot-table rows and
+#: ``suite --cases``: ASCII decimal digits after an optional sign.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class BraidError(ValueError):
     pass
+
+
+def parse_int(token, what):
+    """``token`` as an int if it is ``[+-]?[0-9]+``, else a BraidError that
+    names it as the ``what``: ``int`` alone would also take ``1_0`` and
+    non-ASCII digits."""
+    if not _INTEGER.fullmatch(token):
+        raise BraidError(f"bad {what} {token!r}: need ASCII decimal digits "
+                         f"after an optional sign")
+    return int(token)
 
 
 @dataclass(frozen=True)
@@ -50,15 +66,9 @@ def parse(text):
     if ":" not in text:
         raise BraidError(f"missing ':' in braid word {text!r}")
     head, _, tail = text.partition(":")
-    try:
-        strands = int(head.strip())
-    except ValueError:
-        raise BraidError(f"bad strand count {head.strip()!r}") from None
-    body = tail.replace(",", " ").split()
-    try:
-        letters = tuple(int(t) for t in body)
-    except ValueError as exc:
-        raise BraidError(f"bad letter in {text!r}: {exc}") from None
+    strands = parse_int(head.strip(), "strand count")
+    letters = tuple(parse_int(t, "letter")
+                    for t in tail.replace(",", " ").split())
     return BraidWord(strands, letters)
 
 

@@ -161,9 +161,10 @@ def _cmd_matveev(args, parser):
 
 def _cmd_suite(args, parser):
     try:
-        cases = sorted({int(c) for c in args.cases.split(",")})
-    except ValueError:
-        parser.error(f"--cases {args.cases!r}: not comma-separated integers")
+        cases = sorted({braid.parse_int(c.strip(), "case")
+                        for c in args.cases.split(",")})
+    except braid.BraidError as exc:
+        parser.error(f"--cases {args.cases!r}: {exc}")
     unknown = set(cases) - {case for case, _ in engine.MODELS}
     if unknown:
         parser.error(f"--cases: no state model for case {min(unknown)}")

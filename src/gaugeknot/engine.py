@@ -17,7 +17,8 @@ conserve rmat's ``CHARGE``, the one check the closure rests on: the four
 indices have four different charges, so such an output agrees with s on
 strand 1 too, and the closed 4x4 matrix is diagonal.  The invariant is
 therefore its four diagonal entries.  ``tangle_invariant`` and
-``verify_handle`` run the product closure-only, which takes
+``verify_handle`` run the product closure-only, keeping each column's
+own output (the masks ``rmat._sector_bits``), which takes
 charge-conserving letters only: a term is formed only if its state can
 still return to s through the nonzero entries of the remaining letters,
 and a column that cannot return to s is skipped.  ``represent`` gives the
@@ -54,7 +55,7 @@ from .braid import (BraidWord, closure_components, matveev_pair,
                     reduce_knot_word)
 from .ring import (CONST, LaurentPoly, QONLY, QUANTUM, RingError, _folded,
                    map_poly)
-from .rmat import SparseROp, _columns, invert, quantum_r
+from .rmat import SparseROp, _columns, _sector_bits, invert, quantum_r
 
 
 class EngineError(RingError):
@@ -251,7 +252,7 @@ def verify_handle(mod):
     else:
         exp_plus = mod.handle
     exp_minus = tuple(d.invert_monomial() for d in exp_plus)
-    return all(_close(mod, _columns(ring, 2, [(1, op)], "closure"))
+    return all(_close(mod, _columns(ring, 2, [(1, op)], _sector_bits(2)))
                == expected
                for op, expected in ((mod.sigma, exp_plus),
                                     (mod.sigma_inv, exp_minus)))
@@ -275,8 +276,8 @@ def represent(word, mod, term_budget=DEFAULT_TERM_BUDGET, closure_only=False):
     out = {}
     stored = 0
     letters = _letters(word, mod.sigma, mod.sigma_inv)
-    outputs = "closure" if closure_only else "all"
-    for s, vec in _columns(mod.ring, word.strands, letters, outputs):
+    keep = _sector_bits(word.strands) if closure_only else None
+    for s, vec in _columns(mod.ring, word.strands, letters, keep):
         stored += sum(map(len, vec.values()))
         if stored > term_budget:
             raise EngineError(

@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .braid import BraidError, BraidWord, closure_components
+from .braid import BraidError, BraidWord, closure_components, parse_int
 from .engine import MODELS, ambient_invariant, model, suite_isotopy
 from .oracles import OracleError, compare_case2, compare_case3
 from .ring import RingError
@@ -68,7 +68,8 @@ def load_table(path=None):
         seen.add(name)
         try:   # a TableError is a ValueError
             record = KnotRecord(name, BraidWord(
-                int(ns), tuple(int(t) for t in ls.split())))
+                parse_int(ns, "strand count"),
+                tuple(parse_int(t, "letter") for t in ls.split())))
         except (ValueError, BraidError) as exc:
             raise TableError(f"{path}:{lineno}: {exc}") from None
         if closure_components(record.word) != 1:
@@ -177,7 +178,8 @@ def _run_one(args):
 
 def run_suite(cases, table=None, max_crossings=8, jobs=1):
     """Run the per-case checks over the table, filtered by crossing count,
-    in ``jobs`` processes, but no more processes than rows.  ValueError
+    each case once however often it is given, in ``jobs`` processes, but
+    no more processes than rows.  ValueError
     unless every case is an int with a state model and ``jobs`` is an int
     of at least 1; TableError when the selection has no row, since an
     empty run checks nothing."""
@@ -190,7 +192,7 @@ def run_suite(cases, table=None, max_crossings=8, jobs=1):
     if table is None:
         table = load_table()
     work = [(rec.name, rec.word, case)
-            for case in sorted(cases)
+            for case in sorted(set(cases))
             for rec in table if rec.crossings <= max_crossings]
     if not work:
         raise TableError(f"no knot with at most {max_crossings} crossings "

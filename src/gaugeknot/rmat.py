@@ -33,13 +33,13 @@ is proven once per product: each operator bounds how far one letter moves
 an exponent, and when its letters' bounds sum below ``ring.EXP_BIAS`` and
 no delta carries i, a letter only drops a column's cancelled terms.
 Otherwise every column folds i**2 and is range-checked after every
-letter.  For the (1,1)-closure it forms only the terms whose state can
-still return to their input column through the nonzero entries of the
-remaining letters, and for a Yang-Baxter comparison only those that can
-still reach an output its caller keeps, one mask of outputs per input
-column; both are found by one backward pass of bitsets over the letters,
-numbered within charge sectors, so a pruned product takes
-charge-conserving operators only.
+letter.  Its caller may keep only some outputs, one mask of them per
+input column: each column's own output for the (1,1)-closure, one pair
+per orbit of two symmetries for a Yang-Baxter comparison.  It then forms
+only the terms whose state can still reach a kept output through the
+nonzero entries of the remaining letters, found by one backward pass of
+bitsets over the letters, numbered within charge sectors, so a pruned
+product takes charge-conserving operators only.
 The transition tables, the bounds and the backward pass's slice plans are
 built once per operator and kept on it.
 """
@@ -203,9 +203,9 @@ class SparseROp:
         if plan is not None:
             return plan
         if not self.conserves_charge():
-            raise RingError("a pruned product (closure-only, or one mask "
-                            "of kept outputs per column) needs operators "
-                            "that conserve the charge (weight, n(2) - n(3))")
+            raise RingError("a pruned product (one mask of kept outputs "
+                            "per column) needs operators that conserve the "
+                            "charge (weight, n(2) - n(3))")
         table = self._transitions(shift)[0]
         up = shift + self.ring._width
         groups = _groups(strands, shift)
@@ -295,7 +295,7 @@ def _largest_exponent(ring, keys):
                default=0)
 
 
-def _columns(ring, strands, letters, outputs="all"):
+def _columns(ring, strands, letters, keep=None):
     """The one operator product: push every basis column of
     (C^4)^{x strands} through ``letters``, ``(pos, op)`` pairs applied first
     to last, ``op`` (polynomial entries of ``ring``; RingError for another
@@ -324,37 +324,31 @@ def _columns(ring, strands, letters, outputs="all"):
     delta carries i, since no key can then leave its range or form i**2.
     At the end of a column its keys are split by state into polynomials.
 
-    ``outputs`` says which outputs t of each input column s are kept:
+    ``keep`` says which outputs t of each input column s are kept: None
+    for every output, the full product, or a tuple of one int mask per
+    column, in the lexicographic order of the columns, of bits numbered as
+    ``_sector_bits`` numbers states: the outputs t of s's charge sector
+    whose bits are set in s's mask (ValueError for a tuple of another
+    length).  The (1,1)-closure passes ``_sector_bits(strands)``, each
+    column's own bit, and a Yang-Baxter comparison (``ybe``) one pair per
+    orbit of two symmetries.
 
-    * ``"all"``: every output, the full product.
-    * ``"closure"``: t = s only, what the (1,1)-closure reads.
-    * a tuple of one int mask per column, in the lexicographic order of
-      the columns, of bits numbered as ``_sector_bits`` numbers states:
-      the outputs t of s's charge sector whose bits are set in s's mask.
-      A Yang-Baxter comparison (``ybe``) passes the pairs that decide it:
-      the triangle t >= s, or one pair per orbit of two symmetries.
-
-    The last two prune.  One backward pass over the letters (``_reach``)
-    gives, after each letter, the set of states each state can still reach
+    Masks prune.  One backward pass over the letters (``_reach``) gives,
+    after each letter, the set of states each state can still reach
     through nonzero entries of the later letters, as bits numbered
-    lexicographically within each charge sector (``_sector_bits``).  So
-    the kept outputs of column s are one mask of those bits: s's own bit
-    for the closure, or the mask given for s.  A column whose reach after
-    no letter meets its mask is skipped, and a term is formed only if its
-    output state's reach does:
+    lexicographically within each charge sector (``_sector_bits``).  A
+    column whose reach after no letter meets its mask is skipped, and a
+    term is formed only if its output state's reach does:
     a term's deltas are taken one output at a time, and an output's only
     if that holds.  A term left out would reach a kept output only through
     a zero entry, so the images kept are exactly those of the full
-    product.  The pruning modes take operators that conserve the charge
-    only, RingError otherwise, since a state never leaves its sector
-    there; the full product takes any operator and runs the same loop,
-    every state reaching the one bit of every column.
+    product.  Masks take operators that conserve the charge only,
+    RingError otherwise, since a state never leaves its sector there; the
+    full product takes any operator and runs the same loop, every state
+    reaching the one bit of every column.
     """
-    if isinstance(outputs, str):
-        if outputs not in ("all", "closure"):
-            raise ValueError(f"unknown outputs {outputs!r}")
-    elif len(outputs) != 4 ** strands:
-        raise ValueError(f"{len(outputs)} output masks for "
+    if keep is not None and len(keep) != 4 ** strands:
+        raise ValueError(f"{len(keep)} output masks for "
                          f"{4 ** strands} columns")
     # Per letter, its transition table and mask.
     width = ring._width
@@ -367,18 +361,17 @@ def _columns(ring, strands, letters, outputs="all"):
     settle = (sum(op._bound for _, op in letters) >= EXP_BIAS
               or any(op._settle for _, op in letters))
     cols = list(product((1, 2, 3, 4), repeat=strands))
-    if outputs == "all":
+    if keep is None:
         # every state reaches every column, whose bit is 1: the full
         # product passes every output
         reach = [[1] * len(cols)] * (len(steps) + 1)
+        keep = reach[-1]
     else:
         reach = _reach(strands, letters)
-    # per column, the mask of the outputs it keeps
-    keeps = reach[-1] if isinstance(outputs, str) else outputs
     after = reach[1:]       # per letter, the sets after it
     low = (1 << width) - 1
-    for s, (start, keep) in enumerate(zip(reach[0], keeps)):
-        if not start & keep:
+    for s, (start, want) in enumerate(zip(reach[0], keep)):
+        if not start & want:
             continue
         vec = {s << width | ring._bias: 1}
         for nxt, (table, mask) in zip(after, steps):
@@ -387,7 +380,7 @@ def _columns(ring, strands, letters, outputs="all"):
             for k, c in vec.items():
                 t = k >> width
                 for xor, pairs in table[k & mask]:
-                    if nxt[t ^ xor] & keep:
+                    if nxt[t ^ xor] & want:
                         for d, x in pairs:
                             e = k + d
                             new[e] = get(e, 0) + c * x

@@ -14,8 +14,9 @@ by the same factor N(u) N(u+v) N(v), so the cleared identity is equivalent
 and purely polynomial.
 
 Each equation is decided on one pair per orbit of two symmetries of its
-64x64 matrices, when its letters allow it.  Let E = LHS - RHS, and write
-E[s, t] for its entry at input column s and output t.
+64x64 matrices when its letters allow it, and in full otherwise.  Let
+E = LHS - RHS, and write E[s, t] for its entry at input column s and
+output t.
 
 * T, the transpose.  Call an operator symmetric when entry (a, b, c, d)
   equals entry (c, d, a, b): as a matrix on two sites it equals its
@@ -63,18 +64,17 @@ E[s, t] for its entry at input column s and output t.
 
 T and K are commuting involutions, so the orbit of (s, t) is {(s, t),
 (t, s), (Ks, Kt), (Kt, Ks)}, and E vanishes on all of it or on none.
-``_compare`` keeps, for each column s, the outputs t of its charge sector
-for which (s, t) comes first of its orbit in (s, t) order (``_masks``):
-the orbit domain when R is symmetric, conserves the charge and reflects,
-the triangle t >= s (the orbit of T alone) when it does not reflect.
-Either set decides the equation, as it meets every orbit and E is zero
+When R is symmetric, conserves the charge and reflects, ``_compare``
+keeps, for each column s, the outputs t of its charge sector for which
+(s, t) comes first of its orbit in (s, t) order (``_masks``): the orbit
+domain.  It decides the equation, as it meets every orbit and E is zero
 off the charge sectors.  Its report is the full comparison's too: the
 first difference in (s, t) order of the full matrices comes first of its
 orbit, which holds only differences, so it is kept, and the kept pairs
 before it are zero in full.  Every kept pair has t >= s, (t, s) being in
 its orbit.  The kept outputs need charge-conserving letters
-(``rmat._columns``); any other operator, and for the TYBE an R with Xv,
-Rv or Sv, is compared in full.
+(``rmat._columns``); any other operator, one that does not reflect, and
+for the TYBE an R with Xv, Rv or Sv, is compared in full.
 """
 
 from __future__ import annotations
@@ -104,12 +104,12 @@ class YBEReport:
                 f"lhs = {self.lhs}, rhs = {self.rhs}")
 
 
-def _compare(ring, lhs, rhs, outputs):
-    """Compare two words on three strands column by column, on the
-    ``outputs`` of ``_columns`` that ``_outputs`` chose for them; a failure
+def _compare(ring, lhs, rhs, keep):
+    """Compare two words on three strands column by column, on the outputs
+    ``keep`` of ``_columns`` that ``_outputs`` chose for them; a failure
     witness is (input column, output), the first difference in input and
     then output order."""
-    L, R = (dict(_columns(ring, 3, word, outputs)) for word in (lhs, rhs))
+    L, R = (dict(_columns(ring, 3, word, keep)) for word in (lhs, rhs))
     for s in sorted(L.keys() | R.keys()):
         left, right = L.get(s, {}), R.get(s, {})
         for t in sorted(left.keys() | right.keys()):
@@ -120,14 +120,14 @@ def _compare(ring, lhs, rhs, outputs):
 
 
 def _outputs(R, mirrored):
-    """The outputs ``_compare`` reads for the equation of R, whose sides
-    the caller says are ``mirrored``: the orbit domain of T and K when R
-    is symmetric, conserves the charge and reflects, the triangle of T
-    when it does not reflect, and ``"all"`` otherwise (module
-    docstring)."""
-    if not (mirrored and R.conserves_charge() and R.transpose() == R):
-        return "all"
-    return _masks(3, _reflects(R))
+    """The ``_columns`` masks ``_compare`` reads for the equation of R,
+    whose sides the caller says are ``mirrored``: the orbit domain of T
+    and K when R is symmetric, conserves the charge and reflects, and
+    None, every output, otherwise (module docstring)."""
+    if (mirrored and R.conserves_charge() and R.transpose() == R
+            and _reflects(R)):
+        return _masks(3)
+    return None
 
 
 def _reflects(R):
@@ -172,11 +172,11 @@ def _reflected(s):
 
 
 @lru_cache(maxsize=None)
-def _masks(strands, reflect):
+def _masks(strands):
     """``_columns`` masks, bits numbered by ``rmat._sector_bits``: for
     each column s, the outputs t of its charge sector for which (s, t)
-    comes first of its orbit in (s, t) order, the orbit of the transpose T
-    and, when ``reflect``, of K (module docstring)."""
+    comes first of its orbit of T and K in (s, t) order (module
+    docstring)."""
     cols = list(product((1, 2, 3, 4), repeat=strands))
     sectors = {}
     for s, bit in zip(cols, _sector_bits(strands)):
@@ -188,11 +188,8 @@ def _masks(strands, reflect):
             ks = _reflected(s)
             masks[s] = 0
             for t, bit in sector:
-                orbit = [(t, s)]
-                if reflect:
-                    kt = _reflected(t)
-                    orbit += [(ks, kt), (kt, ks)]
-                if (s, t) <= min(orbit):
+                kt = _reflected(t)
+                if (s, t) <= min((t, s), (ks, kt), (kt, ks)):
                     masks[s] |= bit
     return tuple(masks[s] for s in cols)
 

@@ -1,5 +1,7 @@
 """Braid-word parsing and basic combinatorics."""
 
+import re
+
 import pytest
 
 from conftest import rand_knot_word
@@ -29,6 +31,28 @@ def test_parse_errors():
     for bad in ("2 : 5", "0 : 1", "2 : 0", "2 : x", "2 ; 1", "", "3 1 2"):
         with pytest.raises(braid.BraidError):
             braid.parse(bad)
+
+
+@pytest.mark.parametrize("text, token", [
+    ("1_0 : 1 2 3 4 5 6 7 8 9", "1_0"),
+    ("\u0663 : 1 -2 1", "\u0663"),
+    ("3 : 1 -\u0662 1", "-\u0662"),
+    ("3 : 1 -2 1_0", "1_0"),
+    ("3 : \uff11 -2", "\uff11"),
+    ("3 : 1 +-2", "+-2"),
+    ("3 : 1.0 -2", "1.0"),
+    ("0x3 : 1 -2", "0x3"),
+])
+def test_parse_takes_ascii_decimal_integers_only(text, token):
+    """Strand count and letters are ``[+-]?[0-9]+``: ``int`` alone would
+    read ``1_0`` as 10 and the Arabic-Indic digit three as 3."""
+    with pytest.raises(braid.BraidError, match=re.escape(repr(token))):
+        braid.parse(text)
+
+
+def test_parse_takes_a_sign():
+    assert braid.parse("+3 : +1 -2, 1") == braid.BraidWord(3, (1, -2, 1))
+    assert braid.parse_int("-07", "letter") == -7
 
 
 def test_word_validation():

@@ -249,6 +249,31 @@ def test_bad_suite_cases_are_usage_errors(capsys, cases):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("cases, token", [("2,1_0", "1_0"),
+                                          ("\u0663", "\u0663"),
+                                          ("3,", "")])
+def test_suite_cases_take_ascii_decimal_integers_only(capsys, cases, token):
+    """``--cases`` takes braid text's integers, and the error names the
+    token."""
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "suite", "--cases", cases)
+    assert exc.value.code == 2
+    assert f"bad case {token!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, token", [
+    (("invariant", "--case", "3", "--braid", "1_0 : 1 2 3 4 5 6 7 8 9"),
+     "1_0"),
+    (("oracle", "jones", "--braid", "\u0663 : 1 -2 1"), "\u0663"),
+])
+def test_non_ascii_or_underscored_braid_text_is_a_usage_error(capsys, argv,
+                                                              token):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    assert exc.value.code == 2
+    assert f"error: bad strand count {token!r}" in capsys.readouterr().err
+
+
 def test_bad_braid_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "invariant", "--case", "2", "--braid", "2 : 9")

@@ -598,10 +598,10 @@ def test_represent_runs_the_word_as_given():
     for key in ALL_MODELS:
         mod = engine.model(*key)
         letters = engine._letters(word, mod.sigma, mod.sigma_inv)
-        for closure_only, outputs in ((False, "all"), (True, "closure")):
+        for closure_only, keep in ((False, None),
+                                   (True, rmat._sector_bits(word.strands))):
             assert engine.represent(word, mod, closure_only=closure_only) \
-                == dict(rmat._columns(mod.ring, word.strands, letters,
-                                      outputs))
+                == dict(rmat._columns(mod.ring, word.strands, letters, keep))
 
 
 def test_ambient_budget_error_names_the_word_and_its_rotation():
@@ -681,7 +681,7 @@ def test_every_operator_equals_its_transpose():
     every MODELS row, the four quantum R-matrices and both trigonometric
     operators: each is a symmetric matrix on two sites, and so is each
     letter it gives on n strands.  The reversal theorem below and the
-    triangle and orbit domain of ``ybe`` rest on this."""
+    orbit domain of ``ybe`` rest on this."""
     ops = {f"{case} {isotopy} {name}": getattr(engine.model(case, isotopy),
                                                name)
            for case, isotopy in ALL_MODELS for name in ("sigma", "sigma_inv")}

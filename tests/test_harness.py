@@ -59,6 +59,23 @@ def test_load_table_errors(tmp_path):
         load("3_1 ; 2\n")
 
 
+@pytest.mark.parametrize("row, token", [
+    ("3_1 ; 1_0 ; 1 1 1", "1_0"),
+    ("3_1 ; \u0662 ; 1 1 1", "\u0662"),
+    ("3_1 ; 2 ; 1 1_0 1", "1_0"),
+    ("3_1 ; 2 ; 1 \u0661 1", "\u0661"),
+    ("3_1 ; 2.0 ; 1 1 1", "2.0"),
+])
+def test_load_table_takes_ascii_decimal_integers_only(tmp_path, row, token):
+    """Strand counts and letters of a row take braid text's integers."""
+    f = tmp_path / "table.txt"
+    f.write_text(f"4_1 ; 3 ; 1 -2 1 -2\n{row}\n")
+    with pytest.raises(harness.TableError,
+                       match=re.escape(f"{f}:2: bad ") + ".*"
+                       + re.escape(repr(token))):
+        harness.load_table(f)
+
+
 @pytest.mark.parametrize("name", ["trefoil", "x3_1", "3a_1", "_1", "+3_1",
                                   "-3_1", "\u0663_1", "\u00b3_1"])
 def test_load_table_refuses_a_name_without_crossing_number(tmp_path, name):
@@ -111,6 +128,13 @@ def test_empty_selection_is_refused():
         harness.run_suite([4], max_crossings=2)
     with pytest.raises(harness.TableError):
         harness.run_suite(set(), max_crossings=10)
+
+
+def test_a_repeated_case_is_run_once():
+    report = harness.run_suite([4, 4], max_crossings=3)
+    assert report.total == 1
+    assert [(r["case"], r["knot"]) for r in report.rows] == [(4, "3_1")]
+    assert harness.run_suite([3, 4, 3], max_crossings=3).total == 2
 
 
 @pytest.mark.parametrize("jobs", [0, -3, 1.0, "2", None, True])

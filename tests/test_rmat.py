@@ -307,20 +307,19 @@ def test_invert_refuses_a_charge_mixing_operator():
 
 def test_closure_only_refuses_a_charge_mixing_letter():
     """The full product takes an operator that changes strand 1 alone; the
-    closure-only one and one with masks of kept outputs refuse it, at any
-    place in the word, before a column is yielded, with an error that
-    names both pruned products."""
+    closure-only one and the orbit domain of ``ybe``, both masks of kept
+    outputs, refuse it, at any place in the word, before a column is
+    yielded, with an error that names the pruned product."""
     op = charge_mixing_op()
     full = dict(rmat._columns(QUANTUM, 2, [(1, op)]))
     assert set(full[(3, 1)]) == {(3, 1), (2, 1)}
     sigma = engine.model(1, "ambient").sigma
     for letters in ([(1, op)], [(1, sigma), (2, op)], [(2, op), (1, sigma)]):
-        for outputs in ("closure", ybe._masks(3, False)):
-            with pytest.raises(RingError, match=r"pruned product "
-                               r"\(closure-only, or one mask of kept outputs "
-                               r"per column\) needs operators that conserve "
-                               r"the charge"):
-                next(rmat._columns(QUANTUM, 3, letters, outputs))
+        for keep in (rmat._sector_bits(3), ybe._masks(3)):
+            with pytest.raises(RingError, match=r"pruned product \(one mask "
+                               r"of kept outputs per column\) needs operators "
+                               r"that conserve the charge"):
+                next(rmat._columns(QUANTUM, 3, letters, keep))
 
 
 def _tuple_product(ring, letters, s):
@@ -354,8 +353,8 @@ def test_columns_yield_tuples_in_lexicographic_order(rng, strands):
                    for _ in range(strands + 1)]
         ref = {s: _tuple_product(QUANTUM, letters, s) for s in columns}
         closed = {s: {s: v[s]} for s, v in ref.items() if s in v}
-        for outputs, want in (("all", ref), ("closure", closed)):
-            got = list(rmat._columns(QUANTUM, strands, letters, outputs))
+        for keep, want in ((None, ref), (rmat._sector_bits(strands), closed)):
+            got = list(rmat._columns(QUANTUM, strands, letters, keep))
             assert [s for s, _ in got] == [s for s in columns if want.get(s)]
             for s, image in got:
                 assert image == want[s]
@@ -373,43 +372,41 @@ def test_key_width_of_each_ring():
         assert max(top._t) < 1 << ring._width
 
 
-def _kept(columns, outputs):
-    """The nonzero columns of a full product with the outputs ``outputs``
-    keeps: "closure" each image's output at its input, and a tuple of
-    masks, one per column in lexicographic order, the outputs whose
-    ``_sector_bits`` bits are set in their column's mask."""
-    if outputs == "closure":
-        columns = [(s, {s: vec[s]} if s in vec else {}) for s, vec in columns]
-    elif outputs != "all":
+def _kept(columns, keep):
+    """The nonzero columns of a full product with the outputs ``keep``
+    keeps: all for None, else for a tuple of masks, one per column in
+    lexicographic order, the outputs whose ``_sector_bits`` bits are set
+    in their column's mask."""
+    if keep is not None:
         states = list(product((1, 2, 3, 4), repeat=len(columns[0][0])))
         bits = dict(zip(states, rmat._sector_bits(len(states[0]))))
-        masks = dict(zip(states, outputs))
+        masks = dict(zip(states, keep))
         columns = [(s, {t: v for t, v in vec.items() if masks[s] & bits[t]})
                    for s, vec in columns]
     return [(s, vec) for s, vec in columns if vec]
 
 
-def _reference_columns(ring, strands, letters, outputs="all"):
+def _reference_columns(ring, strands, letters, keep=None):
     """The operator product with tuple states, formed with the ring's own
     ``*`` and ``+`` (``_tuple_product``), so independent of the kernel's
-    tables, with the outputs ``outputs`` keeps (``_kept``)."""
+    tables, with the outputs ``keep`` keeps (``_kept``)."""
     return _kept([(s, dict(sorted(_tuple_product(ring, letters, s).items())))
-                  for s in product((1, 2, 3, 4), repeat=strands)], outputs)
+                  for s in product((1, 2, 3, 4), repeat=strands)], keep)
 
 
 def _assert_columns_match(ring, strands, letters):
-    """Full, closure-only, the triangle and the orbit domain of ``ybe``,
-    the last three refused unless every letter conserves the charge."""
+    """Full, closure-only (each column's own ``_sector_bits`` bit) and the
+    orbit domain of ``ybe``, the last two refused unless every letter
+    conserves the charge."""
     full = _reference_columns(ring, strands, letters)
-    for outputs in ("all", "closure", ybe._masks(strands, False),
-                    ybe._masks(strands, True)):
-        if outputs != "all" and not all(op.conserves_charge()
+    for keep in (None, rmat._sector_bits(strands), ybe._masks(strands)):
+        if keep is not None and not all(op.conserves_charge()
                                         for _, op in letters):
             with pytest.raises(RingError, match="conserve the charge"):
-                next(rmat._columns(ring, strands, letters, outputs))
+                next(rmat._columns(ring, strands, letters, keep))
             continue
-        got = list(rmat._columns(ring, strands, letters, outputs))
-        want = _kept(full, outputs)
+        got = list(rmat._columns(ring, strands, letters, keep))
+        want = _kept(full, keep)
         assert got == want
         # outputs in lexicographic order too
         assert all(list(image) == sorted(image) for _, image in got)
@@ -429,25 +426,51 @@ def _symmetric_op(rng):
     return SparseROp(QUANTUM, entries)
 
 
-def test_the_triangle_is_the_full_product_from_the_input_up(rng):
+def test_columns_keep_exactly_the_masked_outputs(rng):
     """On case-1 letters and seeded symmetric charge-conserving operators,
-    2-4 strands: the triangle yields, for each input column s, exactly the
-    outputs t >= s of the full product, and no column that has none."""
+    2-4 strands, with seeded per-column masks (empty, whole-sector and
+    random ones) and with the triangle t >= s: each yielded column holds
+    exactly the full product's outputs whose ``_sector_bits`` bits are set
+    in its mask, and a column with no such nonzero output is absent.  A
+    tuple of masks of another length is refused."""
     mod = engine.model(1, "ambient")
+    skipped = 0
     for strands in (2, 3, 3, 4):
+        states = list(product((1, 2, 3, 4), repeat=strands))
+        bit = dict(zip(states, rmat._sector_bits(strands)))
+        sector = {}
+        for s in states:
+            charge = tuple(map(sum, zip(*(rmat.CHARGE[x] for x in s))))
+            sector.setdefault(charge, []).append(s)
+        same = {s: group for group in sector.values() for s in group}
+        whole = [sum(bit[t] for t in same[s]) for s in states]
+        kinds = [i % 3 for i in range(len(states))]
+        rng.shuffle(kinds)
+        drawn = tuple((0, w, rng.randint(0, w))[kind]
+                      for kind, w in zip(kinds, whole))
+        triangle = tuple(sum(bit[t] for t in same[s] if t >= s)
+                         for s in states)
         ops = (mod.sigma, mod.sigma_inv,
                _symmetric_op(rng), _symmetric_op(rng))
         letters = [(rng.randint(1, strands - 1), rng.choice(ops))
                    for _ in range(strands + 2)]
-        full = list(rmat._columns(QUANTUM, strands, letters))
-        got = list(rmat._columns(QUANTUM, strands, letters,
-                                 ybe._masks(strands, False)))
-        assert got == [(s, {t: v for t, v in image.items() if t >= s})
-                       for s, image in full if max(image) >= s]
-    with pytest.raises(ValueError, match="unknown outputs 'diagonal'"):
-        next(rmat._columns(QUANTUM, 2, (), "diagonal"))
+        full = dict(rmat._columns(QUANTUM, strands, letters))
+        for keep in (drawn, tuple(whole), triangle):
+            want = []
+            for s, mask in zip(states, keep):
+                image = {t: v for t, v in full.get(s, {}).items()
+                         if mask & bit[t]}
+                if image:
+                    want.append((s, image))
+                skipped += s in full and not image
+            assert list(rmat._columns(QUANTUM, strands, letters, keep)) == \
+                want
+        assert [(s, {t: v for t, v in image.items() if t >= s})
+                for s, image in full.items() if max(image) >= s] == \
+            list(rmat._columns(QUANTUM, strands, letters, triangle))
+    assert skipped
     with pytest.raises(ValueError, match="16 output masks for 64 columns"):
-        next(rmat._columns(QUANTUM, 3, (), ybe._masks(2, False)))
+        next(rmat._columns(QUANTUM, 3, (), rmat._sector_bits(2)))
 
 
 @pytest.mark.parametrize("case", [2, 4])
@@ -467,7 +490,7 @@ def test_columns_match_the_reference_in_the_ambient_rings(rng, case):
 
 def test_columns_match_the_reference_on_the_tybe_sides():
     """Both sides of the additive Yang-Baxter equation on 3 strands, TRIG
-    keys with Y, in every mode of ``_columns``."""
+    keys with Y, full, closure-only and on the orbit domain."""
     for side in ybe._tybe_sides(rmat.build_trig_gauged()):
         _assert_columns_match(TRIG, 3, side)
 
@@ -480,10 +503,10 @@ def test_cached_transition_tables_equal_a_fresh_build():
     op = SparseROp(QUANTUM, mod.sigma.entries)
     inv = SparseROp(QUANTUM, mod.sigma_inv.entries)
     word = [(1, op), (2, inv), (2, op), (1, op), (2, op)]
-    for outputs in ("all", "closure", "all", "closure"):
+    for keep in (None, rmat._sector_bits(3)) * 2:
         fresh = [(pos, SparseROp(QUANTUM, o.entries)) for pos, o in word]
-        assert list(rmat._columns(QUANTUM, 3, word, outputs)) == \
-            list(rmat._columns(QUANTUM, 3, fresh, outputs))
+        assert list(rmat._columns(QUANTUM, 3, word, keep)) == \
+            list(rmat._columns(QUANTUM, 3, fresh, keep))
     assert set(op._tables) == {0, 2}    # both positions, both modes
     for shift in (0, 2):
         assert op._tables[shift] == \
@@ -503,9 +526,9 @@ def test_cached_reach_plans_equal_a_fresh_build():
                           (4, [(3, op), (1, inv)])):
         for _ in range(2):
             fresh = [(pos, SparseROp(QUANTUM, o.entries)) for pos, o in word]
-            assert list(rmat._columns(QUANTUM, strands, word,
-                                      "closure")) == \
-                list(rmat._columns(QUANTUM, strands, fresh, "closure"))
+            closure = rmat._sector_bits(strands)
+            assert list(rmat._columns(QUANTUM, strands, word, closure)) == \
+                list(rmat._columns(QUANTUM, strands, fresh, closure))
     assert set(op._plans) == {(3, 0), (3, 2), (4, 0)}
     for strands, shift in op._plans:
         assert op._plans[strands, shift] == \
@@ -580,8 +603,9 @@ def _returns(letters, s):
 def _assert_closure_only_exact(ring, strands, letters):
     """The pruned closure-only product equals the reference's; returns the
     number of columns that cannot return to themselves."""
-    got = list(rmat._columns(ring, strands, letters, "closure"))
-    assert got == _reference_columns(ring, strands, letters, "closure")
+    closure = rmat._sector_bits(strands)
+    got = list(rmat._columns(ring, strands, letters, closure))
+    assert got == _reference_columns(ring, strands, letters, closure)
     return sum(not _returns(letters, s)
                for s in product((1, 2, 3, 4), repeat=strands))
 
@@ -704,7 +728,8 @@ def test_columns_keep_an_out_of_range_sum_that_cancels():
     second[(2, 3, 3, 2)] = -big
     word = [(1, SparseROp(QUANTUM, first)), (1, SparseROp(QUANTUM, second))]
     assert dict(rmat._columns(QUANTUM, 2, word))[(3, 2)] == {(2, 3): big}
-    assert (3, 2) not in dict(rmat._columns(QUANTUM, 2, word, "closure"))
+    assert (3, 2) not in dict(rmat._columns(QUANTUM, 2, word,
+                                            rmat._sector_bits(2)))
     with pytest.raises(RingError, match="exponent outside"):
         big * big
 
@@ -883,8 +908,9 @@ def test_columns_never_fold_y_squared_after_a_letter(rng, y_folds):
     side = ybe._tybe_sides(rmat.build_trig_gauged())[0]
     del y_folds[:]
     for letters in words:
-        for outputs in ("all", "closure"):
-            list(rmat._columns(QUANTUM, len(letters) - 3, letters, outputs))
+        strands = len(letters) - 3
+        for keep in (None, rmat._sector_bits(strands)):
+            list(rmat._columns(QUANTUM, strands, letters, keep))
     list(rmat._columns(TRIG, 3, side))
     assert y_folds == []
     for letters in words:

@@ -155,13 +155,13 @@ def test_gauge_covariance_of_tybe():
 
 @pytest.fixture
 def reads(monkeypatch):
-    """The ``outputs`` of every product ``ybe._compare`` forms."""
+    """The ``keep`` masks of every product ``ybe._compare`` forms."""
     seen = []
     real = ybe._columns
 
-    def recorded(ring, strands, letters, outputs="all"):
-        seen.append(outputs)
-        return real(ring, strands, letters, outputs)
+    def recorded(ring, strands, letters, keep=None):
+        seen.append(keep)
+        return real(ring, strands, letters, keep)
     monkeypatch.setattr(ybe, "_columns", recorded)
     return seen
 
@@ -199,11 +199,10 @@ def _pj(k):
     return (5 - b, 5 - a, 5 - d, 5 - c)
 
 
-ORBIT = ybe._masks(3, True)
-TRIANGLE = ybe._masks(3, False)
+ORBIT = ybe._masks(3)
 
 
-def test_the_paper_operators_are_decided_on_the_triangle(reads):
+def test_the_paper_operators_are_decided_on_the_orbit_domain(reads):
     """The QYBE of the four quantum R-matrices and the TYBE of both
     trigonometric operators meet the premise of the orbit domain, one pair
     per orbit of T and K: symmetric, charge-conserving letters that
@@ -213,15 +212,12 @@ def test_the_paper_operators_are_decided_on_the_triangle(reads):
     for R in (rmat.build_trig_gauge_free(), rmat.build_trig_gauged()):
         assert ybe.verify_tybe_additive(R)
     assert reads == [ORBIT] * 12
-    assert ORBIT != TRIANGLE
 
 
 def test_the_orbit_domain_holds_one_pair_per_orbit():
     """Over the pairs (s, t) of one charge sector on three strands, each
     orbit of T: (s, t) -> (t, s) and K: (s, t) -> (Ks, Kt), Ks = (Js3, Js2,
-    Js1), holds exactly one kept pair of the orbit masks, its least, and
-    each orbit of T alone one kept pair of the triangle, (s, t) with
-    t >= s."""
+    Js1), holds exactly one kept pair of the orbit masks, its least."""
     states = list(product(range(1, 5), repeat=3))
     bits = dict(zip(states, rmat._sector_bits(3)))
 
@@ -235,21 +231,18 @@ def test_the_orbit_domain_holds_one_pair_per_orbit():
         return tuple(5 - x for x in s[::-1])
 
     pairs = [(s, t) for s in states for t in states if charge(s) == charge(t)]
-    for masks, group in ((ORBIT, 4), (TRIANGLE, 2)):
-        orbits = {frozenset([(s, t), (t, s)] + ([(k(s), k(t)), (k(t), k(s))]
-                                                if group == 4 else []))
-                  for s, t in pairs}
-        for orbit in orbits:
-            assert [p for p in sorted(orbit) if kept(masks, *p)] == \
-                [min(orbit)]
-        assert sum(kept(masks, *p) for p in pairs) == len(orbits)
-    assert len(pairs) == 400 and sum(kept(ORBIT, *p) for p in pairs) == 116
+    orbits = {frozenset([(s, t), (t, s), (k(s), k(t)), (k(t), k(s))])
+              for s, t in pairs}
+    for orbit in orbits:
+        assert [p for p in sorted(orbit) if kept(ORBIT, *p)] == [min(orbit)]
+    assert len(pairs) == 400 and len(orbits) == 116
+    assert sum(kept(ORBIT, *p) for p in pairs) == 116
 
 
 def test_a_symmetric_perturbation_fails_with_the_full_report(reads):
     """Doubling a pair (a, b, c, d), (c, d, a, b) keeps an operator
     symmetric, so the orbit domain is read when the doubled keys are also
-    closed under PJ, and the triangle otherwise, and the report is the full
+    closed under PJ, and every output otherwise, and the report is the full
     comparison's, witness and both sides: (2, 3, 3, 2) with (3, 2, 2, 3) in
     R1 and in the gauged trigonometric operator, which fail, and every
     off-diagonal pair of R1-R4, most of which fail."""
@@ -267,7 +260,7 @@ def test_a_symmetric_perturbation_fails_with_the_full_report(reads):
         del reads[:]
         rep = verify(P)
         closed = {_pj(k) for k in keys} == set(keys)
-        assert reads == [ORBIT if closed else TRIANGLE] * 2
+        assert reads == [ORBIT if closed else None] * 2
         assert n > 1 or not rep.ok
         want = _full_report(P.ring, *sides(P))
         assert rep == want and str(rep) == str(want)
@@ -285,7 +278,7 @@ def test_a_doubled_orbit_of_entries_fails_on_the_orbit_domain(reads):
     both trigonometric operators, and all 36 of the trigonometric ones
     fail.  Doubling (1, 2, 2, 1) with (2, 1, 1, 2), whose PJ keys are
     (3, 4, 4, 3) and (4, 3, 3, 4), keeps T and breaks K: in R1 and in the
-    gauged trigonometric operator the triangle is read, and the equation
+    gauged trigonometric operator every output is read, and the equation
     fails with the full comparison's report."""
     ops = [(ybe.verify_qybe, ybe._qybe_sides, rmat.quantum_r(i))
            for i in (1, 2, 3, 4)]
@@ -296,7 +289,7 @@ def test_a_doubled_orbit_of_entries_fails_on_the_orbit_domain(reads):
              for verify, sides, R in ops
              for orbit in {frozenset({k, _t(k), _pj(k), _t(_pj(k))})
                            for k in R.entries}]
-    cases += [(verify, sides, R, pair, TRIANGLE)
+    cases += [(verify, sides, R, pair, None)
               for verify, sides, R in (ops[0], ops[-1])]
     trig_failed = 0
     for verify, sides, R, keys, domain in cases:
@@ -335,6 +328,6 @@ def test_an_operator_off_the_premise_is_compared_in_full(reads):
             (ybe.verify_tybe_additive, ybe._tybe_sides, with_xv)):
         del reads[:]
         rep = verify(P)
-        assert reads == ["all", "all"]
+        assert reads == [None, None]
         assert not rep.ok
         assert rep == _full_report(P.ring, *sides(P))
