@@ -17,6 +17,15 @@ from .ring import RingError
 EX_OK, EX_FAIL, EX_USAGE = 0, 1, 2
 
 
+def _int(token):
+    """An integer option's value: ``[+-]?[0-9]+`` (``braid.parse_int``), so
+    ``int``'s ``1_0`` and non-ASCII digits are refused, naming the token."""
+    try:
+        return braid.parse_int(token, "integer")
+    except braid.BraidError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _word_from_args(args, parser):
     if args.braid is not None:
         try:
@@ -196,7 +205,7 @@ def build_parser():
 
     ver = sub.add_parser("verify", help="run symbolic R-matrix checks")
     ver.add_argument("--what", choices=["qybe", "tybe", "gauge"])
-    ver.add_argument("--case", type=int, choices=[1, 2, 3, 4])
+    ver.add_argument("--case", type=_int, choices=[1, 2, 3, 4])
     ver.set_defaults(func=_cmd_verify, parser=ver)
 
     rm = sub.add_parser("rmatrix", help="print an R-matrix")
@@ -204,7 +213,7 @@ def build_parser():
     show = rm_sub.add_parser("show")
     show.add_argument("--regime", default="trig",
                       choices=["trig", "quantum"])
-    show.add_argument("--case", type=int, default=0, choices=range(5),
+    show.add_argument("--case", type=_int, default=0, choices=range(5),
                       help="quantum case 1..4; with --regime trig, 0 "
                            "selects the gauge-free operator and 1..4 the "
                            "gauged one under that case's (Ru, Su) -> "
@@ -213,11 +222,11 @@ def build_parser():
     show.set_defaults(func=_cmd_rmatrix, parser=show)
 
     eig = sub.add_parser("eigen", help="eigenvalue check at sample points")
-    eig.add_argument("--case", type=int, required=True, choices=[1, 2, 3, 4])
+    eig.add_argument("--case", type=_int, required=True, choices=[1, 2, 3, 4])
     eig.set_defaults(func=_cmd_eigen, parser=eig)
 
     inv = sub.add_parser("invariant", help="evaluate a (1,1)-tangle invariant")
-    inv.add_argument("--case", type=int, required=True, choices=[1, 2, 3, 4])
+    inv.add_argument("--case", type=_int, required=True, choices=[1, 2, 3, 4])
     inv.add_argument("--isotopy", choices=["ambient", "regular"],
                      help="default: regular when the case has a regular "
                           "model, else ambient")
@@ -235,14 +244,14 @@ def build_parser():
     orc.set_defaults(func=_cmd_oracle, parser=orc)
 
     mat = sub.add_parser("matveev", help="distinguishing-pair test")
-    mat.add_argument("--case", type=int, required=True, choices=[1, 2, 3, 4])
+    mat.add_argument("--case", type=_int, required=True, choices=[1, 2, 3, 4])
     mat.set_defaults(func=_cmd_matveev, parser=mat)
 
     st = sub.add_parser("suite", help="run the knot-table suite")
     st.add_argument("--cases", default="2,3,4")
-    st.add_argument("--max-crossings", type=int, default=8)
+    st.add_argument("--max-crossings", type=_int, default=8)
     st.add_argument("--out")
-    st.add_argument("--jobs", type=int, default=1)
+    st.add_argument("--jobs", type=_int, default=1)
     st.add_argument("--table")
     st.set_defaults(func=_cmd_suite, parser=st)
     return p

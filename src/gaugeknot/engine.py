@@ -53,8 +53,7 @@ from operator import and_, or_
 
 from .braid import (BraidWord, closure_components, matveev_pair,
                     reduce_knot_word)
-from .ring import (CONST, LaurentPoly, QONLY, QUANTUM, RingError, _folded,
-                   map_poly)
+from .ring import CONST, LaurentPoly, QONLY, QUANTUM, RingError, _folded
 from .rmat import SparseROp, _columns, _sector_bits, invert, quantum_r
 
 
@@ -200,8 +199,7 @@ def model(case, isotopy):
         raise EngineError(f"no {isotopy} model for case {case}")
     R = quantum_r(case)
     if row.images is not None:
-        ring = row.kappa.ring
-        R = R.map_entries(lambda v: map_poly(v, ring, row.images))
+        R = R.mapped(row.kappa.ring, row.images)
     sig, sig_inv = _scaled(R, row.kappa)
     return StateModel(case, isotopy, sig, sig_inv, row.C, row.kappa,
                       row.handle, row.scalar)

@@ -44,8 +44,9 @@ _FIELD_BITS = 32
 _VALUE_MASK = 2 * EXP_BIAS - 1
 _GUARD_BITS = ((1 << _FIELD_BITS) - 1) ^ _VALUE_MASK
 
-#: ``map_poly`` image exponents lie in [-_IMAGE_LIMIT, _IMAGE_LIMIT).  A
-#: target exponent then sums at most 9 source exponents times image
+#: ``map_poly`` image exponents lie in [-_IMAGE_LIMIT, _IMAGE_LIMIT), read
+#: off each image's unpacked exponents once per compiled map.  A target
+#: exponent then sums at most 9 source exponents times image
 #: exponents, at most 9 * 2**28 in size, so one out of range sets its
 #: field's guard bits and never wraps past them.
 _IMAGE_LIMIT = 1 << 12
@@ -94,11 +95,6 @@ class Ring:
         self._width = shift
         self._bias = sum(b << s for s, _, b in self._layout)
         self._guard = sum(_GUARD_BITS << s for s, _, b in self._layout if b)
-        # an image offset plus _image_bias sets _image_guard iff one of its
-        # exponents lies outside [-_IMAGE_LIMIT, _IMAGE_LIMIT)
-        self._image_bias = sum(_IMAGE_LIMIT << s for s, _, b in self._layout if b)
-        self._image_guard = sum(((1 << _FIELD_BITS) - 2 * _IMAGE_LIMIT) << s
-                                for s, _, b in self._layout if b)
         # the key bits of an out-of-range exponent or i**2; Y**2's join
         # them once the relation is set
         self._fold_bits = self._guard | 2
@@ -174,10 +170,14 @@ class Ring:
         """Single-term polynomial, e.g. ring.mono(-1, Q=2, p=-2)."""
         vec = [0] * len(self.names)
         for name, e in exps.items():
-            if name not in self.index:
-                raise RingError(f"variable {name!r} not in ring {self.names}")
-            vec[self.index[name]] = e
+            vec[self._slot(name)] = e
         return self.poly({tuple(vec): coeff})
+
+    def _slot(self, name):
+        """The index of variable ``name``; RingError if the ring lacks it."""
+        if name not in self.index:
+            raise RingError(f"variable {name!r} not in ring {self.names}")
+        return self.index[name]
 
     def gauss(self, re, im=0):
         return self.poly({(0,) * len(self.names): (re, im)})
@@ -376,18 +376,20 @@ class LaurentPoly:
         return LaurentPoly(ring, inv)
 
     def coeff_of(self, name, power):
-        """Polynomial coefficient of name**power (the variable is projected out)."""
-        s, m, b = self.ring._layout[self.ring.index[name]]
+        """Polynomial coefficient of name**power (the variable is projected
+        out); RingError if the ring has no variable ``name``."""
+        s, m, b = self.ring._layout[self.ring._slot(name)]
         want = power + b
         drop = power << s
         return LaurentPoly(self.ring, {k - drop: c for k, c in self._t.items()
                                        if (k >> s) & m == want})
 
     def degree_in(self, name):
-        """Max exponent of a variable, or None for the zero polynomial."""
+        """Max exponent of a variable, or None for the zero polynomial;
+        RingError if the ring has no variable ``name``."""
+        s, m, b = self.ring._layout[self.ring._slot(name)]
         if not self._t:
             return None
-        s, m, b = self.ring._layout[self.ring.index[name]]
         return max([(k >> s) & m for k in self._t]) - b
 
     def __str__(self):
@@ -553,61 +555,79 @@ def map_poly(poly, target_ring, images):
     are mapped directly, as signed key offsets, and the unit as a count of
     quarter turns.  Y's image may be any polynomial whose square is the
     image of the rewrite relation: P0 + P1*Y goes to map(P0) + map(P1) *
-    image(Y).  RingError if an image has an
-    exponent outside [-4096, 4095] or a mapped exponent leaves
-    [-EXP_BIAS, EXP_BIAS).
+    image(Y).  RingError if an image has an exponent outside
+    [-_IMAGE_LIMIT, _IMAGE_LIMIT - 1] = [-4096, 4095] or a mapped exponent
+    leaves [-EXP_BIAS, EXP_BIAS).  The morphism is compiled for this one
+    call; ``_morphism`` compiles one for many polynomials, as
+    ``rmat.SparseROp.mapped`` does for every entry of an operator.
     """
-    ring = poly.ring
-    yk, tys = ring.y_index, target_ring._ys
-    base = target_ring._bias    # a term's key before its moved variables
+    return _morphism(poly.ring, target_ring, images)(poly)
+
+
+def _morphism(source, target, images):
+    """The ring morphism of ``map_poly`` from ``source`` to ``target``,
+    compiled: the images are checked and turned into key offsets here,
+    once, and the function returned maps one polynomial of ``source``.
+    It checks Y's image against the rewrite relation at the first
+    polynomial with a Y term and remembers the check only once it passed,
+    so a failed check is made again at the next such polynomial."""
+    yk, ys, tys = source.y_index, source._ys, target._ys
+    base = target._bias    # a term's key before its moved variables
     keep = 0           # fields of the variables a same-ring map fixes
-    parts = []         # per other source variable: (shift, key offset, i-turns)
-    for k, name in enumerate(ring.names):
+    parts = []         # per other source variable: (shift, offset, i-turns)
+    for k, name in enumerate(source.names):
         if name not in images:
             raise RingError(f"missing image for {name}")
         img = images[name]
         if isinstance(img, int):
-            img = target_ring.gauss(img)
+            img = target.gauss(img)
         if k == yk:
             y_img = img
             continue
         v, c = next(iter(img._t.items()), (0, None))
         if (len(img._t) != 1 or c not in (1, -1)
-                or img.ring is not target_ring
+                or img.ring is not target
                 or (tys is not None and (v >> tys) & 3)):
             raise RingError(f"image of {name} is not a unit monomial of "
-                            f"{target_ring}: {img}")
-        s = ring._layout[k][0]
-        turns = (v & 3) + 1 - c     # the image's unit is i**turns
-        v -= (v & 3) + target_ring._bias
-        if (v + target_ring._image_bias) & target_ring._image_guard:
+                            f"{target}: {img}")
+        if not all(-_IMAGE_LIMIT <= x < _IMAGE_LIMIT
+                   for x in target._unpack(v)):
             raise RingError(f"image of {name} has an exponent outside "
                             f"[{-_IMAGE_LIMIT}, {_IMAGE_LIMIT - 1}]: {img}")
-        if target_ring is ring and v == 1 << s and not turns:
+        s = source._layout[k][0]
+        turns = (v & 3) + 1 - c     # the image's unit is i**turns
+        v -= (v & 3) + target._bias
+        if target is source and v == 1 << s and not turns:
             keep |= _VALUE_MASK << s
             base -= EXP_BIAS << s
         elif v or turns:
             parts.append((s, v, turns))
-    ys = ring._ys
-    mask, bias = _VALUE_MASK, EXP_BIAS
-    outs = ({}, {})    # images of the terms without and with Y, Y dropped
-    for k, c in poly._t.items():
-        key = (k & keep) + base
-        turns = k & 3
-        for s, delta, m in parts:
-            x = ((k >> s) & mask) - bias
-            if x:
-                key += x * delta
-                turns += x * m
-        # i**turns: the i field takes turns mod 2, the sign turns mod 4 // 2
-        key += turns & 1
-        out = outs[0 if ys is None else (k >> ys) & 1]
-        out[key] = out.get(key, 0) + (-c if turns & 2 else c)
-    for out in outs:
-        target_ring._check_keys(out)
-    even, odd = (LaurentPoly(target_ring, _nonzero(out)) for out in outs)
-    if not outs[1]:
-        return even
-    if y_img * y_img != map_poly(ring.y_square, target_ring, images):
-        raise RingError("Y image inconsistent with the rewrite relation")
-    return even + odd * y_img
+    y_checked = False
+
+    def apply(poly):
+        nonlocal y_checked
+        poly = source.zero._check(poly)     # RingError from another ring
+        outs = ({}, {})    # images of the terms without and with Y, Y dropped
+        for k, c in poly._t.items():
+            key = (k & keep) + base
+            turns = k & 3
+            for s, delta, m in parts:
+                x = ((k >> s) & _VALUE_MASK) - EXP_BIAS
+                if x:
+                    key += x * delta
+                    turns += x * m
+            # i**turns: the i field takes turns mod 2, the sign turns
+            # mod 4 // 2
+            key += turns & 1
+            out = outs[0 if ys is None else (k >> ys) & 1]
+            out[key] = out.get(key, 0) + (-c if turns & 2 else c)
+        target._check_keys([*outs[0], *outs[1]])
+        even, odd = (LaurentPoly(target, _nonzero(out)) for out in outs)
+        if not outs[1]:
+            return even
+        if not y_checked and y_img * y_img != apply(source.y_square):
+            raise RingError("Y image inconsistent with the rewrite relation")
+        y_checked = True
+        return even + odd * y_img
+
+    return apply

@@ -55,7 +55,7 @@ from operator import or_
 from types import MappingProxyType
 
 from .ring import (EXP_BIAS, LaurentPoly, QUANTUM, RingError, TRIG, _folded,
-                   _nonzero, cleared_values, map_poly)
+                   _morphism, _nonzero, cleared_values, map_poly)
 
 #: (weight, n(2) - n(3)) of each index: the charge every operator conserves.
 CHARGE = {1: (0, 0), 2: (1, 1), 3: (1, -1), 4: (2, 0)}
@@ -88,7 +88,9 @@ class SparseROp:
     """Sparse two-site operator over a Laurent ring.  Its ``entries`` are a
     read-only view: ``_columns`` keeps transition tables, the bound of a
     letter's moves and ``_reach`` slice plans on it, ``quantum_r`` keeps
-    one operator per index, and every operation returns a new operator."""
+    one operator per index, and every operation returns a new operator.
+    ``mapped`` sends every entry through one ring morphism, compiled once
+    for the operator; ``scale`` multiplies every entry by one factor."""
 
     def __init__(self, ring, entries):
         self.ring = ring
@@ -108,13 +110,16 @@ class SparseROp:
     def get(self, a, b, c, d):
         return self.entries.get((a, b, c, d), self.ring.zero)
 
-    def map_entries(self, fn):
-        out = {k: fn(v) for k, v in self.entries.items()}
-        ring = next(iter(out.values())).ring if out else self.ring
-        return SparseROp(ring, out)
+    def mapped(self, target, images):
+        """The operator over ``target`` whose entries are this one's under
+        the ring morphism ``images`` defines (``ring.map_poly``), compiled
+        once for every entry."""
+        fn = _morphism(self.ring, target, images)
+        return SparseROp(target, {k: fn(v) for k, v in self.entries.items()})
 
     def scale(self, s):
-        return self.map_entries(lambda v: v * s)
+        return SparseROp(self.ring, {k: v * s
+                                     for k, v in self.entries.items()})
 
     def conserves_charge(self):
         return all(_PAIR_CHARGE[a, b] == _PAIR_CHARGE[c, d]
@@ -629,8 +634,8 @@ def substitute_case(R, case):
     scale = math.lcm(Fraction(case.ru_exp).denominator,
                      Fraction(case.su_exp).denominator)
     images = _case_images(R.ring, case, scale)
-    op = R.map_entries(lambda v: map_poly(v, R.ring, images))
-    return op, map_poly(TRIG_DENOMINATOR, R.ring, images), scale
+    return (R.mapped(R.ring, images),
+            map_poly(TRIG_DENOMINATOR, R.ring, images), scale)
 
 
 def _case_images(ring, case, scale):
@@ -645,17 +650,13 @@ def _case_images(ring, case, scale):
     return images
 
 
-#: ``map_poly`` images of the trigonometric variables in {p, Q, Y}: Aa = p/Q.
-_QUANTUM_IMAGES = {
+#: Map an X-free trigonometric polynomial into {p, Q, Y} via Aa = p/Q: the
+#: ring morphism compiled once.
+_to_quantum = _morphism(TRIG, QUANTUM, {
     "Q": QUANTUM.var("Q"), "Aa": QUANTUM.mono(1, p=1, Q=-1),
     "Y": QUANTUM.var("Y"), "X": QUANTUM.one, "Xv": QUANTUM.one,
     "Ru": QUANTUM.one, "Rv": QUANTUM.one, "Su": QUANTUM.one, "Sv": QUANTUM.one,
-}
-
-
-def _to_quantum(poly):
-    """Map an X-free trigonometric polynomial into {p, Q, Y} via Aa = p/Q."""
-    return map_poly(poly, QUANTUM, _QUANTUM_IMAGES)
+})
 
 
 @lru_cache(maxsize=None)

@@ -38,8 +38,8 @@ output t.
   (Jb, Ja, Jd, Jc); and phi' is the ring automorphism that sends p to 1/p
   (QUANTUM, p = q**(alpha + 1/2)) and Aa to Q**-2 / Aa (TRIG, Aa =
   q**alpha, Q**2 = q) and fixes every other variable.  Both Y**2
-  relations are phi'-invariant, so phi' fixes Y (``map_poly`` checks the
-  relation on every polynomial with Y).  Say R reflects when PJ(R) =
+  relations are phi'-invariant, so phi' fixes Y (``SparseROp.mapped``
+  checks the relation once per map).  Say R reflects when PJ(R) =
   c phi'(R) for a unit monomial c: +-1 times a monomial without Y.  On
   three strands let K map the state (s1, s2, s3) to (Js3, Js2, Js1).  A
   letter at position pos sets strand pos from d to b and strand pos + 1
@@ -83,7 +83,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .ring import TRIG, RingError, map_poly
+from .ring import TRIG, RingError, _morphism
 from .rmat import CHARGE, SparseROp, _columns, _sector_bits
 
 
@@ -142,7 +142,7 @@ def _reflects(R):
             images["p"] = ring.var("p", -1)
         if "Aa" in ring.index:
             images["Aa"] = ring.mono(1, Q=-2, Aa=-1)
-        image = _shift(R, images)
+        image = R.mapped(ring, images)
     except RingError:       # no such automorphism, or an exponent overflows
         return False
     pj = SparseROp(ring, {(5 - b, 5 - a, 5 - d, 5 - c): v
@@ -205,19 +205,15 @@ def verify_qybe(R):
     return _compare(R.ring, *_qybe_sides(R), _outputs(R, mirrored=True))
 
 
-#: ``map_poly`` images over TRIG: u -> v sends X, Ru, Su to Xv, Rv, Sv,
-#: u -> u + v sends them to X Xv, Ru Rv, Su Sv, and u = v = 0 sends all six
-#: to 1; every other variable is fixed.
+#: Ring-morphism images over TRIG (``ring.map_poly``): u -> v sends X, Ru,
+#: Su to Xv, Rv, Sv, u -> u + v sends them to X Xv, Ru Rv, Su Sv, and
+#: u = v = 0 sends all six to 1; every other variable is fixed.
 _V_IMAGES = {n: TRIG.var(n) for n in TRIG.names}
 _V_IMAGES.update(X=TRIG.var("Xv"), Ru=TRIG.var("Rv"), Su=TRIG.var("Sv"))
 _UV_IMAGES = {**_V_IMAGES, **{n: TRIG.var(n) * _V_IMAGES[n]
                               for n in ("X", "Ru", "Su")}}
 _ZERO_IMAGES = {n: TRIG.one if n in ("X", "Ru", "Su", "Xv", "Rv", "Sv")
                 else TRIG.var(n) for n in TRIG.names}
-
-
-def _shift(op, images):
-    return op.map_entries(lambda p: map_poly(p, op.ring, images))
 
 
 def verify_tybe_additive(R):
@@ -234,8 +230,8 @@ def verify_tybe_additive(R):
 
 def _tybe_sides(R):
     """Both sides of the cleared equation as words, first letter first."""
-    Rv = _shift(R, _V_IMAGES)
-    Ruv = _shift(R, _UV_IMAGES)
+    Rv = R.mapped(R.ring, _V_IMAGES)
+    Ruv = R.mapped(R.ring, _UV_IMAGES)
     return [(2, Rv), (1, Ruv), (2, R)], [(1, R), (2, Ruv), (1, Rv)]
 
 
@@ -247,15 +243,8 @@ def verify_gauge_properties(A, R):
     * A(0) = I and A(u) A(-u) = I,
     * the two-site diagonal A_1(v) A_2(v) commutes with R.
     """
-    def to_v(p):
-        return map_poly(p, TRIG, _V_IMAGES)
-
-    def to_uv(p):
-        return map_poly(p, TRIG, _UV_IMAGES)
-
-    def at_zero(p):
-        return map_poly(p, TRIG, _ZERO_IMAGES)
-
+    to_v, to_uv, at_zero = (_morphism(TRIG, TRIG, images) for images
+                            in (_V_IMAGES, _UV_IMAGES, _ZERO_IMAGES))
     one = TRIG.one
     if A.diag[0] != one:
         return YBEReport(False, ("diag", 1), A.diag[0], one)

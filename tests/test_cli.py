@@ -274,6 +274,33 @@ def test_non_ascii_or_underscored_braid_text_is_a_usage_error(capsys, argv,
     assert f"error: bad strand count {token!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["\u0663", "1_0"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--case"),
+    ("rmatrix", "show", "--case"),
+    ("eigen", "--case"),
+    ("invariant", "--knot", "3_1", "--case"),
+    ("matveev", "--case"),
+    ("suite", "--max-crossings"),
+    ("suite", "--jobs"),
+])
+def test_integer_options_take_ascii_decimal_integers_only(capsys, argv,
+                                                          token):
+    """Every integer option reads its value as braid text's integers do,
+    and the error names the option and the token; ``int`` would take
+    both tokens."""
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv, token)
+    assert exc.value.code == 2
+    assert (f"error: argument {argv[-1]}: bad integer {token!r}"
+            in capsys.readouterr().err)
+
+
+def test_integer_options_take_a_sign_and_leading_zeros(capsys):
+    code, out, _ = run(capsys, "verify", "--what", "qybe", "--case", "+03")
+    assert (code, out) == (0, "PASS  QYBE R3\n")
+
+
 def test_bad_braid_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "invariant", "--case", "2", "--braid", "2 : 9")

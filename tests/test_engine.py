@@ -337,7 +337,7 @@ def test_minus_branch_agrees():
     q = QONLY.var("Q")
     qb = QONLY.var("Q", -1)
     images = {"p": QONLY.one, "Q": q, "Y": -i * (q - qb)}
-    R = rmat.quantum_r(2).map_entries(lambda v: map_poly(v, QONLY, images))
+    R = rmat.quantum_r(2).mapped(QONLY, images)
     kappa = QONLY.mono(1, Q=1)
     sig, sig_inv = engine._scaled(R, kappa)
     C = (QONLY.mono(1, Q=1), QONLY.mono(-1, Q=1),
@@ -722,7 +722,7 @@ def _q_inverted(op):
     """The operator with Q -> 1/Q in every entry; p and Y fixed."""
     ring = op.ring
     images = {n: ring.var(n, -1 if n == "Q" else 1) for n in ring.names}
-    return op.map_entries(lambda v: map_poly(v, ring, images))
+    return op.mapped(ring, images)
 
 
 def _j_conjugated(op):
@@ -771,7 +771,7 @@ def _reflected(op):
         images["p"] = ring.var("p", -1)
     if "Aa" in ring.index:
         images["Aa"] = ring.mono(1, Q=-2, Aa=-1)
-    return op.map_entries(lambda v: map_poly(v, ring, images))
+    return op.mapped(ring, images)
 
 
 def test_the_reflection_identity_of_the_operators():

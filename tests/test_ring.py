@@ -1,15 +1,16 @@
 """Laurent-ring arithmetic: canonical forms, the Y-rewrite, evaluation and
 substitution."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import GaussQ, rand_poly, reference_value, sample_point
-from gaugeknot import rmat
+from gaugeknot import engine, rmat, ybe
 from gaugeknot.ring import (CONST, EXP_BIAS, QONLY, QUANTUM, TRIG, Ring,
-                            RingError, canonical_str, cleared_values,
-                            map_poly)
+                            RingError, _morphism, canonical_str,
+                            cleared_values, map_poly)
 
 
 def test_add_examples():
@@ -332,44 +333,141 @@ def _by_products(poly, target, images):
     return out
 
 
-def test_map_poly_single_term_images(rng):
+def _random_map(rng, family):
+    """Random images of one of four families, as ``(source, target,
+    images)``: 0 and 1 send each variable to a unit monomial, QUANTUM to
+    TRIG and back, and are meant for Y-free sources; 2 sends QUANTUM to
+    itself respecting Y**2 = p^2 + p^-2 - Q^2 - Q^-2; 3 sends it to QONLY
+    with the two-term Y image +-i(Q - 1/Q)."""
     units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-
-    def image(target):      # Y-free: Y is not invertible
-        exps = {n: rng.randint(-2, 2) for n in target.names if n != "Y"}
-        return target.mono(rng.choice(units), **exps)
-
-    # Y-free sources and arbitrary unit monomial images, both directions
-    for source, target in ((QUANTUM, TRIG), (TRIG, QUANTUM)):
-        for _ in range(100):
-            poly = rand_poly(rng, source).coeff_of("Y", 0)
-            images = {n: image(target) for n in source.names}
-            images["Y"] = target.one
-            assert map_poly(poly, target, images) == \
-                _by_products(poly, target, images)
-    # sources with Y, under images that respect Y**2 = p^2 + p^-2 - Q^2 - Q^-2
-    m = QUANTUM.mono
-    for _ in range(100):
-        poly = rand_poly(rng)
+    if family < 2:
+        source, target = ((QUANTUM, TRIG), (TRIG, QUANTUM))[family]
+        images = {n: target.mono(rng.choice(units),     # Y is not invertible
+                                 **{v: rng.randint(-2, 2)
+                                    for v in target.names if v != "Y"})
+                  for n in source.names}
+        images["Y"] = target.one
+        return source, target, images
+    if family == 2:
+        m = QUANTUM.mono
         sp, sq = rng.choice((1, -1)), rng.choice((1, -1))
-        p_img = m(rng.choice((1, -1)), p=sp)
-        q_img = m(rng.choice((1, -1)), Q=sq)
-        images = {"p": p_img, "Q": q_img, "Y": m(rng.choice((1, -1)), Y=1)}
+        images = {"p": m(rng.choice((1, -1)), p=sp),
+                  "Q": m(rng.choice((1, -1)), Q=sq),
+                  "Y": m(rng.choice((1, -1)), Y=1)}
         if rng.random() < 0.5:      # swapping p and Q negates Y**2
             images = {"p": m(1, Q=sp), "Q": m(1, p=sq),
                       "Y": m(rng.choice(((0, 1), (0, -1))), Y=1)}
-        assert map_poly(poly, QUANTUM, images) == \
-            _by_products(poly, QUANTUM, images)
-    # a two-term Y image: p = +-1, Q -> +-Q^+-1, Y -> +-i(Q - 1/Q)
+        return QUANTUM, QUANTUM, images
     q = QONLY.mono
-    for _ in range(100):
-        poly = rand_poly(rng)
-        images = {"p": QONLY.gauss(rng.choice((1, -1))),
-                  "Q": q(rng.choice((1, -1)), Q=rng.choice((1, -1))),
-                  "Y": QONLY.gauss(0, rng.choice((1, -1)))
-                  * (q(1, Q=1) - q(1, Q=-1))}
-        assert map_poly(poly, QONLY, images) == \
-            _by_products(poly, QONLY, images)
+    images = {"p": QONLY.gauss(rng.choice((1, -1))),
+              "Q": q(rng.choice((1, -1)), Q=rng.choice((1, -1))),
+              "Y": QONLY.gauss(0, rng.choice((1, -1)))
+              * (q(1, Q=1) - q(1, Q=-1))}
+    return QUANTUM, QONLY, images
+
+
+def _random_source(rng, source, family):
+    """A random polynomial for a map of ``_random_map``'s ``family``."""
+    poly = rand_poly(rng, source)
+    return poly.coeff_of("Y", 0) if family < 2 else poly
+
+
+def test_map_poly_single_term_images(rng):
+    for family in range(4):
+        for _ in range(100):
+            source, target, images = _random_map(rng, family)
+            poly = _random_source(rng, source, family)
+            assert map_poly(poly, target, images) == \
+                _by_products(poly, target, images)
+
+
+def test_one_compiled_map_serves_many_polynomials(rng):
+    """A map compiled once gives, at every call, what ``_by_products``
+    gives: no state leaks from one polynomial to the next, with and
+    without Y, and the zero polynomial among them."""
+    for family in range(4):
+        for _ in range(10):
+            source, target, images = _random_map(rng, family)
+            fn = _morphism(source, target, images)
+            polys = [_random_source(rng, source, family)
+                     for _ in range(30)] + [source.zero, source.one]
+            rng.shuffle(polys)
+            for poly in polys + polys[::-1]:
+                assert fn(poly) == _by_products(poly, target, images)
+
+
+def _reflection_images(ring):
+    """phi', alpha -> -1 - alpha: p -> 1/p, Aa -> Q**-2 / Aa."""
+    images = {n: ring.var(n) for n in ring.names}
+    images.update({"p": ring.var("p", -1)} if "p" in ring.index else
+                  {"Aa": ring.mono(1, Q=-2, Aa=-1)})
+    return images
+
+
+def test_mapped_operators_match_the_products_entry_by_entry():
+    """``SparseROp.mapped`` on every operator the package maps, against
+    ``_by_products`` entry by entry: R1-R4 under phi'; both
+    trigonometric operators under u -> v, u -> u + v, phi', each case's
+    substitution and the map into {p, Q, Y}; R2 and R4 under the images
+    of the state models that have them."""
+    maps = [(rmat.quantum_r(i), QUANTUM, _reflection_images(QUANTUM))
+            for i in (1, 2, 3, 4)]
+    trig_images = [ybe._V_IMAGES, ybe._UV_IMAGES, _reflection_images(TRIG)]
+    for i in (1, 2, 3, 4):
+        case = rmat.GaugeCase.standard(i)
+        scale = math.lcm(case.ru_exp.denominator, case.su_exp.denominator)
+        trig_images.append(rmat._case_images(TRIG, case, scale))
+    quantum = {"Q": QUANTUM.var("Q"), "Aa": QUANTUM.mono(1, p=1, Q=-1),
+               "Y": QUANTUM.var("Y")}
+    quantum.update({n: QUANTUM.one for n in TRIG.names if n not in quantum})
+    for op in (rmat.build_trig_gauged(), rmat.build_trig_gauge_free()):
+        maps += [(op, TRIG, images) for images in trig_images]
+        maps.append((op, QUANTUM, quantum))
+    rows = [(case, row) for (case, _), row in engine.MODELS.items()
+            if row.images is not None]
+    assert [case for case, _ in rows] == [2, 4]
+    maps += [(rmat.quantum_r(case), row.kappa.ring, row.images)
+             for case, row in rows]
+    assert len(maps) == 22
+    for op, target, images in maps:
+        image = op.mapped(target, images)
+        assert image.ring is target
+        want = {k: _by_products(v, target, images)
+                for k, v in op.entries.items()}
+        assert image.entries == {k: v for k, v in want.items()
+                                 if not v.is_zero()}
+
+
+def test_a_broken_y_image_is_refused_at_each_polynomial_with_y():
+    """Y -> 2Y breaks Y**2 = p^2 + p^-2 - Q^2 - Q^-2.  The compiled map
+    still maps every Y-free polynomial, and refuses each polynomial with
+    a Y term: a failed check is not remembered as passed."""
+    m = QUANTUM.mono
+    images = {"p": QUANTUM.var("p"), "Q": QUANTUM.var("Q", -1),
+              "Y": m(2, Y=1)}
+    fn = _morphism(QUANTUM, QUANTUM, images)
+    free = m(3, p=2, Q=1) - m((0, 1), Q=-4)
+    assert fn(free) == m(3, p=2, Q=-1) - m((0, 1), Q=4)
+    for poly in (m(1, Y=1), m(-2, p=1, Y=1) + m(1, Q=1)):
+        with pytest.raises(RingError, match="Y image inconsistent"):
+            fn(poly)
+        assert fn(free) == m(3, p=2, Q=-1) - m((0, 1), Q=4)
+
+
+def test_compiled_map_refuses_a_polynomial_of_another_ring():
+    fn = _morphism(QUANTUM, QUANTUM, {n: QUANTUM.var(n)
+                                      for n in QUANTUM.names})
+    with pytest.raises(RingError, match="variable-set mismatch"):
+        fn(TRIG.var("Q"))
+
+
+def test_an_unknown_variable_is_refused_by_name():
+    f = QUANTUM.mono(3, p=1, Q=-2)
+    for call in (lambda: f.coeff_of("X", 0), lambda: f.degree_in("X"),
+                 lambda: QUANTUM.zero.degree_in("X")):
+        with pytest.raises(RingError,
+                           match=r"variable 'X' not in ring \('p', 'Q', 'Y'\)"):
+            call()
 
 
 def test_ring_axioms(rng):

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from gaugeknot import rmat, ybe
-from gaugeknot.ring import QUANTUM, TRIG, map_poly
+from gaugeknot.ring import QUANTUM, TRIG, RingError
 
 
 def test_distant_commutativity(rng):
@@ -82,7 +82,7 @@ def test_sides_are_the_stated_products(rng):
     def at(images):
         full = {n: TRIG.var(n) for n in TRIG.names}
         full.update(images)
-        return P.map_entries(lambda v: map_poly(v, TRIG, full))
+        return P.mapped(TRIG, full)
 
     Pv = at({"X": TRIG.var("Xv")})
     Puv = at({"X": TRIG.var("X") * TRIG.var("Xv")})
@@ -115,6 +115,14 @@ def test_tybe_perturbation_fails():
     entries[(2, 3, 3, 2)] = entries[(2, 3, 3, 2)] * 2
     rep = ybe.verify_tybe_additive(rmat.SparseROp(TRIG, entries))
     assert not rep.ok
+
+
+def test_tybe_of_an_operator_without_the_v_variables_is_refused():
+    """The TYBE reads Xv, Rv and Sv, which QUANTUM lacks: a RingError
+    that names the variable and the ring, not a bare KeyError."""
+    with pytest.raises(RingError,
+                       match=r"variable 'Xv' not in ring \('p', 'Q', 'Y'\)"):
+        ybe.verify_tybe_additive(rmat.quantum_r(1))
 
 
 def test_gauge_properties_pass():
