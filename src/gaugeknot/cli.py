@@ -168,6 +168,11 @@ def _cmd_matveev(args, parser):
     return EX_OK
 
 
+def _out_error(parser, out, exc):
+    """An OSError of ``--out`` as a usage error that names the path."""
+    parser.error(f"--out: {exc.filename or out}: {exc.strerror or exc}")
+
+
 def _cmd_suite(args, parser):
     try:
         cases = sorted({braid.parse_int(c.strip(), "case")
@@ -180,17 +185,24 @@ def _cmd_suite(args, parser):
     if args.jobs < 1:
         parser.error(f"--jobs {args.jobs}: need at least 1")
     table = harness.load_table(args.table) if args.table else None
+    out = Path(args.out) if args.out else None
+    try:
+        if out:   # made before the run, so that a bad path costs no run
+            out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _out_error(parser, out, exc)
     try:
         report = harness.run_suite(cases, table=table,
                                    max_crossings=args.max_crossings,
                                    jobs=args.jobs)
     except harness.TableError as exc:
         parser.error(str(exc))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        report.write_csv(out / "suite.csv")
-        report.write_json(out / "suite.json")
+    if out:
+        try:
+            report.write_csv(out / "suite.csv")
+            report.write_json(out / "suite.json")
+        except OSError as exc:
+            _out_error(parser, out, exc)
     for r in report.rows:
         print(f"{r['status']:<14} case {r['case']}  {r['knot']:<7} "
               f"({r['seconds']}s)  {r['unit']}")

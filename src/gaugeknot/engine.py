@@ -16,13 +16,13 @@ strands 2..n.  ``StateModel`` refuses a sigma or sigma^-1 that does not
 conserve rmat's ``CHARGE``, the one check the closure rests on: the four
 indices have four different charges, so such an output agrees with s on
 strand 1 too, and the closed 4x4 matrix is diagonal.  The invariant is
-therefore its four diagonal entries.  ``tangle_invariant`` and
-``verify_handle`` run the product closure-only, keeping each column's
-own output (the masks ``rmat._sector_bits``), which takes
-charge-conserving letters only: a term is formed only if its state can
-still return to s through the nonzero entries of the remaining letters,
-and a column that cannot return to s is skipped.  ``represent`` gives the
-full product unless asked for ``closure_only``.
+therefore its four diagonal entries.  ``closure`` and ``verify_handle``
+run the product closure-only, keeping each column's own output (the
+masks ``rmat._sector_bits``), which takes charge-conserving letters
+only: a term is formed only if its state can still return to s through
+the nonzero entries of the remaining letters, and a column that cannot
+return to s is skipped.  ``represent`` gives the full product unless
+asked for ``closure_only``.
 
 The work of that product depends on the word, not only on the knot.  An
 ambient model's invariant is one of the knot: the single-loop identity
@@ -40,8 +40,9 @@ form far fewer terms; of the reduced word it closes the rotation that
 ``cheapest_rotation`` picks from the letters alone.  A regular model
 closes the word it is given: its closed matrix is a non-scalar diagonal
 that stabilization multiplies by the handle, and nothing proves it
-unchanged by conjugation.  ``represent`` is the product of the word it is
-given, whatever the model.
+unchanged by conjugation.  ``represent`` is the product, and ``closure``
+the closed tangle, of the word it is given, whatever the model; ``closure``
+takes a link too, which ``tangle_invariant`` refuses.
 """
 
 from __future__ import annotations
@@ -117,9 +118,6 @@ class TangleInvariant:
     """The closed (1,1)-tangle: the four diagonal entries of a 4x4 matrix
     that is zero off the diagonal (see the module docstring)."""
     entries: tuple    # 4 LaurentPoly
-
-    def diagonal(self):
-        return list(self.entries)
 
     def scalar(self):
         """The scalar when the matrix is that multiple of the identity."""
@@ -312,13 +310,28 @@ def cheapest_rotation(word):
     return BraidWord(word.strands, letters[r:] + letters[:r])
 
 
+def _closure(word, mod, term_budget):
+    """The closed (1,1)-tangle of ``word`` as given: the closure-only
+    product, then the closure sum."""
+    rep = represent(word, mod, term_budget, closure_only=True)
+    return TangleInvariant(_close(mod, rep.items()))
+
+
+def closure(word, mod):
+    """The closed (1,1)-tangle of ``word`` exactly as given, whatever the
+    model and however many components its closure has: no reduction or
+    rotation, no knot check, and ``DEFAULT_TERM_BUDGET``.
+    ``tangle_invariant`` closes a knot word the same way, once it has
+    picked the word an ambient model closes."""
+    return _closure(word, mod, DEFAULT_TERM_BUDGET)
+
+
 def tangle_invariant(word, mod, term_budget=DEFAULT_TERM_BUDGET):
-    """Close all strands but the first with C and return the diagonal of
-    the 4x4 matrix, from the closure-only images of the word.  An ambient
-    model closes ``cheapest_rotation(reduce_knot_word(word))`` instead,
-    which has the same knot as closure, and an error raised while that
-    word runs names both words.  A regular model closes the word as given (see the module
-    docstring)."""
+    """The closed (1,1)-tangle of a knot word: ``closure`` of the word
+    itself for a regular model.  An ambient model closes
+    ``cheapest_rotation(reduce_knot_word(word))`` instead, which has the
+    same knot as closure, and an error raised while that word runs names
+    both words (see the module docstring)."""
     if closure_components(word) != 1:
         raise EngineError(f"closure of {word} is not a knot")
     if mod.isotopy == "ambient":
@@ -326,13 +339,12 @@ def tangle_invariant(word, mod, term_budget=DEFAULT_TERM_BUDGET):
     else:
         run = word
     try:
-        rep = represent(run, mod, term_budget, closure_only=True)
+        return _closure(run, mod, term_budget)
     except RingError as exc:
         if run is word:
             raise
         raise type(exc)(f"{exc}; braid '{run}' is the word closed for the "
                         f"given braid '{word}'") from exc
-    return TangleInvariant(_close(mod, rep.items()))
 
 
 def ambient_invariant(word, case, term_budget=DEFAULT_TERM_BUDGET):

@@ -179,14 +179,16 @@ def _run_one(args):
 def run_suite(cases, table=None, max_crossings=8, jobs=1):
     """Run the per-case checks over the table, filtered by crossing count,
     each case once however often it is given, in ``jobs`` processes, but
-    no more processes than rows.  ValueError
-    unless every case is an int with a state model and ``jobs`` is an int
-    of at least 1; TableError when the selection has no row, since an
-    empty run checks nothing."""
+    no more processes than rows.  ValueError unless every case is an int
+    with a state model, ``max_crossings`` is an int and ``jobs`` is an int
+    of at least 1 (a bool is no int here); TableError when the selection
+    has no row, since an empty run checks nothing."""
     known = {case for case, _ in MODELS}
     for case in cases:
         if type(case) is not int or case not in known:
             raise ValueError(f"case {case!r}: need an int with a state model")
+    if type(max_crossings) is not int:
+        raise ValueError(f"max_crossings {max_crossings!r}: need an int")
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs {jobs!r}: need an int of at least 1")
     if table is None:

@@ -337,7 +337,7 @@ class CompareReport:
     case: int
     word: BraidWord
     detail: str = ""
-    diag: list = None
+    diag: tuple = None
 
     def __bool__(self):
         return self.ok
@@ -360,7 +360,7 @@ def compare_case2(word):
     the first entry that differs."""
     delta = alexander(word)
     w = word.writhe
-    diag = tangle_invariant(word, model(2, "regular")).diagonal()
+    diag = tangle_invariant(word, model(2, "regular")).entries
     m = QUANTUM.mono
     minus = m(1, p=-w) * _subst_quantum(delta, 2, -2)
     plus = m(1, p=w) * _subst_quantum(delta, 2, 2)
@@ -375,7 +375,7 @@ def compare_case3(word):
     report fails at the first entry that differs."""
     v = jones(word)
     w = word.writhe
-    diag = tangle_invariant(word, model(3, "regular")).diagonal()
+    diag = tangle_invariant(word, model(3, "regular")).entries
     m = QUANTUM.mono
     mid = m(1 if w % 2 == 0 else -1, Q=-4 * w) * _subst_quantum(v, 4, 0)
     expected = [m(1, p=-2 * w), mid, mid, m(1, p=2 * w)]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gaugeknot import braid, engine, rmat
+from gaugeknot import braid, rmat
 from gaugeknot.ring import QUANTUM
 
 
@@ -30,14 +30,6 @@ def rand_knot_word(rng, strands=4, length=8):
         word = braid.BraidWord(strands, letters)
         if braid.closure_components(word) == 1:
             return word
-
-
-def closed_as_given(word, mod):
-    """The closed 4x4 invariant of ``word`` itself: the closure-only
-    product and the closure, past the reduction and rotation that
-    ``engine.tangle_invariant`` applies to an ambient model's word."""
-    rep = engine.represent(word, mod, closure_only=True)
-    return engine.TangleInvariant(engine._close(mod, rep.items()))
 
 
 def charge_mixing_op(ring=QUANTUM):

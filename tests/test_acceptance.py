@@ -7,7 +7,7 @@ per criterion.  Everything here is exact arithmetic; no floats anywhere.
 import random
 from fractions import Fraction
 
-from conftest import closed_as_given, rand_knot_word, rand_poly
+from conftest import rand_knot_word, rand_poly
 from gaugeknot import braid, engine, harness, oracles, rmat, ybe
 from gaugeknot.ring import QUANTUM
 
@@ -64,15 +64,12 @@ def test_criterion_06_eigen_data():
 
 def test_criterion_07_handle_identities():
     m = QUANTUM.mono
-    assert engine.verify_handle(engine.model(1, "ambient"))
-    assert engine.verify_handle(engine.model(2, "ambient"))
-    assert engine.verify_handle(engine.model(4, "ambient"))
-    reg2 = engine.model(2, "regular")
-    assert engine.verify_handle(reg2)
-    assert reg2.handle == (m(1, p=-1), m(1, p=-1), m(1, p=1), m(1, p=1))
-    reg3 = engine.model(3, "regular")
-    assert engine.verify_handle(reg3)
-    assert reg3.handle == (m(1, p=-2), m(-1, Q=-4), m(-1, Q=-4), m(1, p=2))
+    for key in engine.MODELS:
+        assert engine.verify_handle(engine.model(*key)), key
+    assert engine.model(2, "regular").handle == \
+        (m(1, p=-1), m(1, p=-1), m(1, p=1), m(1, p=1))
+    assert engine.model(3, "regular").handle == \
+        (m(1, p=-2), m(-1, Q=-4), m(-1, Q=-4), m(1, p=2))
 
 
 def test_criterion_08_case2_is_alexander():
@@ -129,15 +126,6 @@ def test_criterion_11b_oracle_markov_1000():
         assert oracles.jones(stab) == j
 
 
-def _closed(word, mod):
-    """The invariant's entries; an ambient model's of the word as given,
-    as ``tangle_invariant`` would reduce both sides of a move to one word
-    before the state model runs."""
-    if mod.isotopy == "ambient":
-        return closed_as_given(word, mod).entries
-    return engine.tangle_invariant(word, mod).entries
-
-
 def test_criterion_11c_engine_invariance_1000():
     """Each trial draws a model and, independently, a move: the braid
     relation, a conjugation or a stabilization."""
@@ -159,14 +147,14 @@ def test_criterion_11c_engine_invariance_1000():
                 if braid.closure_components(w1) == 1:
                     break
             w2 = braid.BraidWord(3, pre + (2, 1, 2) + post)
-            assert _closed(w1, mod) == _closed(w2, mod)
+            assert engine.closure(w1, mod) == engine.closure(w2, mod)
             continue
         word = rand_knot_word(rng, strands=3, length=5)
-        base = _closed(word, mod)
+        base = engine.closure(word, mod).entries
         if move == "conjugate":
             g = rng.choice([1, -1, 2, -2])
             conj = braid.BraidWord(3, (g,) + word.letters + (-g,))
-            assert _closed(conj, mod) == base
+            assert engine.closure(conj, mod).entries == base
         else:
             # identity for ambient, handle factor for regular
             sign = rng.choice([1, -1])
@@ -174,8 +162,8 @@ def test_criterion_11c_engine_invariance_1000():
             factor = (1,) * 4 if mod.isotopy == "ambient" else (
                 mod.handle if sign > 0
                 else tuple(h.invert_monomial() for h in mod.handle))
-            assert _closed(stab, mod) == tuple(f * r for f, r in
-                                               zip(factor, base))
+            assert engine.closure(stab, mod).entries == tuple(
+                f * r for f, r in zip(factor, base))
 
 
 def test_criterion_12_y_freeness_and_reality():
@@ -186,7 +174,7 @@ def test_criterion_12_y_freeness_and_reality():
         for case in (2, 3):
             inv = engine.tangle_invariant(rec.word,
                                           engine.model(case, "regular"))
-            for v in inv.diagonal():
+            for v in inv.entries:
                 assert all(e[y] == 0 for e in v.terms)
         amb = engine.ambient_invariant(rec.word, 2)
         assert all(c[1] == 0 for c in amb.terms.values())

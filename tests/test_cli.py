@@ -224,6 +224,23 @@ def test_suite_writes_reports(capsys, tmp_path):
                       "entry33,entry44,status,unit")
 
 
+def test_suite_out_errors_are_usage_errors(capsys, tmp_path):
+    """A file where the directory goes is refused before the run, which
+    here selects no row and would fail first; a directory where a report
+    goes, after the run.  Each exits 2 naming the path."""
+    f, d = tmp_path / "file", tmp_path / "dir"
+    f.write_text("")
+    (d / "suite.csv").mkdir(parents=True)
+    for arg, top, path, why in ((f, "0", f, "File exists"),
+                                (d, "4", d / "suite.csv", "Is a directory")):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "suite", "--cases", "4", "--max-crossings", top,
+                "--out", str(arg))
+        stdout, err = capsys.readouterr()
+        assert (exc.value.code, stdout) == (2, "")
+        assert err.endswith(f"error: --out: {path}: {why}\n")
+
+
 def test_cli_import_leaves_multiprocessing_out():
     """Only a suite in more than one job imports the process pool, so a
     fresh interpreter that imports the CLI has no multiprocessing."""

@@ -1,10 +1,11 @@
 """State models and the (1,1)-tangle evaluator."""
 
 import re
+from math import prod
 
 import pytest
 
-from conftest import charge_mixing_op, closed_as_given, rand_knot_word
+from conftest import charge_mixing_op, rand_knot_word
 from gaugeknot import braid, engine, rmat
 from gaugeknot.harness import load_table
 from gaugeknot.ring import CONST, QONLY, QUANTUM, map_poly
@@ -12,6 +13,7 @@ from gaugeknot.ring import CONST, QONLY, QUANTUM, map_poly
 TREFOIL = braid.parse("2 : 1 1 1")
 FIG8 = braid.parse("3 : 1 -2 1 -2")
 UNKNOT = braid.parse("1 :")
+HOPF = braid.parse("2 : 1 1")
 
 ALL_MODELS = ((1, "ambient"), (2, "ambient"), (4, "ambient"),
               (2, "regular"), (3, "regular"))
@@ -62,11 +64,6 @@ def test_sigma_inverse_pairs():
         for pair in ((mod.sigma, mod.sigma_inv), (mod.sigma_inv, mod.sigma)):
             word = [(1, op) for op in pair]
             assert dict(rmat._columns(mod.ring, 2, word)) == ident
-
-
-def test_verify_handle():
-    for case, isotopy in ALL_MODELS:
-        assert engine.verify_handle(engine.model(case, isotopy))
 
 
 def test_handle_diagonal_case2():
@@ -237,11 +234,13 @@ def _product_close(mod, columns):
     diag = [mod.ring.zero] * 4
     for s, images in columns:
         if s in images:
-            weight = mod.ring.one
-            for c in s[1:]:
-                weight = weight * mod.C[c - 1]
-            diag[s[0] - 1] += weight * images[s]
+            diag[s[0] - 1] += _weight(mod, s) * images[s]
     return tuple(diag)
+
+
+def _weight(mod, s):
+    """C[s[1]] ... C[s[n-1]], a column's closure weight, as ring products."""
+    return prod((mod.C[c - 1] for c in s[1:]), start=mod.ring.one)
 
 
 def test_the_closed_matrix_is_zero_off_the_diagonal(rng):
@@ -254,13 +253,10 @@ def test_the_closed_matrix_is_zero_off_the_diagonal(rng):
             word = rand_knot_word(rng, strands, length)
             M = [[mod.ring.zero] * 4 for _ in range(4)]
             for s, image in engine.represent(word, mod).items():
-                weight = mod.ring.one
-                for c in s[1:]:
-                    weight = weight * mod.C[c - 1]
                 for t, v in image.items():
                     if t[1:] == s[1:]:
-                        M[t[0] - 1][s[0] - 1] += weight * v
-            inv = closed_as_given(word, mod)
+                        M[t[0] - 1][s[0] - 1] += _weight(mod, s) * v
+            inv = engine.closure(word, mod)
             assert len(inv.entries) == 4
             assert M == [[inv.entries[a] if a == b else mod.ring.zero
                           for b in range(4)] for a in range(4)]
@@ -268,16 +264,51 @@ def test_the_closed_matrix_is_zero_off_the_diagonal(rng):
 
 @pytest.mark.parametrize("key", ALL_MODELS)
 def test_close_matches_the_ring_product_closure(rng, key):
-    """On the unknot and seeded knot words of 2-5 strands, full and
-    closure-only images."""
+    """On the unknot, the Hopf link and seeded knot words of 2-5 strands,
+    full and closure-only images; ``closure`` closes each, the link too."""
     mod = engine.model(*key)
-    words = [UNKNOT] + [rand_knot_word(rng, strands, length) for
-                        strands, length in ((2, 3), (3, 5), (4, 6), (5, 5))]
+    words = [UNKNOT, HOPF] + [rand_knot_word(rng, strands, length) for
+                              strands, length in ((2, 3), (3, 5), (4, 6),
+                                                  (5, 5))]
     for word in words:
-        for closure_only in (False, True):
-            rep = engine.represent(word, mod, closure_only=closure_only)
-            assert engine._close(mod, rep.items()) == \
-                _product_close(mod, rep.items())
+        want = _product_close(mod, engine.represent(word, mod).items())
+        rep = engine.represent(word, mod, closure_only=True)
+        assert engine._close(mod, rep.items()) == want
+        assert engine.closure(word, mod).entries == want, word
+
+
+@pytest.mark.parametrize("key", ALL_MODELS)
+def test_closure_is_the_invariant_of_the_word_as_given(key):
+    """A regular model's invariant is the closure on every table word.  An
+    ambient model's closes a reduced rotation of the word, with the same
+    scalar: compared through 6 crossings."""
+    mod = engine.model(*key)
+    for r in load_table():
+        if mod.isotopy == "regular":
+            assert engine.closure(r.word, mod) == \
+                engine.tangle_invariant(r.word, mod), r.name
+        elif r.crossings <= 6:
+            assert engine.closure(r.word, mod).scalar() == \
+                engine.ambient_invariant(r.word, mod.case), r.name
+
+
+@pytest.mark.parametrize("key", ALL_MODELS)
+def test_the_handle_squared_commutes_with_sigma(rng, key):
+    """C_a C_b = C_c C_d on every nonzero entry (a, b, c, d) of sigma and
+    sigma^-1, so C (x) C commutes with both.  Only the entries between the
+    pairs (1, 4) and (2, 3), in cases 1 and 2, make this more than a swap
+    of a and b.  The closure is the trace over strands 2..n weighted by C
+    on each, so conjugation by a letter on strands 2..n leaves it alone,
+    for a regular model's non-scalar diagonal too: checked on seeded
+    4-strand words."""
+    mod = engine.model(*key)
+    C = mod.C
+    for a, b, c, d in (*mod.sigma.entries, *mod.sigma_inv.entries):
+        assert C[a - 1] * C[b - 1] == C[c - 1] * C[d - 1], (a, b, c, d)
+    for g in (2, -2, 3, -3):
+        word = rand_knot_word(rng, strands=4, length=5)
+        conj = braid.BraidWord(4, (g,) + word.letters + (-g,))
+        assert engine.closure(conj, mod) == engine.closure(word, mod)
 
 
 def test_unknot_invariant_is_identity():
@@ -289,8 +320,8 @@ def test_unknot_invariant_is_identity():
 
 def test_link_closure_rejected():
     mod = engine.model(2, "regular")
-    with pytest.raises(engine.EngineError):
-        engine.tangle_invariant(braid.parse("2 : 1 1"), mod)
+    with pytest.raises(engine.EngineError, match="is not a knot"):
+        engine.tangle_invariant(HOPF, mod)
 
 
 def test_trefoil_case2_regular():
@@ -298,14 +329,14 @@ def test_trefoil_case2_regular():
     inv = engine.tangle_invariant(TREFOIL, engine.model(2, "regular"))
     minus = m(1, p=-5, Q=2) - m(1, p=-3) + m(1, p=-1, Q=-2)
     plus = m(1, p=5, Q=2) - m(1, p=3) + m(1, p=1, Q=-2)
-    assert inv.diagonal() == [minus, minus, plus, plus]
+    assert inv.entries == (minus, minus, plus, plus)
 
 
 def test_trefoil_case3_regular():
     m = QUANTUM.mono
     inv = engine.tangle_invariant(TREFOIL, engine.model(3, "regular"))
     mid = m(1, Q=4) - m(1) - m(1, Q=-8)
-    assert inv.diagonal() == [m(1, p=-6), mid, mid, m(1, p=6)]
+    assert inv.entries == (m(1, p=-6), mid, mid, m(1, p=6))
 
 
 def test_case4_is_trivial():
@@ -327,7 +358,7 @@ def test_case2_regular_at_p_one_reduces_to_ambient():
     for word in (TREFOIL, FIG8):
         reg = engine.tangle_invariant(word, engine.model(2, "regular"))
         amb = engine.ambient_invariant(word, 2)
-        for v in reg.diagonal():
+        for v in reg.entries:
             assert map_poly(v, QONLY, images) == amb
 
 
@@ -371,27 +402,16 @@ def test_conjugation_invariance(rng):
 
 
 def test_stabilization():
-    # ambient: Reidemeister I leaves the closure alone; each word is closed
-    # as given, as tangle_invariant would destabilize stab back to TREFOIL
-    amb = engine.model(2, "ambient")
-    for sign in (1, -1):
-        stab = braid.BraidWord(3, TREFOIL.letters + (2 * sign,))
-        assert _closed_as_given(stab, amb) == _closed_as_given(TREFOIL, amb)
-    # regular: stabilization multiplies by the handle diagonal
+    """A regular model's stabilization multiplies by the handle diagonal
+    (ambient models: ``test_ambient_stabilization_and_braid_relation``)."""
     mod = engine.model(2, "regular")
-    base = engine.tangle_invariant(TREFOIL, mod).diagonal()
-    handle = mod.handle
+    base = engine.tangle_invariant(TREFOIL, mod).entries
     for sign in (1, -1):
         stab = braid.BraidWord(3, TREFOIL.letters + (2 * sign,))
-        got = engine.tangle_invariant(stab, mod).diagonal()
-        factor = handle if sign > 0 else tuple(h.invert_monomial()
-                                               for h in handle)
-        assert got == [f * b for f, b in zip(factor, base)]
-
-
-def _closed_as_given(word, mod):
-    """The scalar of the closure of ``word`` itself."""
-    return closed_as_given(word, mod).scalar()
+        got = engine.tangle_invariant(stab, mod).entries
+        factor = mod.handle if sign > 0 else tuple(
+            h.invert_monomial() for h in mod.handle)
+        assert got == tuple(f * b for f, b in zip(factor, base))
 
 
 def _rotation(word, r):
@@ -413,11 +433,12 @@ def test_ambient_closure_is_the_same_on_every_rotation_and_flip(rng, case):
     words = [rand_knot_word(rng, strands=3, length=6) for _ in range(6)]
     words += [r.word for r in load_table() if r.word.strands <= 3]
     for word in words:
-        want = _closed_as_given(word, mod)
+        want = engine.closure(word, mod).scalar()
         assert engine.tangle_invariant(word, mod).scalar() == want
         variants = [_rotation(word, r) for r in range(1, len(word.letters))]
         for variant in variants + [_flip(word)]:
-            assert _closed_as_given(variant, mod) == want, (word, variant)
+            assert engine.closure(variant, mod).scalar() == want, \
+                (word, variant)
 
 
 @pytest.mark.parametrize("case", [1, 2])
@@ -426,11 +447,11 @@ def test_ambient_stabilization_and_braid_relation(rng, case):
     for _ in range(3):
         word = rand_knot_word(rng, strands=3, length=5)
         want = engine.ambient_invariant(word, case)
-        assert want == _closed_as_given(word, mod)
+        assert want == engine.closure(word, mod).scalar()
         for sign in (1, -1):
             stab = braid.BraidWord(4, word.letters + (3 * sign,))
             assert engine.ambient_invariant(stab, case) == want
-            assert _closed_as_given(stab, mod) == want
+            assert engine.closure(stab, mod).scalar() == want
     for _ in range(3):
         # s1 s2 s1 = s2 s1 s2 at a cut of a word whose closure is a knot
         while True:
@@ -442,7 +463,7 @@ def test_ambient_stabilization_and_braid_relation(rng, case):
                 break
         got = [engine.ambient_invariant(w, case) for w in sides]
         assert got[0] == got[1]
-        assert [_closed_as_given(w, mod) for w in sides] == got
+        assert [engine.closure(w, mod).scalar() for w in sides] == got
 
 
 def _shifted_up(word):
@@ -466,7 +487,7 @@ def test_ambient_stabilization_at_either_end(rng, case):
         if braid.reduce_knot_word(word) is word:
             words.append(word)
     for word in words:
-        want = _closed_as_given(word, mod)
+        want = engine.closure(word, mod).scalar()
         n = len(word.letters)
         for sign in (1, -1):
             cut = rng.randrange(n + 1)
@@ -476,7 +497,8 @@ def test_ambient_stabilization_at_either_end(rng, case):
             bottom = braid.BraidWord(4, up[:cut] + (sign,) + up[cut:])
             for stab in (top, bottom):
                 assert braid.reduce_knot_word(stab) == word, stab
-                assert _closed_as_given(stab, mod) == want, (word, stab)
+                assert engine.closure(stab, mod).scalar() == want, \
+                    (word, stab)
                 assert engine.tangle_invariant(stab, mod).scalar() == want
 
 
@@ -496,8 +518,9 @@ def test_ambient_pair_across_far_letters(rng, case):
             if braid.closure_components(without) == 1:
                 break
         paired = braid.BraidWord(5, head + (k,) + far + (-k,) + tail)
-        want = _closed_as_given(without, mod)
-        assert _closed_as_given(paired, mod) == want, (paired, without)
+        want = engine.closure(without, mod).scalar()
+        assert engine.closure(paired, mod).scalar() == want, \
+            (paired, without)
         assert engine.tangle_invariant(paired, mod).scalar() == want
 
 
@@ -574,6 +597,8 @@ def test_words_under_three_letters_are_closed_as_given(text, ran):
 
 
 def test_ambient_models_close_the_predicted_rotation(ran):
+    """``tangle_invariant`` runs the word it picks for the model, and
+    ``closure`` the word itself, whatever the model."""
     words = [r.word for r in load_table() if r.name in
              ("5_2", "7_3", "7_4", "7_6", "7_7", "8_6", "8_7", "8_16", "8_17",
               "8_21")]
@@ -582,9 +607,10 @@ def test_ambient_models_close_the_predicted_rotation(ran):
         for word in words:
             del ran[:]
             engine.tangle_invariant(word, mod)
+            engine.closure(word, mod)
             want = (engine.cheapest_rotation(braid.reduce_knot_word(word))
                     if mod.isotopy == "ambient" else word)
-            assert len(ran) == 1 and ran[0] == want, (key, word)
+            assert ran == [want, word] and ran[1] is word, (key, word)
             if mod.isotopy == "regular":
                 assert ran[0] is word
     assert any(engine.cheapest_rotation(w) != w for w in words)
@@ -637,21 +663,6 @@ def test_case4_matveev_pair_equal_symbolically():
     sym1, sym2 = (dict(rmat._columns(QUANTUM, 3, engine._letters(w, R, R_inv)))
                   for w in (w1, w2))
     assert sym1 == sym2
-    assert engine.matveev_test(engine.model(4, "ambient")) is False
-
-
-def test_invariants_are_y_free():
-    for word in (TREFOIL, FIG8):
-        for case, isotopy in ((2, "regular"), (3, "regular")):
-            inv = engine.tangle_invariant(word, engine.model(case, isotopy))
-            for v in inv.diagonal():
-                assert all(e[QUANTUM.y_index] == 0 for e in v.terms)
-
-
-def test_case2_ambient_is_real():
-    for word in (TREFOIL, FIG8):
-        inv = engine.ambient_invariant(word, 2)
-        assert all(c[1] == 0 for c in inv.terms.values())
 
 
 def test_case1_symmetries():
@@ -714,8 +725,8 @@ def test_the_reversed_word_has_the_same_closure(key):
     assert len(table) == 37
     for r in table:
         backwards = braid.BraidWord(r.word.strands, r.word.letters[::-1])
-        assert closed_as_given(backwards, mod) == \
-            closed_as_given(r.word, mod), r.name
+        assert engine.closure(backwards, mod) == \
+            engine.closure(r.word, mod), r.name
 
 
 def _q_inverted(op):

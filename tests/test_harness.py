@@ -144,6 +144,14 @@ def test_bad_jobs_are_refused(jobs):
         harness.run_suite({3}, table=table, jobs=jobs)
 
 
+@pytest.mark.parametrize("top", [8.5, "8", None, True])
+def test_bad_max_crossings_are_refused(top):
+    """A float, str, None or bool is no crossing bound, refused before
+    any row runs: 8.5 would select the rows of 8 and True those of 1."""
+    with pytest.raises(ValueError, match=re.escape(f"max_crossings {top!r}")):
+        harness.run_suite({3}, max_crossings=top)
+
+
 @pytest.mark.parametrize("case", [2.0, True, "3", 7, None])
 def test_bad_cases_are_refused(case):
     """Refused before any row runs: a float or bool is no case, and a

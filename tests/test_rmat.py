@@ -21,13 +21,6 @@ from gaugeknot.rmat import SparseROp
 IMAGINARY_Y = [pt for pt in rmat.SAMPLE_POINTS if pt[3] < 0]
 
 
-def test_component_counts():
-    assert len(rmat.build_trig_gauged()) == 36
-    assert len(rmat.build_trig_gauge_free()) == 36
-    for i, count in ((1, 26), (2, 20), (3, 17), (4, 16)):
-        assert len(rmat.quantum_r(i)) == count
-
-
 def test_quantum_r_keeps_one_operator_per_index():
     for i in (1, 2, 3, 4):
         assert rmat.quantum_r(i) is rmat.quantum_r(i)
