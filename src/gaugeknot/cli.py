@@ -184,6 +184,8 @@ def _cmd_suite(args, parser):
         parser.error(f"--cases: no state model for case {min(unknown)}")
     if args.jobs < 1:
         parser.error(f"--jobs {args.jobs}: need at least 1")
+    if args.out == "":
+        parser.error("--out: empty path")
     table = harness.load_table(args.table) if args.table else None
     out = Path(args.out) if args.out else None
     try:

@@ -22,7 +22,8 @@ masks ``rmat._sector_bits``), which takes charge-conserving letters
 only: a term is formed only if its state can still return to s through
 the nonzero entries of the remaining letters, and a column that cannot
 return to s is skipped.  ``represent`` gives the full product unless
-asked for ``closure_only``.
+asked for ``closure_only``.  Every product stops at ``TERM_BUDGET``
+stored terms; no call takes a budget of its own.
 
 The work of that product depends on the word, not only on the knot.  An
 ambient model's invariant is one of the knot: the single-loop identity
@@ -74,7 +75,7 @@ class EngineError(RingError):
 #: case 2 words of 6-10 letters), 336 at 244 and 544 at 26.  With one
 #: polynomial per passing state the same inputs read 92-138 and 197-312.
 #: At 136 bytes a term the budget is reached at about 4.6 GB, before 8 GiB.
-DEFAULT_TERM_BUDGET = (8 * 2**30) // 256
+TERM_BUDGET = (8 * 2**30) // 256
 
 #: The most strands represent() runs.  The product builds per-state tables
 #: of 4**n entries before the term budget can fire, and the closure's
@@ -254,14 +255,14 @@ def verify_handle(mod):
                                     (mod.sigma_inv, exp_minus)))
 
 
-def represent(word, mod, term_budget=DEFAULT_TERM_BUDGET, closure_only=False):
+def represent(word, mod, closure_only=False):
     """Sparse representation of a braid word: a map from each input basis
     multi-index to its sparse image {output multi-index: coefficient}.
 
     With ``closure_only`` each image keeps only its output at the input
     column itself, the one output the (1,1)-closure reads, and columns
     without it are left out; the rest of the product is never computed.
-    The term budget counts the terms of the images stored here, so in that
+    ``TERM_BUDGET`` counts the terms of the images stored here, so in that
     mode only of the closure-read ones.  A word on more than
     ``MAX_ENGINE_STRANDS`` strands is refused before any work."""
     if word.strands > MAX_ENGINE_STRANDS:
@@ -275,10 +276,10 @@ def represent(word, mod, term_budget=DEFAULT_TERM_BUDGET, closure_only=False):
     keep = _sector_bits(word.strands) if closure_only else None
     for s, vec in _columns(mod.ring, word.strands, letters, keep):
         stored += sum(map(len, vec.values()))
-        if stored > term_budget:
+        if stored > TERM_BUDGET:
             raise EngineError(
                 f"term budget exceeded: {stored} stored terms > budget "
-                f"{term_budget} after input column {s} of braid '{word}', "
+                f"{TERM_BUDGET} after input column {s} of braid '{word}', "
                 f"case {mod.case} {mod.isotopy}")
         out[s] = vec
     return out
@@ -310,23 +311,23 @@ def cheapest_rotation(word):
     return BraidWord(word.strands, letters[r:] + letters[:r])
 
 
-def _closure(word, mod, term_budget):
+def _closure(word, mod):
     """The closed (1,1)-tangle of ``word`` as given: the closure-only
     product, then the closure sum."""
-    rep = represent(word, mod, term_budget, closure_only=True)
+    rep = represent(word, mod, closure_only=True)
     return TangleInvariant(_close(mod, rep.items()))
 
 
 def closure(word, mod):
     """The closed (1,1)-tangle of ``word`` exactly as given, whatever the
     model and however many components its closure has: no reduction or
-    rotation, no knot check, and ``DEFAULT_TERM_BUDGET``.
+    rotation and no knot check, within ``TERM_BUDGET`` as every product.
     ``tangle_invariant`` closes a knot word the same way, once it has
     picked the word an ambient model closes."""
-    return _closure(word, mod, DEFAULT_TERM_BUDGET)
+    return _closure(word, mod)
 
 
-def tangle_invariant(word, mod, term_budget=DEFAULT_TERM_BUDGET):
+def tangle_invariant(word, mod):
     """The closed (1,1)-tangle of a knot word: ``closure`` of the word
     itself for a regular model.  An ambient model closes
     ``cheapest_rotation(reduce_knot_word(word))`` instead, which has the
@@ -339,7 +340,7 @@ def tangle_invariant(word, mod, term_budget=DEFAULT_TERM_BUDGET):
     else:
         run = word
     try:
-        return _closure(run, mod, term_budget)
+        return _closure(run, mod)
     except RingError as exc:
         if run is word:
             raise
@@ -347,9 +348,9 @@ def tangle_invariant(word, mod, term_budget=DEFAULT_TERM_BUDGET):
                         f"given braid '{word}'") from exc
 
 
-def ambient_invariant(word, case, term_budget=DEFAULT_TERM_BUDGET):
+def ambient_invariant(word, case):
     """The scalar of the (necessarily scalar) ambient invariant."""
-    return tangle_invariant(word, model(case, "ambient"), term_budget).scalar()
+    return tangle_invariant(word, model(case, "ambient")).scalar()
 
 
 def matveev_test(mod):

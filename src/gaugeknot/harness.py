@@ -41,12 +41,10 @@ class KnotRecord:
         return int(self.name.split("_")[0])
 
 
-def table_path():
-    return Path(os.environ.get("GAUGEKNOT_TABLE", BUNDLED_TABLE))
-
-
 def load_table(path=None):
-    path = Path(path) if path is not None else table_path()
+    if path is None:
+        path = os.environ.get("GAUGEKNOT_TABLE", BUNDLED_TABLE)
+    path = Path(path)
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:

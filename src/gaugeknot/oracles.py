@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .braid import BraidError, BraidWord, closure_components
+from .braid import BraidError, closure_components
 from .engine import model, tangle_invariant
 from .ring import QUANTUM
 
@@ -334,8 +334,6 @@ def jones(word):
 @dataclass
 class CompareReport:
     ok: bool
-    case: int
-    word: BraidWord
     detail: str = ""
     diag: tuple = None
 
@@ -365,7 +363,7 @@ def compare_case2(word):
     minus = m(1, p=-w) * _subst_quantum(delta, 2, -2)
     plus = m(1, p=w) * _subst_quantum(delta, 2, 2)
     expected = [minus, minus, plus, plus]
-    return _compare(2, word, diag, expected)
+    return _compare(diag, expected)
 
 
 def compare_case3(word):
@@ -379,13 +377,12 @@ def compare_case3(word):
     m = QUANTUM.mono
     mid = m(1 if w % 2 == 0 else -1, Q=-4 * w) * _subst_quantum(v, 4, 0)
     expected = [m(1, p=-2 * w), mid, mid, m(1, p=2 * w)]
-    return _compare(3, word, diag, expected)
+    return _compare(diag, expected)
 
 
-def _compare(case, word, diag, expected):
+def _compare(diag, expected):
     for i, (got, want) in enumerate(zip(diag, expected), start=1):
         if got != want:
-            return CompareReport(False, case, word,
-                                 f"entry{i}{i}: got {got}, expected {want}",
-                                 diag)
-    return CompareReport(True, case, word, diag=diag)
+            return CompareReport(
+                False, f"entry{i}{i}: got {got}, expected {want}", diag)
+    return CompareReport(True, diag=diag)

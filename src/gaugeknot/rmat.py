@@ -78,6 +78,12 @@ SAMPLE_POINTS = [
     (Fraction(1, 9), Fraction(5, 37), Fraction(8528, 1665), 1),
 ]
 
+#: The usable ``SAMPLE_POINTS`` rows ``eigen_check`` needs, and how many of
+#: the first rows ``eigenvector_deficiency`` reads.  Both checks read these
+#: and ``SAMPLE_POINTS`` at each call.
+EIGEN_POINTS = 5
+DEFICIENCY_POINTS = 3
+
 
 #: The charge of each two-site basis state |a,b>, keyed by (a, b).
 _PAIR_CHARGE = {(a, b): tuple(x + y for x, y in zip(CHARGE[a], CHARGE[b]))
@@ -927,26 +933,23 @@ class EigenReport:
     message: str = ""
 
 
-def eigen_check(R, claimed, points=None, min_points=5):
+def eigen_check(R, claimed):
     """Confirm at exact sample points that the spectrum of a
     charge-conserving operator (RingError otherwise) equals the claimed
     list of polynomials, with multiplicities found from the characteristic
-    polynomials.  ``points`` are rows like those of ``SAMPLE_POINTS``, the
-    default.  At each point these are the polynomials of the sector blocks
-    of ``D * M`` over the Gaussian integers, whose product is that of
+    polynomials.  It reads ``SAMPLE_POINTS`` in order, skipping a point
+    where two claimed values collide, until ``EIGEN_POINTS`` points were
+    usable; with fewer the report is not ok.  At each point these are the
+    polynomials of the sector blocks of ``D * M`` over the Gaussian
+    integers, whose product is that of
     ``D * M``, with roots D times the eigenvalues of M: a claimed value's
     multiplicity is its sum over the blocks, and the spectrum is exhausted
     when every block's polynomial is divided down to 1.  A root in Q(i) of
     a monic polynomial over Z[i] is a Gaussian integer, since Z[i] is
     integrally closed, so a claimed v with D * v outside Z[i] is absent."""
-    if min_points < 1:
-        raise RingError(f"min_points {min_points!r}: an eigen check needs "
-                        f"at least 1 sample point")
-    if points is None:
-        points = SAMPLE_POINTS
     used = 0
     mults = None
-    for point in points:
+    for point in SAMPLE_POINTS:
         blocks, _, roots = _eval_matrix(R, point, claimed)
         known = [r for r in roots if r is not None]
         if len(set(known)) != len(known):
@@ -976,9 +979,9 @@ def eigen_check(R, claimed, points=None, min_points=5):
             return EigenReport(False, len(claimed), got, used,
                                "multiplicities differ between sample points")
         used += 1
-        if used >= min_points:
+        if used >= EIGEN_POINTS:
             break
-    if used < min_points:
+    if used < EIGEN_POINTS:
         return EigenReport(False, len(claimed), mults or {}, used,
                            f"only {used} usable sample points")
     return EigenReport(True, len(claimed), mults, used)
@@ -1024,21 +1027,17 @@ def _squarefree_part(coeffs):
     return _primitive(_pseudo_divide(coeffs, a)[0])
 
 
-def eigenvector_deficiency(R, points=None):
+def eigenvector_deficiency(R):
     """Total eigenvector count of a charge-conserving operator (RingError
     otherwise): the sum over distinct eigenvalues of dim ker(R - lambda I),
     16 meaning diagonalizable.  It is the sum over the sector blocks B of
     ``D * M`` of dim ker g(B), g a Gaussian-integer multiple of the
     squarefree part of B's characteristic polynomial, whose kernel is
     spanned by B's eigenvectors.  It is evaluated at each of the first
-    three ``points``, rows like those of ``SAMPLE_POINTS`` (the default),
-    and the maximum is returned; RingError if there is none."""
-    if points is None:
-        points = SAMPLE_POINTS
-    if not points:
-        raise RingError("no sample points")
+    ``DEFICIENCY_POINTS`` rows of ``SAMPLE_POINTS``, and the maximum is
+    returned."""
     totals = set()
-    for point in points[:3]:
+    for point in SAMPLE_POINTS[:DEFICIENCY_POINTS]:
         total = 0
         for B in _eval_matrix(R, point)[0]:
             G = _squarefree_part(charpoly(B))

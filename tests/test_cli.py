@@ -131,10 +131,21 @@ def test_rmatrix_show_trig_cases_differ(capsys):
 
 
 def test_eigen(capsys):
-    code, out, _ = run(capsys, "eigen", "--case", "1")
-    assert code == 0
-    assert "distinct eigenvalues 3" in out
-    assert "eigenvector count 16 / 16" in out
+    """For every case, one line per claimed eigenvalue, in the claimed
+    order, whose multiplicities add up to the 16 dimensions."""
+    for case, distinct in ((1, 3), (2, 7), (3, 9), (4, 10)):
+        code, out, _ = run(capsys, "eigen", "--case", str(case))
+        assert code == 0
+        head, *values, count, verdict = out.splitlines()
+        assert head == f"case {case}: distinct eigenvalues {distinct}"
+        claimed = rmat.claimed_eigenvalues(case)
+        assert len(claimed) == len(values) == distinct
+        mults = []
+        for value, line in zip(claimed, values):
+            assert line.startswith(f"  {value}  x")
+            mults.append(int(line.rsplit("  x", 1)[1]))
+        assert min(mults) > 0 and sum(mults) == 16
+        assert (count, verdict) == ("eigenvector count 16 / 16", "PASS")
 
 
 def test_invariant_json(capsys):
@@ -239,6 +250,19 @@ def test_suite_out_errors_are_usage_errors(capsys, tmp_path):
         stdout, err = capsys.readouterr()
         assert (exc.value.code, stdout) == (2, "")
         assert err.endswith(f"error: --out: {path}: {why}\n")
+
+
+def test_suite_refuses_an_empty_out(capsys, tmp_path, monkeypatch):
+    """An empty --out names no directory: it is refused before any row
+    runs, and no report lands in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "suite", "--cases", "4", "--max-crossings", "3",
+            "--out", "")
+    stdout, err = capsys.readouterr()
+    assert (exc.value.code, stdout) == (2, "")
+    assert err.endswith("error: --out: empty path\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_import_leaves_multiprocessing_out():

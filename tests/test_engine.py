@@ -109,22 +109,24 @@ def test_represent_empty_word():
     assert rep == {(a,): {(a,): QUANTUM.one} for a in (1, 2, 3, 4)}
 
 
-def test_term_budget():
+def test_term_budget(monkeypatch):
+    monkeypatch.setattr(engine, "TERM_BUDGET", 3)
     mod = engine.model(2, "regular")
     with pytest.raises(engine.EngineError) as err:
-        engine.represent(TREFOIL, mod, term_budget=3)
+        engine.represent(TREFOIL, mod)
     for field in (r"\b8 stored terms", r"> budget 3 ",
                   r"input column \(1, 2\) ", r"braid '2 : 1 1 1'",
                   r"case 2 regular$"):
         err.match(field)
 
 
-def test_term_budget_through_tangle_invariant():
+def test_term_budget_through_tangle_invariant(monkeypatch):
     # the closure-only images of column (1, 2) hold 5 terms; all 8 of the
     # full column are never stored
+    monkeypatch.setattr(engine, "TERM_BUDGET", 3)
     mod = engine.model(2, "regular")
     with pytest.raises(engine.EngineError) as err:
-        engine.tangle_invariant(TREFOIL, mod, term_budget=3)
+        engine.tangle_invariant(TREFOIL, mod)
     for field in (r"\b5 stored terms", r"> budget 3 ",
                   r"input column \(1, 2\) ", r"braid '2 : 1 1 1'",
                   r"case 2 regular$"):
@@ -630,16 +632,16 @@ def test_represent_runs_the_word_as_given():
                 == dict(rmat._columns(mod.ring, word.strands, letters, keep))
 
 
-def test_ambient_budget_error_names_the_word_and_its_rotation():
+def test_ambient_budget_error_names_the_word_and_its_rotation(monkeypatch):
     """The error names the given word and the word closed for it: the
     cheapest rotation of the reduced word, here on 3 strands for 8_16's 4."""
     word = next(r.word for r in load_table() if r.name == "8_16")
     run = engine.cheapest_rotation(braid.reduce_knot_word(word))
     assert (word.strands, run.strands) == (4, 3)
+    monkeypatch.setattr(engine, "TERM_BUDGET", 3)
     for case in (1, 2, 4):
         with pytest.raises(engine.EngineError) as err:
-            engine.tangle_invariant(word, engine.model(case, "ambient"),
-                                    term_budget=3)
+            engine.tangle_invariant(word, engine.model(case, "ambient"))
         msg = str(err.value)
         assert msg.startswith("term budget exceeded: ")
         assert f" of braid '{run}', case {case} ambient; " in msg

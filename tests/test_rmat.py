@@ -1120,24 +1120,25 @@ def test_eigen_check_reads_every_sector():
     (rmat.SAMPLE_POINTS[0], "p = 3/5, Q = 25/39, Y = 176/325"),
     (IMAGINARY_Y[0], "p = 1/4, Q = 33/4, Y = 238/33 * i"),
 ])
-def test_eigen_check_names_an_absent_eigenvalue_and_its_point(row, where):
+def test_eigen_check_names_an_absent_eigenvalue_and_its_point(
+        row, where, monkeypatch):
     """p**6 is no eigenvalue of R1: the report names it and the point, with
     p, Q and Y as fractions."""
-    rep = rmat.eigen_check(rmat.quantum_r(1), [QUANTUM.mono(1, p=6)],
-                           points=[row], min_points=1)
+    monkeypatch.setattr(rmat, "SAMPLE_POINTS", [row])
+    rep = rmat.eigen_check(rmat.quantum_r(1), [QUANTUM.mono(1, p=6)])
     assert not rep.ok and rep.points_used == 0
     assert rep.message == f"claimed eigenvalue 1 * p^6 absent at {where}"
 
 
-def test_eigen_check_skips_a_point_where_claimed_values_collide():
+def test_eigen_check_skips_a_point_where_claimed_values_collide(monkeypatch):
     """At p = 1 the claims 1 and p**2 coincide, so their multiplicities
     cannot be told apart there: that point is skipped, and the next one
     finds p**2 absent."""
     collide = (1, 2, Fraction(3, 2), -1)     # Y**2 = -(Q - 1/Q)**2
+    monkeypatch.setattr(rmat, "SAMPLE_POINTS",
+                        [collide, rmat.SAMPLE_POINTS[0]])
     rep = rmat.eigen_check(rmat.identity_op(QUANTUM),
-                           [QUANTUM.one, QUANTUM.mono(1, p=2)],
-                           points=[collide, rmat.SAMPLE_POINTS[0]],
-                           min_points=1)
+                           [QUANTUM.one, QUANTUM.mono(1, p=2)])
     assert not rep.ok and rep.points_used == 0
     assert rep.message == ("claimed eigenvalue 1 * p^2 absent at p = 3/5, "
                            "Q = 25/39, Y = 176/325")
@@ -1149,15 +1150,15 @@ def test_eigenvector_deficiency():
         assert rmat.eigenvector_deficiency(rmat.quantum_r(i)) == 16
 
 
-def test_eigen_check_at_the_imaginary_y_points():
+def test_eigen_check_at_the_imaginary_y_points(monkeypatch):
     assert len(IMAGINARY_Y) == 3
+    monkeypatch.setattr(rmat, "SAMPLE_POINTS", IMAGINARY_Y)
+    monkeypatch.setattr(rmat, "EIGEN_POINTS", 3)
     for i in (1, 2, 3, 4):
-        rep = rmat.eigen_check(rmat.quantum_r(i), rmat.claimed_eigenvalues(i),
-                               points=IMAGINARY_Y, min_points=3)
+        rep = rmat.eigen_check(rmat.quantum_r(i), rmat.claimed_eigenvalues(i))
         assert rep.ok, rep.message
         assert rep.points_used == 3
-        assert rmat.eigenvector_deficiency(rmat.quantum_r(i),
-                                           points=IMAGINARY_Y) == 16
+        assert rmat.eigenvector_deficiency(rmat.quantum_r(i)) == 16
 
 
 def jordan_op(value):
@@ -1169,26 +1170,13 @@ def jordan_op(value):
 
 
 @pytest.mark.parametrize("value", [QUANTUM.one, QUANTUM.var("p")])
-def test_eigenvector_deficiency_of_a_jordan_block(value):
+def test_eigenvector_deficiency_of_a_jordan_block(value, monkeypatch):
     op = jordan_op(value)
     assert rmat.eigenvector_deficiency(op) == 15
-    assert rmat.eigenvector_deficiency(op, points=IMAGINARY_Y) == 15
     rep = rmat.eigen_check(op, [QUANTUM.one])
     assert rep.ok and rep.multiplicities == {str(QUANTUM.one): 16}
-
-
-def test_eigenvector_deficiency_needs_a_point():
-    with pytest.raises(RingError, match="no sample points"):
-        rmat.eigenvector_deficiency(rmat.quantum_r(1), points=[])
-
-
-@pytest.mark.parametrize("points", [[], None])
-@pytest.mark.parametrize("min_points", [0, -1])
-def test_eigen_check_needs_a_point(points, min_points):
-    """A check of no sample point checks nothing, whatever is claimed."""
-    with pytest.raises(RingError, match="at least 1 sample point"):
-        rmat.eigen_check(rmat.quantum_r(1), rmat.claimed_eigenvalues(2),
-                         points=points, min_points=min_points)
+    monkeypatch.setattr(rmat, "SAMPLE_POINTS", IMAGINARY_Y)
+    assert rmat.eigenvector_deficiency(op) == 15
 
 
 def _gauss(rng, span=5):
