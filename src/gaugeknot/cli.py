@@ -44,6 +44,9 @@ def _word_from_args(args, parser):
 
 def _cmd_verify(args, parser):
     what = getattr(args, "what", None)
+    if args.case is not None and what != "qybe":
+        parser.error("--case needs --what qybe: only the QYBE checks run "
+                     "per case")
     checks = []
     gauged = rmat.build_trig_gauged()
     free = rmat.build_trig_gauge_free()
@@ -184,8 +187,9 @@ def _cmd_suite(args, parser):
         parser.error(f"--cases: no state model for case {min(unknown)}")
     if args.jobs < 1:
         parser.error(f"--jobs {args.jobs}: need at least 1")
-    if args.out == "":
-        parser.error("--out: empty path")
+    for opt, path in (("--out", args.out), ("--table", args.table)):
+        if path == "":
+            parser.error(f"{opt}: empty path")
     table = harness.load_table(args.table) if args.table else None
     out = Path(args.out) if args.out else None
     try:
@@ -219,7 +223,8 @@ def build_parser():
 
     ver = sub.add_parser("verify", help="run symbolic R-matrix checks")
     ver.add_argument("--what", choices=["qybe", "tybe", "gauge"])
-    ver.add_argument("--case", type=_int, choices=[1, 2, 3, 4])
+    ver.add_argument("--case", type=_int, choices=[1, 2, 3, 4],
+                     help="with --what qybe: the one case to check")
     ver.set_defaults(func=_cmd_verify, parser=ver)
 
     rm = sub.add_parser("rmatrix", help="print an R-matrix")

@@ -76,6 +76,11 @@ def load_table(path=None):
     return records
 
 
+#: The report's columns in CSV order; every row starts with each one "".
+_COLUMNS = ("knot", "case", "isotopy", "writhe", "entry11", "entry22",
+            "entry33", "entry44", "status", "unit")
+
+
 @dataclass
 class RunReport:
     rows: list = field(default_factory=list)
@@ -98,14 +103,10 @@ class RunReport:
         unchecked row is no failure."""
         return not self.failed
 
-    def sort(self):
-        self.rows.sort(key=lambda r: (r["case"], _knot_key(r["knot"])))
-
     def write_csv(self, path):
-        cols = ["knot", "case", "isotopy", "writhe",
-                "entry11", "entry22", "entry33", "entry44", "status", "unit"]
         with open(path, "w", newline="") as fh:
-            out = csv.DictWriter(fh, fieldnames=cols, extrasaction="ignore")
+            out = csv.DictWriter(fh, fieldnames=_COLUMNS,
+                                 extrasaction="ignore")
             out.writeheader()
             for r in self.rows:
                 out.writerow(r)
@@ -119,22 +120,11 @@ class RunReport:
             fh.write("\n")
 
 
-def _knot_key(name):
-    """A row name's sort key: its crossing number, then the index after
-    the first ``_`` when that is ASCII digits (0 else), then the name.  A
-    name with no ASCII-digit head, which ``run_suite`` meets only in a
-    table of records other than ``KnotRecord``, sorts after the rest."""
-    a, _, b = name.partition("_")
-    if a.isascii() and a.isdigit():
-        return (0, int(a), int(b) if b.isascii() and b.isdigit() else 0, name)
-    return (1, 0, 0, name)
-
-
 def _run_one(args):
     name, word, case = args
     t0 = time.monotonic()
-    row = {"knot": name, "case": case, "writhe": "",
-           "unit": "", "status": "match"}
+    row = {**dict.fromkeys(_COLUMNS, ""),
+           "knot": name, "case": case, "status": "match"}
     try:
         if not isinstance(word, BraidWord):
             raise BraidError(f"{name}: {word!r} is not a braid word")
@@ -167,9 +157,6 @@ def _run_one(args):
         # fail row; anything else is a fault and propagates.
         row["status"] = "fail"
         row["unit"] = f"{type(exc).__name__}: {exc}"
-        for i in range(1, 5):
-            row.setdefault(f"entry{i}{i}", "")
-        row.setdefault("isotopy", "")
     row["seconds"] = round(time.monotonic() - t0, 3)
     return row
 
@@ -177,7 +164,8 @@ def _run_one(args):
 def run_suite(cases, table=None, max_crossings=8, jobs=1):
     """Run the per-case checks over the table, filtered by crossing count,
     each case once however often it is given, in ``jobs`` processes, but
-    no more processes than rows.  ValueError unless every case is an int
+    no more processes than rows.  The report lists its rows by case
+    ascending, then in the table's order, whatever ``jobs``.  ValueError unless every case is an int
     with a state model, ``max_crossings`` is an int and ``jobs`` is an int
     of at least 1 (a bool is no int here); TableError when the selection
     has no row, since an empty run checks nothing."""
@@ -206,5 +194,4 @@ def run_suite(cases, table=None, max_crossings=8, jobs=1):
             report.rows = list(pool.map(_run_one, work))
     else:
         report.rows = [_run_one(w) for w in work]
-    report.sort()
     return report

@@ -68,6 +68,18 @@ def test_verify_qybe_single_case(capsys):
     assert out.count("QYBE") == 1
 
 
+@pytest.mark.parametrize("what", [(), ("--what", "tybe"), ("--what", "gauge")])
+def test_verify_refuses_case_outside_qybe(capsys, what):
+    """Only the QYBE checks run per case, so --case with any other --what,
+    or with none, is refused before any check runs."""
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", *what, "--case", "2")
+    stdout, err = capsys.readouterr()
+    assert (exc.value.code, stdout) == (2, "")
+    assert err.endswith("error: --case needs --what qybe: only the QYBE "
+                        "checks run per case\n")
+
+
 def test_rmatrix_show_json(capsys):
     code, out, _ = run(capsys, "rmatrix", "show", "--regime", "quantum",
                        "--case", "4", "--format", "json")
@@ -265,6 +277,17 @@ def test_suite_refuses_an_empty_out(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_suite_refuses_an_empty_table(capsys):
+    """An empty --table names no file, so it is refused before any row
+    runs; it does not fall back to the bundled table."""
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "suite", "--cases", "4", "--max-crossings", "3",
+            "--table", "")
+    stdout, err = capsys.readouterr()
+    assert (exc.value.code, stdout) == (2, "")
+    assert err.endswith("error: --table: empty path\n")
+
+
 def test_cli_import_leaves_multiprocessing_out():
     """Only a suite in more than one job imports the process pool, so a
     fresh interpreter that imports the CLI has no multiprocessing."""
@@ -377,9 +400,9 @@ def test_table_name_without_crossing_number_is_usage_error(capsys,
 
 def test_suite_orders_a_row_whose_index_is_not_ascii_digits(capsys,
                                                              tmp_path):
-    """'3_\u00b9' begins with its crossing number, so the table takes it;
-    its index '\u00b9' counts as a digit to ``str.isdigit`` but is no
-    ASCII digit, so it sorts as index 0 and the suite runs to the end."""
+    """'3_\u00b9' begins with its crossing number, so the table takes it,
+    though its index '\u00b9' is no ASCII digit; the suite runs to the end
+    and lists the rows in the table's order."""
     f = tmp_path / "table.txt"
     f.write_text("3_\u00b9 ; 2 ; 1 1 1\n4_1 ; 3 ; 1 -2 1 -2\n",
                  encoding="utf-8")

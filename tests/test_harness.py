@@ -287,6 +287,17 @@ def test_suite_pool_is_capped_at_the_rows(monkeypatch):
     assert sizes == [2, 3]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_suite_rows_run_by_case_then_in_table_order(jobs):
+    """Rows are listed by case ascending, then in the table's order, which
+    here is not crossing order; the pool keeps that order."""
+    by_name = {r.name: r for r in harness.load_table()}
+    table = [by_name["4_1"], by_name["3_1"]]
+    report = harness.run_suite({3, 2}, table=table, jobs=jobs)
+    assert [(r["case"], r["knot"]) for r in report.rows] == \
+        [(2, "4_1"), (2, "3_1"), (3, "4_1"), (3, "3_1")]
+
+
 def test_suite_parallel_matches_serial():
     table = [r for r in harness.load_table() if r.crossings <= 5]
     serial = harness.run_suite({3}, table=table, jobs=1)
