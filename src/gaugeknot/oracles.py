@@ -7,8 +7,13 @@ Markov trace (Kauffman, Topology 26, 1987; Jones, Ann. Math. 126, 1987): a
 word of L letters on n strands costs at most L * Catalan(n) matching
 updates, with no limit on L.
 
-The oracle polynomials share no code with the state-model engine: OnePoly
-is their own arithmetic.  ``compare_case2`` and ``compare_case3`` then call
+The oracle polynomials share no code with the state-model engine.  Both
+oracles compute in exact ints: each polynomial is its value at a power of
+two wide enough for a proved bound on its coefficients (Kronecker
+substitution), and each result is decoded once into a OnePoly, the
+oracles' own polynomial type, on which their normalization checks run.  No
+modulus, float or probabilistic step is used.  ``compare_case2`` and
+``compare_case3`` then call
 the engine and check its Case 2 / Case 3 diagonals against them entry for
 entry, for exact equality: no unit, global or per entry, is divided out.
 """
@@ -143,70 +148,128 @@ def _require_knot(word):
 
 
 # ---------------------------------------------------------------------------
+# Exact integer arithmetic at a power of two (Kronecker substitution).
+
+def _digits(v, w):
+    """Balanced base-2**w digits of the int v, lowest first, the top one
+    nonzero: v = sum(d_i * 2**(w*i)) with -2**(w-1) <= d_i < 2**(w-1).  When
+    a polynomial's coefficients all lie in that range, these are its
+    coefficients and v is its value at 2**w."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    out = []
+    while v:
+        v += half
+        out.append((v & mask) - half)
+        v >>= w
+    return out
+
+
+def _pack(coeffs, w):
+    """sum(coeffs[i] * 2**(w*i)): the value at 2**w of the polynomial with
+    these coefficients, lowest first."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << w) + c
+    return v
+
+
+# ---------------------------------------------------------------------------
 # Alexander-Conway via reduced Burau.
 
-def _burau_row(inverse=False):
-    """Row i of the reduced Burau matrix of generator i (1-based), the one
-    row that differs from the identity's: its entries in columns i - 1, i
-    and i + 1, those outside the matrix dropped."""
-    t, tbar, one = OnePoly.t(2), OnePoly.t(-2), OnePoly.const(1)
-    return (one, -tbar, tbar) if inverse else (t, -t, one)
-
-
 def _det(M):
-    """Determinant by fraction-free (Bareiss) elimination: step k replaces
-    each entry below and right of the pivot by the 2x2 minor it forms with
-    the pivot, divided exactly by the previous pivot, so every entry stays
-    a OnePoly and the last one is the determinant.  A zero pivot is
+    """Determinant of a square int matrix by fraction-free (Bareiss)
+    elimination: step k replaces each entry below and right of the pivot
+    by the 2x2 minor it forms with the pivot, divided exactly by the
+    previous pivot, so the last entry is the determinant.  A zero pivot is
     swapped with a row below it, which flips the sign; with none the
-    determinant is 0.  O(n**3) OnePoly operations."""
+    determinant is 0.  O(n**3) int operations; the input is left as it
+    was."""
     M = [list(row) for row in M]
     n = len(M)
-    sign, prev = 1, OnePoly.const(1)
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if M[k][k].is_zero():
-            swap = next((r for r in range(k + 1, n)
-                         if not M[r][k].is_zero()), None)
+        if not M[k][k]:
+            swap = next((r for r in range(k + 1, n) if M[r][k]), None)
             if swap is None:
-                return OnePoly()
+                return 0
             M[k], M[swap] = M[swap], M[k]
             sign = -sign
-        pivot = M[k][k]
+        pivot, top = M[k][k], M[k]
         for row in M[k + 1:]:
+            x = row[k]
             for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - row[k] * M[k][j]).divexact(prev)
+                q, r = divmod(row[j] * pivot - x * top[j], prev)
+                if r:
+                    raise OracleError("inexact division")
+                row[j] = q
         prev = pivot
-    det = M[-1][-1] if M else OnePoly.const(1)
-    return det if sign > 0 else -det
+    return sign * M[-1][-1] if M else 1
 
 
 def alexander(word):
     """Symmetric Alexander-Conway polynomial of the closure, normalized so
     that Delta(t) = Delta(1/t) and Delta(1) = 1, from det(I - rho) of the
-    word's reduced Burau matrix rho.  A generator changes only three
-    columns of the product, so a letter costs O(n) OnePoly operations."""
+    word's reduced Burau matrix rho.
+
+    Every polynomial is an int, its value at a power of two; no modulus
+    or float is used, and each result is decoded once, into a OnePoly that
+    the normalization checks below still guard.
+
+    - The product runs at t = 2**B with B = 2L + 2 for L letters.  A
+      generator on row r changes only columns r - 1, r and r + 1 of the
+      product, so a letter costs O(n) int operations.  An inverse letter
+      first multiplies the whole matrix by t, O(n**2) shifts, so no
+      negative power of t forms; its m inverse letters are taken off when
+      I - rho is decoded.  Width: a letter at most triples a row's L1 norm,
+      so every coefficient of I - rho is at most 3**L + 1 < 2**(2L + 1) =
+      2**(B - 1) (L >= 1; a knot word with no letter has one strand and an
+      empty matrix).
+    - Each entry of I - rho is decoded once; each row is shifted so that
+      it starts at t**0 and repacked at W = bit_length(prod_r |row_r|_1) +
+      1.  Width: the Leibniz expansion gives |det|_1 <= prod_r |row_r|_1 <
+      2**(W - 1).
+    - The int determinant is taken by fraction-free elimination, whose
+      divisions are exact, and decoded once."""
     _require_knot(word)
-    n = word.strands
-    rho = [[OnePoly.const(1 if r == c else 0) for c in range(n - 1)]
-           for r in range(n - 1)]
-    rows = (_burau_row(), _burau_row(inverse=True))
-    for k in word.letters:
-        # rho times a generator on row r: column r times the row's entry
-        # is added to columns r - 1 and r + 1 and replaces column r
+    n, letters = word.strands, word.letters
+    b = 2 * len(letters) + 2
+    rho = [[int(r == c) for c in range(n - 1)] for r in range(n - 1)]
+    for k in letters:
+        # rho times the generator, whose row r is (t, -t, 1) in columns
+        # r - 1, r and r + 1, or times t times the inverse, which is t
+        # times the identity with row r (t, -1, 1): column r times t is
+        # added to column r - 1 and times 1 to column r + 1, and column r
+        # becomes -t or -1 times itself
         r = abs(k) - 1
-        left, mid, right = rows[k < 0]
         for row in rho:
             x = row[r]
-            if x.is_zero():
+            if k < 0:
+                row[:] = [y << b for y in row]
+            if not x:
                 continue
             if r > 0:
-                row[r - 1] = row[r - 1] + x * left
-            row[r] = x * mid
+                row[r - 1] += x << b
+            row[r] = -(x << b) if k > 0 else -x
             if r + 1 < n - 1:
-                row[r + 1] = row[r + 1] + x * right
-    IM = [[OnePoly.const(1 if r == c else 0) - rho[r][c] for c in range(n - 1)]
-          for r in range(n - 1)]
-    det = _det(IM)
+                row[r + 1] += x
+    m = sum(k < 0 for k in letters)
+    rows, lows, norm = [], -m * (n - 1), 1
+    for r, row in enumerate(rho):
+        # row r of I - rho, times t**m.  Its lowest slot s is that of the
+        # lowest set bit of its entries, as a nonzero digit has fewer than
+        # B - 1 trailing zero bits; shifted down by t**s, the row starts
+        # at t**0
+        row = [-x for x in row]
+        row[r] += 1 << (b * m)
+        s = min((((x & -x).bit_length() - 1) // b for x in row if x),
+                default=0)
+        row = [_digits(x >> (b * s), b) for x in row]
+        rows.append(row)
+        lows += s
+        norm *= sum(sum(map(abs, e)) for e in row)
+    w = norm.bit_length() + 1
+    det = _det([[_pack(e, w) for e in row] for row in rows])
+    det = OnePoly({2 * (lows + i): c for i, c in enumerate(_digits(det, w))})
     cyc = OnePoly({2 * k: 1 for k in range(n)})  # 1 + t + ... + t^(n-1)
     delta = det.divexact(cyc)
     if delta.is_zero():
@@ -226,29 +289,17 @@ def alexander(word):
 # ---------------------------------------------------------------------------
 # Jones via the Kauffman bracket.
 
-_DELTA = OnePoly({4: -1, -4: -1})           # -A^2 - A^-2, one closed loop
-
 #: Words on more strands are refused before any state is built.  A word on
 #: n strands holds at most Catalan(n) matchings at once, 208,012 at 12.  A
-#: held matching took at most 4 KB (both dicts and the coefficients, by
-#: tracemalloc on random 8- and 10-strand words of 60-120 letters), about
-#: 0.8 GiB at 12 strands.  Every table word has at most 5 strands.
+#: held matching took at most 3.1 KB (both dicts and the coefficients: the
+#: tracemalloc peak over the most matchings one dict held, on seeded 8- and
+#: 10-strand words of 61-121 letters), about 0.6 GiB at 12 strands.  Every
+#: table word has at most 5 strands.
 MAX_BRACKET_STRANDS = 12
 
 
 def _catalan(n):
     return math.comb(2 * n, n) // (n + 1)
-
-
-def _times_e(m, b, c):
-    """(matching, coefficient) of m * e_i, where b is bottom point i."""
-    x, y = m[b], m[b + 1]
-    if x == b + 1:                          # a cap meets its cup: a loop
-        return m, c * _DELTA
-    m = list(m)
-    m[x], m[y] = y, x
-    m[b], m[b + 1] = b + 1, b
-    return tuple(m), c
 
 
 def _loops(m):
@@ -268,6 +319,17 @@ def _loops(m):
     return loops
 
 
+def _add(acc, key, v, lo, s):
+    """acc[key] += (v, lo), each coefficient a pair of an int v, with one
+    slot of s bits per power of A**2, and the A-exponent lo of its lowest
+    slot: the operand with the higher lo is shifted up to the other's, so
+    no zero slot is carried below a polynomial."""
+    v0, lo0 = acc.get(key, (0, lo))
+    if lo0 > lo:
+        v0, lo0, v, lo = v, lo, v0, lo0
+    acc[key] = v0 + (v << s * ((lo - lo0) // 2)), lo0
+
+
 def _bracket(word):
     """Kauffman bracket of the closed braid as a polynomial in A, by the
     Temperley-Lieb transfer matrix.
@@ -278,24 +340,52 @@ def _bracket(word):
     A*1 + A^-1*e_i and its inverse A^-1*1 + A*e_i, so a positive letter's
     A-smoothing is the identity one.  The closure sums coeff *
     delta^(loops - 1).  The cost is at most Catalan(n) matching updates
-    per letter."""
-    n = word.strands
-    state = {tuple(range(n, 2 * n)) + tuple(range(n)): OnePoly.const(1)}
-    for k in word.letters:
+    per letter.
+
+    A coefficient is a pair: an int v = sum(c_e * 2**(S*(e - lo)/2)) and
+    lo, its lowest A-exponent.  Every letter moves every exponent by an
+    odd amount, so all exponents of a state share one parity and v is the
+    value at A**2 = 2**S of the coefficient over A**lo.  A letter's
+    identity term only moves lo.  Where the letter's e_i closes a loop,
+    its two terms sum to A^a + A^-a * delta = -A^(-3a) (a kink), so v only
+    changes sign.  A sum shifts the operand with the higher lo up to the
+    other's.  The closure multiplies v by -(2**(2S) + 1), which is delta *
+    A**2, once per loop but one, and its sum is decoded once, into a
+    OnePoly whose exponents ``jones`` still checks.  No modulus or float is
+    used.
+
+    Width: S = L + n + 1.  A letter at most doubles the state's total L1
+    norm (the identity and the e_i term, or the kink alone), and the
+    closure multiplies by delta**j with |delta**j|_1 = 2**j, j <= n - 1, so
+    every coefficient of the sum is at most 2**(L + n - 1) < 2**(S - 1) in
+    absolute value."""
+    n, letters = word.strands, word.letters
+    s = len(letters) + n + 1
+    state = {tuple(range(n, 2 * n)) + tuple(range(n)): (1, 0)}
+    for k in letters:
         b = n + abs(k) - 1
-        a = 2 if k > 0 else -2              # doubled A-exponent of the 1 term
+        a = 1 if k > 0 else -1              # A-exponent of the 1 term
         nxt = {}
-        for m, c in state.items():
-            for m2, c2 in ((m, c.shift(a)), _times_e(m, b, c.shift(-a))):
-                nxt[m2] = nxt[m2] + c2 if m2 in nxt else c2
-        state = {m: c for m, c in nxt.items() if c.terms}
-    powers = [OnePoly.const(1)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * _DELTA)
-    total = OnePoly()
-    for m, c in state.items():
-        total = total + c * powers[_loops(m) - 1]
-    return total
+        for m, (v, lo) in state.items():
+            x, y = m[b], m[b + 1]
+            if x == b + 1:                  # a cap meets its cup: a kink
+                _add(nxt, m, -v, lo - 3 * a, s)
+                continue
+            _add(nxt, m, v, lo + a, s)
+            m2 = list(m)
+            m2[x], m2[y] = y, x
+            m2[b], m2[b + 1] = b + 1, b
+            _add(nxt, tuple(m2), v, lo - a, s)
+        state = {m: c for m, c in nxt.items() if c[0]}
+    loop = -((1 << 2 * s) + 1)
+    closed = []
+    for m, (v, lo) in state.items():
+        j = _loops(m) - 1
+        closed.append((v * loop ** j, lo - 2 * j))
+    low = min((lo for _, lo in closed), default=0)
+    total = sum(v << s * ((lo - low) // 2) for v, lo in closed)
+    return OnePoly({2 * low + 4 * i: c
+                    for i, c in enumerate(_digits(total, s))})
 
 
 def jones(word):

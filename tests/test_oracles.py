@@ -52,6 +52,15 @@ def _burau_matrix(row, i, n):
     return M
 
 
+def _burau_row(inverse=False):
+    """Row i of the reduced Burau matrix of generator i (1-based), the one
+    row that differs from the identity's: its entries in columns i - 1, i
+    and i + 1, those outside the matrix dropped."""
+    t, tbar = oracles.OnePoly.t(2), oracles.OnePoly.t(-2)
+    one = oracles.OnePoly.const(1)
+    return (one, -tbar, tbar) if inverse else (t, -t, one)
+
+
 def test_burau_generator_inverse_pairs():
     """Each reduced Burau generator and its inverse multiply to the
     identity in both orders."""
@@ -59,46 +68,64 @@ def test_burau_generator_inverse_pairs():
         ident = [[oracles.OnePoly.const(int(r == c)) for c in range(n - 1)]
                  for r in range(n - 1)]
         for i in range(1, n):
-            g = _burau_matrix(oracles._burau_row(), i, n)
-            g_inv = _burau_matrix(oracles._burau_row(inverse=True), i, n)
+            g = _burau_matrix(_burau_row(), i, n)
+            g_inv = _burau_matrix(_burau_row(inverse=True), i, n)
             assert _dense_mul(g, g_inv) == ident
             assert _dense_mul(g_inv, g) == ident
 
 
-def _cofactor_det(M):
+def _cofactor_det(M, zero=oracles.OnePoly(), one=oracles.OnePoly.const(1)):
     """Reference determinant: cofactor expansion along the first row,
-    skipping zero entries."""
+    skipping zero entries; of OnePolys, or of ints with ``zero=0, one=1``."""
     if not M:
-        return oracles.OnePoly.const(1)
-    out = oracles.OnePoly()
+        return one
+    out = zero
     for j, x in enumerate(M[0]):
-        if not x.is_zero():
-            term = x * _cofactor_det([row[:j] + row[j + 1:] for row in M[1:]])
+        if x != zero:
+            term = x * _cofactor_det([row[:j] + row[j + 1:] for row in M[1:]],
+                                     zero, one)
             out = out + (-term if j % 2 else term)
     return out
 
 
 def test_det_matches_the_cofactor_expansion(rng):
-    """300 seeded matrices of 1x1 to 6x6, with half of their entries zero,
-    so that pivots vanish, rows are swapped and some matrices are
+    """300 seeded int matrices of 1x1 to 6x6, with half of their entries
+    zero, so that pivots vanish, rows are swapped and some matrices are
     singular; and the empty matrix.  The input is left as it was."""
     def entry():
-        if rng.random() < 0.5:
-            return oracles.OnePoly()
-        return oracles.OnePoly({rng.randint(-4, 4): rng.randint(-3, 3)
-                                for _ in range(rng.randint(1, 3))})
-    assert oracles._det([]) == oracles.OnePoly.const(1)
+        return 0 if rng.random() < 0.5 else rng.randint(-40, 40)
+    assert oracles._det([]) == 1
     zero_pivots = singular = 0
     for _ in range(300):
         n = rng.randint(1, 6)
         M = [[entry() for _ in range(n)] for _ in range(n)]
         copy = [list(row) for row in M]
         det = oracles._det(M)
-        assert det == _cofactor_det(M)
+        assert det == _cofactor_det(M, 0, 1)
         assert M == copy
-        zero_pivots += M[0][0].is_zero() and n > 1
-        singular += det.is_zero()
+        zero_pivots += M[0][0] == 0 and n > 1
+        singular += det == 0
     assert zero_pivots > 50 and singular > 10
+
+
+def test_balanced_digits_round_trip(rng):
+    """The balanced base-2**w reader gives back the digits a number was
+    packed from: digits at the ends of the range +-(2**(w-1) - 1), zero
+    slots between digits, a negative top digit, and seeded digit rows."""
+    for w in (2, 3, 7, 8, 13, 64, 65):
+        top = (1 << (w - 1)) - 1
+        rows = [[], [1], [-1], [top], [-top], [top, -top, top],
+                [-top, 0, 0, top, 0, -top], [0, 0, 5 % (top + 1)],
+                [1, 0, 0, 0, -1], [top] * 9 + [-1]]
+        rows += [[rng.randint(-top, top) for _ in range(rng.randint(1, 12))]
+                 + [rng.choice((-top, -1, 1, top))] for _ in range(40)]
+        for digits in rows:
+            v = sum(d << (w * i) for i, d in enumerate(digits))
+            assert oracles._pack(digits, w) == v
+            assert oracles._digits(v, w) == digits, (w, digits)
+    assert oracles._digits(-1, 2) == [-1]
+    assert oracles._digits(1, 2) == [1]
+    assert oracles._digits(2, 2) == [-2, 1]
 
 
 def test_alexander_on_fourteen_strands():
@@ -143,6 +170,128 @@ def test_alexander_matches_dense_burau_product(rng):
             word = rand_knot_word(rng, strands=strands,
                                   length=strands + rng.randint(0, 6))
             assert oracles.alexander(word) == _dense_alexander(word)
+
+
+def _onepoly_det(M):
+    """Reference determinant of a OnePoly matrix by fraction-free (Bareiss)
+    elimination, each division by the previous pivot exact."""
+    M = [list(row) for row in M]
+    n = len(M)
+    sign, prev = 1, oracles.OnePoly.const(1)
+    for k in range(n - 1):
+        if M[k][k].is_zero():
+            swap = next((r for r in range(k + 1, n)
+                         if not M[r][k].is_zero()), None)
+            if swap is None:
+                return oracles.OnePoly()
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        pivot = M[k][k]
+        for row in M[k + 1:]:
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - row[k] * M[k][j]).divexact(prev)
+        prev = pivot
+    det = M[-1][-1] if M else oracles.OnePoly.const(1)
+    return det if sign > 0 else -det
+
+
+def _onepoly_alexander(word):
+    """Reference Alexander polynomial in OnePoly arithmetic throughout: the
+    Burau product updated three columns per letter, then the Bareiss
+    determinant of I - rho."""
+    n = word.strands
+    rho = [[oracles.OnePoly.const(int(r == c)) for c in range(n - 1)]
+           for r in range(n - 1)]
+    rows = (_burau_row(), _burau_row(inverse=True))
+    for k in word.letters:
+        r = abs(k) - 1
+        left, mid, right = rows[k < 0]
+        for row in rho:
+            x = row[r]
+            if x.is_zero():
+                continue
+            if r > 0:
+                row[r - 1] = row[r - 1] + x * left
+            row[r] = x * mid
+            if r + 1 < n - 1:
+                row[r + 1] = row[r + 1] + x * right
+    det = _onepoly_det([[oracles.OnePoly.const(int(r == c)) - rho[r][c]
+                         for c in range(n - 1)] for r in range(n - 1)])
+    delta = det.divexact(oracles.OnePoly({2 * k: 1 for k in range(n)}))
+    lo, hi = delta.span()
+    delta = delta.shift(-(lo + hi) // 2)
+    return delta if delta.at_one() == 1 else -delta
+
+
+_DELTA = oracles.OnePoly({4: -1, -4: -1})   # -A^2 - A^-2, one closed loop
+
+
+def _times_e(m, b, c):
+    """(matching, coefficient) of m * e_i, where b is bottom point i."""
+    x, y = m[b], m[b + 1]
+    if x == b + 1:                          # a cap meets its cup: a loop
+        return m, c * _DELTA
+    m = list(m)
+    m[x], m[y] = y, x
+    m[b], m[b + 1] = b + 1, b
+    return tuple(m), c
+
+
+def _onepoly_bracket(word):
+    """Reference bracket: the Temperley-Lieb transfer matrix with OnePoly
+    coefficients (doubled A-exponents), closed by delta^(loops - 1)."""
+    n = word.strands
+    state = {tuple(range(n, 2 * n)) + tuple(range(n)): oracles.OnePoly.const(1)}
+    for k in word.letters:
+        b = n + abs(k) - 1
+        a = 2 if k > 0 else -2
+        nxt = {}
+        for m, c in state.items():
+            for m2, c2 in ((m, c.shift(a)), _times_e(m, b, c.shift(-a))):
+                nxt[m2] = nxt[m2] + c2 if m2 in nxt else c2
+        state = {m: c for m, c in nxt.items() if c.terms}
+    total = oracles.OnePoly()
+    for m, c in state.items():
+        for _ in range(oracles._loops(m) - 1):
+            c = c * _DELTA
+        total = total + c
+    return total
+
+
+def test_alexander_matches_the_onepoly_reference_on_wide_words(rng):
+    """Seeded knot words of 8-14 strands and 40-80 letters, whose entries
+    and determinants run far past a machine word."""
+    for strands in range(8, 15):
+        word = rand_knot_word(rng, strands=strands, length=rng.randint(40, 79))
+        assert oracles.alexander(word) == _onepoly_alexander(word), str(word)
+
+
+def test_bracket_matches_the_onepoly_reference_on_wide_words(rng):
+    """Seeded words, knots and links, of 6-9 strands and 20-40 letters."""
+    for strands in (6, 7, 8, 9):
+        gens = [k for g in range(1, strands) for k in (g, -g)]
+        for _ in range(2):
+            word = braid.BraidWord(strands, tuple(
+                rng.choice(gens) for _ in range(rng.randint(20, 40))))
+            assert oracles._bracket(word) == _onepoly_bracket(word), str(word)
+
+
+def test_oracles_on_inverse_letters_only_and_the_empty_word(rng):
+    """Words of inverse letters only, which scale the Burau product by t
+    at every letter, and the empty 1-strand word.  A letter and its inverse
+    permute the strands alike, so the closures stay knots."""
+    for strands in range(2, 9):
+        word = rand_knot_word(rng, strands=strands, length=strands + 6)
+        word = braid.BraidWord(strands, tuple(-abs(k) for k in word.letters))
+        assert oracles.alexander(word) == _onepoly_alexander(word), str(word)
+        assert oracles._bracket(word) == _onepoly_bracket(word), str(word)
+    for strands in (2, 4, 5):
+        word = braid.BraidWord(strands, tuple(range(-1, -strands, -1)) * 3)
+        assert oracles.alexander(word) == _onepoly_alexander(word)
+        assert oracles._bracket(word) == _onepoly_bracket(word)
+    assert oracles.alexander(UNKNOT) == _onepoly_alexander(UNKNOT)
+    assert oracles._bracket(UNKNOT) == _onepoly_bracket(UNKNOT) \
+        == onepoly({0: 1})
 
 
 def test_jones_examples():
