@@ -42,8 +42,13 @@ class KnotRecord:
 
 
 def load_table(path=None):
+    """The records of the table at ``path``, else at ``GAUGEKNOT_TABLE``,
+    else the bundled one; TableError for an empty ``GAUGEKNOT_TABLE``,
+    which names no file, and for a table that cannot be read or parsed."""
     if path is None:
         path = os.environ.get("GAUGEKNOT_TABLE", BUNDLED_TABLE)
+        if path == "":
+            raise TableError("GAUGEKNOT_TABLE: empty path")
     path = Path(path)
     try:
         text = path.read_text()

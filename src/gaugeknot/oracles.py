@@ -35,14 +35,12 @@ class OracleError(ValueError):
 class OnePoly:
     """Univariate integer Laurent polynomial in t, on the half-integer
     exponent grid: ``terms`` maps doubled exponents to coefficients, so
-    terms = {1: 2} means 2*t^(1/2).  Zero coefficients are filtered out,
-    unless ``nonzero`` says that ``terms`` holds none and is not shared."""
+    terms = {1: 2} means 2*t^(1/2).  Zero coefficients are filtered out."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None, nonzero=False):
-        self.terms = terms if nonzero else {e: c for e, c in
-                                            (terms or {}).items() if c}
+    def __init__(self, terms=None):
+        self.terms = {e: c for e, c in (terms or {}).items() if c}
 
     @staticmethod
     def t(double_exp=2, coeff=1):
@@ -59,7 +57,7 @@ class OnePoly:
         return OnePoly(out)
 
     def __neg__(self):
-        return OnePoly({e: -c for e, c in self.terms.items()}, True)
+        return OnePoly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -83,11 +81,10 @@ class OnePoly:
 
     def bar(self):
         """t -> 1/t."""
-        return OnePoly({-e: c for e, c in self.terms.items()}, True)
+        return OnePoly({-e: c for e, c in self.terms.items()})
 
     def shift(self, double_exp):
-        return OnePoly({e + double_exp: c for e, c in self.terms.items()},
-                       True)
+        return OnePoly({e + double_exp: c for e, c in self.terms.items()})
 
     def at_one(self):
         return sum(self.terms.values())

@@ -23,7 +23,9 @@ trigonometric R-matrix entry is kept as a numerator over one denominator
 (``rmat.TRIG_DENOMINATOR``).  ``cleared_values`` evaluates polynomials at
 an exact point, rational but for Y, into Gaussian integers over one int
 denominator.  Half-integer powers of ``q`` live in ``Q`` (``q = Q**2``)
-and ``p`` (``p = q**(alpha + 1/2)``).
+and ``p`` (``p = q**(alpha + 1/2)``), so ``q**alpha = p/Q``: the quantum
+and the trigonometric ring spell alpha alike, in ``p``, ``Q`` and ``Y``,
+and share one Y**2 relation.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from types import MappingProxyType
 
 
 # Display / sort order of every variable that can occur in any ring.
-MASTER_ORDER = ("p", "Q", "Y", "Aa", "X", "Xv", "Ru", "Rv", "Su", "Sv")
+MASTER_ORDER = ("p", "Q", "Y", "X", "Xv", "Ru", "Rv", "Su", "Sv")
 
 #: Laurent exponents lie in [-EXP_BIAS, EXP_BIAS).
 EXP_BIAS = 1 << 16
@@ -430,16 +432,20 @@ def canonical_str(poly):
 # ---------------------------------------------------------------------------
 # The two standard rings.
 
-#: Quantum regime: p = q**(alpha+1/2), Q = q**(1/2), Y**2 = (p/Q - Q/p)(pQ - 1/(pQ)).
-QUANTUM = Ring(("p", "Q", "Y"), lambda r: r.mono(1, p=2) + r.mono(1, p=-2)
-               - r.mono(1, Q=2) - r.mono(1, Q=-2))
-
-#: Trigonometric regime: Aa = q**alpha, X = q**u, Xv = q**v, Ru = r**u, etc.
-#: Y here squares to (q**alpha - q**-alpha)(q**(1+alpha) - q**-(1+alpha)),
-#: i.e. the bracket product [alpha][1+alpha] times (q - 1/q)**2.
-TRIG = Ring(("Q", "Y", "Aa", "X", "Xv", "Ru", "Rv", "Su", "Sv"),
-            lambda r: r.mono(1, Aa=2, Q=2) + r.mono(1, Aa=-2, Q=-2)
+def _y_square(r):
+    """Y**2 = p**2 + p**-2 - Q**2 - Q**-2 = (p/Q - Q/p)(pQ - 1/(pQ)), with
+    p = q**(alpha + 1/2) and Q = q**(1/2): the bracket product
+    [alpha][1 + alpha] times (q - 1/q)**2."""
+    return (r.mono(1, p=2) + r.mono(1, p=-2)
             - r.mono(1, Q=2) - r.mono(1, Q=-2))
+
+
+#: Quantum regime: p = q**(alpha+1/2), Q = q**(1/2).
+QUANTUM = Ring(("p", "Q", "Y"), _y_square)
+
+#: Trigonometric regime: the quantum ring's p, Q and Y, and X = q**u,
+#: Xv = q**v, Ru = r**u, etc.
+TRIG = Ring(("p", "Q", "Y", "X", "Xv", "Ru", "Rv", "Su", "Sv"), _y_square)
 
 #: One-variable reduction used by the gauge-2 ambient model (p set to 1).
 QONLY = Ring(("Q",))

@@ -433,8 +433,8 @@ def identity_op(ring):
 
 def _n(const, alpha, u):
     """n(x) = q**x - q**-x for x = const + alpha*a + u*u, in TRIG (q = Q**2,
-    Aa = q**a, X = q**u)."""
-    top = TRIG.mono(1, Q=2 * const, Aa=alpha, X=u)
+    q**a = p/Q, X = q**u)."""
+    top = TRIG.mono(1, p=alpha, Q=2 * const - alpha, X=u)
     return top - top.invert_monomial()
 
 
@@ -473,11 +473,9 @@ def _trig_table(gauged):
     ent[(4, 1, 4, 1)] = gAA * (g(Ru=-1) * g(Su=-1) * m(1, X=2))
 
     # f(q) / N and f(1/q) / N, with f(q) = q**(1+2a) + q**-(1+2a) - 2q
-    # + q**(2u) (q - 1/q)
-    fq = (-2 * m(1, Q=2) + m(1, X=2) * delta
-          + m(1, Q=2, Aa=2) + m(1, Q=-2, Aa=-2))
-    fqb = (-2 * m(1, Q=-2) - m(1, X=-2) * delta
-           + m(1, Q=2, Aa=2) + m(1, Q=-2, Aa=-2))
+    # + q**(2u) (q - 1/q) and q**(1+2a) = p**2
+    fq = -2 * m(1, Q=2) + m(1, X=2) * delta + m(1, p=2) + m(1, p=-2)
+    fqb = -2 * m(1, Q=-2) - m(1, X=-2) * delta + m(1, p=2) + m(1, p=-2)
     ent[(2, 3, 2, 3)] = fqb * (g(Ru=-1) * g(Su=1))
     ent[(3, 2, 3, 2)] = fq * (g(Ru=1) * g(Su=-1))
 
@@ -656,13 +654,11 @@ def _case_images(ring, case, scale):
     return images
 
 
-#: Map an X-free trigonometric polynomial into {p, Q, Y} via Aa = p/Q: the
-#: ring morphism compiled once.
+#: Map an X-free trigonometric polynomial into {p, Q, Y}, each u- and
+#: v-variable set to 1: the ring morphism compiled once.
 _to_quantum = _morphism(TRIG, QUANTUM, {
-    "Q": QUANTUM.var("Q"), "Aa": QUANTUM.mono(1, p=1, Q=-1),
-    "Y": QUANTUM.var("Y"), "X": QUANTUM.one, "Xv": QUANTUM.one,
-    "Ru": QUANTUM.one, "Rv": QUANTUM.one, "Su": QUANTUM.one, "Sv": QUANTUM.one,
-})
+    n: QUANTUM.var(n) if n in QUANTUM.index else QUANTUM.one
+    for n in TRIG.names})
 
 
 @lru_cache(maxsize=None)

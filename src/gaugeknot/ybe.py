@@ -26,7 +26,7 @@ output t.
   side equals its transpose, and so does E.  TYBE: the left side applies
   R(v) on R12, R(u+v) on R23 and R(u) on R12.  Let phi be the ring
   automorphism of TRIG that swaps X with Xv, Ru with Rv and Su with Sv and
-  fixes Q, Y and Aa, so the Y**2 relation too.  If R has no Xv, Rv or Sv,
+  fixes p, Q and Y, so the Y**2 relation too.  If R has no Xv, Rv or Sv,
   then phi(R(u)) = R(v), phi(R(v)) = R(u) and phi(R(u+v)) = R(u+v).  The
   left side reversed is R(u), R(u+v), R(v) on the same positions, which
   is phi of the left side; with symmetric letters its transpose is
@@ -36,11 +36,10 @@ output t.
 * K, the reflection alpha -> -1 - alpha.  J swaps the indices 1 <-> 4
   and 2 <-> 3; PJ(op) is the operator whose entry (a, b, c, d) is op's
   (Jb, Ja, Jd, Jc); and phi' is the ring automorphism that sends p to 1/p
-  (QUANTUM, p = q**(alpha + 1/2)) and Aa to Q**-2 / Aa (TRIG, Aa =
-  q**alpha, Q**2 = q) and fixes every other variable.  Both Y**2
-  relations are phi'-invariant, so phi' fixes Y (``SparseROp.mapped``
-  checks the relation once per map).  Say R reflects when PJ(R) =
-  c phi'(R) for a unit monomial c: +-1 times a monomial without Y.  On
+  (p = q**(alpha + 1/2) in QUANTUM and TRIG alike) and fixes every other
+  variable.  The Y**2 relation is phi'-invariant, so phi' fixes Y
+  (``SparseROp.mapped`` checks it once per map).  Say R reflects when
+  PJ(R) = c phi'(R), c a unit monomial: +-1 times one without Y.  On
   three strands let K map the state (s1, s2, s3) to (Js3, Js2, Js1).  A
   letter at position pos sets strand pos from d to b and strand pos + 1
   from c to a with coefficient op[a, b, c, d]; conjugated by K it sets
@@ -49,7 +48,7 @@ output t.
   c phi'(R), K LHS K^-1 = c**3 phi'(RHS) and K RHS K^-1 = c**3
   phi'(LHS), so K E K^-1 = -c**3 phi'(E).  TYBE: a shift S (u -> v or
   u -> u + v) is a ring morphism that maps X, Ru, Su into the u- and
-  v-variables and fixes p, Q, Y and Aa, while phi' fixes every u- and
+  v-variables and fixes p, Q and Y, while phi' fixes every u- and
   v-variable, so S phi' and phi' S agree on every variable and are equal;
   both act on entries and PJ and the transpose move keys, so they commute
   too.  So if R reflects with c, each shifted letter S(R) reflects with
@@ -140,8 +139,6 @@ def _reflects(R):
     try:
         if "p" in ring.index:
             images["p"] = ring.var("p", -1)
-        if "Aa" in ring.index:
-            images["Aa"] = ring.mono(1, Q=-2, Aa=-1)
         image = R.mapped(ring, images)
     except RingError:       # no such automorphism, or an exponent overflows
         return False

@@ -428,6 +428,22 @@ def test_missing_table_is_usage_error(capsys, tmp_path, monkeypatch):
     assert (code, out, err) == (2, "", want)
 
 
+@pytest.mark.parametrize("argv", [
+    ("invariant", "--case", "4", "--knot", "3_1"),
+    ("suite", "--cases", "4", "--max-crossings", "3")])
+def test_an_empty_table_variable_is_usage_error(capsys, monkeypatch, argv):
+    """An empty GAUGEKNOT_TABLE is refused by name (exit 2, nothing
+    printed), as ``suite --table ""`` is, not read as the path '.'."""
+    monkeypatch.setenv("GAUGEKNOT_TABLE", "")
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    stdout, err = capsys.readouterr()
+    assert (code, stdout) == (2, "")
+    assert err.endswith("error: GAUGEKNOT_TABLE: empty path\n")
+
+
 def test_unknown_knot_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "oracle", "jones", "--knot", "99_9")

@@ -111,6 +111,18 @@ def test_load_table_refuses_an_unreadable_path(tmp_path, monkeypatch):
         harness.load_table(binary)
 
 
+def test_empty_table_variable_is_refused(monkeypatch):
+    """An empty GAUGEKNOT_TABLE names no file: it is refused by name, not
+    read as the path '.' and not taken for the bundled table."""
+    monkeypatch.setenv("GAUGEKNOT_TABLE", "")
+    with pytest.raises(harness.TableError,
+                       match="^GAUGEKNOT_TABLE: empty path$"):
+        harness.load_table()
+    with pytest.raises(harness.TableError,
+                       match="^GAUGEKNOT_TABLE: empty path$"):
+        harness.run_suite([2], max_crossings=3)
+
+
 def test_table_env_override(tmp_path, monkeypatch):
     f = tmp_path / "mini.txt"
     f.write_text("3_1 ; 2 ; 1 1 1\n")

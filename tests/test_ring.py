@@ -76,7 +76,7 @@ def test_a_ring_has_y_exactly_when_it_is_built_with_its_relation():
 
 
 def test_variables_follow_master_order():
-    assert TRIG.names == ("Q", "Y", "Aa", "X", "Xv", "Ru", "Rv", "Su", "Sv")
+    assert TRIG.names == ("p", "Q", "Y", "X", "Xv", "Ru", "Rv", "Su", "Sv")
     for names in (("Q", "p"), ("Q", "Q"), ("Q", "Z")):
         with pytest.raises(RingError):
             Ring(names)
@@ -122,8 +122,9 @@ def test_y_rewrite_confluence(rng):
 
 
 def test_trig_y_square_maps_to_quantum():
-    """Aa -> p*Qbar carries the trigonometric Y-relation to the quantum one."""
-    images = {"Q": QUANTUM.var("Q"), "Aa": QUANTUM.mono(1, p=1, Q=-1),
+    """p, Q and Y fixed, the u- and v-variables at 1, carry the
+    trigonometric Y-relation to the quantum one."""
+    images = {"p": QUANTUM.var("p"), "Q": QUANTUM.var("Q"),
               "Y": QUANTUM.var("Y")}
     for n in ("X", "Xv", "Ru", "Rv", "Su", "Sv"):
         images[n] = QUANTUM.one
@@ -397,10 +398,9 @@ def test_one_compiled_map_serves_many_polynomials(rng):
 
 
 def _reflection_images(ring):
-    """phi', alpha -> -1 - alpha: p -> 1/p, Aa -> Q**-2 / Aa."""
+    """phi', alpha -> -1 - alpha: p -> 1/p."""
     images = {n: ring.var(n) for n in ring.names}
-    images.update({"p": ring.var("p", -1)} if "p" in ring.index else
-                  {"Aa": ring.mono(1, Q=-2, Aa=-1)})
+    images["p"] = ring.var("p", -1)
     return images
 
 
@@ -417,9 +417,8 @@ def test_mapped_operators_match_the_products_entry_by_entry():
         case = rmat.GaugeCase.standard(i)
         scale = math.lcm(case.ru_exp.denominator, case.su_exp.denominator)
         trig_images.append(rmat._case_images(TRIG, case, scale))
-    quantum = {"Q": QUANTUM.var("Q"), "Aa": QUANTUM.mono(1, p=1, Q=-1),
-               "Y": QUANTUM.var("Y")}
-    quantum.update({n: QUANTUM.one for n in TRIG.names if n not in quantum})
+    quantum = {n: QUANTUM.var(n) if n in QUANTUM.index else QUANTUM.one
+               for n in TRIG.names}
     for op in (rmat.build_trig_gauged(), rmat.build_trig_gauge_free()):
         maps += [(op, TRIG, images) for images in trig_images]
         maps.append((op, QUANTUM, quantum))
@@ -578,16 +577,16 @@ def test_product_overflow_raises_instead_of_carrying():
 
 
 def test_y_fold_with_y_between_fields():
-    """In TRIG, Y's field sits between Q's and Aa's; the Y**2 fold leaves
+    """In TRIG, Y's field sits between Q's and X's; the Y**2 fold leaves
     every other field as it should."""
     Y = TRIG.var("Y")
-    a = TRIG.mono(3, Q=-5, Aa=7, X=-2, Sv=4)
-    b = TRIG.mono(-2, Q=1, Aa=-9, Ru=3)
-    # a*b = -6 Q^-4 Aa^-2 X^-2 Ru^3 Sv^4 times Aa^2 Q^2 + Aa^-2 Q^-2 - Q^2 - Q^-2
-    expect = TRIG.poly({(-2, 0, 0, -2, 0, 3, 0, 0, 4): -6,
-                        (-6, 0, -4, -2, 0, 3, 0, 0, 4): -6,
-                        (-2, 0, -2, -2, 0, 3, 0, 0, 4): 6,
-                        (-6, 0, -2, -2, 0, 3, 0, 0, 4): 6})
+    a = TRIG.mono(3, p=7, Q=-12, X=-2, Sv=4)
+    b = TRIG.mono(-2, p=-9, Q=10, Ru=3)
+    # a*b = -6 p^-2 Q^-2 X^-2 Ru^3 Sv^4 times p^2 + p^-2 - Q^2 - Q^-2
+    expect = TRIG.poly({(0, -2, 0, -2, 0, 3, 0, 0, 4): -6,
+                        (-4, -2, 0, -2, 0, 3, 0, 0, 4): -6,
+                        (-2, 0, 0, -2, 0, 3, 0, 0, 4): 6,
+                        (-2, -4, 0, -2, 0, 3, 0, 0, 4): 6})
     assert (a * Y) * (b * Y) == expect
     assert (Y * a) * Y * b * Y == expect * Y
     # the fold's own sums are range-checked
@@ -676,7 +675,7 @@ def test_i_and_y_fold_in_one_product():
     assert iy * iy == -QUANTUM.y_square
     assert (iy * iy * iy).terms == {
         e[:2] + (1,): (0, -x) for e, (x, _) in QUANTUM.y_square.terms.items()}
-    it = TRIG.mono((0, -1), Y=1, Aa=3)
+    it = TRIG.mono((0, -1), Y=1, p=3, Q=-3)
     assert dict((it * it).terms) == _schoolbook(it, it)
     # with a complex Y**2 the fold itself forms i**2 terms: here
     # iY * Y = i * Y**2 = i * ip = -p

@@ -50,10 +50,11 @@ def test_trig_first_component_is_one():
 def bracket_formulas(v, gauged):
     """The 36 entries of R(u) at a point ``v`` of TRIG, in GaussQ, written as
     the paper's bracket formulas with [x] = (q**x - q**-x)/(q - q**-1),
-    q = Q**2, q**alpha = Aa, q**u = X and [alpha]^(1/2) [1+alpha]^(1/2) =
+    q = Q**2, q**alpha = p/Q, q**u = X and [alpha]^(1/2) [1+alpha]^(1/2) =
     Y/(q - q**-1); r**u = Ru and s**u = Su when gauged, else 1."""
-    Q, a, x = (GaussQ.of(v[n]) for n in ("Q", "Aa", "X"))
+    p, Q, x = (GaussQ.of(v[n]) for n in ("p", "Q", "X"))
     q = Q * Q
+    a = p / Q
     delta = q - 1 / q
     br = lambda qx: (qx - 1 / qx) / delta
     r, s = (GaussQ.of(v[n] if gauged else 1) for n in ("Ru", "Su"))
@@ -93,10 +94,10 @@ def bracket_formulas(v, gauged):
 
 
 def trig_point(row, x, ru, su):
-    """A TRIG assignment from a SAMPLE_POINTS row: Aa = p/Q makes TRIG's
-    Y**2 equal QUANTUM's, so the row's Y value serves."""
+    """A TRIG assignment from a SAMPLE_POINTS row: TRIG's Y**2 is
+    QUANTUM's, so the row's Y value serves."""
     point = sample_point(row)
-    return {"Q": point["Q"], "Y": point["Y"], "Aa": point["p"] / point["Q"],
+    return {"p": point["p"], "Q": point["Q"], "Y": point["Y"],
             "X": x, "Ru": ru, "Su": su, "Xv": 1, "Rv": 1, "Sv": 1}
 
 
@@ -235,6 +236,42 @@ def test_spectral_limits_match_tables():
         assert rmat.spectral_limit(gauged, case) == rmat.quantum_r(i)
     alt = rmat.GaugeCase.standard(4, Fraction(2, 3))
     assert rmat.spectral_limit(gauged, alt) == rmat.quantum_r(4)
+
+
+def _r_u_r_v(op, first):
+    """The product on two strands of op's numerators at u and at v, the
+    one given by ``first`` applied first, as {column: {output: value}}."""
+    at_v = op.mapped(TRIG, ybe._V_IMAGES)
+    letters = [(1, op), (1, at_v)] if first == "u" else [(1, at_v), (1, op)]
+    return dict(rmat._columns(TRIG, 2, letters))
+
+
+def test_the_gauge_free_operator_commutes_with_itself_at_v():
+    """The numerators of the gauge-free R(u) and R(v) commute, so R(u)
+    and R(v) do: both products are equal entry by entry."""
+    free = rmat.build_trig_gauge_free()
+    assert _r_u_r_v(free, "u") == _r_u_r_v(free, "v")
+
+
+def test_the_gauge_breaks_the_commutation():
+    """The gauged R(u) R(v) and R(v) R(u) differ in exactly 20 (input,
+    output) pairs."""
+    gauged = rmat.build_trig_gauged()
+    uv, vu = _r_u_r_v(gauged, "u"), _r_u_r_v(gauged, "v")
+    differ = [(s, t) for s in uv.keys() | vu.keys()
+              for t in uv.get(s, {}).keys() | vu.get(s, {}).keys()
+              if uv.get(s, {}).get(t) != vu.get(s, {}).get(t)]
+    assert len(differ) == 20
+
+
+def test_the_gauge_free_limit_is_r1_in_every_case():
+    """Without the gauge every case's substitution has nothing to act on:
+    each spectral limit of the gauge-free operator is R1."""
+    free = rmat.build_trig_gauge_free()
+    cases = [rmat.GaugeCase.standard(i) for i in (1, 2, 3, 4)]
+    cases.append(rmat.GaugeCase.standard(4, Fraction(2, 3)))
+    for case in cases:
+        assert rmat.spectral_limit(free, case) == rmat.quantum_r(1), case
 
 
 def test_gauge_free_off_diagonals_vanish_at_u_zero():
@@ -677,7 +714,7 @@ def test_columns_refuse_an_exponent_out_of_range_mid_word(ring, name, sign):
 
 #: (ring, variable): the variables of each Y ring that its Y**2 relation
 #: moves, so that a folded delta can carry them out of range.
-FOLDED_FIELDS = [(QUANTUM, "p"), (QUANTUM, "Q"), (TRIG, "Q"), (TRIG, "Aa")]
+FOLDED_FIELDS = [(QUANTUM, "p"), (QUANTUM, "Q"), (TRIG, "Q"), (TRIG, "p")]
 
 
 @pytest.mark.parametrize("ring, name", FOLDED_FIELDS)
